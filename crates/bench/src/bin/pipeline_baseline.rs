@@ -1,7 +1,7 @@
 //! Machine-readable perf baseline for the parallel pipeline, its BFS
 //! kernels, and the snapshot-delta row cache.
 //!
-//! Two measurement phases, written together to `BENCH_pipeline.json` in
+//! Six measurement phases, written together to `BENCH_pipeline.json` in
 //! the current directory (`--out=PATH` overrides):
 //!
 //! **Phase 1 — kernel ladder** on the paper's evaluation snapshots
@@ -40,20 +40,7 @@
 //! chunk skipping, rising Δ floor) on the `M × V` scan it rewrites;
 //! chunk/prune counters and row-arena occupancy ride along.
 //!
-//! **Phase 4 — bound-pruning ladder** on the evaluation snapshots: a
-//! pruning-friendly pipeline (Mmsd selector under a `Threshold
-//! {{delta_min: 4}}` spec whose floor gives the `t2` sweeps truncation
-//! headroom, delta cache off so full sweeps actually run) with
-//! `CP_SSSP_PRUNE` off vs auto. Results and the ledger are bit-identical
-//! (conformance-tested); what moves is the *internal* work —
-//! `settled_nodes` / `relaxed_edges` and the rows truncated at their
-//! depth bound. The landmark pre-filter stays dark in this phase (a
-//! zero-byte cache holds no resident landmark rows; the conformance
-//! suite exercises it), and the `sssp_secs` delta is reported as
-//! measured, however modest: on small graphs the truncated tail is
-//! cheap, so the work drop exceeds the time drop.
-//!
-//! **Phase 5 — streaming ladder** over a whole review sequence: the
+//! **Phase 4 — streaming ladder** over a whole review sequence: the
 //! `cp-stream` engine replays each dataset's event stream across
 //! [`STREAM_CUTS`] (≥ 5 reviews, each under its own `2m` ledger) twice —
 //! with review-to-review cache chaining on (step *t*'s resident `t2` rows
@@ -64,7 +51,7 @@
 //! chained donor or derived by snapshot-delta repair instead of a full
 //! sweep — and the pipeline wall clock, best of [`REPEATS`] ladder runs.
 //!
-//! **Phase 6 — snapshot-store ladder** on the tight pair: the same
+//! **Phase 5 — snapshot-store ladder** on the tight pair: the same
 //! budgeted pipeline (Mmsd selector, auto kernel, unbounded cache, one
 //! thread) runs once per `CP_GRAPH_STORE` value — full CSR, base + delta
 //! overlay, gap-compressed CSR. Pairs are bit-identical by construction
@@ -73,7 +60,7 @@
 //! store's, and the overlay's O(Δ) footprint against the base it borrows
 //! (`overlay_shared_arcs` counts the arcs it never copied).
 //!
-//! **Phase 7 — query-throughput ladder** over the same review sequence:
+//! **Phase 6 — query-throughput ladder** over the same review sequence:
 //! the `cp-query` layer answers budget-free point queries (`distance` +
 //! `delta`) from published epochs while the engine advances the
 //! [`STREAM_CUTS`] reviews, at 1, 2 and 8 concurrent reader threads.
@@ -96,7 +83,7 @@
 
 use cp_bench::{scaled_budget, Options};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle, SsspPrune};
+use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, PipelineStats};
@@ -227,56 +214,7 @@ struct ScanSweep {
     arena_slab_bytes: u64,
 }
 
-/// Timing of one (dataset, prune mode) bound-pruning sweep (phase 4).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct PruneSweep {
-    dataset: String,
-    /// `CP_SSSP_PRUNE` mode (`"off"` = every charged sweep runs full).
-    sssp_prune: String,
-    /// Pairs found (identical across modes — conformance-tested).
-    pairs: usize,
-    /// SSSPs charged (identical across modes: truncated rows still pay).
-    sssp_computed: u64,
-    /// Best-of-repeats oracle distance-row seconds.
-    sssp_secs: f64,
-    /// Nodes settled across all traversals (deterministic per mode).
-    settled_nodes: u64,
-    /// Adjacency entries relaxed across all traversals.
-    relaxed_edges: u64,
-    /// `t2` sweeps cut short at their depth bound.
-    rows_truncated: u64,
-    /// Charged rows the landmark pre-filter never computed.
-    rows_prefiltered: u64,
-    /// `M × V` pairs skipped with their pre-filtered candidate.
-    pairs_prefiltered: u64,
-}
-
-/// Per-dataset pruning comparison (phase 4, off vs auto).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct PruneSummary {
-    dataset: String,
-    /// Adjacency relaxations with pruning off.
-    off_relaxed_edges: u64,
-    /// Adjacency relaxations with pruning on — never more than off.
-    auto_relaxed_edges: u64,
-    /// `off / auto` relaxed-edge ratio: the internal-work saving.
-    relaxed_edges_ratio: f64,
-    /// Settled nodes with pruning off / on.
-    off_settled_nodes: u64,
-    /// Settled nodes with pruning on.
-    auto_settled_nodes: u64,
-    /// Oracle SSSP seconds with pruning off.
-    off_sssp_secs: f64,
-    /// Oracle SSSP seconds with pruning on.
-    auto_sssp_secs: f64,
-    /// `off / auto` on `sssp_secs` — the honest wall-clock delta, which
-    /// trails the work ratio when the truncated tail was cheap.
-    sssp_speedup: f64,
-    /// `t2` sweeps truncated in the pruned run.
-    rows_truncated: u64,
-}
-
-/// One engine ladder run (phase 5): a full review sequence with chaining
+/// One engine ladder run (phase 4): a full review sequence with chaining
 /// on or off, counters summed over all reviews.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct StreamSweep {
@@ -306,7 +244,7 @@ struct StreamSweep {
     advance_secs: f64,
 }
 
-/// Per-dataset chained-vs-rebuilt comparison (phase 5).
+/// Per-dataset chained-vs-rebuilt comparison (phase 4).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct StreamSummary {
     dataset: String,
@@ -327,7 +265,7 @@ struct StreamSummary {
     stream_speedup: f64,
 }
 
-/// One snapshot-store pipeline run on the tight pair (phase 6).
+/// One snapshot-store pipeline run on the tight pair (phase 5).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct StoreSweep {
     dataset: String,
@@ -354,7 +292,7 @@ struct StoreSweep {
     full_bytes_per_arc: f64,
 }
 
-/// Per-dataset store comparison (phase 6).
+/// Per-dataset store comparison (phase 5).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct StoreSummary {
     dataset: String,
@@ -375,7 +313,7 @@ struct StoreSummary {
     overlay_shared_arcs: u64,
 }
 
-/// One query-throughput rung (phase 7): point queries answered from
+/// One query-throughput rung (phase 6): point queries answered from
 /// published epochs at a fixed reader-thread count while the engine
 /// advances reviews.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -432,8 +370,6 @@ struct Baseline {
     repair: Vec<RepairSummary>,
     scan_ladder: Vec<ScanSweep>,
     scan: Vec<ScanSummary>,
-    prune_ladder: Vec<PruneSweep>,
-    prune: Vec<PruneSummary>,
     stream_ladder: Vec<StreamSweep>,
     stream: Vec<StreamSummary>,
     store_ladder: Vec<StoreSweep>,
@@ -460,24 +396,17 @@ struct Baseline {
     scan_speedup: f64,
     /// The best per-dataset `scan_speedup`.
     scan_speedup_max: f64,
-    /// Relaxed-edge ratio of pruning off vs on, summed over datasets
-    /// (phase 4) — the internal-work saving of bound truncation plus the
-    /// landmark pre-filter at a bit-identical ledger.
-    prune_relaxed_ratio: f64,
-    /// Pruning off-vs-on on `sssp_secs`, summed over datasets — the
-    /// honest wall-clock counterpart of `prune_relaxed_ratio`.
-    prune_sssp_speedup: f64,
     /// Donor/repair hit rate of the chained streaming ladder, summed over
-    /// datasets (phase 5).
+    /// datasets (phase 4).
     stream_chained_hit_rate: f64,
     /// Donor/repair hit rate of the per-step-rebuild ladder.
     stream_rebuilt_hit_rate: f64,
     /// Datasets where chaining reached a strictly higher hit rate than
     /// the rebuild — the chain's reach across the review boundary.
     stream_gain_datasets: usize,
-    /// Aggregate full-store graph bytes per directed arc (phase 6).
+    /// Aggregate full-store graph bytes per directed arc (phase 5).
     full_bytes_per_arc: f64,
-    /// Aggregate compressed adjacency bytes per directed arc (phase 6).
+    /// Aggregate compressed adjacency bytes per directed arc (phase 5).
     compressed_bytes_per_arc: f64,
     /// `compressed / full` bytes-per-arc across all datasets — the
     /// compressed store's aggregate shrink factor.
@@ -486,7 +415,7 @@ struct Baseline {
     /// overlay-shared second snapshot.
     overlay_frac: f64,
     /// `Answer::Exact` point-query answers across the whole query ladder
-    /// (phase 7).
+    /// (phase 6).
     query_exact_answers: u64,
     /// `Answer::Bounded` point-query answers across the whole query
     /// ladder — nonzero proves the answer lattice's middle rung is live.
@@ -527,7 +456,7 @@ const PHASE1_REPEATS: u32 = 5;
 /// emulating a re-evaluation shortly after the previous one.
 const REPAIR_T1: f64 = 0.95;
 
-/// Phase 5's review schedule: the engine starts at the first cut and
+/// Phase 4's review schedule: the engine starts at the first cut and
 /// reviews at each subsequent one — five reviews over the stream's second
 /// half, tight enough (10 % deltas) that chained donors stay relevant.
 const STREAM_CUTS: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
@@ -631,34 +560,7 @@ fn run_scan_heavy(
     (res.stats, res.candidates.len(), res.pairs.len())
 }
 
-/// One pruning-friendly pipeline run (phase 4): Mmsd selector,
-/// `Threshold {delta_min: 4}` floor (each extra floor unit shaves one
-/// more `t2` wave off the batched sweeps), delta cache off — full `t2`
-/// sweeps, the path truncation attacks; the landmark pre-filter stays
-/// dark here because a zero-byte cache keeps no resident landmark rows
-/// (the conformance suite covers it) — one thread, the given prune mode.
-fn run_prune_probe(
-    g1: &Graph,
-    g2: &Graph,
-    m: u64,
-    seed: u64,
-    prune: SsspPrune,
-) -> (PipelineStats, usize) {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_threads(1)
-        .with_kernel(BfsKernel::Auto)
-        .with_row_cache(RowCacheBudget::Bytes(0))
-        .with_prune(prune);
-    let mut sel = SelectorKind::Mmsd { landmarks: 5 }.build(seed);
-    let res = run_pipeline(
-        &mut oracle,
-        sel.as_mut(),
-        &TopKSpec::Threshold { delta_min: 4 },
-    );
-    (res.stats, res.pairs.len())
-}
-
-/// One store-ladder pipeline run (phase 6): Mmsd selector on the tight
+/// One store-ladder pipeline run (phase 5): Mmsd selector on the tight
 /// pair, auto kernel, unbounded cache, one thread, the given snapshot
 /// store. Returns the stats, pair count, and wall clock.
 fn run_store_probe(
@@ -683,7 +585,7 @@ fn run_store_probe(
     (res.stats, res.pairs.len(), started.elapsed().as_secs_f64())
 }
 
-/// One full streaming ladder (phase 5): replays the dataset's events
+/// One full streaming ladder (phase 4): replays the dataset's events
 /// across [`STREAM_CUTS`] with the given chaining mode, returning summed
 /// per-review counters. Pairs/ledger are mode-invariant (conformance-
 /// tested); the pairs of each review are folded into a checksum so the
@@ -736,10 +638,10 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
     (sweep, checksum)
 }
 
-/// Phase 7's reader-thread rungs.
+/// Phase 6's reader-thread rungs.
 const QUERY_READERS: [usize; 3] = [1, 2, 8];
 
-/// One query-throughput ladder run (phase 7): `readers` concurrent
+/// One query-throughput ladder run (phase 6): `readers` concurrent
 /// threads issue point queries (`distance` + `delta`) against whatever
 /// epoch is currently published while the main thread replays the
 /// [`STREAM_CUTS`] reviews. With `readers == 0` this is the reader-free
@@ -857,24 +759,20 @@ fn main() {
     let mut repair: Vec<RepairSummary> = Vec::new();
     let mut scan_ladder: Vec<ScanSweep> = Vec::new();
     let mut scan: Vec<ScanSummary> = Vec::new();
-    let mut prune_ladder: Vec<PruneSweep> = Vec::new();
-    let mut prune: Vec<PruneSummary> = Vec::new();
     let mut stream_ladder: Vec<StreamSweep> = Vec::new();
     let mut stream: Vec<StreamSummary> = Vec::new();
     let mut store_ladder: Vec<StoreSweep> = Vec::new();
     let mut store: Vec<StoreSummary> = Vec::new();
     let mut query_ladder: Vec<QuerySweep> = Vec::new();
-    let mut query_answer_totals = [0u64; 3]; // phase 7: [exact, bounded, unknown]
+    let mut query_answer_totals = [0u64; 3]; // phase 6: [exact, bounded, unknown]
     let mut query_budget_charged = 0u64;
     let mut query_qps_peak = 0.0f64;
-    let mut store_bytes_totals = [0u64; 3]; // phase 6: [full, compressed, overlay] bytes
+    let mut store_bytes_totals = [0u64; 3]; // phase 5: [full, compressed, overlay] bytes
     let mut store_arcs_total = 0u64;
     let mut totals = [0.0f64; 4];
     let mut sssp_totals = [0.0f64; 2]; // [scalar@1, auto@1] cache-off
     let mut t2_totals = [0.0f64; 2]; // phase 2: [cache-off, cache-on]
     let mut scan_totals = [0.0f64; 2]; // phase 3: [scalar scan, auto scan]
-    let mut prune_relaxed_totals = [0u64; 2]; // phase 4: [off, auto]
-    let mut prune_sssp_totals = [0.0f64; 2]; // phase 4: [off, auto]
     let mut repair_speedup_max = 0.0f64;
     let mut scan_speedup_max = 0.0f64;
     let mut stream_hit_totals = [[0u64; 2]; 2]; // [chained, rebuilt] × [hits, charged]
@@ -1110,79 +1008,7 @@ fn main() {
             chunks_skipped_frac: skipped_frac,
         });
 
-        // ---- Phase 4: bound-pruning ladder on the evaluation snapshots ----
-        let mut per_mode: [Option<(PipelineStats, usize)>; 2] = [None, None];
-        for (i, mode) in [SsspPrune::Off, SsspPrune::Auto].into_iter().enumerate() {
-            let mut best: Option<(PipelineStats, usize)> = None;
-            for _ in 0..REPEATS {
-                let r = run_prune_probe(&g1, &g2, m, opts.seed, mode);
-                if best
-                    .as_ref()
-                    .map_or(true, |b| r.0.sssp_secs < b.0.sssp_secs)
-                {
-                    best = Some(r);
-                }
-            }
-            let (stats, pairs) = best.expect("REPEATS >= 1");
-            eprintln!(
-                "  {name} prune [{}]: {:.4}s sssp, {} settled / {} relaxed ({} truncated, \
-                 {} rows + {} pairs prefiltered; {} pairs found)",
-                mode.name(),
-                stats.sssp_secs,
-                stats.settled_nodes,
-                stats.relaxed_edges,
-                stats.rows_truncated,
-                stats.rows_prefiltered,
-                stats.pairs_prefiltered,
-                pairs,
-            );
-            prune_ladder.push(PruneSweep {
-                dataset: name.to_string(),
-                sssp_prune: mode.name().to_string(),
-                pairs,
-                sssp_computed: stats.sssp_computed,
-                sssp_secs: stats.sssp_secs,
-                settled_nodes: stats.settled_nodes,
-                relaxed_edges: stats.relaxed_edges,
-                rows_truncated: stats.rows_truncated,
-                rows_prefiltered: stats.rows_prefiltered,
-                pairs_prefiltered: stats.pairs_prefiltered,
-            });
-            per_mode[i] = Some((stats, pairs));
-        }
-        let (off_stats, off_pairs) = per_mode[0].take().expect("off mode ran");
-        let (auto_stats, auto_pairs) = per_mode[1].take().expect("auto mode ran");
-        assert_eq!(off_pairs, auto_pairs, "{name}: pruning changed the answer");
-        assert_eq!(
-            off_stats.sssp_computed, auto_stats.sssp_computed,
-            "{name}: pruning changed the ledger"
-        );
-        let relaxed_ratio =
-            off_stats.relaxed_edges as f64 / (auto_stats.relaxed_edges.max(1)) as f64;
-        let sssp_speedup = off_stats.sssp_secs / auto_stats.sssp_secs.max(f64::MIN_POSITIVE);
-        eprintln!(
-            "  {name} prune ladder: {:.2}x fewer relaxed edges, {sssp_speedup:.2}x sssp \
-             wall clock ({} t2 rows truncated)",
-            relaxed_ratio, auto_stats.rows_truncated,
-        );
-        prune_relaxed_totals[0] += off_stats.relaxed_edges;
-        prune_relaxed_totals[1] += auto_stats.relaxed_edges;
-        prune_sssp_totals[0] += off_stats.sssp_secs;
-        prune_sssp_totals[1] += auto_stats.sssp_secs;
-        prune.push(PruneSummary {
-            dataset: name.to_string(),
-            off_relaxed_edges: off_stats.relaxed_edges,
-            auto_relaxed_edges: auto_stats.relaxed_edges,
-            relaxed_edges_ratio: relaxed_ratio,
-            off_settled_nodes: off_stats.settled_nodes,
-            auto_settled_nodes: auto_stats.settled_nodes,
-            off_sssp_secs: off_stats.sssp_secs,
-            auto_sssp_secs: auto_stats.sssp_secs,
-            sssp_speedup,
-            rows_truncated: auto_stats.rows_truncated,
-        });
-
-        // ---- Phase 5: streaming ladder, chained vs per-step rebuild ----
+        // ---- Phase 4: streaming ladder, chained vs per-step rebuild ----
         let mut per_mode_stream = [StreamSweep::default(), StreamSweep::default()];
         let mut checksums = [0u64; 2];
         for (i, chain) in [true, false].into_iter().enumerate() {
@@ -1250,7 +1076,7 @@ fn main() {
             stream_speedup,
         });
 
-        // ---- Phase 6: snapshot-store ladder on the tight pair ----
+        // ---- Phase 5: snapshot-store ladder on the tight pair ----
         let total_arcs = 2 * (r1.num_edges() + r2.num_edges()) as u64;
         let full_bytes = (r1.heap_bytes() + r2.heap_bytes()) as u64;
         let full_bpa = full_bytes as f64 / total_arcs.max(1) as f64;
@@ -1331,7 +1157,7 @@ fn main() {
         });
         store_ladder.append(&mut per_store);
 
-        // ---- Phase 7: query-throughput ladder over published epochs ----
+        // ---- Phase 6: query-throughput ladder over published epochs ----
         let twin = run_query_ladder(&t, m, opts.seed, 0);
         for readers in QUERY_READERS {
             let mut sweep = run_query_ladder(&t, m, opts.seed, readers);
@@ -1375,8 +1201,6 @@ fn main() {
         repair,
         scan_ladder,
         scan,
-        prune_ladder,
-        prune,
         stream_ladder,
         stream,
         store_ladder,
@@ -1390,9 +1214,6 @@ fn main() {
         repair_speedup_max,
         scan_speedup: scan_totals[0] / scan_totals[1].max(f64::MIN_POSITIVE),
         scan_speedup_max,
-        prune_relaxed_ratio: prune_relaxed_totals[0] as f64
-            / (prune_relaxed_totals[1].max(1)) as f64,
-        prune_sssp_speedup: prune_sssp_totals[0] / prune_sssp_totals[1].max(f64::MIN_POSITIVE),
         stream_chained_hit_rate: stream_hit_totals[0][0] as f64
             / stream_hit_totals[0][1].max(1) as f64,
         stream_rebuilt_hit_rate: stream_hit_totals[1][0] as f64
@@ -1425,8 +1246,7 @@ fn main() {
         "wrote {out}: sssp path {:.3}s scalar vs {:.3}s optimized single-thread ({:.2}x \
          kernel); incremental t2 path {:.4}s repair-off vs {:.4}s repair-on ({:.2}x repair, \
          best dataset {:.2}x); Δ-scan path {:.4}s scalar vs {:.4}s blocked ({:.2}x scan, \
-         best dataset {:.2}x); bound pruning {:.2}x fewer relaxed edges, {:.2}x sssp wall \
-         clock; streaming ladder hit rate {:.0}% chained vs {:.0}% rebuilt ({} datasets \
+         best dataset {:.2}x); streaming ladder hit rate {:.0}% chained vs {:.0}% rebuilt ({} datasets \
          strictly ahead); snapshot stores {:.2} B/arc compressed vs {:.2} full ({:.2}x \
          ratio), overlay at {:.1}% of the pair's bytes; query ladder peak {:.0} q/s \
          ({} exact / {} bounded / {} unknown, {} budget charged); suite {:.3}s vs {:.3}s \
@@ -1443,8 +1263,6 @@ fn main() {
         scan_totals[1],
         baseline.scan_speedup,
         baseline.scan_speedup_max,
-        baseline.prune_relaxed_ratio,
-        baseline.prune_sssp_speedup,
         100.0 * baseline.stream_chained_hit_rate,
         100.0 * baseline.stream_rebuilt_hit_rate,
         baseline.stream_gain_datasets,

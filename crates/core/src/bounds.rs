@@ -1,6 +1,6 @@
 //! Reusable landmark bound machinery: certified Δ bounds for arbitrary
-//! pairs, and the resident-row landmark indexes behind the pipeline's
-//! pre-filter and the streaming query path.
+//! pairs, and the resident-row landmark indexes behind the streaming query
+//! path.
 //!
 //! The budgeted pipeline *verifies* a pair's Δ by owning one endpoint's
 //! full distance rows. But the `2l` landmark rows the landmark selectors
@@ -20,14 +20,10 @@
 //! recommender) at almost zero cost, falling back to the budgeted pipeline
 //! only for the uncertain ones.
 //!
-//! Two consumers share this module:
-//!
-//! * the pipeline's landmark **pre-filter** ([`all_pairs_below`]), which
-//!   drops candidates whose every pair is certified below the scan floor
-//!   before any of their rows is materialized, and
-//! * the streaming **query index**, which captures
-//!   [`resident_landmark_indexes`] at epoch publish so point queries can
-//!   be bracketed after the oracle is gone.
+//! Its consumer is the streaming **query index**, which captures
+//! [`resident_landmark_indexes`] at epoch publish so point queries can be
+//! bracketed after the oracle is gone, and which asks [`all_pairs_below`]
+//! whether a non-resident seed can have any converging pair at all.
 
 use crate::exact::ConvergingPair;
 use crate::oracle::{Snapshot, SnapshotOracle};
@@ -84,11 +80,9 @@ pub fn resident_landmark_indexes(
     ))
 }
 
-/// Whether **every** pair of `u` is certified to scan below `floor`:
+/// Whether **every** pair of `u` is certified below `floor`:
 /// `UB1(u, v) − LB2(u, v) < floor` for all `v ≠ u`, or `LB2(u, v) = ∞`
 /// (which proves `d2(u, v) = ∞`, hence Δ = 0 under the scan's convention).
-/// When this holds, no pair of `u` can survive the final cut, so its rows
-/// can only prove what is already proven.
 ///
 /// `ub1`/`lb2` are caller-owned scratch (resized and overwritten) so a
 /// sweep over many candidates reuses two allocations.

@@ -1,6 +1,5 @@
 //! Compatibility shim: the certified Δ-bound machinery moved to
-//! [`crate::bounds`] when the streaming query path started sharing it
-//! with the pipeline's landmark pre-filter. Existing imports through
-//! `cp_core::estimate` keep working.
+//! [`crate::bounds`] when the streaming query path started using it.
+//! Existing imports through `cp_core::estimate` keep working.
 
 pub use crate::bounds::{DeltaBounds, Triage};

@@ -67,10 +67,9 @@ impl TopKSpec {
     /// converging pair needs a positive decrease); `TopK(0)` keeps
     /// nothing, so its floor is the ceiling `u32::MAX`; the remaining
     /// specs only learn their final cut from the data and start at 1.
-    /// This is the initial value of the scan's shared rising floor and
-    /// the bound the oracle's SSSP truncation and the landmark pre-filter
-    /// prune against — all three prune conservatively below a floor that
-    /// only ever rises, which is why pruning never changes results.
+    /// This is the initial value of the scan's shared rising floor, which
+    /// prunes conservatively because it only ever rises — the reason
+    /// scan pruning never changes results.
     pub fn initial_floor(&self) -> u32 {
         match self {
             TopKSpec::Threshold { delta_min } => (*delta_min).max(1),

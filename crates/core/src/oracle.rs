@@ -30,9 +30,9 @@
 //! rows, not how cleverly they were produced.
 
 use crate::scan::ScanKernel;
-use cp_graph::bfs::{bfs_limited_into, bfs_scalar_limited_into, BfsWorkspace, TraversalWork};
-use cp_graph::dijkstra::dijkstra_limited_into;
-use cp_graph::msbfs::{msbfs_limited_into, MsBfsWorkspace, WAVE_WIDTH};
+use cp_graph::bfs::{bfs_into, bfs_scalar_into, BfsWorkspace, TraversalWork};
+use cp_graph::dijkstra::dijkstra_into;
+use cp_graph::msbfs::{msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
 use cp_graph::repair::{
     bfs_repair_into, dijkstra_repair_into, snapshot_delta, RepairWorkspace, SnapshotDelta,
 };
@@ -347,76 +347,31 @@ impl RowCacheBudget {
     }
 }
 
-/// Whether the oracle's bound-based pruning layer is active
-/// (`CP_SSSP_PRUNE`).
-///
-/// Pruning never changes *what* the pipeline outputs: a truncated row
-/// still charges its one SSSP, only distances that provably cannot emit a
-/// `Δ ≥ floor` pair are dropped, and the landmark pre-filter only skips
-/// computing rows whose every pair is certified below the floor. Pairs,
-/// candidates, and ledger are bit-identical under either setting
-/// (property-tested in `crates/core/tests/conformance.rs`); what moves is
-/// the *internal* work — settled nodes and relaxed edges.
+/// The SSSP pruning mode a run reports. Every charged SSSP runs to
+/// completion, so `Off` is the only mode; the type remains only for the
+/// benchmark, which prints its name.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SsspPrune {
-    /// Every charged SSSP runs to completion — the pre-pruning behaviour,
-    /// kept for A/B runs.
-    Off,
-    /// Truncate top-k-phase `t2` expansions at the per-source depth bound
-    /// and pre-filter candidates via landmark triangle-inequality bounds.
-    /// The default.
+    /// Every charged SSSP runs to completion.
     #[default]
-    Auto,
+    Off,
 }
 
 impl SsspPrune {
-    /// Parses a knob spelling (`off` | `auto`, case-insensitive; empty
-    /// means the default).
-    pub fn parse(s: &str) -> Option<Self> {
-        let t = s.trim();
-        if t.eq_ignore_ascii_case("off") {
-            Some(SsspPrune::Off)
-        } else if t.is_empty() || t.eq_ignore_ascii_case("auto") {
-            Some(SsspPrune::Auto)
-        } else {
-            None
-        }
-    }
-
-    /// Reads `CP_SSSP_PRUNE` (`off` | `auto`); unset means
-    /// [`SsspPrune::Auto`], anything unparseable warns once and falls back
-    /// to [`SsspPrune::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("CP_SSSP_PRUNE") {
-            Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                warn_bad_knob("CP_SSSP_PRUNE", &s, "auto");
-                SsspPrune::Auto
-            }),
-            Err(_) => SsspPrune::Auto,
-        }
-    }
-
-    /// The knob spelling of this setting (`"off"` / `"auto"`).
+    /// The spelling of this setting (`"off"`).
     pub fn name(self) -> &'static str {
-        match self {
-            SsspPrune::Off => "off",
-            SsspPrune::Auto => "auto",
-        }
+        "off"
     }
 }
 
 /// Per-kernel work counters: how the charged SSSPs were actually computed.
 ///
 /// `msbfs_rows + bfs_rows + dijkstra_rows + repair_rows` plus the oracle's
-/// [`SnapshotOracle::rows_prefiltered`] (rows charged but never computed,
-/// thanks to the landmark pre-filter) and
 /// [`SnapshotOracle::chained_rows`] (rows charged whose bytes arrived via
 /// a donor hand-off) equals the number of fresh *charged* rows (= ledger
 /// total); free recomputations of evicted rows are counted by
 /// [`SnapshotOracle::recomputed_rows`] instead. `msbfs_waves` counts
-/// graph sweeps, each covering up to 64 of the `msbfs_rows`. Truncated
-/// rows count normally here — a bound-truncated wave is still the wave
-/// that produced the row.
+/// graph sweeps, each covering up to 64 of the `msbfs_rows`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStats {
     /// Multi-source waves run (one graph sweep each).
@@ -533,6 +488,11 @@ impl RowHandoff {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+
+    /// The exported `(source, row)` pairs, ascending by source.
+    pub fn into_rows(self) -> Vec<(u32, Vec<u32>)> {
+        self.rows
+    }
 }
 
 /// A resident row's arena slot, tagged with its storage width.
@@ -562,12 +522,6 @@ struct RowCache {
     resident: HashMap<u64, CacheEntry>,
     paid1: HashSet<u32>,
     paid2: HashSet<u32>,
-    /// Resident rows whose expansion was bound-truncated: entries beyond
-    /// the prune depth read [`cp_graph::INF`]. Such a row is *scan-exact*
-    /// (every suppressed entry provably scans below the floor) but not
-    /// distance-exact, so the exact-row readers treat it as non-resident
-    /// and recompute, while the Δ-scan path uses it as-is.
-    truncated: HashSet<u64>,
     bytes: usize,
     tick: u64,
     evictions: u64,
@@ -594,7 +548,6 @@ impl RowCache {
             resident: HashMap::new(),
             paid1: HashSet::new(),
             paid2: HashSet::new(),
-            truncated: HashSet::new(),
             bytes: 0,
             tick: 0,
             evictions: 0,
@@ -631,10 +584,7 @@ impl RowCache {
         self.resident.contains_key(&cache_key(which, u))
     }
 
-    /// The resident row at its storage width, if present. This is the
-    /// *raw* accessor: a truncated row is returned as-is, which only the
-    /// Δ-scan path may consume. Exact-distance readers go through
-    /// [`Self::get_exact_ref`].
+    /// The resident row at its storage width, if present.
     fn get_ref(&self, which: Snapshot, u: NodeId) -> Option<RowRef<'_>> {
         self.resident
             .get(&cache_key(which, u))
@@ -642,23 +592,6 @@ impl RowCache {
                 RowSlot::U16(id) => RowRef::U16(self.arena16.row(id)),
                 RowSlot::U32(id) => RowRef::U32(self.arena32.row(id)),
             })
-    }
-
-    /// Whether the resident row of `u` is bound-truncated.
-    fn is_truncated(&self, which: Snapshot, u: NodeId) -> bool {
-        self.truncated.contains(&cache_key(which, u))
-    }
-
-    /// The resident row, but only when it is distance-exact: truncated
-    /// rows read as absent, so exact consumers (repair donors, the
-    /// landmark estimators, [`SnapshotOracle::row`]) recompute instead of
-    /// trusting an [`cp_graph::INF`] entry that merely means "beyond the
-    /// prune depth".
-    fn get_exact_ref(&self, which: Snapshot, u: NodeId) -> Option<RowRef<'_>> {
-        if self.is_truncated(which, u) {
-            return None;
-        }
-        self.get_ref(which, u)
     }
 
     /// Bumps the recency of a resident row; `false` if it was evicted.
@@ -675,21 +608,8 @@ impl RowCache {
     }
 
     /// Packs a computed row into an arena slot (recycling freed slots) and
-    /// makes it resident as a distance-exact row (clearing any stale
-    /// truncation mark from an earlier bound-truncated compute).
+    /// makes it resident.
     fn insert(&mut self, which: Snapshot, u: NodeId, row: Vec<u32>) {
-        self.truncated.remove(&cache_key(which, u));
-        self.insert_raw(which, u, row);
-    }
-
-    /// [`Self::insert`] for a bound-truncated row: resident, but flagged
-    /// so exact readers recompute.
-    fn insert_truncated(&mut self, which: Snapshot, u: NodeId, row: Vec<u32>) {
-        self.truncated.insert(cache_key(which, u));
-        self.insert_raw(which, u, row);
-    }
-
-    fn insert_raw(&mut self, which: Snapshot, u: NodeId, row: Vec<u32>) {
         self.tick += 1;
         let key = cache_key(which, u);
         if let Some(old) = self.resident.remove(&key) {
@@ -735,12 +655,10 @@ impl RowCache {
         if let Some(e) = self.resident.remove(&cache_key(which, u)) {
             self.release_slot(e.slot);
         }
-        self.truncated.remove(&cache_key(which, u));
     }
 
     fn clear_resident(&mut self) {
         self.resident.clear();
-        self.truncated.clear();
         self.arena16.clear();
         self.arena32.clear();
         self.bytes = 0;
@@ -764,7 +682,6 @@ impl RowCache {
                 .expect("non-empty cache");
             let e = self.resident.remove(&victim).expect("victim resident");
             self.release_slot(e.slot);
-            self.truncated.remove(&victim);
             self.evictions += 1;
         }
     }
@@ -881,20 +798,8 @@ pub struct SnapshotOracle<'a> {
     threads: usize,
     kernel: BfsKernel,
     scan_kernel: ScanKernel,
-    prune: SsspPrune,
-    /// The Δ floor the bound-truncation derives its depth limits from —
-    /// the *initial* scan floor of the running spec (deterministic, set by
-    /// the pipeline before its top-k prefetch). `None` keeps pruning
-    /// inert even under [`SsspPrune::Auto`].
-    prune_floor: Option<u32>,
-    /// Exact `G_t1` eccentricity per source whose `t1` row this oracle
-    /// computed (recorded under [`SsspPrune::Auto`]): the `Δ ≤ ecc1(u) −
-    /// d2(u, v)` bound that turns the scan floor into a `t2` depth limit.
-    ecc1: HashMap<u32, u32>,
     kstats: KernelStats,
     work: TraversalWork,
-    rows_truncated: u64,
-    rows_prefiltered: u64,
     sssp_secs: f64,
     sssp_t2_secs: f64,
     cache_hits: u64,
@@ -959,13 +864,8 @@ impl<'a> SnapshotOracle<'a> {
             threads: threads_from_env(),
             kernel: BfsKernel::from_env(),
             scan_kernel: ScanKernel::from_env(),
-            prune: SsspPrune::from_env(),
-            prune_floor: None,
-            ecc1: HashMap::new(),
             kstats: KernelStats::default(),
             work: TraversalWork::default(),
-            rows_truncated: 0,
-            rows_prefiltered: 0,
             sssp_secs: 0.0,
             sssp_t2_secs: 0.0,
             cache_hits: 0,
@@ -1167,68 +1067,12 @@ impl<'a> SnapshotOracle<'a> {
         self.scan_kernel
     }
 
-    /// Sets the bound-based pruning mode (builder style). Pruning never
-    /// changes pairs, candidates, or ledger — only internal work (see
-    /// [`SsspPrune`]).
-    pub fn with_prune(mut self, prune: SsspPrune) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// Sets the bound-based pruning mode.
-    pub fn set_prune(&mut self, prune: SsspPrune) {
-        self.prune = prune;
-    }
-
-    /// The configured pruning mode.
-    pub fn prune(&self) -> SsspPrune {
-        self.prune
-    }
-
-    /// Arms the bound-truncation with the spec's *initial* scan floor:
-    /// from the next top-k-phase batched prefetch on, a `t2` expansion
-    /// from source `u` stops at depth `ecc1(u) − floor` — no node beyond
-    /// it can yield `Δ ≥ floor` for `u` (Δ = d1 − d2 ≤ ecc1(u) − d2).
-    /// The floor must be a *static* lower bound on the final retention
-    /// floor (the pipeline uses the spec's initial floor, which the scan
-    /// only ever raises), so truncation can never suppress an emitted
-    /// pair. Inert under [`SsspPrune::Off`] or until a floor is set.
-    pub fn set_prune_floor(&mut self, floor: u32) {
-        self.prune_floor = floor.max(1).into();
-    }
-
-    /// Depth limits begin to bite only once all three hold: pruning on, a
-    /// floor armed, and the spend accounted to the top-k phase (candidate
-    /// rows feed the Δ scan; generation rows feed selectors, which need
-    /// exact distances).
-    fn prune_active(&self) -> Option<u32> {
-        match (self.prune, self.phase) {
-            (SsspPrune::Auto, Phase::TopK) => self.prune_floor,
-            _ => None,
-        }
-    }
-
     /// Total nodes settled and adjacency entries examined by the SSSP
-    /// kernels across every charged or free row this oracle computed (the
-    /// work bound-truncation cuts; repair-frontier work is tracked by
-    /// [`Self::repair_frontier_nodes`] instead).
+    /// kernels across every charged or free row this oracle computed
+    /// (repair-frontier work is tracked by [`Self::repair_frontier_nodes`]
+    /// instead).
     pub fn traversal_work(&self) -> TraversalWork {
         self.work
-    }
-
-    /// Rows whose expansion was bound-truncated before the frontier
-    /// drained (each still charged exactly one SSSP).
-    pub fn rows_truncated(&self) -> u64 {
-        self.rows_truncated
-    }
-
-    /// Rows charged to the ledger but never computed: the landmark
-    /// pre-filter certified every pair of their candidate below the scan
-    /// floor. The paid-vs-computed analogue of PR 3's paid-vs-resident
-    /// split — admission (and thus the ledger) is untouched; only the
-    /// compute fan-out is skipped.
-    pub fn rows_prefiltered(&self) -> u64 {
-        self.rows_prefiltered
     }
 
     /// Whether the chosen snapshot's rows are stored `u16`-packed (half
@@ -1309,52 +1153,12 @@ impl<'a> SnapshotOracle<'a> {
         self.chained_rows
     }
 
-    /// Exports every resident **distance-exact** row of one snapshot
-    /// (truncated rows are skipped — their [`cp_graph::INF`] entries only
-    /// mean "beyond the prune depth"), widened to canonical `u32` and
-    /// sorted by source id. The streaming engine feeds step *t*'s `t2`
-    /// export into step *t+1*'s oracle as `t1` donors: the two oracles
-    /// index the *same* graph object, so the rows carry over exactly.
+    /// Exports every resident row of one snapshot, widened to canonical
+    /// `u32` and sorted by source id. The streaming engine feeds step
+    /// *t*'s `t2` export into step *t+1*'s oracle as `t1` donors (the two
+    /// oracles index the *same* graph object, so the rows carry over
+    /// exactly) and captures both snapshots' exports for point queries.
     pub fn export_resident_rows(&self, which: Snapshot) -> RowHandoff {
-        let snap_bit = match which {
-            Snapshot::First => 0u64,
-            Snapshot::Second => 1u64 << 32,
-        };
-        let mut rows = Vec::new();
-        for &key in self.cache.resident.keys() {
-            if key & (1u64 << 32) != snap_bit {
-                continue;
-            }
-            let u = NodeId(key as u32);
-            let Some(r) = self.cache.get_exact_ref(which, u) else {
-                continue;
-            };
-            let mut wide = Vec::new();
-            match r {
-                RowRef::U32(row) => wide.extend_from_slice(row),
-                RowRef::U16(packed) => widen_u16_into(packed, &mut wide),
-            }
-            rows.push((u.0, wide));
-        }
-        rows.sort_unstable_by_key(|&(u, _)| u);
-        RowHandoff {
-            num_nodes: self.num_nodes(),
-            rows,
-        }
-    }
-
-    /// Every resident row of one snapshot — bound-truncated rows
-    /// *included*, each tagged — widened to canonical `u32` and sorted by
-    /// source id: `(source, row, truncated)`.
-    ///
-    /// This is the read-only capture behind the streaming query index: a
-    /// truncated row's finite entries are exact distances (the sweep
-    /// settled them before hitting its depth limit), while its
-    /// [`cp_graph::INF`] entries only mean "beyond the prune depth" —
-    /// consumers must treat those entries as *unknown*, never as
-    /// "unreachable" (the [`Self::export_resident_rows`] hand-off skips
-    /// such rows entirely because donors need whole-row exactness).
-    pub fn export_rows_with_flags(&self, which: Snapshot) -> Vec<(u32, Vec<u32>, bool)> {
         let snap_bit = match which {
             Snapshot::First => 0u64,
             Snapshot::Second => 1u64 << 32,
@@ -1373,10 +1177,13 @@ impl<'a> SnapshotOracle<'a> {
                 RowRef::U32(row) => wide.extend_from_slice(row),
                 RowRef::U16(packed) => widen_u16_into(packed, &mut wide),
             }
-            rows.push((u.0, wide, self.cache.is_truncated(which, u)));
+            rows.push((u.0, wide));
         }
-        rows.sort_unstable_by_key(|&(u, _, _)| u);
-        rows
+        rows.sort_unstable_by_key(|&(u, _)| u);
+        RowHandoff {
+            num_nodes: self.num_nodes(),
+            rows,
+        }
     }
 
     /// Seeds the resident cache with donor rows exported from another
@@ -1390,9 +1197,7 @@ impl<'a> SnapshotOracle<'a> {
     /// The caller asserts each row holds the exact distances of `which`'s
     /// graph from its source. Rows already paid or resident are left
     /// untouched; imports land through the normal LRU (so a byte budget
-    /// still holds) and, for [`Snapshot::First`] under active pruning,
-    /// record the donor's eccentricity so bound-truncation stays armed.
-    /// Configure pruning *before* importing. Returns the rows admitted.
+    /// still holds). Returns the rows admitted.
     ///
     /// # Panics
     /// Panics if the hand-off's node universe differs from this oracle's.
@@ -1408,7 +1213,6 @@ impl<'a> SnapshotOracle<'a> {
             if self.cache.is_paid(which, u) || self.cache.is_resident(which, u) {
                 continue;
             }
-            self.record_ecc1(which, u, row);
             self.cache.insert(which, u, row.clone());
             imported += 1;
         }
@@ -1548,12 +1352,9 @@ impl<'a> SnapshotOracle<'a> {
     }
 
     /// Computes one row with the configured kernel, repairing `t2` rows
-    /// from a resident (exact, never truncated) `t1` donor when possible.
-    /// `charged` routes the per-kernel accounting (free recomputations
-    /// stay out of [`KernelStats`] so its row sum keeps matching the
-    /// ledger). Single-row computes are always full sweeps: callers of
-    /// [`Self::row`] / [`Self::rows`] get exact distances — only the
-    /// batched top-k prefetch truncates.
+    /// from a resident `t1` donor when possible. `charged` routes the
+    /// per-kernel accounting (free recomputations stay out of
+    /// [`KernelStats`] so its row sum keeps matching the ledger).
     fn compute_one(&mut self, which: Snapshot, u: NodeId, charged: bool) -> Vec<u32> {
         let started = std::time::Instant::now();
         let try_repair = which == Snapshot::Second && self.repair_ready();
@@ -1579,7 +1380,7 @@ impl<'a> SnapshotOracle<'a> {
         if try_repair {
             let delta = delta.as_ref().expect("repair_ready computed it");
             let mut donor_wide = Vec::new();
-            let t1: Option<&[u32]> = match cache.get_exact_ref(Snapshot::First, u) {
+            let t1: Option<&[u32]> = match cache.get_ref(Snapshot::First, u) {
                 Some(RowRef::U32(r)) => Some(r),
                 Some(RowRef::U16(p)) => {
                     widen_u16_into(p, &mut donor_wide);
@@ -1596,18 +1397,7 @@ impl<'a> SnapshotOracle<'a> {
             }
         }
         if settled.is_none() {
-            with_view!(view, g => if weighted {
-                dijkstra_limited_into(g, u, &mut dist, cp_graph::INF, &mut work);
-            } else {
-                match *kernel {
-                    BfsKernel::Scalar => {
-                        bfs_scalar_limited_into(g, u, &mut dist, ws, cp_graph::INF, &mut work);
-                    }
-                    BfsKernel::Auto => {
-                        bfs_limited_into(g, u, &mut dist, ws, cp_graph::INF, &mut work);
-                    }
-                }
-            });
+            work = compute_row_fresh(view, *kernel, u, &mut dist, ws);
         }
         match settled {
             Some(settled) => {
@@ -1629,7 +1419,6 @@ impl<'a> SnapshotOracle<'a> {
             }
         }
         self.work.merge(work);
-        self.record_ecc1(which, u, &dist);
         let secs = started.elapsed().as_secs_f64();
         self.sssp_secs += secs;
         if which == Snapshot::Second {
@@ -1638,32 +1427,12 @@ impl<'a> SnapshotOracle<'a> {
         dist
     }
 
-    /// Records the exact `G_t1` eccentricity of a freshly computed (full,
-    /// never truncated) `t1` row — the per-source ingredient of the `t2`
-    /// depth bound. Skipped entirely under [`SsspPrune::Off`] so the A/B
-    /// baseline carries zero pruning overhead.
-    fn record_ecc1(&mut self, which: Snapshot, u: NodeId, dist: &[u32]) {
-        if self.prune == SsspPrune::Off || which != Snapshot::First {
-            return;
-        }
-        let ecc = dist
-            .iter()
-            .copied()
-            .filter(|&d| d != cp_graph::INF)
-            .max()
-            .unwrap_or(0);
-        self.ecc1.insert(u.0, ecc);
-    }
-
-    /// Makes the row of `u` paid and resident *as an exact row*, charging
-    /// it on first use. A bound-truncated resident counts as absent here:
-    /// it is recomputed in full, free of charge, exactly like an evicted
-    /// row (truncation trades this occasional recompute for the far larger
-    /// batched-sweep savings; the Δ scan itself never takes this path).
+    /// Makes the row of `u` paid and resident, charging it on first use;
+    /// an evicted paid row is recomputed free of charge.
     fn ensure_row(&mut self, which: Snapshot, u: NodeId) -> Result<(), BudgetError> {
         if self.cache.is_paid(which, u) {
             self.cache_hits += 1;
-            if !self.cache.touch(which, u) || self.cache.is_truncated(which, u) {
+            if !self.cache.touch(which, u) {
                 let dist = self.compute_one(which, u, false);
                 self.recomputed_rows += 1;
                 self.cache.insert(which, u, dist);
@@ -1672,7 +1441,7 @@ impl<'a> SnapshotOracle<'a> {
             self.charge()?;
             self.cache_misses += 1;
             self.cache.mark_paid(which, u);
-            if self.cache.get_exact_ref(which, u).is_some() {
+            if self.cache.get_ref(which, u).is_some() {
                 // Imported donor row: charged on first use like any other
                 // row, but its bytes are already exact — no kernel runs.
                 self.chained_rows += 1;
@@ -1739,23 +1508,21 @@ impl<'a> SnapshotOracle<'a> {
         Ok((r1, r2))
     }
 
-    /// The *resident, distance-exact* row of `u` in the chosen snapshot
-    /// at its storage width, if present. Never computes or charges; safe
-    /// to call from parallel readers via `&self`. Under a bounded
-    /// [`RowCacheBudget`] a paid row may be absent — use
-    /// [`Self::read_rows`] for eviction-safe shared reads. Bound-truncated
-    /// rows read as absent: their [`cp_graph::INF`] entries mean "beyond
-    /// the prune depth", not "unreachable".
+    /// The *resident* row of `u` in the chosen snapshot at its storage
+    /// width, if present. Never computes or charges; safe to call from
+    /// parallel readers via `&self`. Under a bounded [`RowCacheBudget`] a
+    /// paid row may be absent — use [`Self::read_rows`] for eviction-safe
+    /// shared reads.
     pub fn cached_row(&self, which: Snapshot, u: NodeId) -> Option<RowRef<'_>> {
-        self.cache.get_exact_ref(which, u)
+        self.cache.get_ref(which, u)
     }
 
-    /// Both resident exact rows of `u`, if both are present. Never
+    /// Both resident rows of `u`, if both are present. Never
     /// computes or charges.
     pub fn cached_rows(&self, u: NodeId) -> Option<(RowRef<'_>, RowRef<'_>)> {
         Some((
-            self.cache.get_exact_ref(Snapshot::First, u)?,
-            self.cache.get_exact_ref(Snapshot::Second, u)?,
+            self.cache.get_ref(Snapshot::First, u)?,
+            self.cache.get_ref(Snapshot::Second, u)?,
         ))
     }
 
@@ -1773,7 +1540,7 @@ impl<'a> SnapshotOracle<'a> {
         scratch: &'s mut RowScratch,
     ) -> (&'s [u32], &'s [u32]) {
         let RowScratch { d1, d2, ws, .. } = scratch;
-        let r1 = match self.cache.get_exact_ref(Snapshot::First, u) {
+        let r1 = match self.cache.get_ref(Snapshot::First, u) {
             Some(RowRef::U32(r)) => r,
             Some(RowRef::U16(p)) => {
                 widen_u16_into(p, d1);
@@ -1784,7 +1551,7 @@ impl<'a> SnapshotOracle<'a> {
                 d1.as_slice()
             }
         };
-        let r2 = match self.cache.get_exact_ref(Snapshot::Second, u) {
+        let r2 = match self.cache.get_ref(Snapshot::Second, u) {
             Some(RowRef::U32(r)) => r,
             Some(RowRef::U16(p)) => {
                 widen_u16_into(p, d2);
@@ -1806,12 +1573,6 @@ impl<'a> SnapshotOracle<'a> {
     /// resident. A mixed-width pair (one snapshot packed, the other not)
     /// is normalized to `u32` on both sides. Never charges and never
     /// mutates the oracle.
-    ///
-    /// Unlike the exact readers, this path consumes bound-truncated
-    /// residents **as-is**: a truncated entry reads [`cp_graph::INF`],
-    /// which the Δ rule maps to `Δ = 0` — and truncation only suppresses
-    /// entries whose Δ is provably below the scan floor, so the emitted
-    /// pair stream is bit-identical to scanning full rows.
     pub fn read_rows_packed<'s>(
         &'s self,
         u: NodeId,
@@ -1886,7 +1647,7 @@ impl<'a> SnapshotOracle<'a> {
             }
             self.cache_misses += 1;
             self.cache.mark_paid(which, u);
-            if self.cache.get_exact_ref(which, u).is_some() {
+            if self.cache.get_ref(which, u).is_some() {
                 self.chained_rows += 1;
                 self.cache.touch(which, u);
             } else {
@@ -1905,26 +1666,6 @@ impl<'a> SnapshotOracle<'a> {
     /// the sequential pipeline and landmark probes, so ledger and candidate
     /// set are bit-identical to the one-at-a-time path.
     pub fn prefetch_node_rows(&mut self, nodes: &[NodeId]) -> NodePrefetchReport {
-        self.prefetch_node_rows_filtered(nodes, &HashSet::new())
-    }
-
-    /// [`Self::prefetch_node_rows`] with a **charge-without-compute** set:
-    /// nodes in `skip_compute` go through the identical pair-atomic
-    /// admission — marked paid, charged to the ledger, reported, counted
-    /// in [`Self::fully_cached_nodes`] — but no compute job is pushed for
-    /// their rows ([`Self::rows_prefiltered`] counts them instead). The
-    /// pipeline passes the candidates whose every pair the landmark
-    /// pre-filter certified below the scan floor: their rows could only
-    /// ever prove what is already proven, so the paper's cost model
-    /// charges them while the machine skips them. Ledger, admission
-    /// order, and the candidate set are bit-identical to the unfiltered
-    /// call; a later exact read of a skipped row recomputes it free, like
-    /// any evicted row.
-    pub fn prefetch_node_rows_filtered(
-        &mut self,
-        nodes: &[NodeId],
-        skip_compute: &HashSet<NodeId>,
-    ) -> NodePrefetchReport {
         let mut report = NodePrefetchReport::default();
         let mut jobs: Vec<(Snapshot, u32)> = Vec::new();
         let mut planned_spend: u64 = 0;
@@ -1940,12 +1681,9 @@ impl<'a> SnapshotOracle<'a> {
                 report.rows.skipped += (!have1) as usize + (!have2) as usize;
                 continue;
             }
-            let prefiltered = skip_compute.contains(&u);
             if !have1 {
                 self.cache.mark_paid(Snapshot::First, u);
-                if prefiltered {
-                    self.rows_prefiltered += 1;
-                } else if self.cache.get_exact_ref(Snapshot::First, u).is_some() {
+                if self.cache.get_ref(Snapshot::First, u).is_some() {
                     self.chained_rows += 1;
                     self.cache.touch(Snapshot::First, u);
                 } else {
@@ -1957,9 +1695,7 @@ impl<'a> SnapshotOracle<'a> {
             }
             if !have2 {
                 self.cache.mark_paid(Snapshot::Second, u);
-                if prefiltered {
-                    self.rows_prefiltered += 1;
-                } else if self.cache.get_exact_ref(Snapshot::Second, u).is_some() {
+                if self.cache.get_ref(Snapshot::Second, u).is_some() {
                     self.chained_rows += 1;
                     self.cache.touch(Snapshot::Second, u);
                 } else {
@@ -2014,10 +1750,7 @@ impl<'a> SnapshotOracle<'a> {
         let (repairable, full): (Jobs, Jobs) = jobs.iter().copied().partition(|&(which, u)| {
             which == Snapshot::Second
                 && (planned1.contains(&u)
-                    || self
-                        .cache
-                        .get_exact_ref(Snapshot::First, NodeId(u))
-                        .is_some())
+                    || self.cache.get_ref(Snapshot::First, NodeId(u)).is_some())
         });
         self.compute_full_jobs(&full);
         self.compute_repair_jobs(&repairable);
@@ -2048,66 +1781,24 @@ impl<'a> SnapshotOracle<'a> {
                 self.kstats.bfs_rows += idxs.len() as u64;
             }
         }
-        if let Some(floor) = self.prune_active() {
-            // Two deterministic passes: every `t1` item first — their
-            // merges record the exact eccentricities — then the `t2`
-            // items with depth limits derived from the now-complete
-            // `ecc1` map. Items never race a limit they feed, so the
-            // truncation pattern (and with it residency and every work
-            // counter) is identical at any thread count.
-            type Items = Vec<(Snapshot, Vec<usize>)>;
-            let (second, first): (Items, Items) = items
-                .into_iter()
-                .partition(|(which, _)| *which == Snapshot::Second);
-            self.run_item_pass(jobs, &first, &[]);
-            let limits: Vec<u32> = second
-                .iter()
-                .map(|(_, idxs)| self.wave_limit(jobs, idxs, floor))
-                .collect();
-            self.run_item_pass(jobs, &second, &limits);
-        } else {
-            self.run_item_pass(jobs, &items, &[]);
-        }
+        self.run_item_pass(jobs, &items);
         self.sssp_secs += started.elapsed().as_secs_f64();
-    }
-
-    /// The depth limit of one `t2` work item: the loosest member bound
-    /// `ecc1(u) − floor` across its sources (a wave stops only once every
-    /// member's bound is passed). A source without a recorded `t1`
-    /// eccentricity contributes no bound, disabling truncation for the
-    /// whole item — correctness never depends on the map being complete.
-    fn wave_limit(&self, jobs: &[(Snapshot, u32)], idxs: &[usize], floor: u32) -> u32 {
-        let mut limit = 0u32;
-        for &i in idxs {
-            match self.ecc1.get(&jobs[i].1) {
-                Some(&ecc) => limit = limit.max(ecc.saturating_sub(floor)),
-                None => return cp_graph::INF,
-            }
-        }
-        limit
     }
 
     /// Runs one batch of planned items — in parallel above
     /// [`PARALLEL_ROW_CUTOFF`], inline otherwise — and merges the
-    /// results. `limits[i]` is item `i`'s depth limit (absent entries
-    /// mean unlimited). Each worker owns its scratch; the shared state is
-    /// one atomic item cursor and disjoint per-item result slots, and
-    /// merging happens after the join in item order, so rows, truncation
-    /// flags, and work counters are thread-count-invariant.
-    fn run_item_pass(
-        &mut self,
-        jobs: &[(Snapshot, u32)],
-        items: &[(Snapshot, Vec<usize>)],
-        limits: &[u32],
-    ) {
+    /// results. Each worker owns its scratch; the shared state is one
+    /// atomic item cursor and disjoint per-item result slots, and merging
+    /// happens after the join in item order, so rows and work counters
+    /// are thread-count-invariant.
+    fn run_item_pass(&mut self, jobs: &[(Snapshot, u32)], items: &[(Snapshot, Vec<usize>)]) {
         if items.is_empty() {
             return;
         }
         let pass_jobs: usize = items.iter().map(|(_, idxs)| idxs.len()).sum();
         let threads = self.threads.min(items.len()).max(1);
         if threads == 1 || pass_jobs < PARALLEL_ROW_CUTOFF {
-            for (i, (which, idxs)) in items.iter().enumerate() {
-                let limit = limits.get(i).copied().unwrap_or(cp_graph::INF);
+            for (which, idxs) in items {
                 let t_item = std::time::Instant::now();
                 let SnapshotOracle {
                     g1,
@@ -2122,7 +1813,7 @@ impl<'a> SnapshotOracle<'a> {
                     ..
                 } = &mut *self;
                 let view = view_parts(*store, *which, g1, g2, &*overlay2, &*comp1, &*comp2);
-                let res = compute_item(view, *kernel, jobs, idxs, limit, ws, msws);
+                let res = compute_item(view, *kernel, jobs, idxs, ws, msws);
                 if *which == Snapshot::Second {
                     self.sssp_t2_secs += t_item.elapsed().as_secs_f64();
                 }
@@ -2153,17 +1844,8 @@ impl<'a> SnapshotOracle<'a> {
                 Snapshot::First => v1,
                 Snapshot::Second => v2,
             };
-            let limit = limits.get(i).copied().unwrap_or(cp_graph::INF);
             let t_item = std::time::Instant::now();
-            let res = compute_item(
-                view,
-                kernel,
-                jobs,
-                idxs,
-                limit,
-                &mut scratch.ws,
-                &mut scratch.msws,
-            );
+            let res = compute_item(view, kernel, jobs, idxs, &mut scratch.ws, &mut scratch.msws);
             *slot = (res, t_item.elapsed().as_secs_f64());
         });
         // Merge strictly in item (admission) order, after the batch —
@@ -2309,42 +1991,35 @@ impl<'a> SnapshotOracle<'a> {
         items
     }
 
-    /// Merges one item's results: rows into the resident cache (flagged
-    /// when bound-truncated), eccentricities into the `ecc1` map, work
-    /// into the traversal counters.
+    /// Merges one item's results: rows into the resident cache, work into
+    /// the traversal counters.
     fn merge_item(&mut self, jobs: &[(Snapshot, u32)], res: ItemResult) {
         self.work.merge(res.work);
-        for (idx, dist, truncated) in res.rows {
+        for (idx, dist) in res.rows {
             let (which, u) = jobs[idx];
-            self.record_ecc1(which, NodeId(u), &dist);
-            if truncated {
-                self.rows_truncated += 1;
-                self.cache.insert_truncated(which, NodeId(u), dist);
-            } else {
-                self.cache.insert(which, NodeId(u), dist);
-            }
+            self.cache.insert(which, NodeId(u), dist);
         }
     }
 }
 
-/// One computed work item: produced rows (tagged with their job index and
-/// whether the expansion was bound-truncated) plus the traversal work the
-/// item cost.
+/// One computed work item: produced rows (tagged with their job index)
+/// plus the traversal work the item cost.
 #[derive(Default)]
 struct ItemResult {
-    rows: Vec<(usize, Vec<u32>, bool)>,
+    rows: Vec<(usize, Vec<u32>)>,
     work: TraversalWork,
 }
 
-/// Computes one row from scratch with the configured kernel (no repair, no
-/// stats — the shared-read fallback of [`SnapshotOracle::read_rows`]).
+/// Computes one row from scratch with the configured kernel, returning the
+/// traversal work (no repair, no stats — also the shared-read fallback of
+/// [`SnapshotOracle::read_rows`]).
 fn compute_row_fresh(
     view: GraphViewRef<'_>,
     kernel: BfsKernel,
     u: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
-) {
+) -> TraversalWork {
     with_view!(view, g => compute_row_fresh_on(g, kernel, u, dist, ws))
 }
 
@@ -2355,34 +2030,29 @@ fn compute_row_fresh_on<V: GraphView>(
     u: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
-) {
-    let mut work = TraversalWork::new();
+) -> TraversalWork {
     if graph.is_weighted() {
-        dijkstra_limited_into(graph, u, dist, cp_graph::INF, &mut work);
+        dijkstra_into(graph, u, dist)
     } else {
         match kernel {
-            BfsKernel::Scalar => {
-                bfs_scalar_limited_into(graph, u, dist, ws, cp_graph::INF, &mut work)
-            }
-            BfsKernel::Auto => bfs_limited_into(graph, u, dist, ws, cp_graph::INF, &mut work),
-        };
+            BfsKernel::Scalar => bfs_scalar_into(graph, u, dist, ws),
+            BfsKernel::Auto => bfs_into(graph, u, dist, ws),
+        }
     }
 }
 
 /// Runs one kernel work item — a multi-source wave (≥ 2 unweighted
-/// sources) or a single-source BFS/Dijkstra — under the given depth limit
-/// ([`cp_graph::INF`] for unlimited), returning the produced rows tagged
-/// with their job indices and truncation flags, plus the work counters.
+/// sources) or a single-source BFS/Dijkstra — returning the produced rows
+/// tagged with their job indices, plus the work counters.
 fn compute_item(
     view: GraphViewRef<'_>,
     kernel: BfsKernel,
     jobs: &[(Snapshot, u32)],
     idxs: &[usize],
-    limit: u32,
     ws: &mut BfsWorkspace,
     msws: &mut MsBfsWorkspace,
 ) -> ItemResult {
-    with_view!(view, g => compute_item_on(g, kernel, jobs, idxs, limit, ws, msws))
+    with_view!(view, g => compute_item_on(g, kernel, jobs, idxs, ws, msws))
 }
 
 /// [`compute_item`], monomorphized per store.
@@ -2391,40 +2061,29 @@ fn compute_item_on<V: GraphView>(
     kernel: BfsKernel,
     jobs: &[(Snapshot, u32)],
     idxs: &[usize],
-    limit: u32,
     ws: &mut BfsWorkspace,
     msws: &mut MsBfsWorkspace,
 ) -> ItemResult {
-    let mut work = TraversalWork::new();
     if idxs.len() >= 2 && !graph.is_weighted() {
         let sources: Vec<NodeId> = idxs.iter().map(|&i| NodeId(jobs[i].1)).collect();
         let mut rows: Vec<Vec<u32>> = (0..idxs.len()).map(|_| Vec::new()).collect();
-        let mask = msbfs_limited_into(graph, &sources, &mut rows, msws, limit, &mut work);
-        let rows = idxs
-            .iter()
-            .copied()
-            .zip(rows)
-            .enumerate()
-            .map(|(b, (i, row))| (i, row, mask & (1u64 << b) != 0))
-            .collect();
+        let work = msbfs_into(graph, &sources, &mut rows, msws);
+        let rows = idxs.iter().copied().zip(rows).collect();
         return ItemResult { rows, work };
     }
+    let mut work = TraversalWork::new();
     let rows = idxs
         .iter()
         .map(|&i| {
-            let u = NodeId(jobs[i].1);
             let mut dist = Vec::new();
-            let truncated = if graph.is_weighted() {
-                dijkstra_limited_into(graph, u, &mut dist, limit, &mut work)
-            } else {
-                match kernel {
-                    BfsKernel::Scalar => {
-                        bfs_scalar_limited_into(graph, u, &mut dist, ws, limit, &mut work)
-                    }
-                    BfsKernel::Auto => bfs_limited_into(graph, u, &mut dist, ws, limit, &mut work),
-                }
-            };
-            (i, dist, truncated)
+            work.merge(compute_row_fresh_on(
+                graph,
+                kernel,
+                NodeId(jobs[i].1),
+                &mut dist,
+                ws,
+            ));
+            (i, dist)
         })
         .collect();
     ItemResult { rows, work }
@@ -2533,12 +2192,6 @@ mod tests {
         assert_eq!(BfsKernel::parse(""), Some(BfsKernel::Auto));
         assert_eq!(BfsKernel::parse("vectorized"), None);
 
-        assert_eq!(SsspPrune::parse("off"), Some(SsspPrune::Off));
-        assert_eq!(SsspPrune::parse(" Off "), Some(SsspPrune::Off));
-        assert_eq!(SsspPrune::parse("auto"), Some(SsspPrune::Auto));
-        assert_eq!(SsspPrune::parse(""), Some(SsspPrune::Auto));
-        assert_eq!(SsspPrune::parse("on"), None);
-
         assert_eq!(GraphStore::parse("full"), Some(GraphStore::Full));
         assert_eq!(GraphStore::parse(""), Some(GraphStore::Full));
         assert_eq!(GraphStore::parse(" Overlay "), Some(GraphStore::Overlay));
@@ -2568,64 +2221,6 @@ mod tests {
         assert_eq!(RowCacheBudget::parse("64x"), None);
         assert_eq!(RowCacheBudget::parse("12.5m"), None);
         assert_eq!(RowCacheBudget::parse("18446744073709551615k"), None);
-    }
-
-    /// Growth-reversed snapshots (an edge removed) disable repair, so
-    /// `t2` rows take full sweeps — the path bound-truncation attacks.
-    fn shrink_graphs() -> (Graph, Graph) {
-        let g1 = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let g2 = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        (g1, g2)
-    }
-
-    #[test]
-    fn topk_t2_sweeps_truncate_at_the_bound() {
-        let (g1, g2) = shrink_graphs();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2)
-            .with_prune(SsspPrune::Auto)
-            .with_row_cache(RowCacheBudget::Unbounded);
-        o.set_phase(Phase::TopK);
-        // ecc1(0) = 2 on the 5-cycle; floor 2 bounds the t2 sweep at
-        // depth 0, and the 4-path's distances from 0 exceed it.
-        o.set_prune_floor(2);
-        o.prefetch_node_rows(&[NodeId(0)]);
-        assert_eq!(o.rows_truncated(), 1);
-        // The truncated t2 row is not exact: exact readers refuse it...
-        assert!(o.cached_row(Snapshot::First, NodeId(0)).is_some());
-        assert!(o.cached_row(Snapshot::Second, NodeId(0)).is_none());
-        // ...and a later exact read recomputes it in full, free.
-        let spent = o.ledger().total();
-        let (d1, d2) = o.rows(NodeId(0)).unwrap();
-        assert_eq!(d1, &[0, 1, 2, 2, 1]);
-        assert_eq!(d2, &[0, 1, 2, 3, 4]);
-        assert_eq!(o.ledger().total(), spent, "recompute must be free");
-        assert!(o.cached_row(Snapshot::Second, NodeId(0)).is_some());
-        assert!(o.recomputed_rows() >= 1);
-        assert!(o.traversal_work().settled > 0);
-    }
-
-    #[test]
-    fn pruning_off_never_truncates() {
-        let (g1, g2) = shrink_graphs();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2)
-            .with_prune(SsspPrune::Off)
-            .with_row_cache(RowCacheBudget::Unbounded);
-        o.set_phase(Phase::TopK);
-        o.set_prune_floor(2);
-        o.prefetch_node_rows(&[NodeId(0)]);
-        assert_eq!(o.rows_truncated(), 0);
-        assert!(o.cached_row(Snapshot::Second, NodeId(0)).is_some());
-    }
-
-    #[test]
-    fn truncation_stays_off_outside_the_topk_phase() {
-        let (g1, g2) = shrink_graphs();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2).with_prune(SsspPrune::Auto);
-        // Generation phase: floor armed but phase gating keeps sweeps full.
-        o.set_prune_floor(2);
-        o.prefetch_node_rows(&[NodeId(0)]);
-        assert_eq!(o.rows_truncated(), 0);
-        assert!(o.cached_row(Snapshot::Second, NodeId(0)).is_some());
     }
 
     #[test]
@@ -2938,7 +2533,6 @@ mod tests {
                 + ks.bfs_rows
                 + ks.dijkstra_rows
                 + ks.repair_rows
-                + chained.rows_prefiltered()
                 + chained.chained_rows(),
             chained.ledger().total(),
             "charged-row invariant with chaining"

@@ -11,7 +11,6 @@
 //! 3. Every pair in `M × V` gets its Δ computed from the candidate rows;
 //!    the pairs matching the [`TopKSpec`] are returned.
 
-use crate::bounds::{all_pairs_below, resident_landmark_indexes, MAX_RESIDENT_LANDMARKS};
 use crate::exact::{sort_pairs, ConvergingPair, TopKSpec};
 use crate::oracle::{
     ArenaStats, BfsKernel, BudgetLedger, GraphMemStats, GraphStore, KernelStats, Phase, RowScratch,
@@ -88,24 +87,16 @@ pub struct PipelineStats {
     pub scan_pairs_pruned: u64,
     /// Occupancy of the oracle's pooled row arenas at the end of the run.
     pub arena: ArenaStats,
-    /// The SSSP pruning mode the oracle ran (`off` | `auto`).
+    /// Always `off`; remains only for the benchmark, which prints it.
     pub sssp_prune: SsspPrune,
-    /// Nodes settled across every traversal-kernel invocation, all phases
-    /// — the internal-work number bound-truncation shrinks while the
-    /// ledger (`sssp_computed`) stays bit-identical.
+    /// Nodes settled across every traversal-kernel invocation, all phases.
     pub settled_nodes: u64,
     /// Adjacency entries relaxed / scanned across every traversal.
     pub relaxed_edges: u64,
-    /// Charged `t2` full sweeps cut short at their bound-derived depth
-    /// limit (each still carries its one-SSSP charge).
+    /// Always 0; remains only for the benchmark, which reports it.
     pub rows_truncated: u64,
-    /// Admitted rows charged to the ledger but never computed: the
-    /// landmark pre-filter certified every pair of their candidate below
-    /// the initial scan floor.
+    /// Always 0; remains only for the benchmark, which reports it.
     pub rows_prefiltered: u64,
-    /// `M × V` pairs never scanned because the pre-filter dropped their
-    /// candidate (`n − 1` per dropped candidate).
-    pub pairs_prefiltered: u64,
     /// Rows charged to the ledger whose bytes were already resident from a
     /// cross-oracle donor hand-off (the streaming engine's review-to-review
     /// cache chaining; 0 on the batch path).
@@ -174,39 +165,23 @@ pub fn run_pipeline(
     let selector_secs = t_select.elapsed().as_secs_f64();
     oracle.set_phase(Phase::TopK);
 
-    // The spec's a-priori Δ floor arms the oracle's bound-truncation: a
-    // top-k-phase `t2` sweep may stop at the depth past which no pair
-    // could reach the floor. Conservative by construction — the shared
-    // scan floor only ever rises from this value.
-    let initial_floor = spec.initial_floor();
-    oracle.set_prune_floor(initial_floor);
-
     // Nodes outside V_t1 cannot be the endpoint of a pair connected in
     // G_t1, so rows from them would be pure waste. The surviving ranking
     // goes through one batched prefetch: admission stays sequential (same
     // ledger and candidate set as paying one node at a time — a later,
     // partially cached candidate can still fit after an unaffordable one
-    // is skipped), only the row computation fans out. Candidates whose
-    // every pair the landmark pre-filter certifies below the floor are
-    // charged without being computed.
+    // is skipped), only the row computation fans out.
     let t_prefetch = Instant::now();
     let wanted: Vec<NodeId> = ranked
         .into_iter()
         .filter(|&u| oracle.g1().degree(u) > 0)
         .collect();
-    let prefiltered = prefilter_candidates(oracle, &wanted, initial_floor);
-    oracle.prefetch_node_rows_filtered(&wanted, &prefiltered);
+    oracle.prefetch_node_rows(&wanted);
     let prefetch_secs = t_prefetch.elapsed().as_secs_f64();
 
     let candidates = oracle.fully_cached_nodes();
-    let n_minus_1 = (oracle.g1().num_nodes() as u64).saturating_sub(1);
-    let pairs_prefiltered = candidates
-        .iter()
-        .filter(|u| prefiltered.contains(u))
-        .count() as u64
-        * n_minus_1;
     let t_scan = Instant::now();
-    let (pairs, scan_counters) = pairs_from_candidates(oracle, &candidates, &prefiltered, spec);
+    let (pairs, scan_counters) = pairs_from_candidates(oracle, &candidates, spec);
     let scan_secs = t_scan.elapsed().as_secs_f64();
 
     let (cache_hits, cache_misses) = oracle.cache_stats();
@@ -235,63 +210,17 @@ pub fn run_pipeline(
             scan_chunks_skipped: scan_counters.chunks_skipped,
             scan_pairs_pruned: scan_counters.pairs_pruned,
             arena: oracle.arena_stats(),
-            sssp_prune: oracle.prune(),
+            sssp_prune: SsspPrune::Off,
             settled_nodes: oracle.traversal_work().settled,
             relaxed_edges: oracle.traversal_work().relaxed,
-            rows_truncated: oracle.rows_truncated(),
-            rows_prefiltered: oracle.rows_prefiltered(),
-            pairs_prefiltered,
+            rows_truncated: 0,
+            rows_prefiltered: 0,
             chained_rows: oracle.chained_rows(),
             graph_store: oracle.graph_store(),
             graph_mem: oracle.graph_mem_stats(),
             exec: oracle.exec_stats().since(&exec_before),
         },
     }
-}
-
-/// The landmark triangle-inequality pre-filter over the wanted
-/// candidates: returns the candidates whose **every** `M × V` pair is
-/// certified below `floor` before any row of theirs is materialized.
-///
-/// Landmarks are nodes whose rows are already resident and exact in both
-/// snapshots when the top-k phase starts — the probe rows a landmark-style
-/// selector paid for during Generation (a selector that leaves none makes
-/// this a no-op). For a candidate `u` and any node `v`,
-///
-/// ```text
-/// Δ(u, v) = d1(u, v) − d2(u, v) ≤ UB1(u, v) − LB2(u, v)
-/// ```
-///
-/// with `UB1 = min_w (d1(u,w) + d1(w,v))` and `LB2 = max_w |d2(u,w) −
-/// d2(w,v)|`. When that gap is below `floor` for every `v` — or `LB2` is
-/// infinite, which proves `d2(u,v) = ∞` and therefore Δ = 0 under the
-/// scan's convention — no pair of `u` can survive the final cut, so its
-/// rows can only prove what is already proven. The paper's cost model
-/// still charges them ([`SnapshotOracle::prefetch_node_rows_filtered`]);
-/// only the machine work is skipped. Disabled under [`SsspPrune::Off`].
-///
-/// The bound machinery itself lives in [`crate::bounds`], shared with the
-/// streaming query index captured at epoch publish.
-fn prefilter_candidates(
-    oracle: &mut SnapshotOracle<'_>,
-    wanted: &[NodeId],
-    floor: u32,
-) -> HashSet<NodeId> {
-    let mut dropped = HashSet::new();
-    if oracle.prune() != SsspPrune::Auto || wanted.is_empty() {
-        return dropped;
-    }
-    let Some((index1, index2)) = resident_landmark_indexes(oracle, MAX_RESIDENT_LANDMARKS) else {
-        return dropped;
-    };
-    let mut ub1 = Vec::new();
-    let mut lb2 = Vec::new();
-    for &u in wanted {
-        if all_pairs_below(&index1, &index2, u, floor, &mut ub1, &mut lb2) {
-            dropped.insert(u);
-        }
-    }
-    dropped
 }
 
 /// Computes the Δ values of all pairs `M × V` from cached candidate rows
@@ -314,7 +243,6 @@ fn prefilter_candidates(
 fn pairs_from_candidates(
     oracle: &SnapshotOracle<'_>,
     candidates: &[NodeId],
-    prefiltered: &HashSet<NodeId>,
     spec: &TopKSpec,
 ) -> (Vec<ConvergingPair>, ScanCounters) {
     // For TopK(0) the floor starts at its ceiling so the blocked kernel
@@ -326,15 +254,8 @@ fn pairs_from_candidates(
     for &u in candidates {
         in_m[u.index()] = true;
     }
-    let (mut all, counters) = scan_candidate_rows(
-        oracle,
-        candidates,
-        prefiltered,
-        &in_m,
-        spec,
-        &floor,
-        &observed_max,
-    );
+    let (mut all, counters) =
+        scan_candidate_rows(oracle, candidates, &in_m, spec, &floor, &observed_max);
 
     // Resolve the final Δ floor. For ThresholdFromMax the max is taken
     // over the pairs *visible to this run* (the exact Δmax is unknown
@@ -377,7 +298,6 @@ fn pairs_from_candidates(
 fn scan_candidate_rows(
     oracle: &SnapshotOracle<'_>,
     candidates: &[NodeId],
-    prefiltered: &HashSet<NodeId>,
     in_m: &[bool],
     spec: &TopKSpec,
     floor: &AtomicU32,
@@ -406,13 +326,6 @@ fn scan_candidate_rows(
         } = s;
         let u = candidates[i];
         let u_idx = u.index();
-        // A pre-filtered candidate's rows were never computed: every
-        // pair of its scan is certified below the initial floor, so
-        // its range is simply empty — reading the rows here would
-        // recompute them and undo the saving.
-        if prefiltered.contains(&u) {
-            return;
-        }
         match kernel {
             ScanKernel::Auto => {
                 let (r1, r2) = oracle.read_rows_packed(u, rows);

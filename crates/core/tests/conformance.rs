@@ -15,7 +15,7 @@
 //! node (an endpoint of a new edge).
 
 use cp_core::exact::{exact_top_k, exact_top_k_with_kernel, TopKSpec};
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle, SsspPrune};
+use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::{active_nodes, incidence_full, SelectorKind};
 use cp_core::topk::{run_pipeline, BudgetedResult};
@@ -128,64 +128,71 @@ fn run_config(
     run_pipeline(&mut oracle, sel.as_mut(), spec)
 }
 
-/// The full differential matrix: threads {1,2,8} × kernels {scalar,auto} ×
-/// cache budgets {off, tiny, unbounded} against the reference
-/// configuration, on every generator. The tiny budget (one row's worth of
-/// bytes beyond the pinned pair) forces constant eviction, free
-/// recomputation, and donor-miss fallbacks in the repair planner.
+/// The full differential matrix: every spec shape × threads {1,2,8} ×
+/// kernels {scalar,auto} × cache budgets {off, tiny, unbounded} against
+/// the reference configuration, on every generator. The tiny budget (one
+/// row's worth of bytes beyond the pinned pair) forces constant eviction,
+/// free recomputation, and donor-miss fallbacks in the repair planner.
 #[test]
 fn pipeline_is_invariant_across_the_cache_matrix() {
-    let spec = TopKSpec::ThresholdFromMax { slack: 1 };
+    let specs = [
+        TopKSpec::TopK(10),
+        TopKSpec::Threshold { delta_min: 2 },
+        TopKSpec::ThresholdFromMax { slack: 1 },
+    ];
     for (name, t) in generator_cases() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
         let tiny = RowCacheBudget::Bytes(3 * 4 * g1.num_nodes());
         for kind in [SelectorKind::Degree, SelectorKind::Mmsd { landmarks: 3 }] {
-            for m in [4u64, 12] {
-                let reference = run_config(
-                    &g1,
-                    &g2,
-                    kind,
-                    m,
-                    &spec,
-                    1,
-                    BfsKernel::Scalar,
-                    RowCacheBudget::Bytes(0),
-                );
-                for threads in [1usize, 2, 8] {
-                    for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
-                        for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                            let got = run_config(&g1, &g2, kind, m, &spec, threads, kernel, cache);
-                            let ctx = format!(
-                                "{name}/{}/m={m}/threads={threads}/{}/cache={}",
-                                kind.name(),
-                                kernel.name(),
-                                cache.describe(),
-                            );
-                            assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                            assert_eq!(
-                                got.candidates, reference.candidates,
-                                "candidates diverge: {ctx}"
-                            );
-                            assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                            // Stats stay coherent in every configuration:
-                            // charged rows add up to the ledger, and the
-                            // disabled cache never repairs.
-                            let ks = got.stats.kernel_stats;
-                            assert_eq!(
-                                ks.msbfs_rows
-                                    + ks.bfs_rows
-                                    + ks.dijkstra_rows
-                                    + ks.repair_rows
-                                    + got.stats.rows_prefiltered
-                                    + got.stats.chained_rows,
-                                got.budget.total(),
-                                "kernel counters diverge from the ledger: {ctx}"
-                            );
-                            if cache == RowCacheBudget::Bytes(0) {
-                                assert_eq!(
-                                    got.stats.repaired_rows, 0,
-                                    "disabled cache must not repair: {ctx}"
+            for spec in &specs {
+                for m in [4u64, 12] {
+                    let reference = run_config(
+                        &g1,
+                        &g2,
+                        kind,
+                        m,
+                        spec,
+                        1,
+                        BfsKernel::Scalar,
+                        RowCacheBudget::Bytes(0),
+                    );
+                    for threads in [1usize, 2, 8] {
+                        for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
+                            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded]
+                            {
+                                let got =
+                                    run_config(&g1, &g2, kind, m, spec, threads, kernel, cache);
+                                let ctx = format!(
+                                    "{name}/{}/{spec:?}/m={m}/threads={threads}/{}/cache={}",
+                                    kind.name(),
+                                    kernel.name(),
+                                    cache.describe(),
                                 );
+                                assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
+                                assert_eq!(
+                                    got.candidates, reference.candidates,
+                                    "candidates diverge: {ctx}"
+                                );
+                                assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+                                // Stats stay coherent in every configuration:
+                                // charged rows add up to the ledger, and the
+                                // disabled cache never repairs.
+                                let ks = got.stats.kernel_stats;
+                                assert_eq!(
+                                    ks.msbfs_rows
+                                        + ks.bfs_rows
+                                        + ks.dijkstra_rows
+                                        + ks.repair_rows
+                                        + got.stats.chained_rows,
+                                    got.budget.total(),
+                                    "kernel counters diverge from the ledger: {ctx}"
+                                );
+                                if cache == RowCacheBudget::Bytes(0) {
+                                    assert_eq!(
+                                        got.stats.repaired_rows, 0,
+                                        "disabled cache must not repair: {ctx}"
+                                    );
+                                }
                             }
                         }
                     }
@@ -382,205 +389,6 @@ fn weighted_rows_take_the_u32_arena_path() {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_prune_config(
-    g1: &Graph,
-    g2: &Graph,
-    kind: SelectorKind,
-    m: u64,
-    spec: &TopKSpec,
-    threads: usize,
-    kernel: BfsKernel,
-    cache: RowCacheBudget,
-    prune: SsspPrune,
-) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_threads(threads)
-        .with_kernel(kernel)
-        .with_row_cache(cache)
-        .with_prune(prune);
-    let mut sel = kind.build(3);
-    run_pipeline(&mut oracle, sel.as_mut(), spec)
-}
-
-/// The `CP_SSSP_PRUNE` axis: bound-truncated sweeps and the landmark
-/// pre-filter must keep pairs, candidates, and the ledger bit-identical
-/// to the unpruned reference across selectors, spec shapes, threads,
-/// kernels, and cache budgets — the pruned configuration is allowed to do
-/// strictly *less* internal work, never different *visible* work.
-#[test]
-fn pruning_is_invariant_across_the_matrix() {
-    let specs = [
-        TopKSpec::TopK(10),
-        TopKSpec::Threshold { delta_min: 2 },
-        TopKSpec::ThresholdFromMax { slack: 1 },
-    ];
-    for (name, t) in generator_cases() {
-        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        for kind in [SelectorKind::Degree, SelectorKind::Mmsd { landmarks: 3 }] {
-            for spec in &specs {
-                let reference = run_prune_config(
-                    &g1,
-                    &g2,
-                    kind,
-                    12,
-                    spec,
-                    1,
-                    BfsKernel::Scalar,
-                    RowCacheBudget::Bytes(0),
-                    SsspPrune::Off,
-                );
-                for threads in [1usize, 8] {
-                    for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
-                        for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-                            for prune in [SsspPrune::Off, SsspPrune::Auto] {
-                                let got = run_prune_config(
-                                    &g1, &g2, kind, 12, spec, threads, kernel, cache, prune,
-                                );
-                                let ctx = format!(
-                                    "{name}/{}/{spec:?}/threads={threads}/{}/cache={}/prune={}",
-                                    kind.name(),
-                                    kernel.name(),
-                                    cache.describe(),
-                                    prune.name(),
-                                );
-                                assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                                assert_eq!(
-                                    got.candidates, reference.candidates,
-                                    "candidates diverge: {ctx}"
-                                );
-                                assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                                let ks = got.stats.kernel_stats;
-                                assert_eq!(
-                                    ks.msbfs_rows
-                                        + ks.bfs_rows
-                                        + ks.dijkstra_rows
-                                        + ks.repair_rows
-                                        + got.stats.rows_prefiltered
-                                        + got.stats.chained_rows,
-                                    got.budget.total(),
-                                    "kernel counters diverge from the ledger: {ctx}"
-                                );
-                                if prune == SsspPrune::Off {
-                                    assert_eq!(got.stats.rows_truncated, 0, "{ctx}");
-                                    assert_eq!(got.stats.rows_prefiltered, 0, "{ctx}");
-                                    assert_eq!(got.stats.pairs_prefiltered, 0, "{ctx}");
-                                }
-                                assert_eq!(got.stats.sssp_prune, prune, "mode not recorded: {ctx}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Pruning must actually prune: with repair disabled (`Bytes(0)` keeps no
-/// donor rows) and a threshold floor giving truncation headroom, the
-/// pruned run settles fewer nodes and relaxes strictly fewer edges than
-/// the unpruned one on at least one generator — with bit-identical
-/// results, as always.
-#[test]
-fn pruning_strictly_reduces_internal_work() {
-    let spec = TopKSpec::Threshold { delta_min: 2 };
-    let mut strictly_less = false;
-    let mut truncated_somewhere = false;
-    for (name, t) in generator_cases() {
-        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        let run = |prune: SsspPrune| {
-            run_prune_config(
-                &g1,
-                &g2,
-                SelectorKind::Mmsd { landmarks: 3 },
-                12,
-                &spec,
-                1,
-                BfsKernel::Scalar,
-                RowCacheBudget::Bytes(0),
-                prune,
-            )
-        };
-        let off = run(SsspPrune::Off);
-        let auto = run(SsspPrune::Auto);
-        assert_eq!(auto.pairs, off.pairs, "{name}: pairs diverge");
-        assert_eq!(
-            auto.candidates, off.candidates,
-            "{name}: candidates diverge"
-        );
-        assert_eq!(auto.budget, off.budget, "{name}: ledger diverges");
-        assert!(
-            auto.stats.relaxed_edges <= off.stats.relaxed_edges,
-            "{name}: pruning increased relaxed edges"
-        );
-        assert!(
-            auto.stats.settled_nodes <= off.stats.settled_nodes,
-            "{name}: pruning increased settled nodes"
-        );
-        strictly_less |= auto.stats.relaxed_edges < off.stats.relaxed_edges;
-        truncated_somewhere |= auto.stats.rows_truncated > 0;
-    }
-    assert!(
-        strictly_less,
-        "pruning never reduced relaxed edges on any generator"
-    );
-    assert!(
-        truncated_somewhere,
-        "no t2 sweep was ever truncated on any generator"
-    );
-}
-
-/// The landmark pre-filter fires on identical snapshots: every pair has
-/// `Δ = 0`, so candidates whose bounds certify that are charged without
-/// their rows ever being computed — and the visible results (no pairs,
-/// same candidates, same ledger) are untouched.
-#[test]
-fn prefilter_skips_certified_candidates_on_identical_snapshots() {
-    let edges: Vec<(u32, u32)> = (0..15).map(|i| (i, i + 1)).collect();
-    let g = cp_graph::builder::graph_from_edges(16, &edges);
-    let spec = TopKSpec::Threshold { delta_min: 3 };
-    let run = |prune: SsspPrune| {
-        run_prune_config(
-            &g,
-            &g,
-            SelectorKind::Mmsd { landmarks: 3 },
-            16,
-            &spec,
-            2,
-            BfsKernel::Auto,
-            RowCacheBudget::Unbounded,
-            prune,
-        )
-    };
-    let off = run(SsspPrune::Off);
-    let auto = run(SsspPrune::Auto);
-    assert!(off.pairs.is_empty(), "identical snapshots have no pairs");
-    assert_eq!(auto.pairs, off.pairs);
-    assert_eq!(auto.candidates, off.candidates);
-    assert_eq!(auto.budget, off.budget);
-    // On a path with every node affordable, some candidate sits within
-    // bound-certification range of an Mmsd landmark: its rows are charged
-    // but never computed.
-    assert!(
-        auto.stats.rows_prefiltered > 0,
-        "pre-filter never skipped a row"
-    );
-    assert!(
-        auto.stats.pairs_prefiltered > 0,
-        "pre-filter never skipped a pair"
-    );
-    let ks = auto.stats.kernel_stats;
-    assert_eq!(
-        ks.msbfs_rows
-            + ks.bfs_rows
-            + ks.dijkstra_rows
-            + ks.repair_rows
-            + auto.stats.rows_prefiltered
-            + auto.stats.chained_rows,
-        auto.budget.total(),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_store_config(
     g1: &Graph,
     g2: &Graph,
@@ -591,14 +399,12 @@ fn run_store_config(
     threads: usize,
     kernel: BfsKernel,
     cache: RowCacheBudget,
-    prune: SsspPrune,
 ) -> BudgetedResult {
     let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
         .with_graph_store(store)
         .with_threads(threads)
         .with_kernel(kernel)
-        .with_row_cache(cache)
-        .with_prune(prune);
+        .with_row_cache(cache);
     let mut sel = kind.build(3);
     run_pipeline(&mut oracle, sel.as_mut(), spec)
 }
@@ -606,8 +412,8 @@ fn run_store_config(
 /// The `CP_GRAPH_STORE` axis: the overlay (base CSR + insertion deltas)
 /// and gap-compressed stores re-encode the *same* adjacency in the same
 /// neighbor order, so pairs, candidates, and the ledger are bit-identical
-/// to the full-CSR reference across selectors, threads, kernels, cache
-/// budgets, and pruning modes. Storage moves graph memory, never results.
+/// to the full-CSR reference across selectors, threads, kernels, and cache
+/// budgets. Storage moves graph memory, never results.
 #[test]
 fn pipeline_is_invariant_across_graph_stores() {
     let spec = TopKSpec::ThresholdFromMax { slack: 1 };
@@ -624,7 +430,6 @@ fn pipeline_is_invariant_across_graph_stores() {
                 1,
                 BfsKernel::Scalar,
                 RowCacheBudget::Bytes(0),
-                SsspPrune::Off,
             );
             for store in [
                 GraphStore::Full,
@@ -634,47 +439,41 @@ fn pipeline_is_invariant_across_graph_stores() {
                 for threads in [1usize, 2, 8] {
                     for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
                         for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-                            for prune in [SsspPrune::Off, SsspPrune::Auto] {
-                                let got = run_store_config(
-                                    &g1, &g2, kind, 12, &spec, store, threads, kernel, cache, prune,
-                                );
-                                let ctx = format!(
-                                    "{name}/{}/store={}/threads={threads}/{}/cache={}/prune={}",
-                                    kind.name(),
-                                    store.name(),
-                                    kernel.name(),
-                                    cache.describe(),
-                                    prune.name(),
-                                );
-                                assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                                assert_eq!(
-                                    got.candidates, reference.candidates,
-                                    "candidates diverge: {ctx}"
-                                );
-                                assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                                assert_eq!(
-                                    got.stats.graph_store, store,
-                                    "store not recorded: {ctx}"
-                                );
-                                let mem = got.stats.graph_mem;
-                                assert!(mem.base_bytes > 0, "no base bytes: {ctx}");
-                                match store {
-                                    GraphStore::Full => {
-                                        assert_eq!(mem.overlay_bytes, 0, "{ctx}");
-                                        assert_eq!(mem.compressed_bytes, 0, "{ctx}");
-                                    }
-                                    GraphStore::Overlay => {
-                                        // Growth-only snapshot pairs must
-                                        // actually share the base CSR.
-                                        assert!(
-                                            mem.overlay_shared_arcs > 0,
-                                            "overlay shares no arcs: {ctx}"
-                                        );
-                                    }
-                                    GraphStore::Compressed => {
-                                        assert!(mem.compressed_bytes > 0, "{ctx}");
-                                        assert!(mem.compressed_bytes_per_arc > 0.0, "{ctx}");
-                                    }
+                            let got = run_store_config(
+                                &g1, &g2, kind, 12, &spec, store, threads, kernel, cache,
+                            );
+                            let ctx = format!(
+                                "{name}/{}/store={}/threads={threads}/{}/cache={}",
+                                kind.name(),
+                                store.name(),
+                                kernel.name(),
+                                cache.describe(),
+                            );
+                            assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
+                            assert_eq!(
+                                got.candidates, reference.candidates,
+                                "candidates diverge: {ctx}"
+                            );
+                            assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+                            assert_eq!(got.stats.graph_store, store, "store not recorded: {ctx}");
+                            let mem = got.stats.graph_mem;
+                            assert!(mem.base_bytes > 0, "no base bytes: {ctx}");
+                            match store {
+                                GraphStore::Full => {
+                                    assert_eq!(mem.overlay_bytes, 0, "{ctx}");
+                                    assert_eq!(mem.compressed_bytes, 0, "{ctx}");
+                                }
+                                GraphStore::Overlay => {
+                                    // Growth-only snapshot pairs must
+                                    // actually share the base CSR.
+                                    assert!(
+                                        mem.overlay_shared_arcs > 0,
+                                        "overlay shares no arcs: {ctx}"
+                                    );
+                                }
+                                GraphStore::Compressed => {
+                                    assert!(mem.compressed_bytes > 0, "{ctx}");
+                                    assert!(mem.compressed_bytes_per_arc > 0.0, "{ctx}");
                                 }
                             }
                         }
@@ -706,7 +505,6 @@ fn overlay_fast_path_repairs_identically_to_the_slow_scan() {
                 1,
                 BfsKernel::Auto,
                 RowCacheBudget::Unbounded,
-                SsspPrune::Off,
             )
         };
         let full = run(GraphStore::Full);

@@ -31,9 +31,7 @@ use crate::INF;
 /// `settled` counts nodes whose distance was finalized (the source
 /// included); `relaxed` counts adjacency entries examined. Both are pure
 /// diagnostics: they never influence the distances a kernel produces, only
-/// report how much internal work producing them took — the quantity the
-/// bound-truncated kernels exist to shrink while the budget *ledger*
-/// (charged SSSPs) stays bit-identical.
+/// report how much internal work producing them took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalWork {
     /// Nodes whose distance was finalized.
@@ -93,27 +91,15 @@ impl BfsWorkspace {
 ///
 /// `dist` is resized to `graph.num_nodes()` and fully overwritten;
 /// unreachable nodes get [`INF`]. The result is bit-identical to
-/// [`bfs_scalar_into`] — only the wall clock differs.
-pub fn bfs_into<V: GraphView>(graph: &V, src: NodeId, dist: &mut Vec<u32>, ws: &mut BfsWorkspace) {
-    bfs_limited_into(graph, src, dist, ws, INF, &mut TraversalWork::new());
-}
-
-/// Depth-limited, work-counted variant of [`bfs_into`].
-///
-/// Expansion stops before any level `> limit` would be produced: every
-/// node within `limit` hops receives its exact BFS distance, every node
-/// beyond stays [`INF`]. With `limit == INF` the output is identical to
-/// [`bfs_into`]. Returns `true` iff the traversal was actually cut short
-/// (the frontier was still non-empty at the cutoff). `work` accumulates
-/// settled nodes and examined adjacency entries across the call.
-pub fn bfs_limited_into<V: GraphView>(
+/// [`bfs_scalar_into`] — only the wall clock differs. Returns the nodes
+/// settled and adjacency entries examined.
+pub fn bfs_into<V: GraphView>(
     graph: &V,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
-    limit: u32,
-    work: &mut TraversalWork,
-) -> bool {
+) -> TraversalWork {
+    let mut work = TraversalWork::new();
     let n = graph.num_nodes();
     dist.clear();
     dist.resize(n, INF);
@@ -124,7 +110,8 @@ pub fn bfs_limited_into<V: GraphView>(
     work.settled += 1;
     ws.frontier.push(src);
     if n < HYBRID_MIN_NODES {
-        return top_down_limited(graph, dist, ws, limit, work);
+        top_down(graph, dist, ws, &mut work);
+        return work;
     }
 
     // Split the workspace into disjoint field borrows so the traversal
@@ -145,9 +132,6 @@ pub fn bfs_limited_into<V: GraphView>(
     let mut level: u32 = 0;
 
     while frontier_len > 0 {
-        if level >= limit {
-            return true;
-        }
         level += 1;
         if !bottom_up && frontier_edges * ALPHA > remaining_edges {
             // Frontier is edge-heavy: scanning unvisited nodes for a parent
@@ -217,26 +201,20 @@ pub fn bfs_limited_into<V: GraphView>(
             std::mem::swap(frontier, next);
         }
     }
-    false
+    work
 }
 
 /// The purely top-down level expansion over an already-seeded workspace
 /// frontier (shared by the small-graph path and [`bfs_scalar_into`]).
-/// Stops before producing any level `> limit`; returns `true` iff cut
-/// short with the frontier still non-empty.
-fn top_down_limited<V: GraphView>(
+fn top_down<V: GraphView>(
     graph: &V,
     dist: &mut [u32],
     ws: &mut BfsWorkspace,
-    limit: u32,
     work: &mut TraversalWork,
-) -> bool {
+) {
     let BfsWorkspace { frontier, next, .. } = ws;
     let mut level: u32 = 0;
     while !frontier.is_empty() {
-        if level >= limit {
-            return true;
-        }
         level += 1;
         for &u in frontier.iter() {
             graph.for_each_neighbor(u, |v| {
@@ -251,31 +229,18 @@ fn top_down_limited<V: GraphView>(
         std::mem::swap(frontier, next);
         next.clear();
     }
-    false
 }
 
 /// The scalar (always top-down) reference kernel. Same output as
-/// [`bfs_into`]; exists so A/B runs and equivalence tests can pin the
-/// pre-optimization behaviour (`CP_BFS_KERNEL=scalar`).
+/// [`bfs_into`], work counters included; exists so A/B runs and equivalence
+/// tests can pin the pre-optimization behaviour (`CP_BFS_KERNEL=scalar`).
 pub fn bfs_scalar_into<V: GraphView>(
     graph: &V,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
-) {
-    bfs_scalar_limited_into(graph, src, dist, ws, INF, &mut TraversalWork::new());
-}
-
-/// Depth-limited, work-counted variant of [`bfs_scalar_into`]; same
-/// truncation contract as [`bfs_limited_into`].
-pub fn bfs_scalar_limited_into<V: GraphView>(
-    graph: &V,
-    src: NodeId,
-    dist: &mut Vec<u32>,
-    ws: &mut BfsWorkspace,
-    limit: u32,
-    work: &mut TraversalWork,
-) -> bool {
+) -> TraversalWork {
+    let mut work = TraversalWork::new();
     let n = graph.num_nodes();
     dist.clear();
     dist.resize(n, INF);
@@ -284,7 +249,8 @@ pub fn bfs_scalar_limited_into<V: GraphView>(
     dist[src.index()] = 0;
     work.settled += 1;
     ws.frontier.push(src);
-    top_down_limited(graph, dist, ws, limit, work)
+    top_down(graph, dist, ws, &mut work);
+    work
 }
 
 /// Allocating convenience wrapper around [`bfs_into`].
@@ -438,9 +404,13 @@ mod tests {
         let mut ws = BfsWorkspace::new();
         let (mut hybrid, mut scalar) = (Vec::new(), Vec::new());
         for src in [0u32, 1, n / 2, n - 1] {
-            bfs_into(&g, NodeId(src), &mut hybrid, &mut ws);
-            bfs_scalar_into(&g, NodeId(src), &mut scalar, &mut ws);
+            let work_h = bfs_into(&g, NodeId(src), &mut hybrid, &mut ws);
+            let work_s = bfs_scalar_into(&g, NodeId(src), &mut scalar, &mut ws);
             assert_eq!(hybrid, scalar, "src {src}");
+            // Both kernels settle every (reachable) node exactly once.
+            assert_eq!(work_h.settled, u64::from(n), "src {src}");
+            assert_eq!(work_s.settled, u64::from(n), "src {src}");
+            assert!(work_h.relaxed > 0 && work_s.relaxed > 0, "src {src}");
         }
     }
 
@@ -507,77 +477,5 @@ mod tests {
     fn bfs_single_node_graph() {
         let g = graph_from_edges(1, &[]);
         assert_eq!(bfs(&g, NodeId(0)), vec![0]);
-    }
-
-    #[test]
-    fn limited_with_inf_matches_unlimited() {
-        let g = path5();
-        let mut ws = BfsWorkspace::new();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for src in 0..5u32 {
-            let mut work = TraversalWork::new();
-            let cut = bfs_limited_into(&g, NodeId(src), &mut a, &mut ws, INF, &mut work);
-            bfs_into(&g, NodeId(src), &mut b, &mut ws);
-            assert!(!cut, "src {src}");
-            assert_eq!(a, b, "src {src}");
-            assert!(work.settled > 0 && work.relaxed > 0);
-        }
-    }
-
-    #[test]
-    fn limited_truncates_at_depth_and_reports_it() {
-        let g = path5();
-        let mut ws = BfsWorkspace::new();
-        let mut dist = Vec::new();
-        let mut work = TraversalWork::new();
-        let cut = bfs_limited_into(&g, NodeId(0), &mut dist, &mut ws, 2, &mut work);
-        assert!(cut);
-        assert_eq!(dist, vec![0, 1, 2, INF, INF]);
-        // Exactly the prefix within the limit is settled.
-        assert_eq!(work.settled, 3);
-        // A limit past the last-discovery level cuts nothing. (The flag is
-        // conservative: at limit == eccentricity the frontier still holds
-        // the final node, so only limit > eccentricity reports a clean
-        // drain.)
-        let mut full_work = TraversalWork::new();
-        let cut = bfs_limited_into(&g, NodeId(0), &mut dist, &mut ws, 5, &mut full_work);
-        assert!(!cut);
-        assert_eq!(dist, vec![0, 1, 2, 3, 4]);
-        assert!(work.relaxed < full_work.relaxed, "truncation saves work");
-    }
-
-    #[test]
-    fn limited_scalar_matches_limited_hybrid_above_cutoff() {
-        // Same star-pair shape as `hybrid_matches_scalar_above_cutoff`, so
-        // the bottom-up branch of the limited kernel is exercised too.
-        let n = 2 * HYBRID_MIN_NODES as u32;
-        let mut edges: Vec<(u32, u32)> = (1..n / 2).map(|i| (0, i)).collect();
-        edges.extend((n / 2 + 1..n).map(|i| (n / 2, i)));
-        edges.push((0, n / 2));
-        let g = graph_from_edges(n as usize, &edges);
-        let mut ws = BfsWorkspace::new();
-        let (mut hybrid, mut scalar) = (Vec::new(), Vec::new());
-        for limit in [0u32, 1, 2, 3, INF] {
-            for src in [0u32, 1, n - 1] {
-                let ch = bfs_limited_into(
-                    &g,
-                    NodeId(src),
-                    &mut hybrid,
-                    &mut ws,
-                    limit,
-                    &mut TraversalWork::new(),
-                );
-                let cs = bfs_scalar_limited_into(
-                    &g,
-                    NodeId(src),
-                    &mut scalar,
-                    &mut ws,
-                    limit,
-                    &mut TraversalWork::new(),
-                );
-                assert_eq!(hybrid, scalar, "src {src} limit {limit}");
-                assert_eq!(ch, cs, "src {src} limit {limit}");
-            }
-        }
     }
 }

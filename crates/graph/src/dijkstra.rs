@@ -25,38 +25,17 @@ pub fn dijkstra<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
 }
 
 /// In-place variant of [`dijkstra`]; `dist` is resized and overwritten.
-pub fn dijkstra_into<V: GraphView>(graph: &V, src: NodeId, dist: &mut Vec<u32>) {
-    dijkstra_limited_into(graph, src, dist, INF, &mut TraversalWork::new());
-}
-
-/// Distance-limited, work-counted variant of [`dijkstra_into`].
-///
-/// Settling stops once the heap's minimum exceeds `limit`: by the Dijkstra
-/// invariant every node within distance `limit` has its exact value at
-/// that point, and any remaining tentative entry (`> limit`) is swept back
-/// to [`INF`] so a truncated row never exposes a non-final distance. With
-/// `limit == INF` the output is identical to [`dijkstra_into`]. Returns
-/// `true` iff the cutoff actually fired.
-pub fn dijkstra_limited_into<V: GraphView>(
-    graph: &V,
-    src: NodeId,
-    dist: &mut Vec<u32>,
-    limit: u32,
-    work: &mut TraversalWork,
-) -> bool {
+/// Returns the nodes settled and adjacency entries examined.
+pub fn dijkstra_into<V: GraphView>(graph: &V, src: NodeId, dist: &mut Vec<u32>) -> TraversalWork {
+    let mut work = TraversalWork::new();
     dist.clear();
     dist.resize(graph.num_nodes(), INF);
     let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
     dist[src.index()] = 0;
     heap.push(Reverse((0, src)));
-    let mut truncated = false;
     while let Some(Reverse((d, u))) = heap.pop() {
         if d > dist[u.index()] {
             continue; // stale entry
-        }
-        if d > limit {
-            truncated = true;
-            break;
         }
         work.settled += 1;
         graph.for_each_neighbor_weighted(u, |v, w| {
@@ -68,16 +47,7 @@ pub fn dijkstra_limited_into<V: GraphView>(
             }
         });
     }
-    if truncated {
-        // Canonicalize: tentative distances beyond the limit were never
-        // settled; a truncated row reports them as unreachable.
-        for d in dist.iter_mut() {
-            if *d > limit {
-                *d = INF;
-            }
-        }
-    }
-    truncated
+    work
 }
 
 #[cfg(test)]
@@ -129,7 +99,7 @@ mod tests {
     }
 
     #[test]
-    fn limited_with_inf_matches_unlimited() {
+    fn work_counts_settled_nodes() {
         let mut b = GraphBuilder::new(4);
         b.add_weighted_edge(NodeId(0), NodeId(1), 5);
         b.add_weighted_edge(NodeId(1), NodeId(2), 1);
@@ -137,36 +107,9 @@ mod tests {
         b.add_weighted_edge(NodeId(2), NodeId(3), 2);
         let g = b.build();
         let mut dist = Vec::new();
-        let mut work = TraversalWork::new();
-        let cut = dijkstra_limited_into(&g, NodeId(0), &mut dist, INF, &mut work);
-        assert!(!cut);
+        let work = dijkstra_into(&g, NodeId(0), &mut dist);
         assert_eq!(dist, dijkstra(&g, NodeId(0)));
         assert_eq!(work.settled, 4);
-    }
-
-    #[test]
-    fn limited_truncates_and_sweeps_tentative_entries() {
-        // 0 -5- 1 -1- 2 -2- 3, chord 0 -10- 2. At limit 6 node 3 (dist 8)
-        // is unsettled; its tentative entry 8 (and the stale 10 via the
-        // chord) must both read INF in the truncated row.
-        let mut b = GraphBuilder::new(4);
-        b.add_weighted_edge(NodeId(0), NodeId(1), 5);
-        b.add_weighted_edge(NodeId(1), NodeId(2), 1);
-        b.add_weighted_edge(NodeId(0), NodeId(2), 10);
-        b.add_weighted_edge(NodeId(2), NodeId(3), 2);
-        let g = b.build();
-        let mut dist = Vec::new();
-        let mut work = TraversalWork::new();
-        let cut = dijkstra_limited_into(&g, NodeId(0), &mut dist, 6, &mut work);
-        assert!(cut);
-        assert_eq!(dist, vec![0, 5, 6, INF]);
-        // Everything at or below the limit is exact, not merely bounded.
-        let full = dijkstra(&g, NodeId(0));
-        for (v, &d) in dist.iter().enumerate() {
-            if d != INF {
-                assert_eq!(d, full[v], "node {v}");
-            }
-        }
     }
 
     #[test]

@@ -57,6 +57,10 @@ impl MsBfsWorkspace {
 /// unreachable nodes get [`INF`]. Duplicate and isolated sources are fine
 /// (duplicates simply share every discovery).
 ///
+/// Returns the settled `(source, node)` pairs and adjacency entries
+/// scanned (one per edge per sweep — the shared sweep is exactly what
+/// makes a wave cheaper than per-source BFS).
+///
 /// # Panics
 /// Panics if `sources.len() > WAVE_WIDTH` or `rows.len() != sources.len()`.
 pub fn msbfs_into<V: GraphView>(
@@ -64,28 +68,8 @@ pub fn msbfs_into<V: GraphView>(
     sources: &[NodeId],
     rows: &mut [Vec<u32>],
     ws: &mut MsBfsWorkspace,
-) {
-    msbfs_limited_into(graph, sources, rows, ws, INF, &mut TraversalWork::new());
-}
-
-/// Depth-limited, work-counted variant of [`msbfs_into`].
-///
-/// The whole wave stops before any level `> limit` would be produced:
-/// every `(source, node)` pair within `limit` hops gets its exact BFS
-/// level, everything beyond stays [`INF`]. With `limit == INF` the rows
-/// are identical to [`msbfs_into`]. Returns a bitmask with bit *b* set
-/// iff source *b* still had a live frontier at the cutoff, i.e. its row
-/// was actually truncated. `work` counts settled `(source, node)` pairs
-/// and adjacency entries scanned (one per edge per sweep — the shared
-/// sweep is exactly what makes a wave cheaper than per-source BFS).
-pub fn msbfs_limited_into<V: GraphView>(
-    graph: &V,
-    sources: &[NodeId],
-    rows: &mut [Vec<u32>],
-    ws: &mut MsBfsWorkspace,
-    limit: u32,
-    work: &mut TraversalWork,
-) -> u64 {
+) -> TraversalWork {
+    let mut work = TraversalWork::new();
     assert!(
         sources.len() <= WAVE_WIDTH,
         "wave of {} sources exceeds WAVE_WIDTH={WAVE_WIDTH}",
@@ -127,15 +111,6 @@ pub fn msbfs_limited_into<V: GraphView>(
 
     let mut level: u32 = 0;
     while !frontier.is_empty() {
-        if level >= limit {
-            // Sources with a bit still live in the frontier's visit words
-            // were cut short; the rest had already drained.
-            let mut truncated = 0u64;
-            for &uf in frontier.iter() {
-                truncated |= visit[uf as usize];
-            }
-            return truncated;
-        }
         level += 1;
         for &uf in frontier.iter() {
             let u = uf as usize;
@@ -173,7 +148,7 @@ pub fn msbfs_limited_into<V: GraphView>(
         std::mem::swap(frontier, next_frontier);
         next_frontier.clear();
     }
-    0
+    work
 }
 
 /// Allocating convenience wrapper: runs [`msbfs_into`] over `sources` in
@@ -254,42 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn limited_with_inf_matches_unlimited() {
+    fn work_counts_every_settled_source_node_pair() {
         let g = sample();
-        let sources: Vec<NodeId> = g.nodes().collect();
-        let mut ws = MsBfsWorkspace::new();
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); sources.len()];
-        let mut work = TraversalWork::new();
-        let truncated = msbfs_limited_into(&g, &sources, &mut rows, &mut ws, INF, &mut work);
-        assert_eq!(truncated, 0);
-        for (b, &s) in sources.iter().enumerate() {
-            assert_eq!(rows[b], bfs(&g, s), "source {s}");
-        }
-        assert!(work.settled > 0 && work.relaxed > 0);
-    }
-
-    #[test]
-    fn limited_truncates_per_source() {
-        // Path 0-1-2-3-4-5: from 0 the wave needs 5 levels, from 4 only 2
-        // (to the left it needs 4). Limit 2 truncates source 0 but the
-        // distances within the limit stay exact for every source.
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let sources = [NodeId(0), NodeId(2)];
-        let mut ws = MsBfsWorkspace::new();
+        let sources = [NodeId(0), NodeId(6)];
         let mut rows = vec![Vec::new(), Vec::new()];
-        let mut work = TraversalWork::new();
-        let truncated = msbfs_limited_into(&g, &sources, &mut rows, &mut ws, 2, &mut work);
-        assert_eq!(rows[0], vec![0, 1, 2, INF, INF, INF]);
-        assert_eq!(rows[1], vec![2, 1, 0, 1, 2, INF]);
-        // Both sources still had live frontiers at the cutoff.
-        assert_eq!(truncated, 0b11);
-        // Limit 4: source 1 (node 2, eccentricity 3) has fully drained —
-        // its last discovery happened at level 3, so by the level-4 cutoff
-        // only source 0 still holds a live frontier node.
-        let truncated = msbfs_limited_into(&g, &sources, &mut rows, &mut ws, 4, &mut work);
-        assert_eq!(truncated, 0b01);
-        assert_eq!(rows[0], vec![0, 1, 2, 3, 4, INF]);
-        assert_eq!(rows[1], bfs(&g, NodeId(2)));
+        let work = msbfs_into(&g, &sources, &mut rows, &mut MsBfsWorkspace::new());
+        // Node 0 reaches its 6-node component, node 6 its 2-node one.
+        assert_eq!(work.settled, 8);
+        assert!(work.relaxed > 0);
     }
 
     #[test]

@@ -17,8 +17,7 @@ pub struct SeedTopK {
     pub pairs: Vec<ConvergingPair>,
     /// Whether `pairs` provably equals the exact per-seed top-k. `false`
     /// means the published rows could not certify the answer (seed not
-    /// resident and not landmark-prunable, or a truncated row whose
-    /// suppressed entries might hide a qualifying pair).
+    /// resident and not landmark-prunable).
     pub complete: bool,
 }
 
@@ -108,11 +107,6 @@ impl EpochView {
     /// resident rows first (either endpoint — the graphs are undirected),
     /// landmark triangle bounds otherwise. `(INF, INF)` is *certified
     /// disconnected*; `(0, INF)` is "nothing known".
-    ///
-    /// Truncated resident rows follow the `insert_truncated` contract:
-    /// finite entries are exact, suppressed ([`INF`]) entries prove
-    /// nothing and fall through to the landmark bounds — never to a bogus
-    /// "unreachable".
     fn dist_interval(&self, which: Snapshot, u: NodeId, v: NodeId) -> (u32, u32) {
         if u == v {
             return (0, 0);
@@ -120,9 +114,8 @@ impl EpochView {
         let q = &self.snap.query;
         for (a, b) in [(u, v), (v, u)] {
             if let Some(row) = q.row(which, a) {
-                if let Some(d) = row.exact(b) {
-                    return (d, d);
-                }
+                let d = row[b.index()];
+                return (d, d);
             }
         }
         match q.landmarks() {
@@ -192,10 +185,7 @@ impl EpochView {
     /// landmark-certified pruning for non-resident seeds.
     ///
     /// * Seed resident in both snapshots: Δs are computed exactly from the
-    ///   captured rows. Truncated rows stay sound — a suppressed entry's
-    ///   pair provably has `Δ <` the review floor, so the answer is
-    ///   `complete` whenever the floor is ≤ 1, or the k-th returned Δ
-    ///   reaches the floor; otherwise `complete: false`.
+    ///   captured rows, and the answer is `complete`.
     /// * Seed not resident: if the landmark bounds certify every pair of
     ///   the seed below Δ = 1, the empty answer is complete; otherwise the
     ///   epoch cannot serve the seed (`complete: false`).
@@ -223,34 +213,22 @@ impl EpochView {
                 complete,
             };
         };
-        let mut pairs = Vec::new();
-        let mut suppressed = false;
-        for v in 0..q.num_nodes() {
-            let v = NodeId::new(v);
-            if v == u {
-                continue;
-            }
-            match (r1.exact(v), r2.exact(v)) {
-                (Some(d1), Some(d2)) => {
-                    if let Some(delta) = distance_decrease(d1, d2) {
-                        if delta >= 1 {
-                            pairs.push(ConvergingPair::new(u, v, delta));
-                        }
-                    }
-                }
-                // A suppressed entry's Δ is provably below the review
-                // floor (the truncation contract) — excluded, but it caps
-                // what the answer can certify.
-                _ => suppressed = true,
-            }
-        }
+        let mut pairs: Vec<ConvergingPair> = r1
+            .iter()
+            .zip(r2)
+            .enumerate()
+            .filter(|&(v, _)| v != u.index())
+            .filter_map(|(v, (&d1, &d2))| match distance_decrease(d1, d2) {
+                Some(delta) if delta >= 1 => Some(ConvergingPair::new(u, NodeId::new(v), delta)),
+                _ => None,
+            })
+            .collect();
         sort_pairs(&mut pairs);
         pairs.truncate(k);
-        let floor = q.floor();
-        let complete = !suppressed
-            || floor <= 1
-            || (pairs.len() == k && pairs.last().is_some_and(|p| p.delta >= floor));
-        SeedTopK { pairs, complete }
+        SeedTopK {
+            pairs,
+            complete: true,
+        }
     }
 
     /// Starts a composable traversal over the epoch's graph at `start`

@@ -5,16 +5,16 @@
 //! * `Bounded` answers bracket the truth: `lb ≤ d ≤ ub`.
 //! * `topk_for_seed` answers marked `complete` equal the exact per-seed
 //!   top-k computed from full truth matrices.
-//! * Suppressed entries of bound-truncated rows never leak as a wrong
-//!   `Exact` — the `insert_truncated` regression this suite pins.
+//! * Every captured row answers `Exact` for every target, and every seed
+//!   resident in both snapshots gets a `complete` top-k.
 //!
 //! The checks run across the full serving matrix — generators × graph
-//! stores × BFS kernels × row-cache budgets × pruning modes — and as a
+//! stores × BFS kernels × row-cache budgets — and as a
 //! property test over arbitrary growing streams (the headline
 //! bound-soundness proptest at the bottom).
 
 use cp_core::exact::{sort_pairs, ConvergingPair, TopKSpec};
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, Snapshot, SsspPrune};
+use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, Snapshot};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::SelectorKind;
 use cp_gen::ba::barabasi_albert;
@@ -22,7 +22,7 @@ use cp_gen::forest_fire::forest_fire;
 use cp_gen::seeded_rng;
 use cp_gen::ws::watts_strogatz;
 use cp_graph::bfs::bfs;
-use cp_graph::{distance_decrease, Graph, NodeId, TemporalGraph, INF};
+use cp_graph::{distance_decrease, Graph, NodeId, TemporalGraph};
 use cp_query::{Answer, EpochView};
 use cp_stream::{StreamConfig, StreamEngine, StreamError};
 use proptest::prelude::*;
@@ -162,8 +162,8 @@ fn check_epoch(view: &EpochView, t1: &[Vec<u32>], t2: &[Vec<u32>], tally: &mut T
     }
 }
 
-/// The full serving matrix: on every generator × store × kernel × cache ×
-/// prune leg, every published epoch's answers conform to from-scratch BFS
+/// The full serving matrix: on every generator × store × kernel × cache
+/// leg, every published epoch's answers conform to from-scratch BFS
 /// truth — and the run produces nonzero Exact, Bounded, and complete
 /// top-k answers, so the conformance is not vacuous.
 #[test]
@@ -180,34 +180,29 @@ fn answers_conform_across_the_matrix() {
                 (BfsKernel::Auto, ScanKernel::Auto),
             ] {
                 for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                    for prune in [SsspPrune::Off, SsspPrune::Auto] {
-                        let mut cfg = StreamConfig::new(
-                            8,
-                            SelectorKind::Mmsd { landmarks: 3 },
-                            TopKSpec::ThresholdFromMax { slack: 1 },
-                            3,
+                    let mut cfg = StreamConfig::new(
+                        8,
+                        SelectorKind::Mmsd { landmarks: 3 },
+                        TopKSpec::ThresholdFromMax { slack: 1 },
+                        3,
+                    );
+                    cfg.graph_store = Some(store);
+                    cfg.kernel = Some(kernel);
+                    cfg.scan_kernel = Some(scan);
+                    cfg.row_cache = Some(cache);
+                    let mut engine =
+                        StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+                    for w in cuts.windows(2) {
+                        let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+                        let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
+                        let t2 = truth_matrix(&t.snapshot_of_prefix(f2));
+                        feed(&mut engine, &t, f1, f2);
+                        let view = EpochView::of(engine.review());
+                        let ctx = format!(
+                            "{name}/review={}/{store:?}/{kernel:?}/cache={cache:?}",
+                            view.review()
                         );
-                        cfg.graph_store = Some(store);
-                        cfg.kernel = Some(kernel);
-                        cfg.scan_kernel = Some(scan);
-                        cfg.row_cache = Some(cache);
-                        cfg.prune = Some(prune);
-                        let mut engine = StreamEngine::from_snapshot(
-                            &t.snapshot_of_prefix(prefix(cuts[0])),
-                            cfg,
-                        );
-                        for w in cuts.windows(2) {
-                            let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                            let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
-                            let t2 = truth_matrix(&t.snapshot_of_prefix(f2));
-                            feed(&mut engine, &t, f1, f2);
-                            let view = EpochView::of(engine.review());
-                            let ctx = format!(
-                                "{name}/review={}/{store:?}/{kernel:?}/cache={cache:?}/prune={prune:?}",
-                                view.review()
-                            );
-                            check_epoch(&view, &t1, &t2, &mut tally, &ctx);
-                        }
+                        check_epoch(&view, &t1, &t2, &mut tally, &ctx);
                     }
                 }
             }
@@ -224,18 +219,17 @@ fn answers_conform_across_the_matrix() {
     );
 }
 
-/// Satellite regression: bound-truncated rows never leak a wrong `Exact`.
-///
-/// A high Δ floor plus `SsspPrune::Auto` forces truncated `t2` sweeps
-/// whose suppressed entries read [`INF`] in the raw row. The query layer
-/// must treat those entries as absent (the `insert_truncated` contract):
-/// each such query answers `Bounded`/`Unknown` — or an `Exact` that
-/// matches truth when landmarks happen to prove it — never the sentinel
-/// as a fake disconnection.
+/// Regression: a captured row is exact in every entry. Under a high Δ
+/// floor with no resident `t1` donors (zero row cache, so `t2` rows come
+/// from full sweeps rather than repairs), every row an epoch captures
+/// answers `distance` — and, resident in both snapshots, `delta` — as
+/// `Exact` and equal to from-scratch BFS truth for every target, and its
+/// seed's `topk_for_seed` is `complete`.
 #[test]
-fn truncated_rows_never_answer_wrong_exact() {
-    let mut suppressed_queries = 0u64;
-    let mut truncated_rows = 0usize;
+fn captured_rows_answer_exact_for_every_target() {
+    let cuts = [0.7, 0.85, 1.0];
+    let mut rows_checked = 0u64;
+    let mut seeds_checked = 0u64;
     for (name, t) in generator_cases() {
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
         let mut cfg = StreamConfig::new(
@@ -244,58 +238,59 @@ fn truncated_rows_never_answer_wrong_exact() {
             TopKSpec::Threshold { delta_min: 2 },
             1,
         );
-        cfg.prune = Some(SsspPrune::Auto);
         cfg.kernel = Some(BfsKernel::Scalar);
         cfg.scan_kernel = Some(ScanKernel::Scalar);
-        // Zero cache: no resident t1 donors, so t2 rows come from fresh
-        // (truncatable) sweeps instead of exact repairs. Truncated rows
-        // are exempt from the byte budget (`insert_truncated` keeps them
-        // resident but flagged), so the capture still sees them.
         cfg.row_cache = Some(RowCacheBudget::Bytes(0));
-        let mut engine = StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(0.7)), cfg);
-        feed(&mut engine, &t, prefix(0.7), prefix(1.0));
-        let epoch = engine.review();
-        truncated_rows += epoch.query.truncated_rows();
-        let t2 = truth_matrix(&epoch.graph);
-        let view = EpochView::of(epoch.clone());
-        let n = t2.len();
-        for u in 0..n {
-            let nu = NodeId::new(u);
-            let Some(row) = epoch.query.row(Snapshot::Second, nu) else {
-                continue;
-            };
-            if !row.truncated() {
-                continue;
-            }
-            for v in 0..n {
-                let nv = NodeId::new(v);
-                if row.exact(nv).is_some() {
-                    continue;
+        let mut engine = StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+        for w in cuts.windows(2) {
+            let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+            let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
+            feed(&mut engine, &t, f1, f2);
+            let epoch = engine.review();
+            let t2 = truth_matrix(&epoch.graph);
+            let view = EpochView::of(epoch.clone());
+            let n = t2.len();
+            for u in 0..n {
+                let nu = NodeId::new(u);
+                let has1 = epoch.query.row(Snapshot::First, nu).is_some();
+                let has2 = epoch.query.row(Snapshot::Second, nu).is_some();
+                let ctx = format!("{name}/review={}/seed={u}", epoch.review);
+                if has2 {
+                    rows_checked += 1;
+                    for v in 0..n {
+                        assert_eq!(
+                            view.distance(nu, NodeId::new(v)),
+                            Answer::Exact(t2[u][v]),
+                            "distance to {v} is not the exact truth: {ctx}"
+                        );
+                    }
                 }
-                // A suppressed entry: the row alone proves nothing here.
-                suppressed_queries += 1;
-                let d = t2[u][v];
-                match view.distance(nu, nv) {
-                    Answer::Exact(got) => assert_eq!(
-                        got, d,
-                        "{name}: suppressed entry ({u},{v}) answered a wrong Exact"
-                    ),
-                    Answer::Bounded { lb, ub } => assert!(
-                        lb <= d && d <= ub,
-                        "{name}: suppressed entry ({u},{v})={d} outside [{lb},{ub}]"
-                    ),
-                    Answer::Unknown => {}
+                if has1 && has2 {
+                    seeds_checked += 1;
+                    for v in 0..n {
+                        assert_eq!(
+                            view.delta(nu, NodeId::new(v)),
+                            Answer::Exact(truth_delta(t1[u][v], t2[u][v])),
+                            "delta to {v} is not the exact truth: {ctx}"
+                        );
+                    }
+                    for k in [1usize, 5, n] {
+                        let got = view.topk_for_seed(nu, k);
+                        assert!(got.complete, "top-{k} of a resident seed incomplete: {ctx}");
+                        assert_eq!(
+                            got.pairs,
+                            truth_topk_for_seed(&t1, &t2, nu, k),
+                            "top-{k} diverges from truth: {ctx}"
+                        );
+                    }
                 }
             }
         }
     }
+    assert!(rows_checked > 0, "no epoch captured a row — vacuous run");
     assert!(
-        truncated_rows > 0,
-        "no epoch captured a truncated row — the regression test is vacuous"
-    );
-    assert!(
-        suppressed_queries > 0,
-        "no suppressed entry was ever queried — the regression test is vacuous"
+        seeds_checked > 0,
+        "no seed was resident in both snapshots — vacuous run"
     );
 }
 

@@ -4,7 +4,7 @@ use crate::index::QueryIndex;
 use crate::subs::{PairTrack, StreamEvent, Watch, WatchId, WatchKind};
 use cp_core::exact::TopKSpec;
 use cp_core::oracle::{
-    BfsKernel, GraphStore, RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle, SsspPrune,
+    BfsKernel, GraphStore, RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle,
 };
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::SelectorKind;
@@ -38,8 +38,8 @@ pub enum ReviewPolicy {
 /// `seed + review_index`, so review *r*'s output is bit-identical to a
 /// from-scratch [`cp_core::topk::budgeted_top_k`] on the same snapshot
 /// pair. The `Option` knobs override the process-environment defaults
-/// (`CP_THREADS`, `CP_BFS_KERNEL`, `CP_SCAN_KERNEL`, `CP_ROW_CACHE`,
-/// `CP_SSSP_PRUNE`) — `None` inherits them.
+/// (`CP_THREADS`, `CP_BFS_KERNEL`, `CP_SCAN_KERNEL`, `CP_ROW_CACHE`)
+/// — `None` inherits them.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Candidate budget per review (`2m` SSSPs each).
@@ -60,8 +60,6 @@ pub struct StreamConfig {
     pub scan_kernel: Option<ScanKernel>,
     /// Resident-row byte budget (`None`: `CP_ROW_CACHE` / default).
     pub row_cache: Option<RowCacheBudget>,
-    /// Bound-based pruning mode (`None`: `CP_SSSP_PRUNE` / default).
-    pub prune: Option<SsspPrune>,
     /// Snapshot storage layout per review (`None`: `CP_GRAPH_STORE` /
     /// default). Under [`GraphStore::Overlay`] the engine hands each
     /// review's oracle a `t2` overlay built straight from the insertion
@@ -90,7 +88,6 @@ impl StreamConfig {
             kernel: None,
             scan_kernel: None,
             row_cache: None,
-            prune: None,
             graph_store: None,
             chain_cache: true,
         }
@@ -215,9 +212,9 @@ pub struct StreamSnapshot {
     /// Per-review instrumentation.
     pub stats: StreamStats,
     /// Read-only query material captured from the review's oracle before
-    /// it was dropped: resident rows (truncation-flagged), landmark
-    /// indexes, and the review's Δ floor. Point queries (`cp-query`) are
-    /// served entirely from this — no budget, no locks, no engine access.
+    /// it was dropped: resident rows and landmark indexes. Point queries
+    /// (`cp-query`) are served entirely from this — no budget, no locks,
+    /// no engine access.
     pub query: Arc<QueryIndex>,
 }
 
@@ -523,9 +520,6 @@ impl StreamEngine {
         if let Some(b) = self.config.row_cache {
             oracle.set_row_cache(b);
         }
-        if let Some(p) = self.config.prune {
-            oracle.set_prune(p);
-        }
         let store = self.config.graph_store.unwrap_or_else(GraphStore::from_env);
         if store == GraphStore::Overlay {
             // The stream is insert-only, so the accumulator's log suffix
@@ -538,7 +532,7 @@ impl StreamEngine {
         }
         // Chain: the previous review's t2 rows are exact t1 rows here —
         // `g1` *is* the graph they were computed on. Imported after the
-        // knobs so pruning can record donor eccentricities. Pointless
+        // knobs so the configured row cache bounds the imports. Pointless
         // under `Bytes(0)` (the LRU would evict the imports immediately).
         let chaining = self.config.chain_cache && oracle.row_cache() != RowCacheBudget::Bytes(0);
         let mut donor_rows_imported = 0;
@@ -560,10 +554,7 @@ impl StreamEngine {
         let donor_chain_hits = oracle.chained_rows();
         // Capture the query material while the oracle still owns its row
         // cache; the published epoch serves point queries from this copy.
-        let query = Arc::new(QueryIndex::capture(
-            &oracle,
-            self.config.spec.initial_floor(),
-        ));
+        let query = Arc::new(QueryIndex::capture(&oracle));
         drop(oracle);
 
         for p in &result.pairs {

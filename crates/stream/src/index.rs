@@ -10,14 +10,6 @@
 //! on the epoch ([`crate::StreamSnapshot::query`]) — so the query layer
 //! (`cp-query`) serves entirely from published state, never touching a
 //! ledger and never blocking a review.
-//!
-//! Truncation honesty: a bound-truncated `t2` row is captured *with its
-//! flag*. Its finite entries are exact distances, but its
-//! [`cp_graph::INF`] entries only mean "beyond the prune depth" — the
-//! query layer must fall back to landmark bounds there, never report the
-//! sentinel as "unreachable" (the same contract as the oracle's
-//! `insert_truncated` resident rows, which all exact readers treat as
-//! absent).
 
 use cp_core::bounds::{resident_landmark_indexes, MAX_RESIDENT_LANDMARKS};
 use cp_core::oracle::{Snapshot, SnapshotOracle};
@@ -25,51 +17,15 @@ use cp_graph::landmark_index::LandmarkIndex;
 use cp_graph::NodeId;
 use std::collections::HashMap;
 
-/// One captured distance row: the distances and whether the producing
-/// sweep was bound-truncated (see the module docs for what that means for
-/// `INF` entries).
-#[derive(Clone, Debug)]
-pub struct QueryRow {
-    dist: Vec<u32>,
-    truncated: bool,
-}
-
-impl QueryRow {
-    /// The raw distance entries (`INF` is ambiguous when
-    /// [`Self::truncated`] — unreachable *or* beyond the prune depth).
-    pub fn distances(&self) -> &[u32] {
-        &self.dist
-    }
-
-    /// Whether the row was bound-truncated.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// The exact distance to `v`, if this row proves it: any entry of an
-    /// untruncated row, or a *finite* entry of a truncated one. `None`
-    /// when the entry is suppressed (truncated + `INF`) — the caller must
-    /// fall back to bounds.
-    pub fn exact(&self, v: NodeId) -> Option<u32> {
-        let d = self.dist[v.index()];
-        if self.truncated && d == cp_graph::INF {
-            return None;
-        }
-        Some(d)
-    }
-}
-
 /// Immutable per-epoch query material: resident rows of both review
 /// snapshots (chained donor rows included — they are resident rows like
-/// any other), at most [`MAX_RESIDENT_LANDMARKS`] landmark row pairs, and
-/// the review's initial Δ floor (the truncation contract's threshold).
+/// any other) and at most [`MAX_RESIDENT_LANDMARKS`] landmark row pairs.
 #[derive(Clone, Debug, Default)]
 pub struct QueryIndex {
     num_nodes: usize,
-    rows1: HashMap<u32, QueryRow>,
-    rows2: HashMap<u32, QueryRow>,
+    rows1: HashMap<u32, Vec<u32>>,
+    rows2: HashMap<u32, Vec<u32>>,
     landmarks: Option<(LandmarkIndex, LandmarkIndex)>,
-    floor: u32,
 }
 
 impl QueryIndex {
@@ -82,28 +38,23 @@ impl QueryIndex {
         }
     }
 
-    /// Captures the oracle's resident rows (truncation flags preserved)
-    /// and landmark indexes. Read-only and free: nothing is computed or
-    /// charged — the capture happens after the pipeline ran, inside the
-    /// review, so published epochs carry it from birth.
-    ///
-    /// `floor` is the review's initial Δ floor
-    /// ([`cp_core::exact::TopKSpec::initial_floor`]): every entry a
-    /// truncated row suppressed provably scans below it, which is what
-    /// lets per-seed top-k answers over truncated rows certify their own
-    /// completeness.
-    pub fn capture(oracle: &SnapshotOracle<'_>, floor: u32) -> Self {
-        let to_map = |rows: Vec<(u32, Vec<u32>, bool)>| {
-            rows.into_iter()
-                .map(|(u, dist, truncated)| (u, QueryRow { dist, truncated }))
+    /// Captures the oracle's resident rows and landmark indexes.
+    /// Read-only and free: nothing is computed or charged — the capture
+    /// happens after the pipeline ran, inside the review, so published
+    /// epochs carry it from birth.
+    pub fn capture(oracle: &SnapshotOracle<'_>) -> Self {
+        let rows = |which| {
+            oracle
+                .export_resident_rows(which)
+                .into_rows()
+                .into_iter()
                 .collect()
         };
         QueryIndex {
             num_nodes: oracle.num_nodes(),
-            rows1: to_map(oracle.export_rows_with_flags(Snapshot::First)),
-            rows2: to_map(oracle.export_rows_with_flags(Snapshot::Second)),
+            rows1: rows(Snapshot::First),
+            rows2: rows(Snapshot::Second),
             landmarks: resident_landmark_indexes(oracle, MAX_RESIDENT_LANDMARKS),
-            floor,
         }
     }
 
@@ -112,13 +63,14 @@ impl QueryIndex {
         self.num_nodes
     }
 
-    /// The captured row of `u` in the chosen review snapshot
-    /// ([`Snapshot::Second`] is the published epoch's graph).
-    pub fn row(&self, which: Snapshot, u: NodeId) -> Option<&QueryRow> {
+    /// The captured exact distance row of `u` in the chosen review
+    /// snapshot ([`Snapshot::Second`] is the published epoch's graph).
+    pub fn row(&self, which: Snapshot, u: NodeId) -> Option<&[u32]> {
         match which {
             Snapshot::First => self.rows1.get(&u.0),
             Snapshot::Second => self.rows2.get(&u.0),
         }
+        .map(Vec::as_slice)
     }
 
     /// The landmark indexes (first snapshot, second snapshot), when the
@@ -127,20 +79,9 @@ impl QueryIndex {
         self.landmarks.as_ref().map(|(a, b)| (a, b))
     }
 
-    /// The review's initial Δ floor (0 for [`Self::empty`]).
-    pub fn floor(&self) -> u32 {
-        self.floor
-    }
-
     /// `(t1 rows, t2 rows)` captured.
     pub fn resident_rows(&self) -> (usize, usize) {
         (self.rows1.len(), self.rows2.len())
-    }
-
-    /// Captured rows carrying the truncation flag, both snapshots.
-    pub fn truncated_rows(&self) -> usize {
-        self.rows1.values().filter(|r| r.truncated).count()
-            + self.rows2.values().filter(|r| r.truncated).count()
     }
 
     /// Whether the index holds nothing useful (no rows, no landmarks).
@@ -153,18 +94,15 @@ impl QueryIndex {
 mod tests {
     use super::*;
     use cp_graph::builder::graph_from_edges;
-    use cp_graph::INF;
 
     #[test]
     fn empty_index_answers_nothing() {
         let idx = QueryIndex::empty(7);
         assert_eq!(idx.num_nodes(), 7);
         assert!(idx.is_empty());
-        assert_eq!(idx.floor(), 0);
         assert!(idx.row(Snapshot::Second, NodeId(3)).is_none());
         assert!(idx.landmarks().is_none());
         assert_eq!(idx.resident_rows(), (0, 0));
-        assert_eq!(idx.truncated_rows(), 0);
     }
 
     #[test]
@@ -177,32 +115,12 @@ mod tests {
         let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
         oracle.rows(NodeId(0)).unwrap();
         oracle.rows(NodeId(5)).unwrap();
-        let idx = QueryIndex::capture(&oracle, 1);
+        let idx = QueryIndex::capture(&oracle);
         assert_eq!(idx.resident_rows(), (2, 2));
         assert!(!idx.is_empty());
         let row = idx.row(Snapshot::Second, NodeId(0)).expect("resident");
-        assert!(!row.truncated());
-        assert_eq!(row.exact(NodeId(9)), Some(1), "the chord distance");
+        assert_eq!(row[9], 1, "the chord distance");
         let (_, i2) = idx.landmarks().expect("two exact row pairs resident");
         assert_eq!(i2.landmarks(), &[NodeId(0), NodeId(5)]);
-    }
-
-    #[test]
-    fn truncated_entries_read_as_unknown() {
-        let row = QueryRow {
-            dist: vec![0, 1, INF],
-            truncated: true,
-        };
-        assert_eq!(row.exact(NodeId(1)), Some(1), "finite entries stay exact");
-        assert_eq!(row.exact(NodeId(2)), None, "suppressed entry is unknown");
-        let exact = QueryRow {
-            dist: vec![0, 1, INF],
-            truncated: false,
-        };
-        assert_eq!(
-            exact.exact(NodeId(2)),
-            Some(INF),
-            "untruncated INF is a real disconnection"
-        );
     }
 }

@@ -26,8 +26,8 @@
 //!   ([`StreamSnapshot`]) swapped behind an `Arc`; [`StreamReader`]
 //!   handles never observe a half-advanced step.
 //! * **Serve** — each epoch carries a read-only [`QueryIndex`] (resident
-//!   rows with their truncation flags, landmark row indexes, the review's
-//!   Δ floor) captured from the review's oracle at publish. The
+//!   rows and landmark row indexes) captured from the review's oracle at
+//!   publish. The
 //!   `cp-query` crate answers budget-free point queries entirely from
 //!   this published material.
 //! * **Subscribe** — [`StreamEngine::watch_pair`] /
@@ -50,6 +50,6 @@ pub use engine::{
     ReviewPolicy, StreamConfig, StreamEngine, StreamError, StreamReader, StreamSnapshot,
     StreamStats,
 };
-pub use index::{QueryIndex, QueryRow};
+pub use index::QueryIndex;
 pub use monitor::{ConvergenceMonitor, MonitorConfig, MonitorStep, PairHistory};
 pub use subs::{PairTrack, StreamEvent, WatchId};

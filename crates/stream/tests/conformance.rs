@@ -2,12 +2,12 @@
 //! algorithm. Every review's visible output — pairs, candidate set, budget
 //! ledger — must be bit-identical to a from-scratch budgeted pipeline run
 //! on the same snapshot pair with the same seed, across the full knob
-//! matrix (BFS/scan kernels × threads × row-cache budgets × pruning), with
+//! matrix (BFS/scan kernels × threads × row-cache budgets), with
 //! review-to-review cache chaining on or off. Chaining, like the row cache
 //! it extends, is a pure wall-clock optimization.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle, SsspPrune};
+use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult};
@@ -54,8 +54,7 @@ fn reference(g1: &Graph, g2: &Graph, cfg: &StreamConfig, review: u32) -> Budgete
         .with_threads(cfg.threads.unwrap())
         .with_kernel(cfg.kernel.unwrap())
         .with_scan_kernel(cfg.scan_kernel.unwrap())
-        .with_row_cache(cfg.row_cache.unwrap())
-        .with_prune(cfg.prune.unwrap());
+        .with_row_cache(cfg.row_cache.unwrap());
     let mut sel = cfg.selector.build(cfg.seed.wrapping_add(review as u64));
     run_pipeline(&mut oracle, sel.as_mut(), &cfg.spec)
 }
@@ -75,7 +74,6 @@ fn assert_review_matches(got: &StreamSnapshot, want: &BudgetedResult, ctx: &str)
             + ks.bfs_rows
             + ks.dijkstra_rows
             + ks.repair_rows
-            + got.result.stats.rows_prefiltered
             + got.result.stats.chained_rows,
         got.result.budget.total(),
         "kernel counters diverge from the ledger: {ctx}"
@@ -85,7 +83,7 @@ fn assert_review_matches(got: &StreamSnapshot, want: &BudgetedResult, ctx: &str)
 /// The full streaming matrix: every review of an engine run (chaining on)
 /// reproduces the from-scratch pipeline bit-for-bit under kernels
 /// {scalar, auto} × threads {1, 2, 8} × row-cache budgets {off, tiny,
-/// unbounded} × pruning {off, auto}.
+/// unbounded}.
 #[test]
 fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
     let cuts = [0.6, 0.7, 0.8, 0.9, 1.0];
@@ -99,36 +97,31 @@ fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
                 (BfsKernel::Auto, ScanKernel::Auto),
             ] {
                 for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                    for prune in [SsspPrune::Off, SsspPrune::Auto] {
-                        let mut cfg = StreamConfig::new(
-                            8,
-                            SelectorKind::Mmsd { landmarks: 3 },
-                            TopKSpec::ThresholdFromMax { slack: 1 },
-                            3,
+                    let mut cfg = StreamConfig::new(
+                        8,
+                        SelectorKind::Mmsd { landmarks: 3 },
+                        TopKSpec::ThresholdFromMax { slack: 1 },
+                        3,
+                    );
+                    cfg.threads = Some(threads);
+                    cfg.kernel = Some(kernel);
+                    cfg.scan_kernel = Some(scan);
+                    cfg.row_cache = Some(cache);
+                    let mut engine =
+                        StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+                    for w in cuts.windows(2) {
+                        let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+                        let g1 = t.snapshot_of_prefix(f1);
+                        let g2 = t.snapshot_of_prefix(f2);
+                        feed(&mut engine, &t, f1, f2);
+                        let epoch = engine.review();
+                        assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
+                        let want = reference(&g1, &g2, &cfg, epoch.review);
+                        let ctx = format!(
+                            "{name}/review={}/threads={threads}/{kernel:?}/cache={cache:?}",
+                            epoch.review
                         );
-                        cfg.threads = Some(threads);
-                        cfg.kernel = Some(kernel);
-                        cfg.scan_kernel = Some(scan);
-                        cfg.row_cache = Some(cache);
-                        cfg.prune = Some(prune);
-                        let mut engine = StreamEngine::from_snapshot(
-                            &t.snapshot_of_prefix(prefix(cuts[0])),
-                            cfg,
-                        );
-                        for w in cuts.windows(2) {
-                            let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                            let g1 = t.snapshot_of_prefix(f1);
-                            let g2 = t.snapshot_of_prefix(f2);
-                            feed(&mut engine, &t, f1, f2);
-                            let epoch = engine.review();
-                            assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
-                            let want = reference(&g1, &g2, &cfg, epoch.review);
-                            let ctx = format!(
-                                "{name}/review={}/threads={threads}/{kernel:?}/cache={cache:?}/prune={prune:?}",
-                                epoch.review
-                            );
-                            assert_review_matches(&epoch, &want, &ctx);
-                        }
+                        assert_review_matches(&epoch, &want, &ctx);
                     }
                 }
             }
@@ -156,7 +149,6 @@ fn injected_pool_serves_every_review_without_respawning() {
         cfg.kernel = Some(BfsKernel::Auto);
         cfg.scan_kernel = Some(ScanKernel::Auto);
         cfg.row_cache = Some(RowCacheBudget::Unbounded);
-        cfg.prune = Some(SsspPrune::Auto);
         let pool = Arc::new(cp_exec::Executor::new(4));
         let start = t.snapshot_of_prefix(prefix(cuts[0]));
         let mut pooled = StreamEngine::from_snapshot(&start, cfg);

@@ -19,11 +19,6 @@ echo "==> cargo test -q [CP_SCAN_KERNEL=scalar]"
 # and its pruning must be a pure wall-clock optimization.
 CP_SCAN_KERNEL=scalar cargo test -q -p cp-core
 
-echo "==> cargo test -q [CP_SSSP_PRUNE=off]"
-# Matrix leg: the exhaustive SSSP reference — bound truncation and the
-# landmark pre-filter must be invisible in every result.
-CP_SSSP_PRUNE=off cargo test -q -p cp-core
-
 echo "==> cargo test -q [CP_GRAPH_STORE=compressed]"
 # Matrix leg: every kernel walking gap-compressed adjacency instead of
 # the full CSR — storage must never change what is computed.
@@ -34,6 +29,12 @@ echo "==> cargo test -q -p cp-query [query conformance]"
 # Exact answer equals from-scratch BFS truth and every Bounded answer
 # brackets it, plus the 8-reader concurrency stress.
 cargo test -q -p cp-query
+
+echo "==> cargo test -q -p cp-graph -p cp-exec -p cp-gen -p cp-ml -p cp-bench"
+# The remaining crate suites: kernel equivalence, repair-vs-scratch and
+# varint properties (cp-graph), the scheduler and panic containment
+# (cp-exec), the generators, the classifier, and the harness arguments.
+cargo test -q -p cp-graph -p cp-exec -p cp-gen -p cp-ml -p cp-bench
 
 echo "==> cargo test -q [CP_THREADS=8]"
 # Matrix leg: a wide persistent pool under every conformance suite —
@@ -72,13 +73,6 @@ grep -q '"exec_steals": [1-9]' "$smoke_out" || {
 # at least one dataset reports a nonzero scan_chunks_skipped.
 grep -q '"scan_chunks_skipped": [1-9]' "$smoke_out" || {
     echo "ci.sh: no dataset skipped any Δ-scan chunks" >&2
-    rm -f "$smoke_out"
-    exit 1
-}
-# The bound-pruning ladder must actually truncate somewhere: at least
-# one dataset's auto leg reports a nonzero rows_truncated.
-grep -q '"rows_truncated": [1-9]' "$smoke_out" || {
-    echo "ci.sh: no dataset truncated any t2 sweeps under CP_SSSP_PRUNE=auto" >&2
     rm -f "$smoke_out"
     exit 1
 }
