@@ -531,7 +531,7 @@ fn best_of<F: FnMut() -> SuiteRun, M: Fn(&SuiteRun) -> f64>(mut run: F, metric: 
     let mut best: Option<SuiteRun> = None;
     for _ in 0..REPEATS {
         let r = run();
-        if best.as_ref().map_or(true, |b| metric(&r) < metric(b)) {
+        if best.as_ref().is_none_or(|b| metric(&r) < metric(b)) {
             best = Some(r);
         }
     }
@@ -948,10 +948,7 @@ fn main() {
             let mut best: Option<(PipelineStats, usize, usize)> = None;
             for _ in 0..REPEATS {
                 let r = run_scan_heavy(&g1, &g2, m_scan, &spec, opts.seed, sk);
-                if best
-                    .as_ref()
-                    .map_or(true, |b| r.0.scan_secs < b.0.scan_secs)
-                {
+                if best.as_ref().is_none_or(|b| r.0.scan_secs < b.0.scan_secs) {
                     best = Some(r);
                 }
             }
@@ -1017,7 +1014,7 @@ fn main() {
                 let r = run_stream_ladder(&t, m, opts.seed, chain);
                 if best
                     .as_ref()
-                    .map_or(true, |b| r.0.pipeline_secs < b.0.pipeline_secs)
+                    .is_none_or(|b| r.0.pipeline_secs < b.0.pipeline_secs)
                 {
                     best = Some(r);
                 }
@@ -1089,7 +1086,7 @@ fn main() {
             let mut best: Option<(PipelineStats, usize, f64)> = None;
             for _ in 0..REPEATS {
                 let r = run_store_probe(&r1, &r2, m, opts.seed, st);
-                if best.as_ref().map_or(true, |b| r.2 < b.2) {
+                if best.as_ref().is_none_or(|b| r.2 < b.2) {
                     best = Some(r);
                 }
             }

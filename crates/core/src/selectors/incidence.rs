@@ -51,7 +51,8 @@ pub struct IncidenceSelector {
     /// (closer to the original paper's sampled shortest-path trees, and
     /// much faster on large graphs).
     betweenness_pivots: Option<usize>,
-    threads: usize,
+    /// Betweenness worker threads; `None` runs at the oracle's width.
+    threads: Option<usize>,
 }
 
 impl IncidenceSelector {
@@ -60,7 +61,7 @@ impl IncidenceSelector {
         IncidenceSelector {
             ranking,
             betweenness_pivots: None,
-            threads: cp_graph::apsp::default_threads(),
+            threads: None,
         }
     }
 
@@ -70,13 +71,13 @@ impl IncidenceSelector {
         self
     }
 
-    /// Caps the betweenness worker threads.
+    /// Caps the betweenness worker threads (default: the oracle's).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
-    fn scores(&self, g1: &Graph, g2: &Graph, active: &[NodeId]) -> Vec<f64> {
+    fn scores(&self, g1: &Graph, g2: &Graph, active: &[NodeId], threads: usize) -> Vec<f64> {
         match self.ranking {
             IncidenceRanking::DegreeDiff => active
                 .iter()
@@ -84,24 +85,24 @@ impl IncidenceSelector {
                 .collect(),
             IncidenceRanking::Betweenness => {
                 let bt = match self.betweenness_pivots {
-                    None => betweenness_exact(g2, self.threads),
+                    None => betweenness_exact(g2, threads),
                     Some(p) => {
                         // Deterministic evenly spaced pivots.
                         let n = g2.num_nodes();
                         let p = p.min(n).max(1);
                         let pivots: Vec<NodeId> = (0..p).map(|i| NodeId::new(i * n / p)).collect();
-                        betweenness_sampled(g2, &pivots, self.threads)
+                        betweenness_sampled(g2, &pivots, threads)
                     }
                 };
-                let new_edges = TemporalGraph::new_edges_between(g1, g2);
                 let mut importance = vec![0.0f64; g2.num_nodes()];
-                for (u, v) in new_edges {
-                    let e = g2
-                        .edge_id(u, v)
-                        .expect("new edge must exist in the second snapshot");
-                    let score = bt.edge[e as usize];
-                    importance[u.index()] += score;
-                    importance[v.index()] += score;
+                for u in g2.nodes() {
+                    for (v, e) in g2.neighbors_with_edge_ids(u) {
+                        if u < v && !g1.has_edge(u, v) {
+                            let score = bt.edge[e as usize];
+                            importance[u.index()] += score;
+                            importance[v.index()] += score;
+                        }
+                    }
                 }
                 active.iter().map(|&u| importance[u.index()]).collect()
             }
@@ -120,7 +121,8 @@ impl CandidateSelector for IncidenceSelector {
 
     fn rank(&mut self, oracle: &mut SnapshotOracle<'_>) -> Vec<NodeId> {
         let active = active_nodes(oracle.g1(), oracle.g2());
-        let scores = self.scores(oracle.g1(), oracle.g2(), &active);
+        let threads = self.threads.unwrap_or(oracle.threads());
+        let scores = self.scores(oracle.g1(), oracle.g2(), &active, threads);
         let mut order: Vec<usize> = (0..active.len()).collect();
         order.sort_by(|&a, &b| {
             scores[b]

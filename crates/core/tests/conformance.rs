@@ -110,6 +110,7 @@ fn generator_cases() -> Vec<(&'static str, TemporalGraph)> {
     ]
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_config(
     g1: &Graph,
     g2: &Graph,

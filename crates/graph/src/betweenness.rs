@@ -8,7 +8,29 @@
 //! baseline's original shortest-path-tree-sampling spirit.
 //!
 //! Unweighted graphs only (BFS-based Brandes), which matches every use in
-//! the paper's evaluation.
+//! the paper's evaluation. One kernel serves both entry points:
+//!
+//! * **Backward pass over DAG arcs only.** While the forward BFS from a
+//!   source runs, every arc `u→v` with `dist[v] == dist[u] + 1` (an arc of
+//!   the shortest-path DAG) is recorded as `(tail, arc index)`, 8 bytes per
+//!   DAG arc. The dependency pass walks that record in reverse — all arcs
+//!   out of a node come after all arcs into it — adding
+//!   `c = σ[u]·(1 + δ[v]) / σ[v]` to `δ[u]` and to the arc's edge, instead
+//!   of rescanning all `2m` arcs and testing `dist` on each. The quotient
+//!   `(1 + δ[v]) / σ[v]` is kept per node, so the pass divides once per
+//!   reached node rather than once per arc.
+//! * **Fixed-point reduction.** Each per-source contribution `c` is added
+//!   as the integer `round(c·2^F)`, with
+//!   `F = 61 − ⌈log2(n·max(n, sources))⌉`, so no score's sum (at most
+//!   `n − 1` per source) can overflow an `i64`. Integer sums do not depend
+//!   on which lane summed which source, so the scores are bit-identical at
+//!   every thread count and steal schedule. The price is resolution: each
+//!   score takes at most one rounding per swept source, so an exact
+//!   score's absolute error is at most `n·2^-(F+2)` after halving, and `F`
+//!   loses a bit each time `n²` doubles. That is 35 bits at the emulators'
+//!   scale-0.25 sizes (bound ≈ 5e-8), 31 at the largest full-scale
+//!   emulator (25.5k nodes, bound ≈ 3e-6) and about 21 at a million nodes,
+//!   where small scores lose most of their digits.
 
 use crate::graph::{Graph, NodeId};
 
@@ -26,185 +48,185 @@ pub struct Betweenness {
     pub edge: Vec<f64>,
 }
 
-struct BrandesWorkspace {
-    dist: Vec<i32>,
-    sigma: Vec<f64>,
-    delta: Vec<f64>,
-    order: Vec<NodeId>,
-    frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
+/// `dist` of a node the current sweep has not reached. The largest value,
+/// so one comparison `dist[v] >= level` admits both unreached nodes and
+/// nodes already found on `level`.
+const UNREACHED: u32 = u32::MAX;
+
+/// `x ≥ 0` rounded to the nearest integer.
+#[inline]
+fn fixed(x: f64) -> i64 {
+    (x + 0.5) as i64
 }
 
-impl BrandesWorkspace {
-    fn new(n: usize) -> Self {
-        BrandesWorkspace {
-            dist: vec![-1; n],
-            sigma: vec![0.0; n],
-            delta: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            frontier: Vec::new(),
-            next: Vec::new(),
-        }
-    }
-
-    /// One Brandes accumulation from source `s` into `acc_node`/`acc_edge`.
-    fn accumulate(&mut self, graph: &Graph, s: NodeId, acc_node: &mut [f64], acc_edge: &mut [f64]) {
-        let ws = self;
-        // Reset only the touched entries from the previous run.
-        for &u in &ws.order {
-            ws.dist[u.index()] = -1;
-            ws.sigma[u.index()] = 0.0;
-            ws.delta[u.index()] = 0.0;
-        }
-        ws.dist[s.index()] = -1; // in case s was untouched before
-        ws.sigma[s.index()] = 0.0;
-        ws.delta[s.index()] = 0.0;
-        ws.order.clear();
-        ws.frontier.clear();
-        ws.next.clear();
-
-        ws.dist[s.index()] = 0;
-        ws.sigma[s.index()] = 1.0;
-        ws.frontier.push(s);
-        let mut level = 0i32;
-        while !ws.frontier.is_empty() {
-            level += 1;
-            for &u in &ws.frontier {
-                ws.order.push(u);
-            }
-            for i in (ws.order.len() - ws.frontier.len())..ws.order.len() {
-                let u = ws.order[i];
-                let su = ws.sigma[u.index()];
-                for &v in graph.neighbors(u) {
-                    if ws.dist[v.index()] < 0 {
-                        ws.dist[v.index()] = level;
-                        ws.next.push(v);
-                    }
-                    if ws.dist[v.index()] == level {
-                        ws.sigma[v.index()] += su;
-                    }
-                }
-            }
-            std::mem::swap(&mut ws.frontier, &mut ws.next);
-            ws.next.clear();
-        }
-        // Dependency accumulation in reverse BFS order.
-        for &w in ws.order.iter().rev() {
-            let dw = ws.dist[w.index()];
-            let coeff = (1.0 + ws.delta[w.index()]) / ws.sigma[w.index()];
-            for (v, e) in graph.neighbors_with_edge_ids(w) {
-                // v is a predecessor of w iff dist[v] == dist[w] - 1.
-                if ws.dist[v.index()] == dw - 1 {
-                    let c = ws.sigma[v.index()] * coeff;
-                    ws.delta[v.index()] += c;
-                    acc_edge[e as usize] += c;
-                }
-            }
-            if w != s {
-                acc_node[w.index()] += ws.delta[w.index()];
-            }
-        }
-    }
-}
-
-/// Per-worker persistent Brandes scratch: the traversal workspace and
-/// the private accumulation vectors live across batches in the
-/// executor's [`cp_exec::WorkerScratch`]. The accumulators are drained
-/// (merged and zeroed) at the end of every batch, so entries left from
-/// an earlier graph only ever need resizing, never clearing.
+/// Per-worker Brandes scratch, persistent across batches in the
+/// executor's [`cp_exec::WorkerScratch`]. At rest every vector is clean —
+/// `dist` all [`UNREACHED`], `sigma` and both accumulators all zero — so
+/// a batch over a graph of the same size reuses it as is.
 struct BrandesScratch {
-    ws: BrandesWorkspace,
-    acc_node: Vec<f64>,
-    acc_edge: Vec<f64>,
+    /// BFS level, [`UNREACHED`] for nodes not reached yet.
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+    /// `(1 + δ[v]) / σ[v]`: written for every reached node, so it needs no
+    /// reset.
+    coef: Vec<f64>,
+    /// Nodes reached from the current source, in BFS order.
+    order: Vec<u32>,
+    /// `(tail, arc index)` of every shortest-path DAG arc, in BFS order.
+    dag: Vec<(u32, u32)>,
+    /// Fixed-point node and edge sums of this lane's sources.
+    node: Vec<i64>,
+    edge: Vec<i64>,
 }
 
 impl BrandesScratch {
-    fn sized(&mut self, n: usize, m: usize) -> &mut Self {
-        if self.ws.dist.len() != n {
-            self.ws = BrandesWorkspace::new(n);
+    fn new(n: usize, m: usize) -> Self {
+        BrandesScratch {
+            dist: vec![UNREACHED; n],
+            sigma: vec![0.0; n],
+            coef: vec![0.0; n],
+            order: Vec::with_capacity(n),
+            dag: Vec::new(),
+            node: vec![0; n],
+            edge: vec![0; m],
         }
-        self.acc_node.clear();
-        self.acc_node.resize(n, 0.0);
-        self.acc_edge.clear();
-        self.acc_edge.resize(m, 0.0);
-        self
+    }
+
+    /// One Brandes sweep from `s`, added to the lane's accumulators in
+    /// units of `unit = 2^F`.
+    fn sweep(&mut self, graph: &Graph, s: NodeId, unit: f64) {
+        let offsets = graph.arc_offsets();
+        let targets = graph.arc_targets();
+        let arc_edge = graph.arc_edge_ids();
+        let BrandesScratch {
+            dist,
+            sigma,
+            coef,
+            order,
+            dag,
+            node,
+            edge,
+        } = self;
+
+        dist[s.index()] = 0;
+        sigma[s.index()] = 1.0;
+        order.push(s.0);
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head] as usize;
+            head += 1;
+            let next = dist[u] + 1;
+            // All of `u`'s DAG in-arcs came from the previous level, so
+            // σ[u] is final: seed `coef[u] = (1 + δ[u]) / σ[u]` with δ = 0.
+            let su = sigma[u];
+            coef[u] = 1.0 / su;
+            let first = offsets[u];
+            for (a, v) in (first..).zip(&targets[first..offsets[u + 1]]) {
+                let v = v.index();
+                let dv = dist[v];
+                if dv >= next {
+                    if dv == UNREACHED {
+                        dist[v] = next;
+                        order.push(v as u32);
+                    }
+                    sigma[v] += su;
+                    dag.push((u as u32, a as u32));
+                }
+            }
+        }
+
+        // Reverse BFS order visits each tail's arcs as one run, after the
+        // runs of all its successors, so `coef[v]` is final when read:
+        // `δ[u] = σ[u]·Σ coef[v]` and edge `u→v` carries `σ[u]·coef[v]`.
+        let mut i = dag.len();
+        while i > 0 {
+            let u = dag[i - 1].0 as usize;
+            let su = sigma[u] * unit;
+            let mut sum = 0.0;
+            while i > 0 && dag[i - 1].0 as usize == u {
+                let a = dag[i - 1].1 as usize;
+                i -= 1;
+                let cv = coef[targets[a].index()];
+                sum += cv;
+                edge[arc_edge[a] as usize] += fixed(su * cv);
+            }
+            coef[u] += sum;
+            if u != s.index() {
+                node[u] += fixed(su * sum);
+            }
+        }
+        for &v in order.iter() {
+            dist[v as usize] = UNREACHED;
+            sigma[v as usize] = 0.0;
+        }
+        order.clear();
+        dag.clear();
     }
 }
 
-fn run_brandes(graph: &Graph, pivots: &[NodeId], threads: usize, scale: f64) -> Betweenness {
+/// Fraction bits `F` of the fixed-point sums for `n` nodes and `sources`
+/// swept sources: `61 − ⌈log2 bound⌉`, where `bound = n·max(n, sources)`
+/// covers `n − 1` per source (pivots may repeat, so `sources` can exceed
+/// `n`).
+fn fraction_bits(n: usize, sources: usize) -> i32 {
+    let bound = n.max(1) as u128 * n.max(sources).max(1) as u128;
+    61 - (128 - (bound - 1).leading_zeros()) as i32
+}
+
+fn run_brandes(graph: &Graph, sources: &[NodeId], threads: usize, scale: f64) -> Betweenness {
     assert!(
         !graph.is_weighted(),
         "betweenness supports unweighted graphs only"
     );
+    assert!(
+        u32::try_from(graph.num_arcs()).is_ok(),
+        "betweenness indexes arcs as u32"
+    );
     let n = graph.num_nodes();
     let m = graph.num_edges();
-    let threads = threads.max(1).min(pivots.len().max(1));
-    let mut node = vec![0.0; n];
-    let mut edge = vec![0.0; m];
-    if threads == 1 {
-        let mut ws = BrandesWorkspace::new(n);
-        for &p in pivots {
-            ws.accumulate(graph, p, &mut node, &mut edge);
-        }
-    } else {
-        let mut slots = vec![(); pivots.len()];
-        cp_exec::global().run_collect(
-            &mut slots,
-            threads,
-            |i, _slot, ctx| {
-                let scratch = ctx.scratch.get_or(|| BrandesScratch {
-                    ws: BrandesWorkspace::new(n),
-                    acc_node: vec![0.0; n],
-                    acc_edge: vec![0.0; m],
-                });
-                if scratch.ws.dist.len() != n
-                    || scratch.acc_node.len() != n
-                    || scratch.acc_edge.len() != m
-                {
-                    scratch.sized(n, m);
-                }
-                let BrandesScratch {
-                    ws,
-                    acc_node,
-                    acc_edge,
-                } = scratch;
-                ws.accumulate(graph, pivots[i], acc_node, acc_edge);
-            },
-            |_w, scratch| {
-                // Merge per-worker accumulators in worker order, then
-                // zero them so the next batch starts clean.
-                if let Some(s) = scratch.get_if::<BrandesScratch>() {
-                    if s.acc_node.len() == n && s.acc_edge.len() == m {
-                        for (dst, src) in node.iter_mut().zip(&s.acc_node) {
-                            *dst += src;
-                        }
-                        for (dst, src) in edge.iter_mut().zip(&s.acc_edge) {
-                            *dst += src;
-                        }
-                        s.acc_node.iter_mut().for_each(|v| *v = 0.0);
-                        s.acc_edge.iter_mut().for_each(|v| *v = 0.0);
+    let unit = 2f64.powi(fraction_bits(n, sources.len()));
+    let mut node = vec![0i64; n];
+    let mut edge = vec![0i64; m];
+    let mut slots = vec![(); sources.len()];
+    cp_exec::global().run_collect(
+        &mut slots,
+        threads.max(1),
+        |i, _slot, ctx| {
+            let scratch = ctx.scratch.get_or(|| BrandesScratch::new(n, m));
+            if scratch.dist.len() != n || scratch.edge.len() != m {
+                *scratch = BrandesScratch::new(n, m);
+            }
+            scratch.sweep(graph, sources[i], unit);
+        },
+        |_w, scratch| {
+            // Integer sums: the merge order, like the steal schedule that
+            // decided which lane swept which source, cannot change a bit.
+            if let Some(s) = scratch.get_if::<BrandesScratch>() {
+                if s.node.len() == n && s.edge.len() == m {
+                    for (dst, src) in node.iter_mut().zip(s.node.iter_mut()) {
+                        *dst += std::mem::take(src);
+                    }
+                    for (dst, src) in edge.iter_mut().zip(s.edge.iter_mut()) {
+                        *dst += std::mem::take(src);
                     }
                 }
-            },
-        );
-    }
+            }
+        },
+    );
     // Undirected: each unordered pair was counted from both endpoints when
     // iterating all sources; for pivot samples the halving still yields an
     // unbiased estimator of the unordered-pair score.
-    let factor = 0.5 * scale;
-    for v in node.iter_mut() {
-        *v *= factor;
+    let factor = 0.5 * scale / unit;
+    Betweenness {
+        node: node.into_iter().map(|x| x as f64 * factor).collect(),
+        edge: edge.into_iter().map(|x| x as f64 * factor).collect(),
     }
-    for v in edge.iter_mut() {
-        *v *= factor;
-    }
-    Betweenness { node, edge }
 }
 
 /// Exact Brandes betweenness over all sources.
 pub fn betweenness_exact(graph: &Graph, threads: usize) -> Betweenness {
-    let pivots: Vec<NodeId> = graph.nodes().collect();
-    run_brandes(graph, &pivots, threads, 1.0)
+    let sources: Vec<NodeId> = graph.nodes().collect();
+    run_brandes(graph, &sources, threads, 1.0)
 }
 
 /// Pivot-sampled Brandes betweenness: accumulates from the given pivots and
@@ -292,6 +314,17 @@ mod tests {
         for e in 0..g.num_edges() {
             assert_close(exact.edge[e], sampled.edge[e]);
         }
+    }
+
+    #[test]
+    fn fraction_bits_shrink_with_the_graph() {
+        // The emulators' largest graphs at scale 0.25 and at full scale.
+        assert_eq!(fraction_bits(6_375, 6_375), 35);
+        assert_eq!(fraction_bits(25_500, 25_500), 31);
+        // More pivots than nodes widen the bound.
+        assert_eq!(fraction_bits(4, 4), 57);
+        assert_eq!(fraction_bits(4, 64), 53);
+        assert_eq!(fraction_bits(0, 0), 61);
     }
 
     #[test]

@@ -120,6 +120,14 @@ impl Graph {
         &self.targets
     }
 
+    /// The flat per-arc undirected edge ids, parallel to
+    /// [`Self::arc_targets`]: arc `a` runs to `arc_targets()[a]` along
+    /// edge `arc_edge_ids()[a]`.
+    #[inline]
+    pub fn arc_edge_ids(&self) -> &[u32] {
+        &self.arc_edge
+    }
+
     /// Neighbors of `u` zipped with the undirected edge id of each arc.
     #[inline]
     pub fn neighbors_with_edge_ids(&self, u: NodeId) -> impl Iterator<Item = (NodeId, u32)> + '_ {

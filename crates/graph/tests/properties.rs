@@ -173,82 +173,134 @@ proptest! {
     }
 }
 
-/// Brute-force node betweenness by enumerating shortest paths via BFS
-/// layers (exponential in the worst case, fine at test sizes).
-fn brute_betweenness(g: &cp_graph::Graph) -> Vec<f64> {
+/// Shortest-path counts from every source: `(dist[s][v], sigma[s][v])`,
+/// with `sigma` the number of shortest `s → v` paths (0 if unreachable).
+fn path_counts(g: &cp_graph::Graph) -> (Vec<Vec<u32>>, Vec<Vec<f64>>) {
     let n = g.num_nodes();
-    let mut score = vec![0.0f64; n];
-    // For every ordered pair (s, t), count shortest paths through each node.
+    let mut dists = Vec::with_capacity(n);
+    let mut sigmas = Vec::with_capacity(n);
     for s in 0..n {
         let ds = bfs(g, NodeId::new(s));
+        let mut order: Vec<usize> = (0..n).filter(|&v| ds[v] != INF).collect();
+        order.sort_by_key(|&v| ds[v]);
+        let mut sigma = vec![0.0f64; n];
+        sigma[s] = 1.0;
+        for &v in &order {
+            for &w in g.neighbors(NodeId::new(v)) {
+                if ds[w.index()] + 1 == ds[v] {
+                    sigma[v] += sigma[w.index()];
+                }
+            }
+        }
+        dists.push(ds);
+        sigmas.push(sigma);
+    }
+    (dists, sigmas)
+}
+
+/// Brute-force node and edge betweenness straight from the definition:
+/// node `x` carries `σ_sx·σ_xt/σ_st` and edge `(a, b)` carries
+/// `σ_sa·σ_bt/σ_st` (in either orientation) over ordered pairs `(s, t)`
+/// on whose shortest paths they lie, halved to unordered pairs.
+fn brute_betweenness(g: &cp_graph::Graph) -> (Vec<f64>, Vec<f64>) {
+    let n = g.num_nodes();
+    let (d, sigma) = path_counts(g);
+    let on_path = |s: usize, x: usize, y: usize, t: usize, hop: u32| {
+        d[s][x] != INF && d[y][t] != INF && d[s][x] + hop + d[y][t] == d[s][t]
+    };
+    let mut node = vec![0.0f64; n];
+    let mut edge = vec![0.0f64; g.num_edges()];
+    for s in 0..n {
         for t in 0..n {
-            if t == s || ds[t] == INF {
+            if t == s || d[s][t] == INF {
                 continue;
             }
-            // sigma[v]: number of shortest s->v paths, via BFS order DP.
-            let mut order: Vec<usize> = (0..n).filter(|&v| ds[v] != INF).collect();
-            order.sort_by_key(|&v| ds[v]);
-            let mut sigma = vec![0.0f64; n];
-            sigma[s] = 1.0;
-            for &v in &order {
-                if v == s {
-                    continue;
-                }
-                for &w in g.neighbors(NodeId::new(v)) {
-                    if ds[w.index()] + 1 == ds[v] {
-                        sigma[v] += sigma[w.index()];
-                    }
+            let st = sigma[s][t];
+            for x in (0..n).filter(|&x| x != s && x != t) {
+                if on_path(s, x, x, t, 0) {
+                    node[x] += sigma[s][x] * sigma[x][t] / st;
                 }
             }
-            // paths through x: sigma_sx * sigma_xt / sigma_st, for x interior.
-            let dt = bfs(g, NodeId::new(t));
-            let mut sigma_t = vec![0.0f64; n];
-            sigma_t[t] = 1.0;
-            let mut order_t: Vec<usize> = (0..n).filter(|&v| dt[v] != INF).collect();
-            order_t.sort_by_key(|&v| dt[v]);
-            for &v in &order_t {
-                if v == t {
-                    continue;
-                }
-                for &w in g.neighbors(NodeId::new(v)) {
-                    if dt[w.index()] + 1 == dt[v] {
-                        sigma_t[v] += sigma_t[w.index()];
+            for (a, b) in g.edges() {
+                let e = g.edge_id(a, b).unwrap() as usize;
+                for (x, y) in [(a.index(), b.index()), (b.index(), a.index())] {
+                    if on_path(s, x, y, t, 1) {
+                        edge[e] += sigma[s][x] * sigma[y][t] / st;
                     }
-                }
-            }
-            for x in 0..n {
-                if x == s || x == t {
-                    continue;
-                }
-                if ds[x] != INF && dt[x] != INF && ds[x] + dt[x] == ds[t] {
-                    score[x] += sigma[x] * sigma_t[x] / sigma[t];
                 }
             }
         }
     }
-    // Ordered pairs counted both directions; halve to match unordered.
-    score.iter_mut().for_each(|v| *v *= 0.5);
-    score
+    node.iter_mut()
+        .chain(edge.iter_mut())
+        .for_each(|v| *v *= 0.5);
+    (node, edge)
+}
+
+/// Strategy: a random core graph plus degree-1 shapes — pendant leaves on
+/// core nodes, isolated edges (two leaves), stars and isolated nodes, the
+/// last three each their own component.
+fn leafy_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (
+        edge_list(10, 20),
+        prop::collection::vec(0u32..10, 0..6),
+        0usize..3,
+        prop::collection::vec(1usize..5, 0..3),
+        0u32..3,
+    )
+        .prop_map(|((n, mut edges), pendants, pairs, stars, isolated)| {
+            let mut next = n as u32;
+            for p in pendants {
+                edges.push((p % n as u32, next));
+                next += 1;
+            }
+            for _ in 0..pairs {
+                edges.push((next, next + 1));
+                next += 2;
+            }
+            for leaves in stars {
+                let center = next;
+                for leaf in 1..=leaves as u32 {
+                    edges.push((center, center + leaf));
+                }
+                next += 1 + leaves as u32;
+            }
+            ((next + isolated) as usize, edges)
+        })
+}
+
+fn assert_scores_close(fast: &[f64], brute: &[f64], what: &str) -> Result<(), TestCaseError> {
+    for (i, (&f, &b)) in fast.iter().zip(brute).enumerate() {
+        prop_assert!(
+            (f - b).abs() <= 1e-9 * b.abs().max(1.0),
+            "{} {}: brandes {} vs brute {}",
+            what,
+            i,
+            f,
+            b
+        );
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn brandes_matches_brute_force((n, edges) in edge_list(10, 20)) {
-        use cp_graph::betweenness::betweenness_exact;
+    fn brandes_matches_brute_force((n, edges) in leafy_graph()) {
+        use cp_graph::betweenness::{betweenness_exact, betweenness_sampled};
         let g = graph_from_edges(n, &edges);
-        let fast = betweenness_exact(&g, 2);
-        let brute = brute_betweenness(&g);
-        for (v, &expected) in brute.iter().enumerate() {
-            prop_assert!(
-                (fast.node[v] - expected).abs() < 1e-6,
-                "node {}: brandes {} vs brute {}",
-                v,
-                fast.node[v],
-                expected
-            );
+        let (node, edge) = brute_betweenness(&g);
+        for threads in [1, 3] {
+            let fast = betweenness_exact(&g, threads);
+            assert_scores_close(&fast.node, &node, "node")?;
+            assert_scores_close(&fast.edge, &edge, "edge")?;
         }
+        // Every node as a pivot: the sampled path sweeps leaves itself.
+        let all: Vec<NodeId> = g.nodes().collect();
+        let sampled = betweenness_sampled(&g, &all, 2);
+        assert_scores_close(&sampled.node, &node, "sampled node")?;
+        assert_scores_close(&sampled.edge, &edge, "sampled edge")?;
     }
 
     #[test]

@@ -257,10 +257,10 @@ fn captured_rows_answer_exact_for_every_target() {
                 let ctx = format!("{name}/review={}/seed={u}", epoch.review);
                 if has2 {
                     rows_checked += 1;
-                    for v in 0..n {
+                    for (v, &d) in t2[u].iter().enumerate() {
                         assert_eq!(
                             view.distance(nu, NodeId::new(v)),
-                            Answer::Exact(t2[u][v]),
+                            Answer::Exact(d),
                             "distance to {v} is not the exact truth: {ctx}"
                         );
                     }

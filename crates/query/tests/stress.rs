@@ -16,7 +16,7 @@ use cp_gen::seeded_rng;
 use cp_graph::{NodeId, TemporalGraph};
 use cp_query::{QueryEngine, SeedTopK};
 use cp_stream::{StreamConfig, StreamEngine, StreamError, StreamSnapshot};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const READERS: usize = 8;
@@ -86,6 +86,7 @@ fn readers_observe_consistent_epochs_and_spend_nothing() {
     let mut engine = StreamEngine::from_snapshot(&t.snapshot_of_prefix(cuts[0]), config());
     let q = QueryEngine::new(engine.reader());
     let stop = AtomicBool::new(false);
+    let ready = AtomicUsize::new(0);
     let queries = AtomicU64::new(0);
 
     let mut epochs: Vec<Arc<StreamSnapshot>> = Vec::new();
@@ -93,7 +94,7 @@ fn readers_observe_consistent_epochs_and_spend_nothing() {
         let mut handles = Vec::new();
         for r in 0..READERS {
             let q = q.clone();
-            let (stop, queries) = (&stop, &queries);
+            let (stop, ready, queries) = (&stop, &ready, &queries);
             handles.push(s.spawn(move || {
                 let mut last = 0u32;
                 let mut iters = 0usize;
@@ -105,9 +106,18 @@ fn readers_observe_consistent_epochs_and_spend_nothing() {
                     );
                     last = review;
                     iters += 1;
+                    if iters == 1 {
+                        ready.fetch_add(1, Ordering::Release);
+                    }
                 }
                 (last, iters)
             }));
+        }
+        // Hold the reviews until every reader has read once, so each one
+        // overlaps them even when the host schedules readers late. A reader
+        // that finished early has panicked; its join below reports it.
+        while ready.load(Ordering::Acquire) < READERS && !handles.iter().any(|h| h.is_finished()) {
+            std::thread::yield_now();
         }
         for w in cuts.windows(2) {
             feed(&mut engine, &t, w[0], w[1]);

@@ -257,7 +257,7 @@ fn overlay_backed_reviews_match_full_store_reviews() {
             TopKSpec::ThresholdFromMax { slack: 1 },
             7,
         );
-        let mut full_cfg = base.clone();
+        let mut full_cfg = base;
         full_cfg.graph_store = Some(GraphStore::Full);
         let mut overlay_cfg = base;
         overlay_cfg.graph_store = Some(GraphStore::Overlay);

@@ -42,8 +42,46 @@ echo "==> cargo test -q [CP_THREADS=8]"
 # result.
 CP_THREADS=8 cargo test -q -p cp-core -p cp-stream
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> CLI determinism [every selector, CP_THREADS=1 vs CP_THREADS=8]"
+# The bit-identical contract at the user surface: the root CLI prints the
+# same pairs at 1 and 8 threads for every selector, IncBet (whose exact
+# Brandes fans out on the oracle's width) included.
+det_dir="$(mktemp -d -t cp_determinism.XXXXXX)"
+python3 - "$det_dir/graph.txt" <<'PY'
+import random
+import sys
+
+# A seeded growing graph: a random recursive tree (many leaves) plus
+# random chords, one `u v time` event per line.
+rng = random.Random(2015)
+n = 600
+events = [(v, rng.randrange(v)) for v in range(1, n)]
+events += [(rng.randrange(n), rng.randrange(n)) for _ in range(900)]
+rng.shuffle(events)
+with open(sys.argv[1], "w") as f:
+    for t, (u, v) in enumerate(events):
+        f.write(f"{u} {v} {t}\n")
+PY
+for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random; do
+    for t in 1 8; do
+        CP_THREADS=$t cargo run --release -q -- "$det_dir/graph.txt" \
+            --t1 0.8 --t2 1.0 --m 40 --k 200 --selector "$sel" \
+            > "$det_dir/$sel.$t.tsv" 2> "$det_dir/stderr" || {
+            cat "$det_dir/stderr" >&2
+            rm -rf "$det_dir"
+            exit 1
+        }
+    done
+    if [ "$(wc -l < "$det_dir/$sel.1.tsv")" -le 1 ] || ! diff -q "$det_dir/$sel.1.tsv" "$det_dir/$sel.8.tsv" > /dev/null; then
+        echo "ci.sh: --selector $sel printed no pairs, or different pairs at CP_THREADS=1 and 8" >&2
+        rm -rf "$det_dir"
+        exit 1
+    fi
+done
+rm -rf "$det_dir"
 
 echo "==> pipeline_baseline release smoke (CP_THREADS=2, --scale=0.1)"
 smoke_out="$(mktemp -t bench_pipeline_smoke.XXXXXX.json)"
