@@ -1,11 +1,9 @@
-//! Benchmarks Brandes betweenness (exact vs pivot-sampled) — the hidden
-//! cost of the IncBet baseline that the paper's budget model does not even
-//! charge for.
+//! Benchmarks exact Brandes edge betweenness — the hidden cost of the
+//! IncBet baseline that the paper's budget model does not even charge for.
 
 use cp_gen::datasets::{DatasetKind, DatasetProfile};
-use cp_graph::betweenness::{betweenness_exact, betweenness_sampled};
-use cp_graph::NodeId;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use cp_graph::betweenness::betweenness_exact;
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_betweenness(c: &mut Criterion) {
@@ -17,13 +15,6 @@ fn bench_betweenness(c: &mut Criterion) {
     group.bench_function("exact", |b| {
         b.iter(|| black_box(betweenness_exact(&g, 4).edge.len()));
     });
-    for pivots in [16usize, 64] {
-        let n = g.num_nodes();
-        let pv: Vec<NodeId> = (0..pivots).map(|i| NodeId::new(i * n / pivots)).collect();
-        group.bench_with_input(BenchmarkId::new("sampled", pivots), &pv, |b, pv| {
-            b.iter(|| black_box(betweenness_sampled(&g, pv, 4).edge.len()));
-        });
-    }
     group.finish();
 }
 

@@ -19,7 +19,7 @@ use super::CandidateSelector;
 use crate::exact::TopKSpec;
 use crate::oracle::SnapshotOracle;
 use crate::topk::{run_pipeline, BudgetedResult};
-use cp_graph::betweenness::{betweenness_exact, betweenness_sampled};
+use cp_graph::betweenness::betweenness_exact;
 use cp_graph::temporal::TemporalGraph;
 use cp_graph::{Graph, NodeId};
 
@@ -47,10 +47,6 @@ pub enum IncidenceRanking {
 /// The budgeted Incidence selectors.
 pub struct IncidenceSelector {
     ranking: IncidenceRanking,
-    /// `None` = exact Brandes; `Some(p)` = pivot-sampled with `p` pivots
-    /// (closer to the original paper's sampled shortest-path trees, and
-    /// much faster on large graphs).
-    betweenness_pivots: Option<usize>,
     /// Betweenness worker threads; `None` runs at the oracle's width.
     threads: Option<usize>,
 }
@@ -60,15 +56,8 @@ impl IncidenceSelector {
     pub fn new(ranking: IncidenceRanking) -> Self {
         IncidenceSelector {
             ranking,
-            betweenness_pivots: None,
             threads: None,
         }
-    }
-
-    /// Uses pivot-sampled betweenness with `pivots` sources.
-    pub fn with_sampled_betweenness(mut self, pivots: usize) -> Self {
-        self.betweenness_pivots = Some(pivots);
-        self
     }
 
     /// Caps the betweenness worker threads (default: the oracle's).
@@ -84,16 +73,7 @@ impl IncidenceSelector {
                 .map(|&u| (g2.degree(u) as f64) - (g1.degree(u) as f64))
                 .collect(),
             IncidenceRanking::Betweenness => {
-                let bt = match self.betweenness_pivots {
-                    None => betweenness_exact(g2, threads),
-                    Some(p) => {
-                        // Deterministic evenly spaced pivots.
-                        let n = g2.num_nodes();
-                        let p = p.min(n).max(1);
-                        let pivots: Vec<NodeId> = (0..p).map(|i| NodeId::new(i * n / p)).collect();
-                        betweenness_sampled(g2, &pivots, threads)
-                    }
-                };
+                let bt = betweenness_exact(g2, threads);
                 let mut importance = vec![0.0f64; g2.num_nodes()];
                 for u in g2.nodes() {
                     for (v, e) in g2.neighbors_with_edge_ids(u) {
@@ -300,17 +280,6 @@ mod tests {
         let ranked = sel.rank(&mut o);
         // The chord (0,5) carries far more betweenness in g2 than (2,4),
         // so its endpoints rank first.
-        assert_eq!(&ranked[..2], &[NodeId(0), NodeId(5)]);
-    }
-
-    #[test]
-    fn sampled_betweenness_agrees_on_small_graph() {
-        let (g1, g2) = graphs();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2);
-        let mut sel = IncidenceSelector::new(IncidenceRanking::Betweenness)
-            .with_sampled_betweenness(6) // all nodes -> exact
-            .with_threads(2);
-        let ranked = sel.rank(&mut o);
         assert_eq!(&ranked[..2], &[NodeId(0), NodeId(5)]);
     }
 

@@ -24,9 +24,10 @@
 //!   inserted edges, instead of sweeping the whole graph.
 //! * [`components`] — connected components, connected-pair counting.
 //! * [`diameter`] — exact (threaded all-pairs BFS) and double-sweep bounds.
-//! * [`betweenness`] — Brandes node and edge betweenness, exact and
-//!   pivot-sampled (needed by the Incidence baseline of Papadimitriou et
-//!   al. that the paper compares against).
+//! * [`betweenness`] — exact Brandes edge betweenness: tree edges in
+//!   closed form, weighted sweeps over the 2-core (needed by the
+//!   Incidence baseline of Papadimitriou et al. that the paper compares
+//!   against).
 //! * [`apsp`] — threaded all-pairs BFS streaming, used to compute the exact
 //!   ground-truth top-k converging pairs.
 //! * [`landmark_index`] — classic landmark distance estimation (triangle

@@ -198,17 +198,16 @@ fn path_counts(g: &cp_graph::Graph) -> (Vec<Vec<u32>>, Vec<Vec<f64>>) {
     (dists, sigmas)
 }
 
-/// Brute-force node and edge betweenness straight from the definition:
-/// node `x` carries `σ_sx·σ_xt/σ_st` and edge `(a, b)` carries
-/// `σ_sa·σ_bt/σ_st` (in either orientation) over ordered pairs `(s, t)`
-/// on whose shortest paths they lie, halved to unordered pairs.
-fn brute_betweenness(g: &cp_graph::Graph) -> (Vec<f64>, Vec<f64>) {
+/// Brute-force edge betweenness straight from the definition: edge
+/// `(a, b)` carries `σ_sa·σ_bt/σ_st` (in either orientation) over ordered
+/// pairs `(s, t)` on whose shortest paths it lies, halved to unordered
+/// pairs.
+fn brute_edge_betweenness(g: &cp_graph::Graph) -> Vec<f64> {
     let n = g.num_nodes();
     let (d, sigma) = path_counts(g);
-    let on_path = |s: usize, x: usize, y: usize, t: usize, hop: u32| {
-        d[s][x] != INF && d[y][t] != INF && d[s][x] + hop + d[y][t] == d[s][t]
+    let on_path = |s: usize, x: usize, y: usize, t: usize| {
+        d[s][x] != INF && d[y][t] != INF && d[s][x] + 1 + d[y][t] == d[s][t]
     };
-    let mut node = vec![0.0f64; n];
     let mut edge = vec![0.0f64; g.num_edges()];
     for s in 0..n {
         for t in 0..n {
@@ -216,57 +215,95 @@ fn brute_betweenness(g: &cp_graph::Graph) -> (Vec<f64>, Vec<f64>) {
                 continue;
             }
             let st = sigma[s][t];
-            for x in (0..n).filter(|&x| x != s && x != t) {
-                if on_path(s, x, x, t, 0) {
-                    node[x] += sigma[s][x] * sigma[x][t] / st;
-                }
-            }
             for (a, b) in g.edges() {
                 let e = g.edge_id(a, b).unwrap() as usize;
                 for (x, y) in [(a.index(), b.index()), (b.index(), a.index())] {
-                    if on_path(s, x, y, t, 1) {
+                    if on_path(s, x, y, t) {
                         edge[e] += sigma[s][x] * sigma[y][t] / st;
                     }
                 }
             }
         }
     }
-    node.iter_mut()
-        .chain(edge.iter_mut())
-        .for_each(|v| *v *= 0.5);
-    (node, edge)
+    edge.iter_mut().for_each(|v| *v *= 0.5);
+    edge
 }
 
-/// Strategy: a random core graph plus degree-1 shapes — pendant leaves on
-/// core nodes, isolated edges (two leaves), stars and isolated nodes, the
-/// last three each their own component.
+/// Strategy: the parent choices of a random tree of 2–5 nodes, for
+/// [`push_tree`].
+fn tree_shape() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..64, 2..6)
+}
+
+/// Hangs a tree of `shape.len()` new nodes, numbered from `*next`, off
+/// `root`. Tree node `j ≥ 2` hangs off `shape[j] % (j + 1)`, where 0 is
+/// `root` and `i ≥ 1` is tree node `i − 1`; node 0 hangs off `root` and
+/// node 1 off node 0, so the tree is at least two deep.
+fn push_tree(edges: &mut Vec<(u32, u32)>, root: u32, shape: &[u32], next: &mut u32) {
+    let first = *next;
+    for (j, &choice) in (0u32..).zip(shape) {
+        let parent = match (j, choice % (j + 1)) {
+            (0, _) | (2.., 0) => root,
+            (1, _) => first,
+            (_, i) => first + i - 1,
+        };
+        edges.push((parent, first + j));
+    }
+    *next += shape.len() as u32;
+}
+
+/// Strategy: graphs that exercise the forest peel. Components:
+///
+/// * a random graph with pendant leaves on its nodes;
+/// * a cycle of 3–6 nodes with 3–4 pendant trees at least two deep,
+///   all hung off its first two nodes, so one core node carries several
+///   trees (at least 7 nodes, larger than every pure tree below);
+/// * 1–2 pure trees of 3–6 nodes, which peel to nothing;
+/// * isolated edges, stars and isolated nodes.
 fn leafy_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (
-        edge_list(10, 20),
-        prop::collection::vec(0u32..10, 0..6),
-        0usize..3,
-        prop::collection::vec(1usize..5, 0..3),
-        0u32..3,
+        (edge_list(10, 20), prop::collection::vec(0u32..10, 0..6)),
+        (
+            3u32..7,
+            prop::collection::vec((0u32..2, tree_shape()), 3..5),
+        ),
+        prop::collection::vec(tree_shape(), 1..3),
+        (0usize..3, prop::collection::vec(1usize..5, 0..3), 0u32..3),
     )
-        .prop_map(|((n, mut edges), pendants, pairs, stars, isolated)| {
-            let mut next = n as u32;
-            for p in pendants {
-                edges.push((p % n as u32, next));
-                next += 1;
-            }
-            for _ in 0..pairs {
-                edges.push((next, next + 1));
-                next += 2;
-            }
-            for leaves in stars {
-                let center = next;
-                for leaf in 1..=leaves as u32 {
-                    edges.push((center, center + leaf));
+        .prop_map(
+            |(((n, mut edges), pendants), (cycle, trees), pure, (pairs, stars, isolated))| {
+                let mut next = n as u32;
+                for p in pendants {
+                    edges.push((p % n as u32, next));
+                    next += 1;
                 }
-                next += 1 + leaves as u32;
-            }
-            ((next + isolated) as usize, edges)
-        })
+                let ring = next;
+                next += cycle;
+                for i in 0..cycle {
+                    edges.push((ring + i, ring + (i + 1) % cycle));
+                }
+                for (at, shape) in trees {
+                    push_tree(&mut edges, ring + at, &shape, &mut next);
+                }
+                for shape in pure {
+                    let root = next;
+                    next += 1;
+                    push_tree(&mut edges, root, &shape, &mut next);
+                }
+                for _ in 0..pairs {
+                    edges.push((next, next + 1));
+                    next += 2;
+                }
+                for leaves in stars {
+                    let center = next;
+                    for leaf in 1..=leaves as u32 {
+                        edges.push((center, center + leaf));
+                    }
+                    next += 1 + leaves as u32;
+                }
+                ((next + isolated) as usize, edges)
+            },
+        )
 }
 
 fn assert_scores_close(fast: &[f64], brute: &[f64], what: &str) -> Result<(), TestCaseError> {
@@ -288,19 +325,13 @@ proptest! {
 
     #[test]
     fn brandes_matches_brute_force((n, edges) in leafy_graph()) {
-        use cp_graph::betweenness::{betweenness_exact, betweenness_sampled};
+        use cp_graph::betweenness::betweenness_exact;
         let g = graph_from_edges(n, &edges);
-        let (node, edge) = brute_betweenness(&g);
+        let edge = brute_edge_betweenness(&g);
         for threads in [1, 3] {
             let fast = betweenness_exact(&g, threads);
-            assert_scores_close(&fast.node, &node, "node")?;
             assert_scores_close(&fast.edge, &edge, "edge")?;
         }
-        // Every node as a pivot: the sampled path sweeps leaves itself.
-        let all: Vec<NodeId> = g.nodes().collect();
-        let sampled = betweenness_sampled(&g, &all, 2);
-        assert_scores_close(&sampled.node, &node, "sampled node")?;
-        assert_scores_close(&sampled.edge, &edge, "sampled edge")?;
     }
 
     #[test]

@@ -7,12 +7,19 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
+# `default-members` makes this the facade plus every crates/* suite:
+# cp-graph's kernel, Brandes and varint properties, cp-exec's scheduler
+# and panic containment, cp-query's differential conformance and
+# 8-reader stress, the generators, the classifier and the harness
+# arguments.
 cargo test -q
 
 echo "==> cargo test -q [CP_BFS_KERNEL=scalar, CP_ROW_CACHE=0]"
 # Matrix leg: the reference scalar kernel with the snapshot-delta row
 # cache disabled — keeps the pre-optimization compute path green too.
-CP_BFS_KERNEL=scalar CP_ROW_CACHE=0 cargo test -q
+# Facade suites only: several cp-core, cp-stream and cp-query tests
+# assert row-cache hits and read `CP_ROW_CACHE` from the environment.
+CP_BFS_KERNEL=scalar CP_ROW_CACHE=0 cargo test -q -p converging-pairs
 
 echo "==> cargo test -q [CP_SCAN_KERNEL=scalar]"
 # Matrix leg: the reference per-element Δ-scan loop — the blocked kernel
@@ -23,18 +30,6 @@ echo "==> cargo test -q [CP_GRAPH_STORE=compressed]"
 # Matrix leg: every kernel walking gap-compressed adjacency instead of
 # the full CSR — storage must never change what is computed.
 CP_GRAPH_STORE=compressed cargo test -q -p cp-core -p cp-stream
-
-echo "==> cargo test -q -p cp-query [query conformance]"
-# Query-serving leg: the differential conformance suite proves every
-# Exact answer equals from-scratch BFS truth and every Bounded answer
-# brackets it, plus the 8-reader concurrency stress.
-cargo test -q -p cp-query
-
-echo "==> cargo test -q -p cp-graph -p cp-exec -p cp-gen -p cp-ml -p cp-bench"
-# The remaining crate suites: kernel equivalence, repair-vs-scratch and
-# varint properties (cp-graph), the scheduler and panic containment
-# (cp-exec), the generators, the classifier, and the harness arguments.
-cargo test -q -p cp-graph -p cp-exec -p cp-gen -p cp-ml -p cp-bench
 
 echo "==> cargo test -q [CP_THREADS=8]"
 # Matrix leg: a wide persistent pool under every conformance suite —
