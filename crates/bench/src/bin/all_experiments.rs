@@ -128,20 +128,6 @@ fn main() {
                 agg.arena.u32_rows = agg.arena.u32_rows.max(row.stats.arena.u32_rows);
                 agg.arena.reused_rows += row.stats.arena.reused_rows;
                 agg.arena.slab_bytes = agg.arena.slab_bytes.max(row.stats.arena.slab_bytes);
-                agg.graph_store = row.stats.graph_store;
-                let gm = &row.stats.graph_mem;
-                agg.graph_mem.base_bytes = agg.graph_mem.base_bytes.max(gm.base_bytes);
-                agg.graph_mem.overlay_bytes = agg.graph_mem.overlay_bytes.max(gm.overlay_bytes);
-                agg.graph_mem.overlay_shared_arcs = agg
-                    .graph_mem
-                    .overlay_shared_arcs
-                    .max(gm.overlay_shared_arcs);
-                agg.graph_mem.compressed_bytes =
-                    agg.graph_mem.compressed_bytes.max(gm.compressed_bytes);
-                agg.graph_mem.compressed_bytes_per_arc = agg
-                    .graph_mem
-                    .compressed_bytes_per_arc
-                    .max(gm.compressed_bytes_per_arc);
                 cells.push(pct(row.coverage));
             }
             rows.push(cells);
@@ -178,17 +164,6 @@ fn main() {
                 agg.arena.u32_rows,
                 agg.arena.reused_rows,
                 agg.arena.slab_bytes / 1024
-            ),
-            agg.graph_store.name().to_string(),
-            format!(
-                "{}/{}/{}",
-                agg.graph_mem.base_bytes / 1024,
-                agg.graph_mem.overlay_bytes / 1024,
-                agg.graph_mem.compressed_bytes / 1024
-            ),
-            format!(
-                "{}/{:.2}",
-                agg.graph_mem.overlay_shared_arcs, agg.graph_mem.compressed_bytes_per_arc
             ),
             format!("{:.3}", agg.selector_secs),
             format!("{:.3}", agg.prefetch_secs),
@@ -227,9 +202,6 @@ fn main() {
             "scan kern",
             "chunks scan/skip/pruned",
             "arena u16/u32/reuse/KiB",
-            "store",
-            "graph KiB full/ovl/comp",
-            "shared arcs/B per arc",
             "select s",
             "prefetch s",
             "scan s",

@@ -1,7 +1,7 @@
 //! Machine-readable perf baseline for the parallel pipeline, its BFS
 //! kernels, and the snapshot-delta row cache.
 //!
-//! Six measurement phases, written together to `BENCH_pipeline.json` in
+//! Five measurement phases, written together to `BENCH_pipeline.json` in
 //! the current directory (`--out=PATH` overrides):
 //!
 //! **Phase 1 — kernel ladder** on the paper's evaluation snapshots
@@ -51,16 +51,7 @@
 //! chained donor or derived by snapshot-delta repair instead of a full
 //! sweep — and the pipeline wall clock, best of [`REPEATS`] ladder runs.
 //!
-//! **Phase 5 — snapshot-store ladder** on the tight pair: the same
-//! budgeted pipeline (Mmsd selector, auto kernel, unbounded cache, one
-//! thread) runs once per `CP_GRAPH_STORE` value — full CSR, base + delta
-//! overlay, gap-compressed CSR. Pairs are bit-identical by construction
-//! (the conformance suite holds every store to it); what moves is graph
-//! memory: `bytes_per_arc` of the compressed store against the full
-//! store's, and the overlay's O(Δ) footprint against the base it borrows
-//! (`overlay_shared_arcs` counts the arcs it never copied).
-//!
-//! **Phase 6 — query-throughput ladder** over the same review sequence:
+//! **Phase 5 — query-throughput ladder** over the same review sequence:
 //! the `cp-query` layer answers budget-free point queries (`distance` +
 //! `delta`) from published epochs while the engine advances the
 //! [`STREAM_CUTS`] reviews, at 1, 2 and 8 concurrent reader threads.
@@ -83,7 +74,7 @@
 
 use cp_bench::{scaled_budget, Options};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle};
+use cp_core::oracle::{BfsKernel, RowCacheBudget, SnapshotOracle};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, PipelineStats};
@@ -265,55 +256,7 @@ struct StreamSummary {
     stream_speedup: f64,
 }
 
-/// One snapshot-store pipeline run on the tight pair (phase 5).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct StoreSweep {
-    dataset: String,
-    /// `CP_GRAPH_STORE` value of this run.
-    store: String,
-    /// Pairs found (identical across stores — conformance-tested).
-    pairs: usize,
-    /// Best-of-repeats pipeline wall clock, seconds.
-    secs: f64,
-    /// Oracle distance-row seconds within the best repeat.
-    sssp_secs: f64,
-    /// Full-CSR bytes of the snapshot pair (always materialized).
-    base_bytes: u64,
-    /// Overlay structure bytes — O(Δ), 0 unless this is the overlay run.
-    overlay_bytes: u64,
-    /// Base arcs the overlay borrows instead of copying.
-    overlay_shared_arcs: u64,
-    /// Gap-compressed adjacency bytes — 0 unless this is the compressed
-    /// run.
-    compressed_bytes: u64,
-    /// `compressed_bytes` per directed arc.
-    compressed_bytes_per_arc: f64,
-    /// The full store's bytes per directed arc, for the shrink ratio.
-    full_bytes_per_arc: f64,
-}
-
-/// Per-dataset store comparison (phase 5).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct StoreSummary {
-    dataset: String,
-    /// `|E_t2 \ E_t1|` of the tight pair the ladder ran on.
-    delta_edges: usize,
-    /// Full-store graph bytes per directed arc.
-    full_bytes_per_arc: f64,
-    /// Compressed-store adjacency bytes per directed arc.
-    compressed_bytes_per_arc: f64,
-    /// `compressed / full` bytes-per-arc — the shrink factor.
-    compressed_ratio: f64,
-    /// Overlay structure bytes (the O(Δ) footprint of sharing `G_t1`).
-    overlay_bytes: u64,
-    /// `overlay_bytes / base_bytes` — how small the second snapshot's
-    /// marginal memory is next to materializing it in full.
-    overlay_frac: f64,
-    /// Base arcs the overlay run borrowed from `G_t1`.
-    overlay_shared_arcs: u64,
-}
-
-/// One query-throughput rung (phase 6): point queries answered from
+/// One query-throughput rung (phase 5): point queries answered from
 /// published epochs at a fixed reader-thread count while the engine
 /// advances reviews.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -372,8 +315,6 @@ struct Baseline {
     scan: Vec<ScanSummary>,
     stream_ladder: Vec<StreamSweep>,
     stream: Vec<StreamSummary>,
-    store_ladder: Vec<StoreSweep>,
-    store: Vec<StoreSummary>,
     query_ladder: Vec<QuerySweep>,
     /// Suite totals: scalar kernel, one thread, cache off (eval pair).
     scalar_single_secs: f64,
@@ -404,18 +345,8 @@ struct Baseline {
     /// Datasets where chaining reached a strictly higher hit rate than
     /// the rebuild — the chain's reach across the review boundary.
     stream_gain_datasets: usize,
-    /// Aggregate full-store graph bytes per directed arc (phase 5).
-    full_bytes_per_arc: f64,
-    /// Aggregate compressed adjacency bytes per directed arc (phase 5).
-    compressed_bytes_per_arc: f64,
-    /// `compressed / full` bytes-per-arc across all datasets — the
-    /// compressed store's aggregate shrink factor.
-    compressed_ratio: f64,
-    /// Aggregate `overlay_bytes / base_bytes` — the marginal memory of an
-    /// overlay-shared second snapshot.
-    overlay_frac: f64,
     /// `Answer::Exact` point-query answers across the whole query ladder
-    /// (phase 6).
+    /// (phase 5).
     query_exact_answers: u64,
     /// `Answer::Bounded` point-query answers across the whole query
     /// ladder — nonzero proves the answer lattice's middle rung is live.
@@ -560,31 +491,6 @@ fn run_scan_heavy(
     (res.stats, res.candidates.len(), res.pairs.len())
 }
 
-/// One store-ladder pipeline run (phase 5): Mmsd selector on the tight
-/// pair, auto kernel, unbounded cache, one thread, the given snapshot
-/// store. Returns the stats, pair count, and wall clock.
-fn run_store_probe(
-    g1: &Graph,
-    g2: &Graph,
-    m: u64,
-    seed: u64,
-    store: GraphStore,
-) -> (PipelineStats, usize, f64) {
-    let started = Instant::now();
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_graph_store(store)
-        .with_threads(1)
-        .with_kernel(BfsKernel::Auto)
-        .with_row_cache(RowCacheBudget::Unbounded);
-    let mut sel = SelectorKind::Mmsd { landmarks: 5 }.build(seed);
-    let res = run_pipeline(
-        &mut oracle,
-        sel.as_mut(),
-        &TopKSpec::ThresholdFromMax { slack: 1 },
-    );
-    (res.stats, res.pairs.len(), started.elapsed().as_secs_f64())
-}
-
 /// One full streaming ladder (phase 4): replays the dataset's events
 /// across [`STREAM_CUTS`] with the given chaining mode, returning summed
 /// per-review counters. Pairs/ledger are mode-invariant (conformance-
@@ -638,10 +544,10 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
     (sweep, checksum)
 }
 
-/// Phase 6's reader-thread rungs.
+/// Phase 5's reader-thread rungs.
 const QUERY_READERS: [usize; 3] = [1, 2, 8];
 
-/// One query-throughput ladder run (phase 6): `readers` concurrent
+/// One query-throughput ladder run (phase 5): `readers` concurrent
 /// threads issue point queries (`distance` + `delta`) against whatever
 /// epoch is currently published while the main thread replays the
 /// [`STREAM_CUTS`] reviews. With `readers == 0` this is the reader-free
@@ -761,14 +667,10 @@ fn main() {
     let mut scan: Vec<ScanSummary> = Vec::new();
     let mut stream_ladder: Vec<StreamSweep> = Vec::new();
     let mut stream: Vec<StreamSummary> = Vec::new();
-    let mut store_ladder: Vec<StoreSweep> = Vec::new();
-    let mut store: Vec<StoreSummary> = Vec::new();
     let mut query_ladder: Vec<QuerySweep> = Vec::new();
-    let mut query_answer_totals = [0u64; 3]; // phase 6: [exact, bounded, unknown]
+    let mut query_answer_totals = [0u64; 3]; // phase 5: [exact, bounded, unknown]
     let mut query_budget_charged = 0u64;
     let mut query_qps_peak = 0.0f64;
-    let mut store_bytes_totals = [0u64; 3]; // phase 5: [full, compressed, overlay] bytes
-    let mut store_arcs_total = 0u64;
     let mut totals = [0.0f64; 4];
     let mut sssp_totals = [0.0f64; 2]; // [scalar@1, auto@1] cache-off
     let mut t2_totals = [0.0f64; 2]; // phase 2: [cache-off, cache-on]
@@ -1073,88 +975,7 @@ fn main() {
             stream_speedup,
         });
 
-        // ---- Phase 5: snapshot-store ladder on the tight pair ----
-        let total_arcs = 2 * (r1.num_edges() + r2.num_edges()) as u64;
-        let full_bytes = (r1.heap_bytes() + r2.heap_bytes()) as u64;
-        let full_bpa = full_bytes as f64 / total_arcs.max(1) as f64;
-        let mut per_store: Vec<StoreSweep> = Vec::new();
-        for st in [
-            GraphStore::Full,
-            GraphStore::Overlay,
-            GraphStore::Compressed,
-        ] {
-            let mut best: Option<(PipelineStats, usize, f64)> = None;
-            for _ in 0..REPEATS {
-                let r = run_store_probe(&r1, &r2, m, opts.seed, st);
-                if best.as_ref().is_none_or(|b| r.2 < b.2) {
-                    best = Some(r);
-                }
-            }
-            let (stats, pairs, secs) = best.expect("REPEATS >= 1");
-            let mem = stats.graph_mem;
-            eprintln!(
-                "  {name} store [{}]: {:.4}s pipeline, {} pairs; graph {} KiB full, \
-                 {} KiB overlay sharing {} arcs, {} KiB compressed at {:.2} B/arc \
-                 (full {full_bpa:.2})",
-                st.name(),
-                secs,
-                pairs,
-                mem.base_bytes / 1024,
-                mem.overlay_bytes / 1024,
-                mem.overlay_shared_arcs,
-                mem.compressed_bytes / 1024,
-                mem.compressed_bytes_per_arc,
-            );
-            per_store.push(StoreSweep {
-                dataset: name.to_string(),
-                store: st.name().to_string(),
-                pairs,
-                secs,
-                sssp_secs: stats.sssp_secs,
-                base_bytes: mem.base_bytes,
-                overlay_bytes: mem.overlay_bytes,
-                overlay_shared_arcs: mem.overlay_shared_arcs,
-                compressed_bytes: mem.compressed_bytes,
-                compressed_bytes_per_arc: mem.compressed_bytes_per_arc,
-                full_bytes_per_arc: full_bpa,
-            });
-        }
-        assert!(
-            per_store.windows(2).all(|w| w[0].pairs == w[1].pairs),
-            "{name}: snapshot store changed the answer"
-        );
-        let [_, overlay_row, comp_row]: &[StoreSweep; 3] =
-            per_store.as_slice().try_into().expect("three stores ran");
-        assert!(
-            overlay_row.overlay_shared_arcs > 0,
-            "{name}: overlay run never shared a base arc"
-        );
-        eprintln!(
-            "  {name} store ladder: compressed {:.2} B/arc vs full {full_bpa:.2} \
-             ({:.2}x shrink); overlay {} KiB on a {} KiB pair ({:.1}% marginal)",
-            comp_row.compressed_bytes_per_arc,
-            full_bpa / comp_row.compressed_bytes_per_arc.max(f64::MIN_POSITIVE),
-            overlay_row.overlay_bytes / 1024,
-            full_bytes / 1024,
-            100.0 * overlay_row.overlay_bytes as f64 / full_bytes.max(1) as f64,
-        );
-        store_bytes_totals[0] += full_bytes;
-        store_bytes_totals[1] += comp_row.compressed_bytes;
-        store_bytes_totals[2] += overlay_row.overlay_bytes;
-        store_arcs_total += total_arcs;
-        store.push(StoreSummary {
-            dataset: name.to_string(),
-            delta_edges,
-            full_bytes_per_arc: full_bpa,
-            compressed_bytes_per_arc: comp_row.compressed_bytes_per_arc,
-            compressed_ratio: comp_row.compressed_bytes_per_arc / full_bpa.max(f64::MIN_POSITIVE),
-            overlay_bytes: overlay_row.overlay_bytes,
-            overlay_frac: overlay_row.overlay_bytes as f64 / overlay_row.base_bytes.max(1) as f64,
-            overlay_shared_arcs: overlay_row.overlay_shared_arcs,
-        });
-        store_ladder.append(&mut per_store);
-
-        // ---- Phase 6: query-throughput ladder over published epochs ----
+        // ---- Phase 5: query-throughput ladder over published epochs ----
         let twin = run_query_ladder(&t, m, opts.seed, 0);
         for readers in QUERY_READERS {
             let mut sweep = run_query_ladder(&t, m, opts.seed, readers);
@@ -1200,8 +1021,6 @@ fn main() {
         scan,
         stream_ladder,
         stream,
-        store_ladder,
-        store,
         query_ladder,
         scalar_single_secs: totals[SLOT_SCALAR],
         optimized_single_secs: totals[SLOT_AUTO],
@@ -1216,10 +1035,6 @@ fn main() {
         stream_rebuilt_hit_rate: stream_hit_totals[1][0] as f64
             / stream_hit_totals[1][1].max(1) as f64,
         stream_gain_datasets,
-        full_bytes_per_arc: store_bytes_totals[0] as f64 / store_arcs_total.max(1) as f64,
-        compressed_bytes_per_arc: store_bytes_totals[1] as f64 / store_arcs_total.max(1) as f64,
-        compressed_ratio: store_bytes_totals[1] as f64 / store_bytes_totals[0].max(1) as f64,
-        overlay_frac: store_bytes_totals[2] as f64 / store_bytes_totals[0].max(1) as f64,
         query_exact_answers: query_answer_totals[0],
         query_bounded_answers: query_answer_totals[1],
         query_unknown_answers: query_answer_totals[2],
@@ -1244,8 +1059,7 @@ fn main() {
          kernel); incremental t2 path {:.4}s repair-off vs {:.4}s repair-on ({:.2}x repair, \
          best dataset {:.2}x); Δ-scan path {:.4}s scalar vs {:.4}s blocked ({:.2}x scan, \
          best dataset {:.2}x); streaming ladder hit rate {:.0}% chained vs {:.0}% rebuilt ({} datasets \
-         strictly ahead); snapshot stores {:.2} B/arc compressed vs {:.2} full ({:.2}x \
-         ratio), overlay at {:.1}% of the pair's bytes; query ladder peak {:.0} q/s \
+         strictly ahead); query ladder peak {:.0} q/s \
          ({} exact / {} bounded / {} unknown, {} budget charged); suite {:.3}s vs {:.3}s \
          single-thread, {:.3}s at {} threads ({:.2}x total at the best config, {} steals, \
          thread regression: {})",
@@ -1263,10 +1077,6 @@ fn main() {
         100.0 * baseline.stream_chained_hit_rate,
         100.0 * baseline.stream_rebuilt_hit_rate,
         baseline.stream_gain_datasets,
-        baseline.compressed_bytes_per_arc,
-        baseline.full_bytes_per_arc,
-        baseline.compressed_ratio,
-        100.0 * baseline.overlay_frac,
         baseline.query_qps_peak,
         baseline.query_exact_answers,
         baseline.query_bounded_answers,

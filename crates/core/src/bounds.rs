@@ -247,6 +247,7 @@ pub struct Triage {
 mod tests {
     use super::*;
     use crate::exact::{exact_top_k, TopKSpec};
+    use crate::oracle::RowCacheBudget;
     use cp_graph::builder::graph_from_edges;
     use cp_graph::Graph;
 
@@ -370,7 +371,8 @@ mod tests {
     #[test]
     fn resident_indexes_capture_paid_rows_for_free() {
         let (g1, g2) = graphs();
-        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
+        let mut oracle =
+            SnapshotOracle::with_budget(&g1, &g2, 8).with_row_cache(RowCacheBudget::Unbounded);
         oracle.rows(NodeId(0)).unwrap();
         oracle.rows(NodeId(5)).unwrap();
         let spent = oracle.ledger().total();

@@ -39,7 +39,7 @@ use cp_graph::repair::{
 use cp_graph::rowpack::{
     fits_u16, pack_u16_into, pack_u16_slice, widen_u16_into, RowArena, RowId, RowRef,
 };
-use cp_graph::{CompressedCsr, Graph, GraphView, GraphViewRef, NodeId, OverlayGraph};
+use cp_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -155,119 +155,20 @@ impl BfsKernel {
     }
 }
 
-/// Which physical snapshot storage the oracle's kernels traverse
-/// (`CP_GRAPH_STORE`).
-///
-/// Storage never changes *what* is computed: every store presents the
-/// same logical adjacency in the same ascending neighbor order, so pairs,
-/// candidates, ledger — and even the per-kernel work counters — are
-/// bit-identical across stores (property-tested in
-/// `crates/core/tests/conformance.rs`). What moves is graph memory, and
-/// with it wall clock.
+/// The snapshot storage layout a run reports. Both snapshots are always
+/// materialized CSR, so `Full` is the only layout; the type remains only
+/// for the benchmark, which prints its name.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GraphStore {
-    /// Both snapshots as materialized CSR — the reference layout and the
-    /// default.
+    /// Both snapshots as materialized CSR.
     #[default]
     Full,
-    /// `G_t2` as a shared-structure overlay over `G_t1`'s CSR: the base
-    /// adjacency is borrowed, only the inserted edges are stored — `O(Δ)`
-    /// extra memory instead of a second full CSR. Requires a growth-only
-    /// pair; otherwise the oracle silently falls back to the full layout.
-    Overlay,
-    /// Both snapshots as delta-gap varint-compressed adjacency
-    /// ([`cp_graph::CompressedCsr`]), decoded on the fly during traversal.
-    Compressed,
 }
 
 impl GraphStore {
-    /// Parses a knob spelling (`full` | `overlay` | `compressed`,
-    /// case-insensitive; empty means the default).
-    pub fn parse(s: &str) -> Option<Self> {
-        let t = s.trim();
-        if t.is_empty() || t.eq_ignore_ascii_case("full") {
-            Some(GraphStore::Full)
-        } else if t.eq_ignore_ascii_case("overlay") {
-            Some(GraphStore::Overlay)
-        } else if t.eq_ignore_ascii_case("compressed") {
-            Some(GraphStore::Compressed)
-        } else {
-            None
-        }
-    }
-
-    /// Reads `CP_GRAPH_STORE` (`full` | `overlay` | `compressed`); unset
-    /// means [`GraphStore::Full`], anything unparseable warns once and
-    /// falls back to [`GraphStore::Full`].
-    pub fn from_env() -> Self {
-        match std::env::var("CP_GRAPH_STORE") {
-            Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                warn_bad_knob("CP_GRAPH_STORE", &s, "full");
-                GraphStore::Full
-            }),
-            Err(_) => GraphStore::Full,
-        }
-    }
-
-    /// The knob spelling of this store
-    /// (`"full"` / `"overlay"` / `"compressed"`).
+    /// The spelling of this layout (`"full"`).
     pub fn name(self) -> &'static str {
-        match self {
-            GraphStore::Full => "full",
-            GraphStore::Overlay => "overlay",
-            GraphStore::Compressed => "compressed",
-        }
-    }
-}
-
-/// Matches a [`GraphViewRef`] once and runs `$body` with `$g` bound to the
-/// concrete store, monomorphizing the generic kernels per store — enum
-/// dispatch at the kernel entry point, zero per-edge indirection.
-macro_rules! with_view {
-    ($view:expr, $g:ident => $body:expr) => {
-        match $view {
-            GraphViewRef::Full($g) => $body,
-            GraphViewRef::Overlay($g) => $body,
-            GraphViewRef::Compressed($g) => $body,
-        }
-    };
-}
-
-/// Resolves the [`GraphViewRef`] a kernel should traverse for one
-/// snapshot. A free function over the individual fields (rather than a
-/// `&self` method) so call sites holding disjoint `&mut` borrows of the
-/// oracle's scratch spaces can still build a view. A store whose derived
-/// structure is absent (overlay on a non-growth-only pair) falls back to
-/// the full CSR.
-fn view_parts<'v>(
-    store: GraphStore,
-    which: Snapshot,
-    g1: &'v Graph,
-    g2: &'v Graph,
-    overlay2: &'v Option<OverlayGraph<'v>>,
-    comp1: &'v Option<CompressedCsr>,
-    comp2: &'v Option<CompressedCsr>,
-) -> GraphViewRef<'v> {
-    let full = match which {
-        Snapshot::First => g1,
-        Snapshot::Second => g2,
-    };
-    match (store, which) {
-        (GraphStore::Overlay, Snapshot::Second) => match overlay2 {
-            Some(o) => GraphViewRef::Overlay(o),
-            None => GraphViewRef::Full(full),
-        },
-        (GraphStore::Compressed, _) => {
-            let comp = match which {
-                Snapshot::First => comp1,
-                Snapshot::Second => comp2,
-            };
-            match comp {
-                Some(c) => GraphViewRef::Compressed(c),
-                None => GraphViewRef::Full(full),
-            }
-        }
-        _ => GraphViewRef::Full(full),
+        "full"
     }
 }
 
@@ -706,29 +607,6 @@ pub struct ArenaStats {
     pub slab_bytes: u64,
 }
 
-/// Heap footprint of the graph structures the oracle's kernels traverse,
-/// split by store role (see [`GraphStore`]) — the numbers behind the
-/// benchmark's memory table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct GraphMemStats {
-    /// Heap bytes of the two materialized CSR snapshots (always present —
-    /// they are the oracle's inputs).
-    pub base_bytes: u64,
-    /// Heap bytes private to the `t2` overlay (inserted edges only; the
-    /// base CSR is shared with `G_t1`). 0 unless the overlay store is
-    /// active on a growth-only pair.
-    pub overlay_bytes: u64,
-    /// Arcs the overlay shares with its base instead of re-storing.
-    pub overlay_shared_arcs: u64,
-    /// Heap bytes of the compressed adjacency of both snapshots. 0 unless
-    /// the compressed store is active.
-    pub compressed_bytes: u64,
-    /// Mean compressed bytes per stored arc (offsets and degree tables
-    /// included), for direct comparison against the full CSR's
-    /// `base_bytes / arcs`.
-    pub compressed_bytes_per_arc: f64,
-}
-
 /// Thread-private scratch for [`SnapshotOracle::read_rows`] and
 /// [`SnapshotOracle::read_rows_packed`]: buffers a recomputed row per
 /// snapshot (plus its `u16`-packed form and a BFS workspace), so
@@ -773,14 +651,6 @@ impl RowScratch {
 pub struct SnapshotOracle<'a> {
     g1: &'a Graph,
     g2: &'a Graph,
-    /// Which physical storage the kernels traverse (`CP_GRAPH_STORE`).
-    store: GraphStore,
-    /// `G_t2` as a shared-structure overlay over `g1`'s CSR — present
-    /// only under [`GraphStore::Overlay`] on a growth-only pair.
-    overlay2: Option<OverlayGraph<'a>>,
-    /// Compressed adjacency of each snapshot ([`GraphStore::Compressed`]).
-    comp1: Option<CompressedCsr>,
-    comp2: Option<CompressedCsr>,
     limit: Option<u64>,
     phase: Phase,
     ledger: BudgetLedger,
@@ -839,13 +709,9 @@ impl<'a> SnapshotOracle<'a> {
             g2.num_nodes(),
             "snapshots must share a node universe"
         );
-        let mut oracle = SnapshotOracle {
+        SnapshotOracle {
             g1,
             g2,
-            store: GraphStore::from_env(),
-            overlay2: None,
-            comp1: None,
-            comp2: None,
             limit,
             phase: Phase::Generation,
             ledger: BudgetLedger::default(),
@@ -877,51 +743,7 @@ impl<'a> SnapshotOracle<'a> {
             exec: None,
             item_slots: Vec::new(),
             repair_slots: Vec::new(),
-        };
-        oracle.apply_store();
-        oracle
-    }
-
-    /// (Re)derives the store-specific structures for the configured
-    /// [`GraphStore`]. The overlay needs a growth-only pair — otherwise
-    /// the store silently falls back to the full CSR (the computed delta
-    /// stays cached for repair either way).
-    fn apply_store(&mut self) {
-        self.overlay2 = None;
-        self.comp1 = None;
-        self.comp2 = None;
-        match self.store {
-            GraphStore::Full => {}
-            GraphStore::Overlay => {
-                let (g1, g2) = (self.g1, self.g2);
-                let delta = self.delta.take().unwrap_or_else(|| snapshot_delta(g1, g2));
-                if delta.growth_only {
-                    let overlay =
-                        OverlayGraph::from_delta(g1, delta.inserted.clone(), g2.is_weighted());
-                    debug_assert_eq!(overlay.num_edges(), g2.num_edges());
-                    self.overlay2 = Some(overlay);
-                }
-                self.delta = Some(delta);
-            }
-            GraphStore::Compressed => {
-                self.comp1 = Some(CompressedCsr::from_graph(self.g1));
-                self.comp2 = Some(CompressedCsr::from_graph(self.g2));
-            }
         }
-    }
-
-    /// The [`GraphViewRef`] the kernels traverse for one snapshot under
-    /// the configured store.
-    fn view_of(&self, which: Snapshot) -> GraphViewRef<'_> {
-        view_parts(
-            self.store,
-            which,
-            self.g1,
-            self.g2,
-            &self.overlay2,
-            &self.comp1,
-            &self.comp2,
-        )
     }
 
     /// Sets the worker-thread count for batched prefetches. Thread count
@@ -987,67 +809,6 @@ impl<'a> SnapshotOracle<'a> {
     /// The configured kernel.
     pub fn kernel(&self) -> BfsKernel {
         self.kernel
-    }
-
-    /// Sets the snapshot storage layout (builder style). The store never
-    /// changes results — only graph memory and wall clock (see
-    /// [`GraphStore`]).
-    pub fn with_graph_store(mut self, store: GraphStore) -> Self {
-        self.set_graph_store(store);
-        self
-    }
-
-    /// Sets the snapshot storage layout, (re)deriving the overlay or the
-    /// compressed adjacency as needed.
-    pub fn set_graph_store(&mut self, store: GraphStore) {
-        self.store = store;
-        self.apply_store();
-    }
-
-    /// The configured snapshot storage layout.
-    pub fn graph_store(&self) -> GraphStore {
-        self.store
-    }
-
-    /// Installs a caller-built `t2` overlay (the stream engine's
-    /// insert-only accumulator produces one in `O(Δ)` without ever
-    /// materializing the delta by rescanning). Switches the store to
-    /// [`GraphStore::Overlay`] and seeds the repair delta from the
-    /// overlay's own edge list — the `O(Δ)` fast path that skips the
-    /// `O(E)` containment scan of [`cp_graph::repair::snapshot_delta`].
-    ///
-    /// The caller asserts the overlay is `g1`-based and presents exactly
-    /// `g2`'s adjacency (debug-asserted here via the edge counts).
-    pub fn set_t2_overlay(&mut self, overlay: OverlayGraph<'a>) {
-        debug_assert_eq!(overlay.base().num_edges(), self.g1.num_edges());
-        debug_assert_eq!(overlay.num_edges(), self.g2.num_edges());
-        debug_assert_eq!(overlay.num_nodes(), self.g2.num_nodes());
-        self.store = GraphStore::Overlay;
-        self.delta = Some(overlay.to_delta());
-        self.overlay2 = Some(overlay);
-        self.comp1 = None;
-        self.comp2 = None;
-    }
-
-    /// Heap bytes of the graph structures this oracle traverses, split by
-    /// store role.
-    pub fn graph_mem_stats(&self) -> GraphMemStats {
-        let mut stats = GraphMemStats {
-            base_bytes: (self.g1.heap_bytes() + self.g2.heap_bytes()) as u64,
-            ..GraphMemStats::default()
-        };
-        if let Some(o) = &self.overlay2 {
-            stats.overlay_bytes = o.heap_bytes() as u64;
-            stats.overlay_shared_arcs = o.shared_arcs() as u64;
-        }
-        if let (Some(c1), Some(c2)) = (&self.comp1, &self.comp2) {
-            stats.compressed_bytes = (c1.heap_bytes() + c2.heap_bytes()) as u64;
-            let arcs = 2 * (c1.num_edges() + c2.num_edges());
-            if arcs > 0 {
-                stats.compressed_bytes_per_arc = stats.compressed_bytes as f64 / arcs as f64;
-            }
-        }
-        stats
     }
 
     /// Sets the Δ-scan kernel (builder style). Kernel choice never changes
@@ -1340,15 +1101,10 @@ impl<'a> SnapshotOracle<'a> {
         if !self.cache.repair_enabled() {
             return false;
         }
-        if self.delta.is_none() {
-            // When a `t2` overlay exists its edge list *is* the delta —
-            // read it back in O(Δ) instead of the O(E) containment scan.
-            self.delta = Some(match &self.overlay2 {
-                Some(overlay) => overlay.to_delta(),
-                None => snapshot_delta(self.g1, self.g2),
-            });
-        }
-        self.delta.as_ref().expect("just computed").growth_only
+        let (g1, g2) = (self.g1, self.g2);
+        self.delta
+            .get_or_insert_with(|| snapshot_delta(g1, g2))
+            .growth_only
     }
 
     /// Computes one row with the configured kernel, repairing `t2` rows
@@ -1358,17 +1114,12 @@ impl<'a> SnapshotOracle<'a> {
     fn compute_one(&mut self, which: Snapshot, u: NodeId, charged: bool) -> Vec<u32> {
         let started = std::time::Instant::now();
         let try_repair = which == Snapshot::Second && self.repair_ready();
-        let weighted = self.graph_of(which).is_weighted();
+        let graph = self.graph_of(which);
+        let weighted = graph.is_weighted();
         let mut dist = Vec::new();
         let mut work = TraversalWork::new();
         let mut settled = None;
         let SnapshotOracle {
-            g1,
-            g2,
-            store,
-            overlay2,
-            comp1,
-            comp2,
             cache,
             delta,
             ws,
@@ -1376,7 +1127,6 @@ impl<'a> SnapshotOracle<'a> {
             kernel,
             ..
         } = self;
-        let view = view_parts(*store, which, g1, g2, &*overlay2, &*comp1, &*comp2);
         if try_repair {
             let delta = delta.as_ref().expect("repair_ready computed it");
             let mut donor_wide = Vec::new();
@@ -1389,15 +1139,15 @@ impl<'a> SnapshotOracle<'a> {
                 None => None,
             };
             if let Some(t1) = t1 {
-                settled = Some(with_view!(view, g => if weighted {
-                    dijkstra_repair_into(g, t1, &delta.inserted, &mut dist, rws)
+                settled = Some(if weighted {
+                    dijkstra_repair_into(graph, t1, &delta.inserted, &mut dist, rws)
                 } else {
-                    bfs_repair_into(g, t1, &delta.inserted, &mut dist, rws)
-                }));
+                    bfs_repair_into(graph, t1, &delta.inserted, &mut dist, rws)
+                });
             }
         }
         if settled.is_none() {
-            work = compute_row_fresh(view, *kernel, u, &mut dist, ws);
+            work = compute_row_fresh(graph, *kernel, u, &mut dist, ws);
         }
         match settled {
             Some(settled) => {
@@ -1547,7 +1297,7 @@ impl<'a> SnapshotOracle<'a> {
                 d1.as_slice()
             }
             None => {
-                compute_row_fresh(self.view_of(Snapshot::First), self.kernel, u, d1, ws);
+                compute_row_fresh(self.g1, self.kernel, u, d1, ws);
                 d1.as_slice()
             }
         };
@@ -1558,7 +1308,7 @@ impl<'a> SnapshotOracle<'a> {
                 d2.as_slice()
             }
             None => {
-                compute_row_fresh(self.view_of(Snapshot::Second), self.kernel, u, d2, ws);
+                compute_row_fresh(self.g2, self.kernel, u, d2, ws);
                 d2.as_slice()
             }
         };
@@ -1584,13 +1334,13 @@ impl<'a> SnapshotOracle<'a> {
         let (k1, k2) = (self.cache.pack1, self.cache.pack2);
         let mixed = k1 != k2;
         if !have1 {
-            compute_row_fresh(self.view_of(Snapshot::First), self.kernel, u, d1, ws);
+            compute_row_fresh(self.g1, self.kernel, u, d1, ws);
             if k1 && !mixed {
                 pack_u16_into(d1, p1);
             }
         }
         if !have2 {
-            compute_row_fresh(self.view_of(Snapshot::Second), self.kernel, u, d2, ws);
+            compute_row_fresh(self.g2, self.kernel, u, d2, ws);
             if k2 && !mixed {
                 pack_u16_into(d2, p2);
             }
@@ -1800,20 +1550,9 @@ impl<'a> SnapshotOracle<'a> {
         if threads == 1 || pass_jobs < PARALLEL_ROW_CUTOFF {
             for (which, idxs) in items {
                 let t_item = std::time::Instant::now();
-                let SnapshotOracle {
-                    g1,
-                    g2,
-                    store,
-                    overlay2,
-                    comp1,
-                    comp2,
-                    ws,
-                    msws,
-                    kernel,
-                    ..
-                } = &mut *self;
-                let view = view_parts(*store, *which, g1, g2, &*overlay2, &*comp1, &*comp2);
-                let res = compute_item(view, *kernel, jobs, idxs, ws, msws);
+                let graph = self.graph_of(*which);
+                let res =
+                    compute_item(graph, self.kernel, jobs, idxs, &mut self.ws, &mut self.msws);
                 if *which == Snapshot::Second {
                     self.sssp_t2_secs += t_item.elapsed().as_secs_f64();
                 }
@@ -1827,10 +1566,7 @@ impl<'a> SnapshotOracle<'a> {
         let mut slots = std::mem::take(&mut self.item_slots);
         slots.clear();
         slots.resize_with(items.len(), || (ItemResult::default(), 0.0));
-        let (v1, v2) = (
-            self.view_of(Snapshot::First),
-            self.view_of(Snapshot::Second),
-        );
+        let (g1, g2) = (self.g1, self.g2);
         let kernel = self.kernel;
         let exec = self.exec.clone();
         let exec: &cp_exec::Executor = match exec.as_deref() {
@@ -1840,12 +1576,19 @@ impl<'a> SnapshotOracle<'a> {
         exec.run(&mut slots, threads, |i, slot, ctx| {
             let scratch = ctx.scratch.get_or(PrefetchScratch::default);
             let (which, idxs) = &items[i];
-            let view = match which {
-                Snapshot::First => v1,
-                Snapshot::Second => v2,
+            let graph = match which {
+                Snapshot::First => g1,
+                Snapshot::Second => g2,
             };
             let t_item = std::time::Instant::now();
-            let res = compute_item(view, kernel, jobs, idxs, &mut scratch.ws, &mut scratch.msws);
+            let res = compute_item(
+                graph,
+                kernel,
+                jobs,
+                idxs,
+                &mut scratch.ws,
+                &mut scratch.msws,
+            );
             *slot = (res, t_item.elapsed().as_secs_f64());
         });
         // Merge strictly in item (admission) order, after the batch —
@@ -1869,17 +1612,12 @@ impl<'a> SnapshotOracle<'a> {
             return;
         }
         let started = std::time::Instant::now();
-        let weighted = self.g2.is_weighted();
+        let g2 = self.g2;
+        let weighted = g2.is_weighted();
         let mut slots = std::mem::take(&mut self.repair_slots);
         slots.clear();
         let exec = self.exec.clone();
         let SnapshotOracle {
-            g1,
-            g2,
-            store,
-            overlay2,
-            comp1,
-            comp2,
             cache,
             delta,
             ws,
@@ -1893,21 +1631,12 @@ impl<'a> SnapshotOracle<'a> {
             .iter()
             .map(|&(_, u)| cache.get_ref(Snapshot::First, NodeId(u)))
             .collect();
-        let view2 = view_parts(
-            *store,
-            Snapshot::Second,
-            g1,
-            g2,
-            &*overlay2,
-            &*comp1,
-            &*comp2,
-        );
         let kernel = *kernel;
         let threads = (*threads).min(jobs.len()).max(1);
         if threads == 1 || jobs.len() < PARALLEL_ROW_CUTOFF {
             let mut wide = Vec::new();
             slots.extend(jobs.iter().zip(&donors).map(|(&(_, u), &donor)| {
-                repair_item(view2, kernel, NodeId(u), donor, delta, ws, rws, &mut wide)
+                repair_item(g2, kernel, NodeId(u), donor, delta, ws, rws, &mut wide)
             }));
         } else {
             // Pre-sized one-writer-per-slot results on the persistent
@@ -1921,7 +1650,7 @@ impl<'a> SnapshotOracle<'a> {
             exec.run(&mut slots, threads, |i, slot, ctx| {
                 let RepairScratch { ws, rws, wide } = ctx.scratch.get_or(RepairScratch::default);
                 *slot = repair_item(
-                    view2,
+                    g2,
                     kernel,
                     NodeId(jobs[i].1),
                     donors[i],
@@ -2014,18 +1743,7 @@ struct ItemResult {
 /// traversal work (no repair, no stats — also the shared-read fallback of
 /// [`SnapshotOracle::read_rows`]).
 fn compute_row_fresh(
-    view: GraphViewRef<'_>,
-    kernel: BfsKernel,
-    u: NodeId,
-    dist: &mut Vec<u32>,
-    ws: &mut BfsWorkspace,
-) -> TraversalWork {
-    with_view!(view, g => compute_row_fresh_on(g, kernel, u, dist, ws))
-}
-
-/// [`compute_row_fresh`], monomorphized per store.
-fn compute_row_fresh_on<V: GraphView>(
-    graph: &V,
+    graph: &Graph,
     kernel: BfsKernel,
     u: NodeId,
     dist: &mut Vec<u32>,
@@ -2045,19 +1763,7 @@ fn compute_row_fresh_on<V: GraphView>(
 /// sources) or a single-source BFS/Dijkstra — returning the produced rows
 /// tagged with their job indices, plus the work counters.
 fn compute_item(
-    view: GraphViewRef<'_>,
-    kernel: BfsKernel,
-    jobs: &[(Snapshot, u32)],
-    idxs: &[usize],
-    ws: &mut BfsWorkspace,
-    msws: &mut MsBfsWorkspace,
-) -> ItemResult {
-    with_view!(view, g => compute_item_on(g, kernel, jobs, idxs, ws, msws))
-}
-
-/// [`compute_item`], monomorphized per store.
-fn compute_item_on<V: GraphView>(
-    graph: &V,
+    graph: &Graph,
     kernel: BfsKernel,
     jobs: &[(Snapshot, u32)],
     idxs: &[usize],
@@ -2076,7 +1782,7 @@ fn compute_item_on<V: GraphView>(
         .iter()
         .map(|&i| {
             let mut dist = Vec::new();
-            work.merge(compute_row_fresh_on(
+            work.merge(compute_row_fresh(
                 graph,
                 kernel,
                 NodeId(jobs[i].1),
@@ -2096,22 +1802,7 @@ fn compute_item_on<V: GraphView>(
 /// item's seconds.
 #[allow(clippy::too_many_arguments)]
 fn repair_item(
-    view2: GraphViewRef<'_>,
-    kernel: BfsKernel,
-    u: NodeId,
-    donor: Option<RowRef<'_>>,
-    delta: &SnapshotDelta,
-    ws: &mut BfsWorkspace,
-    rws: &mut RepairWorkspace,
-    wide: &mut Vec<u32>,
-) -> (Vec<u32>, Option<usize>, f64) {
-    with_view!(view2, g => repair_item_on(g, kernel, u, donor, delta, ws, rws, wide))
-}
-
-/// [`repair_item`], monomorphized per store.
-#[allow(clippy::too_many_arguments)]
-fn repair_item_on<V: GraphView>(
-    g2: &V,
+    g2: &Graph,
     kernel: BfsKernel,
     u: NodeId,
     donor: Option<RowRef<'_>>,
@@ -2138,7 +1829,7 @@ fn repair_item_on<V: GraphView>(
             })
         }
         None => {
-            compute_row_fresh_on(g2, kernel, u, &mut dist, ws);
+            compute_row_fresh(g2, kernel, u, &mut dist, ws);
             None
         }
     };
@@ -2191,16 +1882,6 @@ mod tests {
         assert_eq!(BfsKernel::parse("auto"), Some(BfsKernel::Auto));
         assert_eq!(BfsKernel::parse(""), Some(BfsKernel::Auto));
         assert_eq!(BfsKernel::parse("vectorized"), None);
-
-        assert_eq!(GraphStore::parse("full"), Some(GraphStore::Full));
-        assert_eq!(GraphStore::parse(""), Some(GraphStore::Full));
-        assert_eq!(GraphStore::parse(" Overlay "), Some(GraphStore::Overlay));
-        assert_eq!(
-            GraphStore::parse("COMPRESSED"),
-            Some(GraphStore::Compressed)
-        );
-        assert_eq!(GraphStore::parse("csr"), None);
-        assert_eq!(GraphStore::parse("gzip"), None);
     }
 
     #[test]
@@ -2502,7 +2183,8 @@ mod tests {
         // (g1, g2) with step 1's t2 residents imported as t1 donors.
         let g0 = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
         let (g1, g2) = graphs();
-        let mut step1 = SnapshotOracle::unbounded(&g0, &g1);
+        let mut step1 =
+            SnapshotOracle::unbounded(&g0, &g1).with_row_cache(RowCacheBudget::Unbounded);
         for u in g0.nodes() {
             step1.rows(u).unwrap();
         }
@@ -2511,9 +2193,11 @@ mod tests {
         assert_eq!(handoff.num_nodes(), 5);
         assert!(!handoff.is_empty());
 
-        let mut chained = SnapshotOracle::unbounded(&g1, &g2);
+        let mut chained =
+            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         assert_eq!(chained.import_donor_rows(Snapshot::First, &handoff), 5);
-        let mut scratch = SnapshotOracle::unbounded(&g1, &g2);
+        let mut scratch =
+            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         for u in g1.nodes() {
             let (c1, c2) = chained.rows(u).unwrap();
             let (c1, c2) = (c1.to_vec(), c2.to_vec());
@@ -2542,14 +2226,15 @@ mod tests {
     #[test]
     fn donor_import_skips_paid_and_resident_rows() {
         let (g1, g2) = graphs();
-        let mut donor = SnapshotOracle::unbounded(&g1, &g2);
+        let mut donor =
+            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         for u in g1.nodes() {
             donor.rows(u).unwrap();
         }
         // Exporting t1 of (g1, g2) and importing it back as t1 of another
         // (g1, g2) oracle that already paid for node 0's rows.
         let handoff = donor.export_resident_rows(Snapshot::First);
-        let mut o = SnapshotOracle::unbounded(&g1, &g2);
+        let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         o.rows(NodeId(0)).unwrap();
         assert_eq!(o.import_donor_rows(Snapshot::First, &handoff), 4);
         o.rows(NodeId(0)).unwrap();

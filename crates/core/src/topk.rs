@@ -13,7 +13,7 @@
 
 use crate::exact::{sort_pairs, ConvergingPair, TopKSpec};
 use crate::oracle::{
-    ArenaStats, BfsKernel, BudgetLedger, GraphMemStats, GraphStore, KernelStats, Phase, RowScratch,
+    ArenaStats, BfsKernel, BudgetLedger, GraphStore, KernelStats, Phase, RowScratch,
     SnapshotOracle, SsspPrune,
 };
 use crate::scan::{scan_delta_row, ScanCounters, ScanKernel};
@@ -101,12 +101,8 @@ pub struct PipelineStats {
     /// cross-oracle donor hand-off (the streaming engine's review-to-review
     /// cache chaining; 0 on the batch path).
     pub chained_rows: u64,
-    /// The snapshot storage layout the oracle's kernels traversed
-    /// (`full` | `overlay` | `compressed`).
+    /// Always `full`; remains only for the benchmark, which prints it.
     pub graph_store: GraphStore,
-    /// Heap bytes of the graph structures the kernels traversed, split by
-    /// store role (base CSR / overlay extras / compressed adjacency).
-    pub graph_mem: GraphMemStats,
     /// Persistent-executor activity attributed to this run (batches,
     /// tasks, steals, park/unpark events as deltas over the run;
     /// `workers_spawned` is the pool's absolute size). Advisory
@@ -216,8 +212,7 @@ pub fn run_pipeline(
             rows_truncated: 0,
             rows_prefiltered: 0,
             chained_rows: oracle.chained_rows(),
-            graph_store: oracle.graph_store(),
-            graph_mem: oracle.graph_mem_stats(),
+            graph_store: GraphStore::Full,
             exec: oracle.exec_stats().since(&exec_before),
         },
     }

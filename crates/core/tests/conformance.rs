@@ -15,7 +15,7 @@
 //! node (an endpoint of a new edge).
 
 use cp_core::exact::{exact_top_k, exact_top_k_with_kernel, TopKSpec};
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle};
+use cp_core::oracle::{BfsKernel, RowCacheBudget, SnapshotOracle};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::{active_nodes, incidence_full, SelectorKind};
 use cp_core::topk::{run_pipeline, BudgetedResult};
@@ -134,8 +134,11 @@ fn run_config(
 /// the reference configuration, on every generator. The tiny budget (one
 /// row's worth of bytes beyond the pinned pair) forces constant eviction,
 /// free recomputation, and donor-miss fallbacks in the repair planner.
+/// Some unbounded-cache cell must actually repair, so the cache-on half
+/// of the comparison is not vacuous.
 #[test]
 fn pipeline_is_invariant_across_the_cache_matrix() {
+    let mut repaired_somewhere = false;
     let specs = [
         TopKSpec::TopK(10),
         TopKSpec::Threshold { delta_min: 2 },
@@ -194,6 +197,9 @@ fn pipeline_is_invariant_across_the_cache_matrix() {
                                         "disabled cache must not repair: {ctx}"
                                     );
                                 }
+                                if cache == RowCacheBudget::Unbounded {
+                                    repaired_somewhere |= got.stats.repaired_rows > 0;
+                                }
                             }
                         }
                     }
@@ -201,6 +207,10 @@ fn pipeline_is_invariant_across_the_cache_matrix() {
             }
         }
     }
+    assert!(
+        repaired_somewhere,
+        "no unbounded-cache cell ever exercised the repair path"
+    );
 }
 
 /// Ground truth anchoring: the unbudgeted Incidence baseline must find
@@ -386,149 +396,6 @@ fn weighted_rows_take_the_u32_arena_path() {
     assert!(
         !reference.pairs.is_empty(),
         "weighted case must not be vacuous"
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_store_config(
-    g1: &Graph,
-    g2: &Graph,
-    kind: SelectorKind,
-    m: u64,
-    spec: &TopKSpec,
-    store: GraphStore,
-    threads: usize,
-    kernel: BfsKernel,
-    cache: RowCacheBudget,
-) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_graph_store(store)
-        .with_threads(threads)
-        .with_kernel(kernel)
-        .with_row_cache(cache);
-    let mut sel = kind.build(3);
-    run_pipeline(&mut oracle, sel.as_mut(), spec)
-}
-
-/// The `CP_GRAPH_STORE` axis: the overlay (base CSR + insertion deltas)
-/// and gap-compressed stores re-encode the *same* adjacency in the same
-/// neighbor order, so pairs, candidates, and the ledger are bit-identical
-/// to the full-CSR reference across selectors, threads, kernels, and cache
-/// budgets. Storage moves graph memory, never results.
-#[test]
-fn pipeline_is_invariant_across_graph_stores() {
-    let spec = TopKSpec::ThresholdFromMax { slack: 1 };
-    for (name, t) in generator_cases() {
-        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        for kind in [SelectorKind::Degree, SelectorKind::Mmsd { landmarks: 3 }] {
-            let reference = run_store_config(
-                &g1,
-                &g2,
-                kind,
-                12,
-                &spec,
-                GraphStore::Full,
-                1,
-                BfsKernel::Scalar,
-                RowCacheBudget::Bytes(0),
-            );
-            for store in [
-                GraphStore::Full,
-                GraphStore::Overlay,
-                GraphStore::Compressed,
-            ] {
-                for threads in [1usize, 2, 8] {
-                    for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
-                        for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-                            let got = run_store_config(
-                                &g1, &g2, kind, 12, &spec, store, threads, kernel, cache,
-                            );
-                            let ctx = format!(
-                                "{name}/{}/store={}/threads={threads}/{}/cache={}",
-                                kind.name(),
-                                store.name(),
-                                kernel.name(),
-                                cache.describe(),
-                            );
-                            assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                            assert_eq!(
-                                got.candidates, reference.candidates,
-                                "candidates diverge: {ctx}"
-                            );
-                            assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                            assert_eq!(got.stats.graph_store, store, "store not recorded: {ctx}");
-                            let mem = got.stats.graph_mem;
-                            assert!(mem.base_bytes > 0, "no base bytes: {ctx}");
-                            match store {
-                                GraphStore::Full => {
-                                    assert_eq!(mem.overlay_bytes, 0, "{ctx}");
-                                    assert_eq!(mem.compressed_bytes, 0, "{ctx}");
-                                }
-                                GraphStore::Overlay => {
-                                    // Growth-only snapshot pairs must
-                                    // actually share the base CSR.
-                                    assert!(
-                                        mem.overlay_shared_arcs > 0,
-                                        "overlay shares no arcs: {ctx}"
-                                    );
-                                }
-                                GraphStore::Compressed => {
-                                    assert!(mem.compressed_bytes > 0, "{ctx}");
-                                    assert!(mem.compressed_bytes_per_arc > 0.0, "{ctx}");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The overlay store's O(Δ) delta fast path (`OverlayGraph::to_delta`)
-/// must drive snapshot-delta repair exactly like the O(E) containment
-/// scan of the full store: not just the same visible results, but the
-/// same repaired-row counters and kernel-row split, run for run.
-#[test]
-fn overlay_fast_path_repairs_identically_to_the_slow_scan() {
-    let spec = TopKSpec::ThresholdFromMax { slack: 1 };
-    let mut repaired_somewhere = false;
-    for (name, t) in generator_cases() {
-        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        let run = |store: GraphStore| {
-            run_store_config(
-                &g1,
-                &g2,
-                SelectorKind::Mmsd { landmarks: 3 },
-                12,
-                &spec,
-                store,
-                1,
-                BfsKernel::Auto,
-                RowCacheBudget::Unbounded,
-            )
-        };
-        let full = run(GraphStore::Full);
-        let overlay = run(GraphStore::Overlay);
-        assert_eq!(overlay.pairs, full.pairs, "{name}: pairs diverge");
-        assert_eq!(
-            overlay.candidates, full.candidates,
-            "{name}: candidates diverge"
-        );
-        assert_eq!(overlay.budget, full.budget, "{name}: ledger diverges");
-        assert_eq!(
-            overlay.stats.repaired_rows, full.stats.repaired_rows,
-            "{name}: repair counters diverge"
-        );
-        assert_eq!(
-            overlay.stats.kernel_stats, full.stats.kernel_stats,
-            "{name}: kernel-row split diverges"
-        );
-        repaired_somewhere |= overlay.stats.repaired_rows > 0;
-    }
-    assert!(
-        repaired_somewhere,
-        "no generator ever exercised the repair path under the overlay store"
     );
 }
 

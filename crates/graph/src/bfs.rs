@@ -21,9 +21,13 @@
 //!
 //! The implementation avoids per-call allocation via [`BfsWorkspace`] so
 //! that the cost model reflects graph traversal, not allocator churn.
+//!
+//! The hot kernels here and in [`crate::msbfs`], [`crate::dijkstra`] and
+//! [`crate::repair`] are `#[inline]`, so each calling crate compiles its
+//! own copy: one shared out-of-line copy ran an all-sources BFS sweep
+//! 15–25 % slower on the dataset emulators.
 
-use crate::csr::GraphView;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::INF;
 
 /// Work performed by a traversal kernel, accumulated across calls.
@@ -93,8 +97,9 @@ impl BfsWorkspace {
 /// unreachable nodes get [`INF`]. The result is bit-identical to
 /// [`bfs_scalar_into`] — only the wall clock differs. Returns the nodes
 /// settled and adjacency entries examined.
-pub fn bfs_into<V: GraphView>(
-    graph: &V,
+#[inline]
+pub fn bfs_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -167,7 +172,7 @@ pub fn bfs_into<V: GraphView>(
                 }
                 // Probe this unvisited node's adjacency for a frontier
                 // parent, counting every probe as one examined entry.
-                let has_parent = graph.any_neighbor(NodeId::new(v), |u| {
+                let has_parent = graph.neighbors(NodeId::new(v)).iter().any(|u| {
                     work.relaxed += 1;
                     front_bits[u.index() >> 6] & (1u64 << (u.index() & 63)) != 0
                 });
@@ -185,7 +190,7 @@ pub fn bfs_into<V: GraphView>(
         } else {
             next.clear();
             for &u in frontier.iter() {
-                graph.for_each_neighbor(u, |v| {
+                for &v in graph.neighbors(u) {
                     work.relaxed += 1;
                     if dist[v.index()] == INF {
                         dist[v.index()] = level;
@@ -195,7 +200,7 @@ pub fn bfs_into<V: GraphView>(
                         frontier_edges += deg;
                         remaining_edges -= deg;
                     }
-                });
+                }
             }
             frontier_len = next.len();
             std::mem::swap(frontier, next);
@@ -206,25 +211,21 @@ pub fn bfs_into<V: GraphView>(
 
 /// The purely top-down level expansion over an already-seeded workspace
 /// frontier (shared by the small-graph path and [`bfs_scalar_into`]).
-fn top_down<V: GraphView>(
-    graph: &V,
-    dist: &mut [u32],
-    ws: &mut BfsWorkspace,
-    work: &mut TraversalWork,
-) {
+#[inline]
+fn top_down(graph: &Graph, dist: &mut [u32], ws: &mut BfsWorkspace, work: &mut TraversalWork) {
     let BfsWorkspace { frontier, next, .. } = ws;
     let mut level: u32 = 0;
     while !frontier.is_empty() {
         level += 1;
         for &u in frontier.iter() {
-            graph.for_each_neighbor(u, |v| {
+            for &v in graph.neighbors(u) {
                 work.relaxed += 1;
                 if dist[v.index()] == INF {
                     dist[v.index()] = level;
                     work.settled += 1;
                     next.push(v);
                 }
-            });
+            }
         }
         std::mem::swap(frontier, next);
         next.clear();
@@ -234,8 +235,9 @@ fn top_down<V: GraphView>(
 /// The scalar (always top-down) reference kernel. Same output as
 /// [`bfs_into`], work counters included; exists so A/B runs and equivalence
 /// tests can pin the pre-optimization behaviour (`CP_BFS_KERNEL=scalar`).
-pub fn bfs_scalar_into<V: GraphView>(
-    graph: &V,
+#[inline]
+pub fn bfs_scalar_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -254,7 +256,7 @@ pub fn bfs_scalar_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`bfs_into`].
-pub fn bfs<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
+pub fn bfs(graph: &Graph, src: NodeId) -> Vec<u32> {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     bfs_into(graph, src, &mut dist, &mut ws);
@@ -266,8 +268,8 @@ pub fn bfs<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
 ///
 /// Distances beyond `max_depth` are left at [`INF`]. Bounded probes have
 /// small frontiers by construction, so this stays top-down.
-pub fn bfs_bounded_into<V: GraphView>(
-    graph: &V,
+pub fn bfs_bounded_into(
+    graph: &Graph,
     src: NodeId,
     max_depth: u32,
     dist: &mut Vec<u32>,
@@ -285,12 +287,12 @@ pub fn bfs_bounded_into<V: GraphView>(
     while !frontier.is_empty() && level < max_depth {
         level += 1;
         for &u in frontier.iter() {
-            graph.for_each_neighbor(u, |v| {
+            for &v in graph.neighbors(u) {
                 if dist[v.index()] == INF {
                     dist[v.index()] = level;
                     next.push(v);
                 }
-            });
+            }
         }
         std::mem::swap(frontier, next);
         next.clear();
@@ -300,7 +302,7 @@ pub fn bfs_bounded_into<V: GraphView>(
 /// Allocating convenience wrapper around [`bfs_bounded_into`]. Used by
 /// bounded neighborhood probes (e.g. the Selective Expansion variant of
 /// the Incidence baseline).
-pub fn bfs_bounded<V: GraphView>(graph: &V, src: NodeId, max_depth: u32) -> Vec<u32> {
+pub fn bfs_bounded(graph: &Graph, src: NodeId, max_depth: u32) -> Vec<u32> {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     bfs_bounded_into(graph, src, max_depth, &mut dist, &mut ws);
@@ -311,8 +313,8 @@ pub fn bfs_bounded<V: GraphView>(graph: &V, src: NodeId, max_depth: u32) -> Vec<
 /// distance, considering only reachable nodes, reusing the caller's row
 /// and workspace. Building block of the double-sweep diameter bound and
 /// the greedy dispersion selectors.
-pub fn farthest_node_into<V: GraphView>(
-    graph: &V,
+pub fn farthest_node_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -328,7 +330,7 @@ pub fn farthest_node_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`farthest_node_into`].
-pub fn farthest_node<V: GraphView>(graph: &V, src: NodeId) -> (NodeId, u32) {
+pub fn farthest_node(graph: &Graph, src: NodeId) -> (NodeId, u32) {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     farthest_node_into(graph, src, &mut dist, &mut ws)
@@ -336,8 +338,8 @@ pub fn farthest_node<V: GraphView>(graph: &V, src: NodeId) -> (NodeId, u32) {
 
 /// Computes the eccentricity of `src` (max finite distance from it),
 /// reusing the caller's row and workspace.
-pub fn eccentricity_into<V: GraphView>(
-    graph: &V,
+pub fn eccentricity_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -346,7 +348,7 @@ pub fn eccentricity_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`eccentricity_into`].
-pub fn eccentricity<V: GraphView>(graph: &V, src: NodeId) -> u32 {
+pub fn eccentricity(graph: &Graph, src: NodeId) -> u32 {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     eccentricity_into(graph, src, &mut dist, &mut ws)
@@ -356,7 +358,6 @@ pub fn eccentricity<V: GraphView>(graph: &V, src: NodeId) -> u32 {
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::graph::Graph;
 
     fn path5() -> Graph {
         graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -37,13 +37,6 @@
 //!   distance rows (half the bytes, twice the cache reach) and a pooled
 //!   slab [`RowArena`](rowpack::RowArena) with a free list, the backing
 //!   store of the budget oracle's resident-row cache.
-//! * [`csr`] / [`overlay`] / [`varint`] — snapshot storage layouts behind
-//!   the [`GraphView`](csr::GraphView) trait: the full CSR, an O(Δ)
-//!   insertion overlay sharing the previous snapshot's structure
-//!   ([`OverlayGraph`]), and a delta-gap varint compressed adjacency
-//!   ([`CompressedCsr`](csr::CompressedCsr)); all traversal kernels are
-//!   generic over the view so the three stores are interchangeable and
-//!   bit-identical.
 //!
 //! Distances are `u32` with [`INF`] as the unreachable sentinel, which keeps
 //! distance rows compact (4 bytes/node) — the experiments stream millions of
@@ -57,24 +50,19 @@ pub mod betweenness;
 pub mod bfs;
 pub mod builder;
 pub mod components;
-pub mod csr;
 pub mod degrees;
 pub mod diameter;
 pub mod dijkstra;
 pub mod graph;
 pub mod landmark_index;
 pub mod msbfs;
-pub mod overlay;
 pub mod repair;
 pub mod rowpack;
 pub mod temporal;
 pub mod unionfind;
-pub mod varint;
 
 pub use builder::GraphBuilder;
-pub use csr::{CompressedCsr, GraphView, GraphViewRef};
 pub use graph::{Graph, NodeId};
-pub use overlay::OverlayGraph;
 pub use temporal::{GraphAccumulator, PrefixCursor, TemporalGraph, TimedEdge};
 
 /// Sentinel distance meaning "unreachable".

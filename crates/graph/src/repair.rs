@@ -26,7 +26,6 @@
 //! weights on shared edges — is checked once per snapshot pair by
 //! [`snapshot_delta`].
 
-use crate::csr::GraphView;
 use crate::graph::{Graph, NodeId};
 use crate::INF;
 use std::cmp::Reverse;
@@ -117,8 +116,9 @@ impl RepairWorkspace {
 /// `t1_row.len() == g2.num_nodes()`, `g2` unweighted, every inserted edge
 /// present in `g2`, and `t1_row` an upper bound on `t2` distances (true
 /// whenever `G_t1 ⊆ G_t2`). An empty delta returns a plain copy.
-pub fn bfs_repair_into<V: GraphView>(
-    g2: &V,
+#[inline]
+pub fn bfs_repair_into(
+    g2: &Graph,
     t1_row: &[u32],
     inserted: &[InsertedEdge],
     dist: &mut Vec<u32>,
@@ -134,7 +134,7 @@ pub fn bfs_repair_into<V: GraphView>(
     let mut lo = usize::MAX;
     for &(a, b, w) in inserted {
         debug_assert_eq!(w, 1, "unit-weight repair fed a weighted edge");
-        debug_assert!(g2.any_neighbor(a, |v| v == b));
+        debug_assert!(g2.has_edge(a, b));
         for (x, y) in [(a, b), (b, a)] {
             let dx = dist[x.index()];
             if dx == INF {
@@ -170,7 +170,7 @@ pub fn bfs_repair_into<V: GraphView>(
             }
             settled += 1;
             let nd = d as u32 + 1;
-            g2.for_each_neighbor(v, |u| {
+            for &u in g2.neighbors(v) {
                 if nd < dist[u.index()] {
                     dist[u.index()] = nd;
                     let nd = nd as usize;
@@ -180,7 +180,7 @@ pub fn bfs_repair_into<V: GraphView>(
                     buckets[nd].push(u.0);
                     hi = hi.max(nd);
                 }
-            });
+            }
         }
         bucket.clear();
         buckets[d] = bucket; // keep the allocation for the next row
@@ -190,7 +190,7 @@ pub fn bfs_repair_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`bfs_repair_into`].
-pub fn bfs_repair<V: GraphView>(g2: &V, t1_row: &[u32], inserted: &[InsertedEdge]) -> Vec<u32> {
+pub fn bfs_repair(g2: &Graph, t1_row: &[u32], inserted: &[InsertedEdge]) -> Vec<u32> {
     let mut dist = Vec::new();
     bfs_repair_into(g2, t1_row, inserted, &mut dist, &mut RepairWorkspace::new());
     dist
@@ -200,8 +200,9 @@ pub fn bfs_repair<V: GraphView>(g2: &V, t1_row: &[u32], inserted: &[InsertedEdge
 /// row into the exact `t2` row, seeding a heap with the improving endpoints
 /// of the inserted edges and relaxing only the shrinking region. Returns
 /// the number of nodes settled.
-pub fn dijkstra_repair_into<V: GraphView>(
-    g2: &V,
+#[inline]
+pub fn dijkstra_repair_into(
+    g2: &Graph,
     t1_row: &[u32],
     inserted: &[InsertedEdge],
     dist: &mut Vec<u32>,
@@ -214,7 +215,7 @@ pub fn dijkstra_repair_into<V: GraphView>(
     heap.clear();
 
     for &(a, b, w) in inserted {
-        debug_assert!(g2.any_neighbor(a, |v| v == b));
+        debug_assert!(g2.has_edge(a, b));
         for (x, y) in [(a, b), (b, a)] {
             let dx = dist[x.index()];
             if dx == INF {
@@ -234,23 +235,20 @@ pub fn dijkstra_repair_into<V: GraphView>(
             continue; // stale entry
         }
         settled += 1;
-        g2.for_each_neighbor_weighted(v, |u, w| {
+        for (u, e) in g2.neighbors_with_edge_ids(v) {
+            let w = g2.edge_weight(e);
             let nd = dv.saturating_add(w).min(INF - 1);
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
                 heap.push(Reverse((nd, u)));
             }
-        });
+        }
     }
     settled
 }
 
 /// Allocating convenience wrapper around [`dijkstra_repair_into`].
-pub fn dijkstra_repair<V: GraphView>(
-    g2: &V,
-    t1_row: &[u32],
-    inserted: &[InsertedEdge],
-) -> Vec<u32> {
+pub fn dijkstra_repair(g2: &Graph, t1_row: &[u32], inserted: &[InsertedEdge]) -> Vec<u32> {
     let mut dist = Vec::new();
     dijkstra_repair_into(g2, t1_row, inserted, &mut dist, &mut RepairWorkspace::new());
     dist
@@ -259,8 +257,8 @@ pub fn dijkstra_repair<V: GraphView>(
 /// Dispatching repair: unit-weight bucket repair when `g2` is unweighted,
 /// heap repair otherwise. `delta` must be [`SnapshotDelta::repairable`].
 /// Returns the settled-node count.
-pub fn delta_repair_into<V: GraphView>(
-    g2: &V,
+pub fn delta_repair_into(
+    g2: &Graph,
     t1_row: &[u32],
     delta: &SnapshotDelta,
     dist: &mut Vec<u32>,
@@ -275,7 +273,7 @@ pub fn delta_repair_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`delta_repair_into`].
-pub fn delta_repair<V: GraphView>(g2: &V, t1_row: &[u32], delta: &SnapshotDelta) -> Vec<u32> {
+pub fn delta_repair(g2: &Graph, t1_row: &[u32], delta: &SnapshotDelta) -> Vec<u32> {
     let mut dist = Vec::new();
     delta_repair_into(g2, t1_row, delta, &mut dist, &mut RepairWorkspace::new());
     dist

@@ -6,11 +6,9 @@ use cp_graph::builder::graph_from_edges;
 use cp_graph::components::components;
 use cp_graph::diameter::{diameter_double_sweep, diameter_exact};
 use cp_graph::dijkstra::dijkstra;
-use cp_graph::repair::snapshot_delta;
 use cp_graph::rowpack::{fits_u16, pack_u16_into, widen_u16_into, RowRef, INF_U16};
 use cp_graph::temporal::TemporalGraph;
-use cp_graph::varint::{decode_u32, encode_u32, encoded_len, MAX_VARINT_BYTES};
-use cp_graph::{CompressedCsr, GraphView, NodeId, OverlayGraph, INF};
+use cp_graph::{NodeId, INF};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over up to `n` nodes.
@@ -358,113 +356,6 @@ proptest! {
             edge_total,
             distance_total
         );
-    }
-}
-
-/// Collects `u`'s neighbors through the [`GraphView`] callback interface.
-fn view_neighbors<V: GraphView>(view: &V, u: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    view.for_each_neighbor(u, |v| out.push(v));
-    out
-}
-
-proptest! {
-    #[test]
-    fn varint_streams_roundtrip(values in prop::collection::vec(0u32..=u32::MAX, 0..200)) {
-        let mut buf = Vec::new();
-        for &x in &values {
-            let before = buf.len();
-            encode_u32(x, &mut buf);
-            prop_assert_eq!(buf.len() - before, encoded_len(x), "length of {}", x);
-            prop_assert!(buf.len() - before <= MAX_VARINT_BYTES);
-        }
-        let mut pos = 0usize;
-        for &x in &values {
-            prop_assert_eq!(decode_u32(&buf, &mut pos), x);
-        }
-        prop_assert_eq!(pos, buf.len(), "trailing bytes after decode");
-    }
-
-    /// The gap-compressed CSR is a pure re-encoding: node/arc counts,
-    /// degrees, neighbor order, and whole BFS rows match the full store on
-    /// any graph, and the byte payload never exceeds the `u32` targets it
-    /// replaces.
-    #[test]
-    fn compressed_csr_matches_full_store((n, edges) in edge_list(40, 120)) {
-        let g = graph_from_edges(n, &edges);
-        let c = CompressedCsr::from_graph(&g);
-        prop_assert_eq!(c.num_nodes(), g.num_nodes());
-        prop_assert_eq!(c.num_arcs(), 2 * g.num_edges());
-        for u in g.nodes() {
-            prop_assert_eq!(c.degree(u), g.degree(u), "degree of {}", u);
-            prop_assert_eq!(
-                view_neighbors(&c, u),
-                g.neighbors(u).to_vec(),
-                "neighbors of {}",
-                u
-            );
-        }
-        for s in [0usize, n / 2, n - 1] {
-            prop_assert_eq!(bfs(&c, NodeId::new(s)), bfs(&g, NodeId::new(s)));
-        }
-    }
-
-    /// On a randomly grown snapshot pair, the overlay over `G_t1` plus the
-    /// inserted delta *is* `G_t2`: same degrees, same sorted adjacency,
-    /// same BFS rows as both the full and the compressed `G_t2` stores —
-    /// and `to_delta()` reproduces the slow containment-scan delta
-    /// exactly.
-    #[test]
-    fn overlay_matches_grown_snapshot((n, edges) in edge_list(30, 80)) {
-        prop_assume!(edges.len() >= 2);
-        let split = edges.len() / 2;
-        let g1 = graph_from_edges(n, &edges[..split]);
-        let g2 = graph_from_edges(n, &edges);
-        let delta = snapshot_delta(&g1, &g2);
-        prop_assert!(delta.growth_only, "prefix pair must be growth-only");
-        let overlay = OverlayGraph::from_delta(&g1, delta.inserted.clone(), false);
-        let c2 = CompressedCsr::from_graph(&g2);
-        prop_assert_eq!(overlay.num_edges(), g2.num_edges());
-        prop_assert_eq!(overlay.num_nodes(), g2.num_nodes());
-        prop_assert_eq!(
-            overlay.shared_arcs() + overlay.extra_arcs(),
-            2 * g2.num_edges()
-        );
-        for u in g2.nodes() {
-            prop_assert_eq!(overlay.degree(u), g2.degree(u), "degree of {}", u);
-            let expected = g2.neighbors(u).to_vec();
-            prop_assert_eq!(view_neighbors(&overlay, u), expected.clone(), "overlay {}", u);
-            prop_assert_eq!(view_neighbors(&c2, u), expected, "compressed {}", u);
-        }
-        for s in [0usize, n - 1] {
-            let full_row = bfs(&g2, NodeId::new(s));
-            prop_assert_eq!(bfs(&overlay, NodeId::new(s)), full_row.clone());
-            prop_assert_eq!(bfs(&c2, NodeId::new(s)), full_row);
-        }
-        // The O(Δ) fast path: reading the delta back off the overlay is
-        // bit-identical to the O(E) containment scan.
-        prop_assert_eq!(overlay.to_delta(), delta);
-    }
-
-    /// Overlay construction is a pure function of its inputs: two builds
-    /// from the same base and delta agree on every observable.
-    #[test]
-    fn overlay_build_is_deterministic((n, edges) in edge_list(30, 80)) {
-        prop_assume!(edges.len() >= 2);
-        let split = edges.len() / 2;
-        let g1 = graph_from_edges(n, &edges[..split]);
-        let g2 = graph_from_edges(n, &edges);
-        let delta = snapshot_delta(&g1, &g2);
-        prop_assert!(delta.growth_only);
-        let a = OverlayGraph::from_delta(&g1, delta.inserted.clone(), false);
-        let b = OverlayGraph::from_delta(&g1, delta.inserted.clone(), false);
-        prop_assert_eq!(a.shared_arcs(), b.shared_arcs());
-        prop_assert_eq!(a.extra_arcs(), b.extra_arcs());
-        prop_assert_eq!(a.heap_bytes(), b.heap_bytes());
-        prop_assert_eq!(a.to_delta(), b.to_delta());
-        for u in g2.nodes() {
-            prop_assert_eq!(view_neighbors(&a, u), view_neighbors(&b, u), "node {}", u);
-        }
     }
 }
 

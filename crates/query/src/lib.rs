@@ -21,13 +21,15 @@
 //! ```
 //! use cp_query::{Answer, QueryEngine};
 //! use cp_core::exact::TopKSpec;
+//! use cp_core::oracle::RowCacheBudget;
 //! use cp_core::selectors::SelectorKind;
 //! use cp_graph::{NodeId, TimedEdge};
 //! use cp_stream::{StreamConfig, StreamEngine};
 //!
 //! // A 10-node path that gains a shortcut: the pair (0, 9) converges.
-//! let cfg = StreamConfig::new(10, SelectorKind::Degree,
-//!                             TopKSpec::ThresholdFromMax { slack: 0 }, 7);
+//! let mut cfg = StreamConfig::new(10, SelectorKind::Degree,
+//!                                 TopKSpec::ThresholdFromMax { slack: 0 }, 7);
+//! cfg.row_cache = Some(RowCacheBudget::Unbounded);
 //! let mut engine = StreamEngine::new(10, cfg);
 //! for i in 0..9u32 {
 //!     engine.ingest(TimedEdge { u: NodeId(i), v: NodeId(i + 1), time: 0 }).unwrap();

@@ -8,13 +8,13 @@
 //! * Every captured row answers `Exact` for every target, and every seed
 //!   resident in both snapshots gets a `complete` top-k.
 //!
-//! The checks run across the full serving matrix — generators × graph
-//! stores × BFS kernels × row-cache budgets — and as a
+//! The checks run across the full serving matrix — generators × BFS
+//! kernels × row-cache budgets — and as a
 //! property test over arbitrary growing streams (the headline
 //! bound-soundness proptest at the bottom).
 
 use cp_core::exact::{sort_pairs, ConvergingPair, TopKSpec};
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, Snapshot};
+use cp_core::oracle::{BfsKernel, RowCacheBudget, Snapshot};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::SelectorKind;
 use cp_gen::ba::barabasi_albert;
@@ -162,7 +162,7 @@ fn check_epoch(view: &EpochView, t1: &[Vec<u32>], t2: &[Vec<u32>], tally: &mut T
     }
 }
 
-/// The full serving matrix: on every generator × store × kernel × cache
+/// The full serving matrix: on every generator × kernel × cache
 /// leg, every published epoch's answers conform to from-scratch BFS
 /// truth — and the run produces nonzero Exact, Bounded, and complete
 /// top-k answers, so the conformance is not vacuous.
@@ -174,36 +174,30 @@ fn answers_conform_across_the_matrix() {
         let n = t.num_nodes();
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
         let tiny = RowCacheBudget::Bytes(3 * 4 * n);
-        for store in [GraphStore::Full, GraphStore::Overlay] {
-            for (kernel, scan) in [
-                (BfsKernel::Scalar, ScanKernel::Scalar),
-                (BfsKernel::Auto, ScanKernel::Auto),
-            ] {
-                for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                    let mut cfg = StreamConfig::new(
-                        8,
-                        SelectorKind::Mmsd { landmarks: 3 },
-                        TopKSpec::ThresholdFromMax { slack: 1 },
-                        3,
-                    );
-                    cfg.graph_store = Some(store);
-                    cfg.kernel = Some(kernel);
-                    cfg.scan_kernel = Some(scan);
-                    cfg.row_cache = Some(cache);
-                    let mut engine =
-                        StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
-                    for w in cuts.windows(2) {
-                        let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                        let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
-                        let t2 = truth_matrix(&t.snapshot_of_prefix(f2));
-                        feed(&mut engine, &t, f1, f2);
-                        let view = EpochView::of(engine.review());
-                        let ctx = format!(
-                            "{name}/review={}/{store:?}/{kernel:?}/cache={cache:?}",
-                            view.review()
-                        );
-                        check_epoch(&view, &t1, &t2, &mut tally, &ctx);
-                    }
+        for (kernel, scan) in [
+            (BfsKernel::Scalar, ScanKernel::Scalar),
+            (BfsKernel::Auto, ScanKernel::Auto),
+        ] {
+            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
+                let mut cfg = StreamConfig::new(
+                    8,
+                    SelectorKind::Mmsd { landmarks: 3 },
+                    TopKSpec::ThresholdFromMax { slack: 1 },
+                    3,
+                );
+                cfg.kernel = Some(kernel);
+                cfg.scan_kernel = Some(scan);
+                cfg.row_cache = Some(cache);
+                let mut engine =
+                    StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+                for w in cuts.windows(2) {
+                    let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+                    let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
+                    let t2 = truth_matrix(&t.snapshot_of_prefix(f2));
+                    feed(&mut engine, &t, f1, f2);
+                    let view = EpochView::of(engine.review());
+                    let ctx = format!("{name}/review={}/{kernel:?}/cache={cache:?}", view.review());
+                    check_epoch(&view, &t1, &t2, &mut tally, &ctx);
                 }
             }
         }

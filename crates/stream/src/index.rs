@@ -93,6 +93,7 @@ impl QueryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_core::oracle::RowCacheBudget;
     use cp_graph::builder::graph_from_edges;
 
     #[test]
@@ -112,7 +113,8 @@ mod tests {
         let mut all = base;
         all.push((0, 9));
         let g2 = graph_from_edges(10, &all);
-        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
+        let mut oracle =
+            SnapshotOracle::with_budget(&g1, &g2, 8).with_row_cache(RowCacheBudget::Unbounded);
         oracle.rows(NodeId(0)).unwrap();
         oracle.rows(NodeId(5)).unwrap();
         let idx = QueryIndex::capture(&oracle);

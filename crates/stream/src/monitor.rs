@@ -152,6 +152,7 @@ impl ConvergenceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_core::oracle::RowCacheBudget;
     use cp_graph::TemporalGraph;
 
     /// A ring accumulating chords: three snapshots, chords arriving in two
@@ -240,7 +241,11 @@ mod tests {
     #[test]
     fn monitor_steps_chain_the_row_cache() {
         let snaps = snapshots();
-        let mut monitor = ConvergenceMonitor::new(snaps[0].clone(), config());
+        let mut stream = config().stream();
+        stream.row_cache = Some(RowCacheBudget::Unbounded);
+        let mut monitor = ConvergenceMonitor {
+            engine: StreamEngine::from_snapshot(&snaps[0], stream),
+        };
         monitor.advance(snaps[1].clone());
         let step2 = monitor.advance(snaps[2].clone());
         assert!(
