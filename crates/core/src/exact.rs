@@ -1,16 +1,24 @@
 //! Exact computation of the top-k converging pairs (the baseline that the
 //! budgeted algorithms are measured against).
 //!
-//! The exact solution computes, for every node, its BFS distance row in
-//! both snapshots and keeps the pairs with the largest decrease. Rows are
-//! streamed in parallel (never materializing an `n × n` matrix); workers
-//! keep pruned local buffers and share a global lower bound on the
-//! interesting Δ, so memory stays proportional to the answer.
+//! The exact solution needs the distance of every pair in both snapshots
+//! (Problem 1's `2n` single-source shortest paths) and keeps the pairs with
+//! the largest decrease. On unweighted snapshots the sources run as waves
+//! of 64 over the [`cp_exec`] pool, each wave two bit-parallel MS-BFS
+//! sweeps ([`msbfs_visit`]): the `G_t2` sweep stores the wave's `d2` rows
+//! (packed as `u16` when [`fits_u16`] allows, `u32` otherwise), and the
+//! `G_t1` sweep computes `Δ = level − d2` at each discovery, so no `d1` row
+//! is ever written. Weighted snapshots run one Dijkstra row pair per
+//! source through the same Δ sink. Nothing `n × n` is ever materialized:
+//! wave buffers live for one call, and workers keep pruned local buffers
+//! and share a rising lower bound on the interesting Δ, so the answer
+//! buffers stay proportional to the answer.
 
-use crate::scan::{scan_delta_row, ScanCounters, ScanKernel};
-use cp_graph::apsp::for_each_source_pairwise;
-use cp_graph::rowpack::RowRef;
-use cp_graph::{distance_decrease, Graph, NodeId};
+use cp_graph::apsp::for_each_source_block;
+use cp_graph::dijkstra::dijkstra_into;
+use cp_graph::msbfs::{msbfs_visit, MsBfsWorkspace, WAVE_WIDTH};
+use cp_graph::rowpack::{fits_u16, INF_U16};
+use cp_graph::{distance_decrease, Graph, NodeId, INF};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -119,116 +127,203 @@ pub fn sort_pairs(pairs: &mut [ConvergingPair]) {
     pairs.sort_unstable_by(|a, b| b.delta.cmp(&a.delta).then(a.pair.cmp(&b.pair)));
 }
 
-/// Computes the exact top-k converging pairs between two snapshots.
-///
-/// `threads` bounds the BFS worker count. The full computation is
-/// `2n` single-source shortest paths — the cost the budgeted algorithms
-/// avoid — so expect seconds at the paper's graph sizes.
-///
-/// The Δ scan over each row pair runs the kernel selected by
-/// `CP_SCAN_KERNEL` (see [`ScanKernel::from_env`]); results are identical
-/// under either kernel.
-pub fn exact_top_k(g1: &Graph, g2: &Graph, spec: &TopKSpec, threads: usize) -> ExactTopK {
-    exact_top_k_with_kernel(g1, g2, spec, threads, ScanKernel::from_env())
+/// Per-buffer soft capacity before a worker re-prunes locally.
+const PRUNE_AT: usize = 1 << 16;
+
+/// The state every worker folds its Δ values into: the rising floor, the
+/// exact running maximum and the merged answer candidates.
+struct DeltaSink {
+    /// Pairs below this Δ can never reach the answer. It starts at
+    /// [`TopKSpec::initial_floor`] and only rises, from the running
+    /// maximum under `ThresholdFromMax`.
+    floor: AtomicU32,
+    /// The largest Δ seen so far, over every pair.
+    delta_max: AtomicU32,
+    from_max_slack: Option<u32>,
+    merged: Mutex<Vec<ConvergingPair>>,
 }
 
-/// [`exact_top_k`] with an explicit Δ-scan kernel (conformance tests
-/// sweep this; normal callers go through the env knob).
-pub fn exact_top_k_with_kernel(
-    g1: &Graph,
-    g2: &Graph,
-    spec: &TopKSpec,
-    threads: usize,
-    kernel: ScanKernel,
-) -> ExactTopK {
-    // Workers keep pairs with Δ >= the current global pruning threshold,
-    // which only grows. For Threshold specs it is fixed; for the other
-    // specs it starts at 1 and rises as better pairs are discovered.
-    let prune_floor = AtomicU32::new(match spec {
-        TopKSpec::Threshold { delta_min } => (*delta_min).max(1),
-        _ => 1,
-    });
-    let delta_max = AtomicU32::new(0);
-    let merged: Mutex<Vec<ConvergingPair>> = Mutex::new(Vec::new());
-    let from_max_slack = match spec {
-        TopKSpec::ThresholdFromMax { slack } => Some(*slack),
-        _ => None,
-    };
+impl DeltaSink {
+    fn new(spec: &TopKSpec) -> Self {
+        DeltaSink {
+            floor: AtomicU32::new(spec.initial_floor()),
+            delta_max: AtomicU32::new(0),
+            from_max_slack: match spec {
+                TopKSpec::ThresholdFromMax { slack } => Some(*slack),
+                _ => None,
+            },
+            merged: Mutex::new(Vec::new()),
+        }
+    }
+}
 
-    // Per-buffer soft capacity before a worker re-prunes locally.
-    const PRUNE_AT: usize = 1 << 16;
+/// One lane's buffered view of the [`DeltaSink`], flushed after each block
+/// of sources.
+#[derive(Default)]
+struct LocalPairs {
+    pairs: Vec<ConvergingPair>,
+    /// The largest Δ this lane has already folded into `delta_max`, so
+    /// repeats skip the shared read-modify-write.
+    max: u32,
+}
 
-    for_each_source_pairwise(g1, g2, threads, |src, d1, d2| {
-        let mut local: Vec<ConvergingPair> = Vec::new();
-        let u = src;
-        // Only the upper triangle: v > u, each pair visited from its
-        // lower endpoint.
-        let start = u.index() + 1;
-        match kernel {
-            ScanKernel::Auto => {
-                // The blocked kernel folds every chunk maximum into
-                // `delta_max` (skipped chunks included), so the final
-                // floor resolution below sees the exact maximum; per-row
-                // counters are not surfaced here.
-                let mut counters = ScanCounters::default();
-                scan_delta_row(
-                    RowRef::U32(d1),
-                    RowRef::U32(d2),
-                    start,
-                    &prune_floor,
-                    &delta_max,
-                    from_max_slack,
-                    &mut counters,
-                    &mut |v_idx, delta| {
-                        local.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
-                        if local.len() >= PRUNE_AT {
-                            let floor = prune_floor.load(Ordering::Relaxed);
-                            local.retain(|p| p.delta >= floor);
-                            if local.len() >= PRUNE_AT {
-                                // Genuinely that many qualifying pairs;
-                                // flush to bound worker memory.
-                                merged.lock().append(&mut local);
-                            }
-                        }
-                    },
-                );
+impl LocalPairs {
+    /// Offers the pair `(u, v)` with decrease `delta ≥ 1`.
+    #[inline]
+    fn offer(&mut self, sink: &DeltaSink, u: usize, v: usize, delta: u32) {
+        if delta > self.max {
+            self.max = delta;
+            let old_max = sink
+                .delta_max
+                .fetch_max(delta, Ordering::Relaxed)
+                .max(delta);
+            if let Some(slack) = sink.from_max_slack {
+                let new_floor = old_max.saturating_sub(slack).max(1);
+                sink.floor.fetch_max(new_floor, Ordering::Relaxed);
             }
-            ScanKernel::Scalar => {
-                for v_idx in start..d1.len() {
-                    let Some(delta) = distance_decrease(d1[v_idx], d2[v_idx]) else {
-                        continue;
-                    };
-                    if delta == 0 {
-                        continue;
-                    }
-                    let old_max = delta_max.fetch_max(delta, Ordering::Relaxed).max(delta);
-                    if let Some(slack) = from_max_slack {
-                        let new_floor = old_max.saturating_sub(slack).max(1);
-                        prune_floor.fetch_max(new_floor, Ordering::Relaxed);
-                    }
-                    if delta >= prune_floor.load(Ordering::Relaxed) {
-                        local.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
-                        if local.len() >= PRUNE_AT {
-                            let floor = prune_floor.load(Ordering::Relaxed);
-                            local.retain(|p| p.delta >= floor);
-                            if local.len() >= PRUNE_AT {
-                                // Genuinely that many qualifying pairs;
-                                // flush to the shared buffer to bound
-                                // worker memory.
-                                merged.lock().append(&mut local);
-                            }
-                        }
-                    }
+        }
+        if delta < sink.floor.load(Ordering::Relaxed) {
+            return;
+        }
+        self.pairs
+            .push(ConvergingPair::new(NodeId::new(u), NodeId::new(v), delta));
+        if self.pairs.len() >= PRUNE_AT {
+            let floor = sink.floor.load(Ordering::Relaxed);
+            self.pairs.retain(|p| p.delta >= floor);
+            if self.pairs.len() >= PRUNE_AT {
+                // Genuinely that many qualifying pairs; flush to the
+                // shared buffer to bound worker memory.
+                self.flush(sink);
+            }
+        }
+    }
+
+    fn flush(&mut self, sink: &DeltaSink) {
+        if !self.pairs.is_empty() {
+            sink.merged.lock().append(&mut self.pairs);
+        }
+    }
+}
+
+/// A wave's `d2` storage width: `u16` whenever the rows fit, `u32` beyond.
+trait WaveDist: Copy + Default + Into<u32> + Send {
+    /// The unreachable sentinel. It exceeds every level, so
+    /// `level.saturating_sub(UNREACHED)` is 0, matching
+    /// [`distance_decrease`] for `d2 = INF`.
+    const UNREACHED: Self;
+    fn from_level(level: u32) -> Self;
+}
+
+impl WaveDist for u16 {
+    const UNREACHED: u16 = INF_U16;
+    #[inline(always)]
+    fn from_level(level: u32) -> u16 {
+        level as u16
+    }
+}
+
+impl WaveDist for u32 {
+    const UNREACHED: u32 = INF;
+    #[inline(always)]
+    fn from_level(level: u32) -> u32 {
+        level
+    }
+}
+
+/// One lane's buffers for a run of waves; dropped when the call returns.
+#[derive(Default)]
+struct WaveLane<T> {
+    ws: MsBfsWorkspace,
+    /// The wave's `G_t2` distances, node-major: `d2[v · width + b]`, so
+    /// the bits that discover `v` together read adjacent entries.
+    d2: Vec<T>,
+    local: LocalPairs,
+}
+
+/// Runs the unweighted exact truth: one `G_t2` sweep then one fused
+/// `G_t1` sweep per wave of up to [`WAVE_WIDTH`] sources.
+fn unweighted_waves<T: WaveDist>(g1: &Graph, g2: &Graph, threads: usize, sink: &DeltaSink) {
+    let n = g1.num_nodes();
+    for_each_source_block(n, WAVE_WIDTH, threads, |block, lane: &mut WaveLane<T>| {
+        let lo = block.start;
+        let width = block.len();
+        let sources: Vec<NodeId> = block.map(NodeId::new).collect();
+        let WaveLane { ws, d2, local } = lane;
+        d2.clear();
+        d2.resize(n * width, T::UNREACHED);
+        msbfs_visit(g2, &sources, ws, |b, v, level| {
+            d2[v.index() * width + b] = T::from_level(level);
+        });
+        msbfs_visit(g1, &sources, ws, |b, v, level| {
+            let (u, v) = (lo + b, v.index());
+            // Only the upper triangle: each pair from its lower endpoint.
+            if v <= u {
+                return;
+            }
+            let delta = level.saturating_sub(d2[v * width + b].into());
+            if delta != 0 {
+                local.offer(sink, u, v, delta);
+            }
+        });
+        local.flush(sink);
+    });
+}
+
+/// Weighted lane buffers: one Dijkstra row per snapshot.
+#[derive(Default)]
+struct DijkstraLane {
+    d1: Vec<u32>,
+    d2: Vec<u32>,
+    local: LocalPairs,
+}
+
+/// Runs the weighted exact truth: a Dijkstra row pair per source, scanned
+/// over its upper triangle.
+fn weighted_sources(g1: &Graph, g2: &Graph, threads: usize, sink: &DeltaSink) {
+    for_each_source_block(
+        g1.num_nodes(),
+        1,
+        threads,
+        |block, lane: &mut DijkstraLane| {
+            let u = block.start;
+            dijkstra_into(g1, NodeId::new(u), &mut lane.d1);
+            dijkstra_into(g2, NodeId::new(u), &mut lane.d2);
+            for v in u + 1..lane.d1.len() {
+                match distance_decrease(lane.d1[v], lane.d2[v]) {
+                    Some(delta) if delta != 0 => lane.local.offer(sink, u, v, delta),
+                    _ => {}
                 }
             }
-        }
-        if !local.is_empty() {
-            merged.lock().append(&mut local);
-        }
-    });
+            lane.local.flush(sink);
+        },
+    );
+}
 
-    let dmax = delta_max.load(Ordering::Relaxed);
-    let mut pairs = merged.into_inner();
+/// Computes the exact top-k converging pairs between two snapshots.
+///
+/// `threads` bounds the worker count. Unweighted snapshots run as fused
+/// 64-source MS-BFS waves (see the module docs); weighted ones run
+/// per-source Dijkstra. The answer is the same at any thread count.
+///
+/// # Panics
+/// Panics if the snapshots do not share a node universe.
+pub fn exact_top_k(g1: &Graph, g2: &Graph, spec: &TopKSpec, threads: usize) -> ExactTopK {
+    assert_eq!(
+        g1.num_nodes(),
+        g2.num_nodes(),
+        "snapshots must share a node universe"
+    );
+    let sink = DeltaSink::new(spec);
+    if g1.is_weighted() || g2.is_weighted() {
+        weighted_sources(g1, g2, threads, &sink);
+    } else if fits_u16(g2) {
+        unweighted_waves::<u16>(g1, g2, threads, &sink);
+    } else {
+        unweighted_waves::<u32>(g1, g2, threads, &sink);
+    }
+
+    let dmax = sink.delta_max.load(Ordering::Relaxed);
+    let mut pairs = sink.merged.into_inner();
     let floor = match spec {
         TopKSpec::Threshold { delta_min } => (*delta_min).max(1),
         TopKSpec::ThresholdFromMax { slack } => dmax.saturating_sub(*slack).max(1),
@@ -342,6 +437,35 @@ mod tests {
         let res = exact_top_k(&g1, &g2, &TopKSpec::ThresholdFromMax { slack: 2 }, 2);
         let again = exact_top_k(&g1, &g2, &res.spec(), 2);
         assert_eq!(res.pairs, again.pairs);
+    }
+
+    #[test]
+    fn wide_wave_rows_match_packed_rows() {
+        // The `u32` wave path (universes beyond `u16`) on a graph the
+        // `u16` path also covers: same pairs, same maximum.
+        let (g1, g2) = shortcut_pair();
+        let run = |wide: bool| {
+            let sink = DeltaSink::new(&TopKSpec::Threshold { delta_min: 1 });
+            if wide {
+                unweighted_waves::<u32>(&g1, &g2, 2, &sink);
+            } else {
+                unweighted_waves::<u16>(&g1, &g2, 2, &sink);
+            }
+            let mut pairs = sink.merged.into_inner();
+            sort_pairs(&mut pairs);
+            (pairs, sink.delta_max.into_inner())
+        };
+        let packed = run(false);
+        assert_eq!(packed.1, 4);
+        assert_eq!(run(true), packed);
+    }
+
+    #[test]
+    #[should_panic(expected = "share a node universe")]
+    fn mismatched_universe_panics() {
+        let g1 = graph_from_edges(3, &[(0, 1)]);
+        let g2 = graph_from_edges(4, &[(0, 1)]);
+        exact_top_k(&g1, &g2, &TopKSpec::TopK(1), 1);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! A second family of checks anchors the pipeline to ground truth: the
 //! exact all-pairs solver vs. the unbudgeted Incidence baseline, which by
 //! construction finds exactly the converging pairs touching an active
-//! node (an endpoint of a new edge).
+//! node (an endpoint of a new edge); and the exact solver itself vs. a
+//! per-source BFS brute force at several thread counts.
 
-use cp_core::exact::{exact_top_k, exact_top_k_with_kernel, TopKSpec};
+use cp_core::exact::{exact_top_k, sort_pairs, ConvergingPair, TopKSpec};
 use cp_core::oracle::{BfsKernel, RowCacheBudget, SnapshotOracle};
 use cp_core::scan::ScanKernel;
 use cp_core::selectors::{active_nodes, incidence_full, SelectorKind};
@@ -29,7 +30,10 @@ use cp_gen::ring_sbm::{ring_sbm, RingSbmParams};
 use cp_gen::sbm::{sbm, SbmParams};
 use cp_gen::seeded_rng;
 use cp_gen::ws::watts_strogatz;
-use cp_graph::{Graph, NodeId, TemporalGraph};
+use cp_graph::bfs::bfs;
+use cp_graph::builder::graph_from_edges;
+use cp_graph::{distance_decrease, Graph, NodeId, TemporalGraph};
+use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// One small evolving graph per cp-gen generator.
@@ -330,28 +334,86 @@ fn scan_kernel_is_invariant_across_the_matrix() {
     }
 }
 
-/// The exact baseline runs the same Δ-scan kernel; its answer (and the
-/// exact Δmax, which skipped chunks must still feed) is kernel- and
-/// thread-invariant.
-#[test]
-fn exact_solver_is_scan_kernel_invariant() {
-    let specs = [
-        TopKSpec::TopK(25),
-        TopKSpec::ThresholdFromMax { slack: 2 },
-        TopKSpec::Threshold { delta_min: 1 },
-    ];
-    for (name, t) in generator_cases() {
-        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        for spec in &specs {
-            let reference = exact_top_k_with_kernel(&g1, &g2, spec, 1, ScanKernel::Scalar);
-            for threads in [1usize, 2, 8] {
-                for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-                    let got = exact_top_k_with_kernel(&g1, &g2, spec, threads, scan);
-                    let ctx = format!("{name}/{spec:?}/threads={threads}/scan={}", scan.name());
-                    assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                    assert_eq!(got.delta_max, reference.delta_max, "Δmax diverges: {ctx}");
-                    assert_eq!(got.delta_min, reference.delta_min, "Δmin diverges: {ctx}");
+/// A generated snapshot pair for the exact-truth property: `n` nodes,
+/// `G_t1` edges among the first `old` nodes only (so nodes `old..n` are
+/// new in `G_t2`), and extra `G_t2` edges anywhere in the universe.
+type ExactCase = (usize, usize, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+/// Strategy for [`ExactCase`]: `n` from sizes that straddle the inline
+/// cutoff (32 sources) and the edges of a 64-source wave. `G_t1` gets at
+/// most `n` edges, so it is routinely disconnected.
+fn exact_case() -> impl Strategy<Value = ExactCase> {
+    const SIZES: [usize; 7] = [0, 1, 31, 63, 64, 65, 130];
+    (0..SIZES.len()).prop_flat_map(|i| {
+        let n = SIZES[i];
+        (0..=n).prop_flat_map(move |old| {
+            let (n32, old32) = (n as u32, old.max(1) as u32);
+            let base = prop::collection::vec((0..old32, 0..old32), 0..=n.min(old * 2));
+            let extra = prop::collection::vec((0..n32.max(1), 0..n32.max(1)), 0..=n / 4);
+            (Just(n), Just(old), base, extra)
+        })
+    })
+}
+
+/// The reference answer, built from per-source `bfs` rows of both
+/// snapshots: every pair `u < v` connected in `G_t1` with its Δ, cut by
+/// `spec` the way the answer contract defines it.
+fn brute_force_exact(g1: &Graph, g2: &Graph, spec: &TopKSpec) -> (Vec<ConvergingPair>, u32, u32) {
+    let n = g1.num_nodes();
+    let mut all = Vec::new();
+    let mut delta_max = 0;
+    for u in 0..n {
+        let (d1, d2) = (bfs(g1, NodeId::new(u)), bfs(g2, NodeId::new(u)));
+        for v in u + 1..n {
+            if let Some(delta) = distance_decrease(d1[v], d2[v]) {
+                delta_max = delta_max.max(delta);
+                if delta >= 1 {
+                    all.push(ConvergingPair::new(NodeId::new(u), NodeId::new(v), delta));
                 }
+            }
+        }
+    }
+    let floor = match spec {
+        TopKSpec::Threshold { delta_min } => (*delta_min).max(1),
+        TopKSpec::ThresholdFromMax { slack } => delta_max.saturating_sub(*slack).max(1),
+        TopKSpec::TopK(_) => 1,
+    };
+    all.retain(|p| p.delta >= floor);
+    sort_pairs(&mut all);
+    if let TopKSpec::TopK(k) = spec {
+        all.truncate(*k);
+    }
+    let delta_min = all.last().map_or(0, |p| p.delta);
+    (all, delta_max, delta_min)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The exact truth (fused MS-BFS waves) equals the per-source BFS
+    /// brute force for every spec shape, bit for bit, at 1, 2 and 8
+    /// threads — on disconnected `G_t1`s and with nodes new in `G_t2`.
+    #[test]
+    fn exact_truth_matches_brute_force_reference((n, _old, base, extra) in exact_case()) {
+        let g1 = graph_from_edges(n, &base);
+        let all: Vec<(u32, u32)> = base.iter().chain(&extra).copied().collect();
+        let g2 = graph_from_edges(n, &all);
+        let specs = [
+            TopKSpec::TopK(0),
+            TopKSpec::TopK(25),
+            TopKSpec::Threshold { delta_min: 1 },
+            TopKSpec::Threshold { delta_min: 3 },
+            TopKSpec::ThresholdFromMax { slack: 0 },
+            TopKSpec::ThresholdFromMax { slack: 2 },
+        ];
+        for spec in &specs {
+            let (pairs, delta_max, delta_min) = brute_force_exact(&g1, &g2, spec);
+            for threads in [1usize, 2, 8] {
+                let got = exact_top_k(&g1, &g2, spec, threads);
+                let ctx = format!("n={n} {spec:?} threads={threads}");
+                prop_assert_eq!(&got.pairs, &pairs, "pairs diverge: {}", ctx);
+                prop_assert_eq!(got.delta_max, delta_max, "Δmax diverges: {}", ctx);
+                prop_assert_eq!(got.delta_min, delta_min, "Δmin diverges: {}", ctx);
             }
         }
     }

@@ -1,28 +1,37 @@
-//! Threaded all-pairs shortest-path streaming.
+//! All-pairs shortest paths, streamed one block of sources at a time.
 //!
 //! The exact ground truth for the experiments (the true top-k converging
-//! pairs, the diameter, Δmax) needs a BFS from every node of graphs with
-//! 10⁴–10⁵ nodes. Materializing the full `n × n` distance matrix would cost
-//! gigabytes, so instead we *stream*: a callback receives each source's
-//! distance row and extracts whatever aggregate it needs.
+//! pairs, the diameter, Δmax) needs a shortest-path sweep from every node
+//! of graphs with 10⁴–10⁵ nodes. Materializing the full `n × n` distance
+//! matrix would cost gigabytes, so instead we *stream*:
+//! [`for_each_source_block`] cuts the source ids `0..n` into contiguous
+//! blocks, fans the blocks out over the persistent [`cp_exec`] worker
+//! pool, and hands each one to the caller together with its lane's
+//! scratch, so the caller extracts whatever aggregate it needs and drops
+//! the distances.
 //!
-//! Work fans out over the persistent [`cp_exec`] worker pool (spawned
-//! once per process, parked between batches); each worker keeps its BFS
-//! scratch buffers in its [`cp_exec::WorkerScratch`], so the only shared
-//! state is the executor's task ranges and whatever the caller's sink
-//! guards itself.
+//! Unweighted callers take blocks of [`crate::msbfs::WAVE_WIDTH`] sources and sweep each
+//! block with one bit-parallel MS-BFS wave ([`crate::msbfs::msbfs_visit`]),
+//! which reports every `(source, node, level)` discovery without writing a
+//! row at all. Weighted callers take one-source blocks and run Dijkstra.
+//!
+//! Lane scratch is created per call and dropped when the call returns; it
+//! never lives in the pool's persistent [`cp_exec::WorkerScratch`], so an
+//! all-pairs sweep leaves no wave-sized buffers resident behind it.
 
-use crate::bfs::{bfs_into, BfsWorkspace};
-use crate::dijkstra::dijkstra_into;
+use crate::dijkstra::dijkstra;
 use crate::graph::{Graph, NodeId};
+use crate::msbfs::msbfs;
+use parking_lot::Mutex;
+use std::ops::Range;
 
 /// Cap on [`default_threads`]: BFS row streaming is memory-bound, so
 /// returns diminish well before high core counts, and an unbounded default
 /// oversubscribes shared machines.
 pub const MAX_DEFAULT_THREADS: usize = cp_exec::MAX_DEFAULT_THREADS;
 
-/// Source count below which [`for_each_source`] (and the pairwise variant)
-/// runs on the calling thread without waking pool workers.
+/// Source count below which [`for_each_source_block`] runs on the calling
+/// thread without waking pool workers.
 const INLINE_SOURCE_CUTOFF: usize = 32;
 
 /// Default number of worker threads: the available parallelism, capped at
@@ -32,120 +41,56 @@ pub fn default_threads() -> usize {
     cp_exec::default_threads()
 }
 
-/// Per-worker persistent scratch for the APSP streamers: the distance
-/// row buffers and the BFS workspace live across batches in the
-/// executor's [`cp_exec::WorkerScratch`].
-#[derive(Default)]
-struct ApspScratch {
-    d1: Vec<u32>,
-    d2: Vec<u32>,
-    ws: BfsWorkspace,
-}
-
-impl ApspScratch {
-    fn row<'a>(
-        graph: &Graph,
-        src: NodeId,
-        dist: &'a mut Vec<u32>,
-        ws: &mut BfsWorkspace,
-    ) -> &'a [u32] {
-        if graph.is_weighted() {
-            dijkstra_into(graph, src, dist);
-        } else {
-            bfs_into(graph, src, dist, ws);
-        }
-        dist
-    }
-}
-
-/// Runs `sink(src, distance_row)` for every source node, in parallel.
+/// Runs `f(sources, lane)` for every block of `block` consecutive source
+/// ids covering `0..n`, in parallel on up to `threads` lanes.
 ///
-/// Rows arrive in no particular order. `sink` must be `Sync`; use interior
-/// locking (e.g. `parking_lot::Mutex`) or atomics for shared accumulation.
-/// Weighted graphs use Dijkstra, unweighted use BFS.
-pub fn for_each_source<F>(graph: &Graph, threads: usize, sink: F)
+/// Blocks arrive in no particular order; `f` must be `Sync` and guard any
+/// shared accumulation itself (atomics, `parking_lot::Mutex`). Each lane
+/// owns one `S`, created empty (`S::default()`) when the call starts,
+/// reused across the blocks that lane runs, and dropped when the call
+/// returns. Small inputs (fewer than 32 sources), a single block, or
+/// `threads == 1` run on the calling thread without waking the pool.
+///
+/// # Panics
+/// Panics if `block == 0` and `n > 0`.
+pub fn for_each_source_block<S, F>(n: usize, block: usize, threads: usize, f: F)
 where
-    F: Fn(NodeId, &[u32]) + Sync,
+    S: Default + Send,
+    F: Fn(Range<usize>, &mut S) + Sync,
 {
-    let n = graph.num_nodes();
     if n == 0 {
         return;
     }
-    let threads = threads.max(1).min(n);
-    // Small inputs (or an explicit single thread) run on the calling
-    // thread: no pool wake-up, same rows in the same order.
+    assert!(block > 0, "source blocks must be non-empty");
+    let blocks = n.div_ceil(block);
+    let range = |k: usize| k * block..((k + 1) * block).min(n);
+    let threads = threads.max(1).min(blocks);
     if threads == 1 || n < INLINE_SOURCE_CUTOFF {
-        let mut dist = Vec::new();
-        let mut ws = BfsWorkspace::new();
-        for i in 0..n {
-            let src = NodeId::new(i);
-            sink(src, ApspScratch::row(graph, src, &mut dist, &mut ws));
+        let mut lane = S::default();
+        for k in 0..blocks {
+            f(range(k), &mut lane);
         }
         return;
     }
-    let mut slots = vec![(); n];
-    cp_exec::global().run(&mut slots, threads, |i, _slot, ctx| {
-        let scratch = ctx.scratch.get_or(ApspScratch::default);
-        let src = NodeId::new(i);
-        sink(
-            src,
-            ApspScratch::row(graph, src, &mut scratch.d1, &mut scratch.ws),
-        );
+    // One scratch per lane; a lane index is held by one worker at a time,
+    // so each lock is uncontended.
+    let lanes: Vec<Mutex<S>> = (0..threads).map(|_| Mutex::new(S::default())).collect();
+    let mut slots = vec![(); blocks];
+    cp_exec::global().run(&mut slots, threads, |k, _slot, ctx| {
+        f(range(k), &mut lanes[ctx.index()].lock());
     });
 }
 
-/// Runs `sink(src, row_in_g1, row_in_g2)` for every source, in parallel.
-///
-/// This is the workhorse for the exact converging-pairs baseline: each
-/// source's distance rows in both snapshots are produced together so the
-/// sink can compute Δ values without storing either matrix.
-pub fn for_each_source_pairwise<F>(g1: &Graph, g2: &Graph, threads: usize, sink: F)
-where
-    F: Fn(NodeId, &[u32], &[u32]) + Sync,
-{
-    assert_eq!(
-        g1.num_nodes(),
-        g2.num_nodes(),
-        "snapshots must share a node universe"
-    );
-    let n = g1.num_nodes();
-    if n == 0 {
-        return;
+/// Collects the full distance matrix (row-major, `n × n`): MS-BFS waves on
+/// unweighted graphs, per-source Dijkstra on weighted ones. Only sensible
+/// for small graphs; tests use it as a reference.
+pub fn full_matrix(graph: &Graph) -> Vec<Vec<u32>> {
+    if graph.is_weighted() {
+        graph.nodes().map(|s| dijkstra(graph, s)).collect()
+    } else {
+        let sources: Vec<NodeId> = graph.nodes().collect();
+        msbfs(graph, &sources)
     }
-    let threads = threads.max(1).min(n);
-    if threads == 1 || n < INLINE_SOURCE_CUTOFF {
-        let mut d1 = Vec::new();
-        let mut d2 = Vec::new();
-        let mut ws = BfsWorkspace::new();
-        for i in 0..n {
-            let src = NodeId::new(i);
-            ApspScratch::row(g1, src, &mut d1, &mut ws);
-            ApspScratch::row(g2, src, &mut d2, &mut ws);
-            sink(src, &d1, &d2);
-        }
-        return;
-    }
-    let mut slots = vec![(); n];
-    cp_exec::global().run(&mut slots, threads, |i, _slot, ctx| {
-        let scratch = ctx.scratch.get_or(ApspScratch::default);
-        let src = NodeId::new(i);
-        ApspScratch::row(g1, src, &mut scratch.d1, &mut scratch.ws);
-        ApspScratch::row(g2, src, &mut scratch.d2, &mut scratch.ws);
-        sink(src, &scratch.d1, &scratch.d2);
-    });
-}
-
-/// Collects the full distance matrix (row-major, `n × n`). Only sensible for
-/// small graphs; tests use it to cross-check the streaming variants.
-pub fn full_matrix(graph: &Graph, threads: usize) -> Vec<Vec<u32>> {
-    let n = graph.num_nodes();
-    let rows: Vec<parking_lot::Mutex<Vec<u32>>> = (0..n)
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-    for_each_source(graph, threads, |src, dist| {
-        *rows[src.index()].lock() = dist.to_vec();
-    });
-    rows.into_iter().map(|m| m.into_inner()).collect()
 }
 
 #[cfg(test)]
@@ -153,7 +98,8 @@ mod tests {
     use super::*;
     use crate::bfs::bfs;
     use crate::builder::graph_from_edges;
-    use parking_lot::Mutex;
+    use crate::msbfs::WAVE_WIDTH;
+    use crate::GraphBuilder;
 
     fn sample() -> Graph {
         graph_from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (6, 7)])
@@ -162,57 +108,69 @@ mod tests {
     #[test]
     fn matches_sequential_bfs() {
         let g = sample();
-        let matrix = full_matrix(&g, 4);
+        let matrix = full_matrix(&g);
         for (s, row) in matrix.iter().enumerate() {
             assert_eq!(row, &bfs(&g, NodeId::new(s)), "row {s}");
         }
     }
 
     #[test]
+    fn weighted_matrix_uses_dijkstra() {
+        let mut b = GraphBuilder::new(3);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 5);
+        b.add_weighted_edge(NodeId(1), NodeId(2), 7);
+        let g = b.build();
+        assert_eq!(full_matrix(&g)[0], vec![0, 5, 12]);
+    }
+
+    #[test]
     fn visits_every_source_once() {
-        let g = sample();
-        let seen = Mutex::new(vec![0u32; g.num_nodes()]);
-        for_each_source(&g, 3, |src, _| {
-            seen.lock()[src.index()] += 1;
-        });
-        assert!(seen.into_inner().iter().all(|&c| c == 1));
+        for (n, block) in [(8, 1), (130, WAVE_WIDTH), (64, WAVE_WIDTH), (65, 3)] {
+            let seen = Mutex::new(vec![0u32; n]);
+            for_each_source_block(n, block, 3, |sources, _: &mut ()| {
+                assert!(sources.len() <= block && !sources.is_empty());
+                for s in sources {
+                    seen.lock()[s] += 1;
+                }
+            });
+            assert!(seen.into_inner().iter().all(|&c| c == 1), "n={n}");
+        }
     }
 
     #[test]
-    fn pairwise_rows_are_consistent() {
-        let g1 = graph_from_edges(5, &[(0, 1), (1, 2)]);
-        let g2 = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]);
-        let deltas = Mutex::new(Vec::new());
-        for_each_source_pairwise(&g1, &g2, 2, |src, d1, d2| {
-            if src == NodeId(0) {
-                deltas.lock().extend_from_slice(d1);
-                deltas.lock().extend_from_slice(d2);
+    fn lane_scratch_is_dropped_when_the_call_returns() {
+        // Each lane counts the blocks it ran and reports the count when
+        // it is dropped; every report is in once the call returns.
+        #[derive(Default)]
+        struct Lane<'a>(usize, Option<&'a Mutex<usize>>);
+        impl Drop for Lane<'_> {
+            fn drop(&mut self) {
+                if let Some(total) = self.1 {
+                    *total.lock() += self.0;
+                }
             }
+        }
+        let total = Mutex::new(0usize);
+        for_each_source_block(200, 10, 4, |_, lane: &mut Lane<'_>| {
+            lane.0 += 1;
+            lane.1 = Some(&total);
         });
-        let v = deltas.into_inner();
-        assert_eq!(&v[..5], bfs(&g1, NodeId(0)).as_slice());
-        assert_eq!(&v[5..], bfs(&g2, NodeId(0)).as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "share a node universe")]
-    fn mismatched_universe_panics() {
-        let g1 = graph_from_edges(3, &[(0, 1)]);
-        let g2 = graph_from_edges(4, &[(0, 1)]);
-        for_each_source_pairwise(&g1, &g2, 1, |_, _, _| {});
+        assert_eq!(total.into_inner(), 20);
     }
 
     #[test]
     fn empty_graph_is_noop() {
-        let g = graph_from_edges(0, &[]);
-        for_each_source(&g, 4, |_, _| panic!("should not be called"));
+        for_each_source_block(0, WAVE_WIDTH, 4, |_, _: &mut ()| {
+            panic!("should not be called")
+        });
     }
 
     #[test]
     fn single_thread_works() {
-        let g = sample();
         let count = Mutex::new(0usize);
-        for_each_source(&g, 1, |_, _| *count.lock() += 1);
-        assert_eq!(count.into_inner(), 8);
+        for_each_source_block(100, 7, 1, |sources, _: &mut ()| {
+            *count.lock() += sources.len()
+        });
+        assert_eq!(count.into_inner(), 100);
     }
 }

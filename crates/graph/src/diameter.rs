@@ -1,13 +1,16 @@
-//! Graph diameter: exact (threaded all-pairs BFS) and double-sweep bounds.
+//! Graph diameter: exact (all-pairs sweeps) and double-sweep bounds.
 //!
 //! Table 2 of the paper reports the diameter of each dataset snapshot. The
 //! exact computation is affordable at the experiment scale (tens of
-//! thousands of nodes); the double-sweep lower bound is provided for quick
-//! sanity checks on bigger graphs.
+//! thousands of nodes): unweighted graphs sweep 64 sources per MS-BFS
+//! wave, weighted graphs run one Dijkstra per source. The double-sweep
+//! lower bound is provided for quick sanity checks on bigger graphs.
 
-use crate::apsp::for_each_source;
+use crate::apsp::for_each_source_block;
 use crate::bfs::{farthest_node_into, BfsWorkspace};
+use crate::dijkstra::dijkstra_into;
 use crate::graph::{Graph, NodeId};
+use crate::msbfs::{msbfs_visit, MsBfsWorkspace, WAVE_WIDTH};
 use crate::INF;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -15,16 +18,29 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// (i.e. the diameter of the largest-eccentricity component). Returns 0 for
 /// edgeless graphs.
 pub fn diameter_exact(graph: &Graph, threads: usize) -> u32 {
+    let n = graph.num_nodes();
     let best = AtomicU32::new(0);
-    for_each_source(graph, threads, |_, dist| {
-        let mut local = 0;
-        for &d in dist {
-            if d != INF && d > local {
-                local = d;
-            }
-        }
-        best.fetch_max(local, Ordering::Relaxed);
-    });
+    if graph.is_weighted() {
+        for_each_source_block(n, 1, threads, |sources, dist: &mut Vec<u32>| {
+            dijkstra_into(graph, NodeId::new(sources.start), dist);
+            let local = dist.iter().filter(|&&d| d != INF).max().copied();
+            best.fetch_max(local.unwrap_or(0), Ordering::Relaxed);
+        });
+    } else {
+        for_each_source_block(
+            n,
+            WAVE_WIDTH,
+            threads,
+            |sources, ws: &mut MsBfsWorkspace| {
+                let sources: Vec<NodeId> = sources.map(NodeId::new).collect();
+                // Discoveries arrive in nondecreasing level order, so the
+                // last level reported is the wave's largest finite distance.
+                let mut local = 0;
+                msbfs_visit(graph, &sources, ws, |_, _, level| local = level);
+                best.fetch_max(local, Ordering::Relaxed);
+            },
+        );
+    }
     best.load(Ordering::Relaxed)
 }
 
@@ -79,6 +95,15 @@ mod tests {
     fn disconnected_uses_largest_finite_distance() {
         let g = graph_from_edges(7, &[(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]);
         assert_eq!(diameter_exact(&g, 2), 3);
+    }
+
+    #[test]
+    fn weighted_diameter_uses_dijkstra() {
+        let mut b = crate::GraphBuilder::new(4);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 4);
+        b.add_weighted_edge(NodeId(1), NodeId(2), 9);
+        let g = b.build();
+        assert_eq!(diameter_exact(&g, 2), 13);
     }
 
     #[test]

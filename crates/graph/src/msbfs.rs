@@ -18,6 +18,11 @@
 //! traversal order within a level. That property is what lets the oracle
 //! swap this kernel in without disturbing the paper's determinism contract
 //! (one wave still *charges* one SSSP per source; see `cp-core`).
+//!
+//! The kernel itself is [`msbfs_visit`], which hands each `(source bit,
+//! node, level)` discovery to a caller's visitor; [`msbfs_into`] is the
+//! visitor that writes rows. The exact top-k baseline uses another one to
+//! compute distance decreases during the sweep without writing a row.
 
 use crate::bfs::TraversalWork;
 use crate::graph::{Graph, NodeId};
@@ -26,7 +31,7 @@ use crate::INF;
 /// Maximum sources per wave: one bit per source in a `u64` word.
 pub const WAVE_WIDTH: usize = 64;
 
-/// Reusable scratch space for [`msbfs_into`]: three words per node plus the
+/// Reusable scratch space for [`msbfs_visit`]: three words per node plus the
 /// frontier queues. Buffers grow on first use and are recycled across waves.
 #[derive(Default)]
 pub struct MsBfsWorkspace {
@@ -49,38 +54,39 @@ impl MsBfsWorkspace {
     }
 }
 
-/// Advances up to [`WAVE_WIDTH`] BFS traversals in one graph sweep, writing
-/// `rows[b]` = the distance row of `sources[b]`.
+/// Advances up to [`WAVE_WIDTH`] BFS traversals in one graph sweep,
+/// calling `visit_fn(b, v, level)` once for every node `v` that `sources[b]`
+/// reaches, with `level` = the BFS distance from `sources[b]` to `v`.
 ///
-/// Each row is resized to `graph.num_nodes()` and fully overwritten;
-/// unreachable nodes get [`INF`]. Duplicate and isolated sources are fine
-/// (duplicates simply share every discovery).
+/// Each `(b, v)` discovery is reported exactly once: the sources
+/// themselves at level 0, then every other reachable node in
+/// nondecreasing level order. Unreachable nodes are never reported.
+/// Duplicate and isolated sources are fine (duplicates simply share
+/// every discovery, each under its own bit).
 ///
 /// Returns the settled `(source, node)` pairs and adjacency entries
 /// scanned (one per edge per sweep — the shared sweep is exactly what
 /// makes a wave cheaper than per-source BFS).
 ///
 /// # Panics
-/// Panics if `sources.len() > WAVE_WIDTH` or `rows.len() != sources.len()`.
+/// Panics if `sources.len() > WAVE_WIDTH`.
 #[inline]
-pub fn msbfs_into(
+pub fn msbfs_visit<F>(
     graph: &Graph,
     sources: &[NodeId],
-    rows: &mut [Vec<u32>],
     ws: &mut MsBfsWorkspace,
-) -> TraversalWork {
+    mut visit_fn: F,
+) -> TraversalWork
+where
+    F: FnMut(usize, NodeId, u32),
+{
     let mut work = TraversalWork::new();
     assert!(
         sources.len() <= WAVE_WIDTH,
         "wave of {} sources exceeds WAVE_WIDTH={WAVE_WIDTH}",
         sources.len()
     );
-    assert_eq!(sources.len(), rows.len(), "one row per source");
     let n = graph.num_nodes();
-    for row in rows.iter_mut() {
-        row.clear();
-        row.resize(n, INF);
-    }
     // Split the workspace into disjoint field borrows so the adjacency
     // closure can mutate the wave state while the frontier is iterated.
     let MsBfsWorkspace {
@@ -100,7 +106,7 @@ pub fn msbfs_into(
     next_frontier.clear();
 
     for (b, &s) in sources.iter().enumerate() {
-        rows[b][s.index()] = 0;
+        visit_fn(b, s, 0);
         if visit[s.index()] == 0 {
             frontier.push(s.0);
         }
@@ -116,19 +122,19 @@ pub fn msbfs_into(
             let u = uf as usize;
             let vis = visit[u];
             for &v in graph.neighbors(NodeId::new(u)) {
-                let v = v.index();
+                let vi = v.index();
                 work.relaxed += 1;
-                let new = vis & !seen[v];
+                let new = vis & !seen[vi];
                 if new != 0 {
-                    if next[v] == 0 {
-                        next_frontier.push(v as u32);
+                    if next[vi] == 0 {
+                        next_frontier.push(v.0);
                     }
-                    next[v] |= new;
-                    seen[v] |= new;
+                    next[vi] |= new;
+                    seen[vi] |= new;
                     work.settled += u64::from(new.count_ones());
                     let mut bits = new;
                     while bits != 0 {
-                        rows[bits.trailing_zeros() as usize][v] = level;
+                        visit_fn(bits.trailing_zeros() as usize, v, level);
                         bits &= bits - 1;
                     }
                 }
@@ -149,6 +155,31 @@ pub fn msbfs_into(
         next_frontier.clear();
     }
     work
+}
+
+/// Advances up to [`WAVE_WIDTH`] BFS traversals in one graph sweep, writing
+/// `rows[b]` = the distance row of `sources[b]` — [`msbfs_visit`] with a
+/// visitor that stores each discovery's level.
+///
+/// Each row is resized to `graph.num_nodes()` and fully overwritten;
+/// unreachable nodes get [`INF`]. Returns the traversal work.
+///
+/// # Panics
+/// Panics if `sources.len() > WAVE_WIDTH` or `rows.len() != sources.len()`.
+#[inline]
+pub fn msbfs_into(
+    graph: &Graph,
+    sources: &[NodeId],
+    rows: &mut [Vec<u32>],
+    ws: &mut MsBfsWorkspace,
+) -> TraversalWork {
+    assert_eq!(sources.len(), rows.len(), "one row per source");
+    let n = graph.num_nodes();
+    for row in rows.iter_mut() {
+        row.clear();
+        row.resize(n, INF);
+    }
+    msbfs_visit(graph, sources, ws, |b, v, level| rows[b][v.index()] = level)
 }
 
 /// Allocating convenience wrapper: runs [`msbfs_into`] over `sources` in

@@ -6,9 +6,9 @@
 use cp_graph::bfs::{bfs, bfs_scalar_into, BfsWorkspace};
 use cp_graph::builder::graph_from_edges;
 use cp_graph::dijkstra::dijkstra;
-use cp_graph::msbfs::{msbfs, msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
+use cp_graph::msbfs::{msbfs, msbfs_into, msbfs_visit, MsBfsWorkspace, WAVE_WIDTH};
 use cp_graph::repair::{delta_repair, delta_repair_into, snapshot_delta, RepairWorkspace};
-use cp_graph::{GraphBuilder, NodeId};
+use cp_graph::{GraphBuilder, NodeId, INF};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -109,6 +109,48 @@ proptest! {
         msbfs_into(&gb, &src_b, &mut rows_b, &mut msws);
         prop_assert_eq!(&rows_a, &msbfs(&ga, &src_a));
         prop_assert_eq!(&rows_b, &msbfs(&gb, &src_b));
+    }
+
+    // The visitor reports every `(bit, node)` discovery exactly once, at
+    // the node's BFS level from that bit's source, in nondecreasing level
+    // order — and `msbfs_into` rows through the same workspace, reused
+    // across graphs and interleaved with visits, stay per-source BFS rows.
+    #[test]
+    fn msbfs_visit_reports_each_discovery_once_at_its_level(
+        (n1, edges1, sources1) in case_with_sources(80, 200, 64),
+        (n2, edges2, sources2) in case_with_sources(40, 80, 9),
+    ) {
+        let ga = graph_from_edges(n1, &edges1);
+        let gb = graph_from_edges(n2, &edges2);
+        let src_a: Vec<NodeId> = sources1.iter().map(|&s| NodeId(s)).collect();
+        let src_b: Vec<NodeId> = sources2.iter().map(|&s| NodeId(s)).collect();
+        let mut ws = MsBfsWorkspace::new();
+        for (g, src) in [(&ga, &src_a), (&gb, &src_b), (&ga, &src_a)] {
+            let mut reported = BTreeMap::new();
+            let (mut duplicates, mut out_of_order, mut last) = (0, 0, 0);
+            msbfs_visit(g, src, &mut ws, |b, v, level| {
+                duplicates += usize::from(reported.insert((b, v), level).is_some());
+                out_of_order += usize::from(level < last);
+                last = level;
+            });
+            prop_assert_eq!(duplicates, 0, "a discovery was reported twice");
+            prop_assert_eq!(out_of_order, 0, "levels went backwards");
+            let mut expect = BTreeMap::new();
+            for (b, &s) in src.iter().enumerate() {
+                for (v, &d) in bfs(g, s).iter().enumerate() {
+                    if d != INF {
+                        expect.insert((b, NodeId::new(v)), d);
+                    }
+                }
+            }
+            prop_assert_eq!(reported, expect);
+
+            let mut rows = vec![Vec::new(); src.len()];
+            msbfs_into(g, src, &mut rows, &mut ws);
+            for (b, &s) in src.iter().enumerate() {
+                prop_assert_eq!(&rows[b], &bfs(g, s), "row of source {} diverges", s);
+            }
+        }
     }
 }
 

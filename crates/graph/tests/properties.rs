@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn bfs_distances_are_symmetric((n, edges) in edge_list(24, 60)) {
         let g = graph_from_edges(n, &edges);
-        let matrix = full_matrix(&g, 2);
+        let matrix = full_matrix(&g);
         for (u, row) in matrix.iter().enumerate() {
             for (v, &duv) in row.iter().enumerate() {
                 prop_assert_eq!(duv, matrix[v][u], "asymmetry at ({}, {})", u, v);

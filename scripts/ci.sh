@@ -34,11 +34,12 @@ CP_THREADS=8 cargo test -q -p cp-core -p cp-stream
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> CLI determinism [every selector, default env vs each runtime knob]"
+echo "==> CLI determinism [every selector and --exact, default env vs each runtime knob]"
 # The bit-identical contract at the user surface: for every selector
 # (IncBet, whose exact Brandes fans out on the oracle's width, included)
-# the root CLI prints byte-identical pairs with no knob set and with each
-# of the four runtime knobs moved off its default.
+# and for the exact answer (`--exact`, MS-BFS waves over the pool) the
+# root CLI prints byte-identical pairs with no knob set and with each of
+# the four runtime knobs moved off its default.
 det_dir="$(mktemp -d -t cp_determinism.XXXXXX)"
 python3 - "$det_dir/graph.txt" <<'PY'
 import random
@@ -55,19 +56,20 @@ with open(sys.argv[1], "w") as f:
     for t, (u, v) in enumerate(events):
         f.write(f"{u} {v} {t}\n")
 PY
-for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random; do
+for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random exact; do
+    if [ "$sel" = exact ]; then mode=(--exact); else mode=(--selector "$sel"); fi
     for knob in default CP_THREADS=8 CP_BFS_KERNEL=scalar CP_SCAN_KERNEL=scalar CP_ROW_CACHE=0; do
         # `default` expands to no assignment at all: every knob unset.
         env -u CP_THREADS -u CP_BFS_KERNEL -u CP_SCAN_KERNEL -u CP_ROW_CACHE ${knob#default} \
             cargo run --release -q -- "$det_dir/graph.txt" \
-            --t1 0.8 --t2 1.0 --m 40 --k 200 --selector "$sel" \
+            --t1 0.8 --t2 1.0 --m 40 --k 200 "${mode[@]}" \
             > "$det_dir/$sel.$knob.tsv" 2> "$det_dir/stderr" || {
             cat "$det_dir/stderr" >&2
             rm -rf "$det_dir"
             exit 1
         }
         if [ "$(wc -l < "$det_dir/$sel.$knob.tsv")" -le 1 ] || ! diff -q "$det_dir/$sel.default.tsv" "$det_dir/$sel.$knob.tsv" > /dev/null; then
-            echo "ci.sh: --selector $sel printed no pairs, or different pairs under $knob than with no knob set" >&2
+            echo "ci.sh: ${mode[*]} printed no pairs, or different pairs under $knob than with no knob set" >&2
             rm -rf "$det_dir"
             exit 1
         fi
