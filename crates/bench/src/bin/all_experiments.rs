@@ -114,13 +114,11 @@ fn main() {
                 agg.recomputed_rows += row.stats.recomputed_rows;
                 agg.cache_bytes = agg.cache_bytes.max(row.stats.cache_bytes);
                 agg.threads = row.stats.threads;
-                agg.kernel = row.stats.kernel;
                 agg.kernel_stats.msbfs_waves += row.stats.kernel_stats.msbfs_waves;
                 agg.kernel_stats.msbfs_rows += row.stats.kernel_stats.msbfs_rows;
                 agg.kernel_stats.bfs_rows += row.stats.kernel_stats.bfs_rows;
                 agg.kernel_stats.dijkstra_rows += row.stats.kernel_stats.dijkstra_rows;
                 agg.kernel_stats.repair_rows += row.stats.kernel_stats.repair_rows;
-                agg.scan_kernel = row.stats.scan_kernel;
                 agg.scan_chunks_scanned += row.stats.scan_chunks_scanned;
                 agg.scan_chunks_skipped += row.stats.scan_chunks_skipped;
                 agg.scan_pairs_pruned += row.stats.scan_pairs_pruned;
@@ -135,7 +133,6 @@ fn main() {
         stats_rows.push(vec![
             snaps.name.clone(),
             agg.threads.to_string(),
-            agg.kernel.name().to_string(),
             agg.sssp_computed.to_string(),
             agg.kernel_stats.msbfs_waves.to_string(),
             format!(
@@ -153,7 +150,6 @@ fn main() {
                 agg.repair_frontier_nodes as f64 / agg.repaired_rows.max(1) as f64
             ),
             format!("{}", agg.cache_bytes / 1024),
-            agg.scan_kernel.name().to_string(),
             format!(
                 "{}/{}/{}",
                 agg.scan_chunks_scanned, agg.scan_chunks_skipped, agg.scan_pairs_pruned
@@ -191,7 +187,6 @@ fn main() {
         &[
             "dataset",
             "threads",
-            "kernel",
             "sssp",
             "waves",
             "ms/bfs/dij/rep rows",
@@ -199,7 +194,6 @@ fn main() {
             "cache miss",
             "repaired/region",
             "cache KiB",
-            "scan kern",
             "chunks scan/skip/pruned",
             "arena u16/u32/reuse/KiB",
             "select s",

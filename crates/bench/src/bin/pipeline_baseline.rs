@@ -1,27 +1,30 @@
-//! Machine-readable perf baseline for the parallel pipeline, its BFS
-//! kernels, and the snapshot-delta row cache.
+//! Machine-readable perf baseline for the parallel pipeline, the
+//! snapshot-delta row cache, the streaming engine and the query layer.
 //!
-//! Five measurement phases, written together to `BENCH_pipeline.json` in
+//! Four measurement phases, written together to `BENCH_pipeline.json` in
 //! the current directory (`--out=PATH` overrides):
 //!
-//! **Phase 1 — kernel ladder** on the paper's evaluation snapshots
-//! (80 % → 100 % of the stream). The Table 5 pipeline (every selector of
-//! the suite at the paper's budget) runs four times per dataset:
+//! **Phase 1 — thread and cache ladder** on the paper's evaluation
+//! snapshots (80 % → 100 % of the stream). The Table 5 pipeline (every
+//! selector of the suite at the paper's budget) runs three times per
+//! dataset:
 //!
-//! 1. `scalar` kernel, one thread, row cache disabled (the
-//!    pre-optimization baseline),
-//! 2. `auto` kernel (direction-optimizing BFS + multi-source waves), one
-//!    thread, row cache disabled — isolates the pure kernel speedup,
-//! 3. `auto` kernel, one thread, unbounded row cache — the default
-//!    configuration, with snapshot-delta repair of `t2` rows,
-//! 4. `auto` kernel + repair at the configured thread count.
+//! 1. one thread, row cache disabled,
+//! 2. one thread, unbounded row cache — the default configuration, with
+//!    snapshot-delta repair of `t2` rows,
+//! 3. the configured thread count, row cache disabled — a pure
+//!    threads-on/threads-off A/B against rung 1.
+//!
+//! Every rung runs the one runtime path: direction-optimizing BFS plus
+//! 64-wide multi-source waves, and the blocked, chunk-skipping Δ-scan,
+//! whose chunk and prune counters each sweep records.
 //!
 //! **Phase 2 — incremental regime** on a *tight* snapshot pair
 //! ([`REPAIR_T1`] → 100 %): the re-evaluation scenario the delta cache is
 //! built for, where the edge delta is a few percent of the stream and the
 //! shrinking region is small. The same suite runs with the cache off and
-//! on (auto kernel, one thread); `repair_speedup` compares the two on
-//! `sssp_t2_secs`, the `t2`-row share of the oracle's distance work.
+//! on (one thread); `repair_speedup` compares the two on `sssp_t2_secs`,
+//! the `t2`-row share of the oracle's distance work.
 //!
 //! The eval pair's 20 % edge delta moves roughly half of all distances,
 //! so there a per-row repair cannot beat a 64-wide multi-source wave —
@@ -32,15 +35,7 @@
 //! `crates/core/tests/conformance.rs`); only the timing differs, which is
 //! what this baseline records.
 //!
-//! **Phase 3 — Δ-scan ladder** on the evaluation snapshots: a
-//! deliberately scan-heavy pipeline (Degree selector at a budget of
-//! `n / 4` candidates) runs with `CP_SCAN_KERNEL` scalar vs auto, best of
-//! [`REPEATS`] on `scan_secs`. `scan_speedup` compares the reference
-//! per-element loop against the blocked kernel (u16-packed rows,
-//! chunk skipping, rising Δ floor) on the `M × V` scan it rewrites;
-//! chunk/prune counters and row-arena occupancy ride along.
-//!
-//! **Phase 4 — streaming ladder** over a whole review sequence: the
+//! **Phase 3 — streaming ladder** over a whole review sequence: the
 //! `cp-stream` engine replays each dataset's event stream across
 //! [`STREAM_CUTS`] (≥ 5 reviews, each under its own `2m` ledger) twice —
 //! with review-to-review cache chaining on (step *t*'s resident `t2` rows
@@ -51,7 +46,7 @@
 //! chained donor or derived by snapshot-delta repair instead of a full
 //! sweep — and the pipeline wall clock, best of [`REPEATS`] ladder runs.
 //!
-//! **Phase 5 — query-throughput ladder** over the same review sequence:
+//! **Phase 4 — query-throughput ladder** over the same review sequence:
 //! the `cp-query` layer answers budget-free point queries (`distance` +
 //! `delta`) from published epochs while the engine advances the
 //! [`STREAM_CUTS`] reviews, at 1, 2 and 8 concurrent reader threads.
@@ -61,12 +56,11 @@
 //! stays 0) — queries are served from immutable epochs and spend nothing.
 //!
 //! Per sweep, three timings: `secs` (whole suite, end to end),
-//! `sssp_secs` (the oracle's distance-row computation, the path the
+//! `sssp_secs` (the oracle's distance-row computation, the path the BFS
 //! kernels own), and `sssp_t2_secs` (its `G_t2` share, per-item summed —
-//! the path repair attacks). `kernel_speedup` compares ladder slots 1 and
-//! 2 on `sssp_secs`; the suite total additionally includes IncBet's
-//! exact-betweenness grant, which the paper gives that baseline for free
-//! and which no kernel touches.
+//! the path repair attacks). The suite total additionally includes
+//! IncBet's exact-betweenness grant, which the paper gives that baseline
+//! for free.
 //!
 //! ```text
 //! cargo run --release -p cp-bench --bin pipeline_baseline -- --scale=0.25
@@ -74,8 +68,7 @@
 
 use cp_bench::{scaled_budget, Options};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, RowCacheBudget, SnapshotOracle};
-use cp_core::scan::ScanKernel;
+use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, PipelineStats};
 use cp_gen::datasets::{DatasetKind, DatasetProfile, EVAL_SNAPSHOTS};
@@ -87,11 +80,10 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Timing of one (dataset, kernel, threads, cache) pipeline sweep.
+/// Timing of one (dataset, threads, cache) pipeline sweep.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct SweepTiming {
     dataset: String,
-    kernel: String,
     threads: usize,
     /// Row-cache budget knob value (`"0"` = delta cache disabled).
     cache: String,
@@ -104,7 +96,7 @@ struct SweepTiming {
     sssp_t2_secs: f64,
     /// SSSPs charged across the suite (identical for every configuration).
     sssp_computed: u64,
-    /// Multi-source waves run (0 under the scalar kernel).
+    /// Multi-source waves run.
     msbfs_waves: u64,
     /// Rows produced by multi-source waves.
     msbfs_rows: u64,
@@ -116,46 +108,42 @@ struct SweepTiming {
     repair_frontier_nodes: u64,
     /// Resident row-cache bytes at the end of the suite's largest run.
     cache_bytes: usize,
+    /// Δ-scan chunks whose elements were walked.
+    scan_chunks_scanned: u64,
+    /// Δ-scan chunks skipped whole below the shared Δ floor.
+    scan_chunks_skipped: u64,
+    /// Individual Δ ≥ 1 values pruned below the floor inside scanned
+    /// chunks.
+    scan_pairs_pruned: u64,
     /// Persistent-executor activity within the best repeat (batches,
     /// tasks, steals, park/unpark events; `workers_spawned` is the
     /// pool's size — spawned once per process, not per batch).
     exec: cp_exec::ExecStats,
 }
 
-/// Per-dataset kernel-ladder comparison at one worker thread (phase 1,
-/// evaluation snapshots).
+/// Per-dataset thread/cache-ladder comparison (phase 1, evaluation
+/// snapshots).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct DatasetSummary {
     dataset: String,
-    /// Whole suite, scalar kernel, one thread, cache off.
-    scalar_single_secs: f64,
-    /// Whole suite, optimized kernel, one thread, cache off.
-    optimized_single_secs: f64,
-    /// Oracle SSSP time within the scalar single-thread run.
-    scalar_sssp_secs: f64,
-    /// Oracle SSSP time within the optimized single-thread run.
-    optimized_sssp_secs: f64,
-    /// `scalar_sssp_secs / optimized_sssp_secs`: the single-thread
-    /// speedup of the distance-row path the kernels own.
-    kernel_speedup: f64,
-    /// `scalar_single_secs / optimized_single_secs`: whole suite,
-    /// including work no kernel touches.
-    suite_speedup: f64,
-    /// Whole suite at `threads_multi` workers: the best single-thread
-    /// config (auto kernel, cache off) run on the persistent pool.
+    /// Whole suite, one thread, cache off.
+    single_secs: f64,
+    /// Oracle SSSP time within the single-thread cache-off run.
+    single_sssp_secs: f64,
+    /// Whole suite at `threads_multi` workers: the single-thread
+    /// cache-off config run on the persistent pool.
     multi_thread_secs: f64,
-    /// The smallest whole-suite seconds across the optimized rungs
-    /// (auto@1 cache-off, auto@1 + repair, auto@threads_multi).
+    /// The smallest whole-suite seconds across the three rungs.
     best_config_secs: f64,
     /// `true` when the `threads_multi` rung lost to its single-thread
-    /// twin (the same auto-kernel cache-off config at one thread) by
-    /// more than a 15 % + 50 ms noise allowance — the per-batch
-    /// thread-spawn regression the persistent executor exists to kill.
+    /// twin (the same cache-off config at one thread) by more than a
+    /// 15 % + 50 ms noise allowance — the per-batch thread-spawn
+    /// regression the persistent executor exists to kill.
     thread_regression: bool,
 }
 
 /// Per-dataset repair comparison on the tight snapshot pair (phase 2,
-/// `REPAIR_T1` → 100 %, auto kernel, one thread).
+/// `REPAIR_T1` → 100 %, one thread).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct RepairSummary {
     dataset: String,
@@ -176,36 +164,7 @@ struct RepairSummary {
     avg_frontier: f64,
 }
 
-/// Timing of one (dataset, scan kernel) Δ-scan sweep (phase 3).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct ScanSweep {
-    dataset: String,
-    /// The Δ-scan kernel (`"scalar"` = reference per-element loop).
-    scan_kernel: String,
-    /// Fully paid candidate endpoints `|M|` (identical across kernels).
-    candidates: usize,
-    /// Pairs found (identical across kernels — conformance-tested).
-    pairs: usize,
-    /// Best-of-repeats `M × V` scan seconds.
-    scan_secs: f64,
-    /// Chunks whose elements were walked (blocked kernel; 0 for scalar).
-    scan_chunks_scanned: u64,
-    /// Chunks skipped whole below the shared Δ floor.
-    scan_chunks_skipped: u64,
-    /// Individual Δ ≥ 1 values pruned below the floor inside scanned
-    /// chunks.
-    scan_pairs_pruned: u64,
-    /// Live `u16`-packed rows in the oracle's arena after the run.
-    arena_u16_rows: u64,
-    /// Live full-width rows after the run (weighted snapshots only).
-    arena_u32_rows: u64,
-    /// Arena slot allocations served from the free list.
-    arena_reused_rows: u64,
-    /// Slab bytes held by the arenas.
-    arena_slab_bytes: u64,
-}
-
-/// One engine ladder run (phase 4): a full review sequence with chaining
+/// One engine ladder run (phase 3): a full review sequence with chaining
 /// on or off, counters summed over all reviews.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct StreamSweep {
@@ -235,7 +194,7 @@ struct StreamSweep {
     advance_secs: f64,
 }
 
-/// Per-dataset chained-vs-rebuilt comparison (phase 4).
+/// Per-dataset chained-vs-rebuilt comparison (phase 3).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct StreamSummary {
     dataset: String,
@@ -256,7 +215,7 @@ struct StreamSummary {
     stream_speedup: f64,
 }
 
-/// One query-throughput rung (phase 5): point queries answered from
+/// One query-throughput rung (phase 4): point queries answered from
 /// published epochs at a fixed reader-thread count while the engine
 /// advances reviews.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -281,22 +240,6 @@ struct QuerySweep {
     ledger: u64,
 }
 
-/// Per-dataset Δ-scan kernel comparison (phase 3).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct ScanSummary {
-    dataset: String,
-    /// Candidate budget of the scan-heavy pipeline (`n / 4`).
-    m_scan: u64,
-    /// Best scalar-kernel scan seconds.
-    scalar_scan_secs: f64,
-    /// Best blocked-kernel scan seconds.
-    auto_scan_secs: f64,
-    /// `scalar_scan_secs / auto_scan_secs`.
-    scan_speedup: f64,
-    /// Fraction of chunks the blocked kernel skipped whole.
-    chunks_skipped_frac: f64,
-}
-
 /// The written baseline document.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Baseline {
@@ -311,34 +254,22 @@ struct Baseline {
     sweeps: Vec<SweepTiming>,
     datasets: Vec<DatasetSummary>,
     repair: Vec<RepairSummary>,
-    scan_ladder: Vec<ScanSweep>,
-    scan: Vec<ScanSummary>,
     stream_ladder: Vec<StreamSweep>,
     stream: Vec<StreamSummary>,
     query_ladder: Vec<QuerySweep>,
-    /// Suite totals: scalar kernel, one thread, cache off (eval pair).
-    scalar_single_secs: f64,
-    /// Suite totals: optimized kernel, one thread, cache off (eval pair).
-    optimized_single_secs: f64,
-    /// Suite totals: optimized kernel, cache off, `threads_multi`
-    /// threads — `optimized_single_secs` with the pool turned on.
+    /// Suite totals: one thread, cache off (eval pair).
+    single_thread_secs: f64,
+    /// Suite totals: cache off, `threads_multi` threads —
+    /// `single_thread_secs` with the pool turned on.
     multi_thread_secs: f64,
-    /// Single-thread kernel speedup on the oracle SSSP path, scalar vs
-    /// optimized (both cache-off), summed over datasets.
-    kernel_speedup: f64,
     /// Repair speedup on the `t2`-row path in the incremental regime,
     /// summed over datasets (phase 2).
     repair_speedup: f64,
     /// The best per-dataset `repair_speedup` — the repair win on the
     /// dataset whose delta structure suits it best.
     repair_speedup_max: f64,
-    /// Δ-scan speedup of the blocked kernel over the reference loop on
-    /// the scan-heavy pipeline, summed over datasets (phase 3).
-    scan_speedup: f64,
-    /// The best per-dataset `scan_speedup`.
-    scan_speedup_max: f64,
     /// Donor/repair hit rate of the chained streaming ladder, summed over
-    /// datasets (phase 4).
+    /// datasets (phase 3).
     stream_chained_hit_rate: f64,
     /// Donor/repair hit rate of the per-step-rebuild ladder.
     stream_rebuilt_hit_rate: f64,
@@ -346,7 +277,7 @@ struct Baseline {
     /// the rebuild — the chain's reach across the review boundary.
     stream_gain_datasets: usize,
     /// `Answer::Exact` point-query answers across the whole query ladder
-    /// (phase 5).
+    /// (phase 4).
     query_exact_answers: u64,
     /// `Answer::Bounded` point-query answers across the whole query
     /// ladder — nonzero proves the answer lattice's middle rung is live.
@@ -360,8 +291,8 @@ struct Baseline {
     query_budget_charged: u64,
     /// The best queries/sec observed on any query-ladder rung.
     query_qps_peak: f64,
-    /// Suite totals of the fastest optimized rung per dataset (auto@1
-    /// cache-off, auto@1 + repair, or auto@`threads_multi` cache-off).
+    /// Suite totals of the fastest rung per dataset (one thread
+    /// cache-off, one thread + repair, or `threads_multi` cache-off).
     best_config_secs: f64,
     /// `true` when any dataset's `threads_multi` rung lost to its
     /// single-thread twin — see [`DatasetSummary::thread_regression`].
@@ -370,9 +301,6 @@ struct Baseline {
     /// repeat — nonzero proves chunks actually migrate between the
     /// persistent pool's workers.
     exec_steals: u64,
-    /// End-to-end speedup of the best optimized configuration over the
-    /// scalar single-thread baseline.
-    total_speedup: f64,
 }
 
 const REPEATS: u32 = 3;
@@ -387,17 +315,16 @@ const PHASE1_REPEATS: u32 = 5;
 /// emulating a re-evaluation shortly after the previous one.
 const REPAIR_T1: f64 = 0.95;
 
-/// Phase 4's review schedule: the engine starts at the first cut and
+/// Phase 3's review schedule: the engine starts at the first cut and
 /// reviews at each subsequent one — five reviews over the stream's second
 /// half, tight enough (10 % deltas) that chained donors stay relevant.
 const STREAM_CUTS: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
-/// Phase 1 config slots (kernel, threads, cache): pre-optimization scalar,
-/// kernels-only, kernels + repair, everything at full threads.
-const SLOT_SCALAR: usize = 0;
-const SLOT_AUTO: usize = 1;
-const SLOT_REPAIR: usize = 2;
-const SLOT_MULTI: usize = 3;
+/// Phase 1 config slots (threads, cache): one thread, one thread +
+/// repair, full threads.
+const SLOT_SINGLE: usize = 0;
+const SLOT_REPAIR: usize = 1;
+const SLOT_MULTI: usize = 2;
 
 /// Accumulated pipeline counters of one suite run.
 #[derive(Default)]
@@ -411,6 +338,9 @@ struct SuiteRun {
     repaired_rows: u64,
     repair_frontier_nodes: u64,
     cache_bytes: usize,
+    scan_chunks_scanned: u64,
+    scan_chunks_skipped: u64,
+    scan_pairs_pruned: u64,
     exec: cp_exec::ExecStats,
 }
 
@@ -425,6 +355,31 @@ impl SuiteRun {
         self.repaired_rows += stats.repaired_rows;
         self.repair_frontier_nodes += stats.repair_frontier_nodes;
         self.cache_bytes = self.cache_bytes.max(stats.cache_bytes);
+        self.scan_chunks_scanned += stats.scan_chunks_scanned;
+        self.scan_chunks_skipped += stats.scan_chunks_skipped;
+        self.scan_pairs_pruned += stats.scan_pairs_pruned;
+    }
+
+    /// The sweep record of this run.
+    fn timing(&self, dataset: String, threads: usize, cache: RowCacheBudget) -> SweepTiming {
+        SweepTiming {
+            dataset,
+            threads,
+            cache: cache.describe(),
+            secs: self.secs,
+            sssp_secs: self.sssp_secs,
+            sssp_t2_secs: self.sssp_t2_secs,
+            sssp_computed: self.sssp_computed,
+            msbfs_waves: self.msbfs_waves,
+            msbfs_rows: self.msbfs_rows,
+            repaired_rows: self.repaired_rows,
+            repair_frontier_nodes: self.repair_frontier_nodes,
+            cache_bytes: self.cache_bytes,
+            scan_chunks_scanned: self.scan_chunks_scanned,
+            scan_chunks_skipped: self.scan_chunks_skipped,
+            scan_pairs_pruned: self.scan_pairs_pruned,
+            exec: self.exec,
+        }
     }
 }
 
@@ -438,7 +393,6 @@ fn run_suite(
     m: u64,
     seed: u64,
     threads: usize,
-    kernel: BfsKernel,
     cache: RowCacheBudget,
 ) -> SuiteRun {
     let started = Instant::now();
@@ -446,7 +400,6 @@ fn run_suite(
     for &kind in suite {
         let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
             .with_threads(threads)
-            .with_kernel(kernel)
             .with_row_cache(cache);
         let mut sel = kind.build(seed);
         let res = run_pipeline(&mut oracle, sel.as_mut(), spec);
@@ -469,29 +422,7 @@ fn best_of<F: FnMut() -> SuiteRun, M: Fn(&SuiteRun) -> f64>(mut run: F, metric: 
     best.expect("REPEATS >= 1")
 }
 
-/// One scan-heavy pipeline run (phase 3): Degree selector at a `n / 4`
-/// candidate budget, unbounded row cache, one thread, the given Δ-scan
-/// kernel. Returns the stats plus the candidate/pair counts (identical
-/// across kernels).
-fn run_scan_heavy(
-    g1: &Graph,
-    g2: &Graph,
-    m_scan: u64,
-    spec: &TopKSpec,
-    seed: u64,
-    scan: ScanKernel,
-) -> (PipelineStats, usize, usize) {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m_scan)
-        .with_threads(1)
-        .with_kernel(BfsKernel::Auto)
-        .with_row_cache(RowCacheBudget::Unbounded)
-        .with_scan_kernel(scan);
-    let mut sel = SelectorKind::Degree.build(seed);
-    let res = run_pipeline(&mut oracle, sel.as_mut(), spec);
-    (res.stats, res.candidates.len(), res.pairs.len())
-}
-
-/// One full streaming ladder (phase 4): replays the dataset's events
+/// One full streaming ladder (phase 3): replays the dataset's events
 /// across [`STREAM_CUTS`] with the given chaining mode, returning summed
 /// per-review counters. Pairs/ledger are mode-invariant (conformance-
 /// tested); the pairs of each review are folded into a checksum so the
@@ -506,7 +437,6 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
     )
     .with_chaining(chain);
     cfg.threads = Some(1);
-    cfg.kernel = Some(BfsKernel::Auto);
     cfg.row_cache = Some(RowCacheBudget::Unbounded);
     let mut engine =
         StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(STREAM_CUTS[0])), cfg);
@@ -544,10 +474,10 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
     (sweep, checksum)
 }
 
-/// Phase 5's reader-thread rungs.
+/// Phase 4's reader-thread rungs.
 const QUERY_READERS: [usize; 3] = [1, 2, 8];
 
-/// One query-throughput ladder run (phase 5): `readers` concurrent
+/// One query-throughput ladder run (phase 4): `readers` concurrent
 /// threads issue point queries (`distance` + `delta`) against whatever
 /// epoch is currently published while the main thread replays the
 /// [`STREAM_CUTS`] reviews. With `readers == 0` this is the reader-free
@@ -562,7 +492,6 @@ fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Que
         seed,
     );
     cfg.threads = Some(1);
-    cfg.kernel = Some(BfsKernel::Auto);
     cfg.row_cache = Some(RowCacheBudget::Unbounded);
     let mut engine =
         StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(STREAM_CUTS[0])), cfg);
@@ -642,41 +571,33 @@ fn main() {
     let out = opts.out.as_deref().unwrap_or("BENCH_pipeline.json");
 
     eprintln!(
-        "pipeline_baseline: scale {}, seed {}, m {m}; phase 1 (eval pair): scalar@1 vs auto@1 \
-         vs auto@1+repair vs auto@{threads_multi}; phase 2 (t1 = {REPAIR_T1}): repair \
+        "pipeline_baseline: scale {}, seed {}, m {m}; phase 1 (eval pair): 1 thread vs \
+         1 thread + repair vs {threads_multi} threads; phase 2 (t1 = {REPAIR_T1}): repair \
          off vs on",
         opts.scale, opts.seed
     );
 
-    // The threaded rung rides the best single-thread config (auto
-    // kernel, cache off at the eval pair's 20 % delta) rather than the
-    // cache-on rung the seed used: threading a config that was never
-    // the best config is exactly the misleading comparison the summary
-    // used to make. `multi_thread_secs` vs `optimized_single_secs` is
-    // now a pure threads-on/threads-off A/B over the same pipeline.
+    // The threaded rung rides the best single-thread config (cache off
+    // at the eval pair's 20 % delta): `multi_thread_secs` vs
+    // `single_thread_secs` is a pure threads-on/threads-off A/B over the
+    // same pipeline.
     let configs = [
-        (BfsKernel::Scalar, 1usize, RowCacheBudget::Bytes(0)),
-        (BfsKernel::Auto, 1, RowCacheBudget::Bytes(0)),
-        (BfsKernel::Auto, 1, RowCacheBudget::Unbounded),
-        (BfsKernel::Auto, threads_multi, RowCacheBudget::Bytes(0)),
+        (1usize, RowCacheBudget::Bytes(0)),
+        (1, RowCacheBudget::Unbounded),
+        (threads_multi, RowCacheBudget::Bytes(0)),
     ];
     let mut sweeps: Vec<SweepTiming> = Vec::new();
     let mut datasets: Vec<DatasetSummary> = Vec::new();
     let mut repair: Vec<RepairSummary> = Vec::new();
-    let mut scan_ladder: Vec<ScanSweep> = Vec::new();
-    let mut scan: Vec<ScanSummary> = Vec::new();
     let mut stream_ladder: Vec<StreamSweep> = Vec::new();
     let mut stream: Vec<StreamSummary> = Vec::new();
     let mut query_ladder: Vec<QuerySweep> = Vec::new();
-    let mut query_answer_totals = [0u64; 3]; // phase 5: [exact, bounded, unknown]
+    let mut query_answer_totals = [0u64; 3]; // phase 4: [exact, bounded, unknown]
     let mut query_budget_charged = 0u64;
     let mut query_qps_peak = 0.0f64;
-    let mut totals = [0.0f64; 4];
-    let mut sssp_totals = [0.0f64; 2]; // [scalar@1, auto@1] cache-off
+    let mut totals = [0.0f64; 3];
     let mut t2_totals = [0.0f64; 2]; // phase 2: [cache-off, cache-on]
-    let mut scan_totals = [0.0f64; 2]; // phase 3: [scalar scan, auto scan]
     let mut repair_speedup_max = 0.0f64;
-    let mut scan_speedup_max = 0.0f64;
     let mut stream_hit_totals = [[0u64; 2]; 2]; // [chained, rebuilt] × [hits, charged]
     let mut stream_gain_datasets = 0usize;
 
@@ -684,34 +605,31 @@ fn main() {
         let t = DatasetProfile::scaled(kind, opts.scale).generate(opts.seed);
         let name = kind.name();
 
-        // ---- Phase 1: kernel ladder on the evaluation snapshots ----
+        // ---- Phase 1: thread/cache ladder on the evaluation snapshots ----
         let (g1, g2) = t.snapshot_pair(EVAL_SNAPSHOTS.0, EVAL_SNAPSHOTS.1);
-        let mut per_config = [0.0f64; 4];
-        let mut per_config_sssp = [0.0f64; 4];
-        // Interleave the repeats round-robin across the four configs
+        let mut per_config = [0.0f64; 3];
+        let mut single_sssp_secs = 0.0f64;
+        // Interleave the repeats round-robin across the three configs
         // instead of running each config's repeats back-to-back: on a
         // shared container, ambient slowdowns last seconds and would
         // otherwise bias whole rungs. Round-robin puts every config
         // under roughly the same conditions each round, so the
         // best-of-repeats rung comparison measures the config, not the
         // weather.
-        let mut bests: [Option<SuiteRun>; 4] = [const { None }; 4];
+        let mut bests: [Option<SuiteRun>; 3] = [const { None }; 3];
         for _ in 0..PHASE1_REPEATS {
-            for (slot, &(kernel, threads, cache)) in configs.iter().enumerate() {
-                let run = run_suite(
-                    &g1, &g2, &suite, &spec, m, opts.seed, threads, kernel, cache,
-                );
+            for (slot, &(threads, cache)) in configs.iter().enumerate() {
+                let run = run_suite(&g1, &g2, &suite, &spec, m, opts.seed, threads, cache);
                 if bests[slot].as_ref().is_none_or(|b| run.secs < b.secs) {
                     bests[slot] = Some(run);
                 }
             }
         }
-        for (slot, &(kernel, threads, cache)) in configs.iter().enumerate() {
+        for (slot, &(threads, cache)) in configs.iter().enumerate() {
             let best = bests[slot].take().expect("REPEATS >= 1");
             eprintln!(
-                "  {name} [{} cache={}] @ {threads} thread(s): {:.3}s suite, {:.3}s sssp \
-                 ({:.4}s t2, {} SSSPs, {} waves, {} repaired)",
-                kernel.name(),
+                "  {name} [cache={}] @ {threads} thread(s): {:.3}s suite, {:.3}s sssp \
+                 ({:.4}s t2, {} SSSPs, {} waves, {} repaired, {} scan chunks skipped)",
                 cache.describe(),
                 best.secs,
                 best.sssp_secs,
@@ -719,55 +637,36 @@ fn main() {
                 best.sssp_computed,
                 best.msbfs_waves,
                 best.repaired_rows,
+                best.scan_chunks_skipped,
             );
             totals[slot] += best.secs;
             per_config[slot] = best.secs;
-            per_config_sssp[slot] = best.sssp_secs;
-            sweeps.push(SweepTiming {
-                dataset: name.to_string(),
-                kernel: kernel.name().to_string(),
-                threads,
-                cache: cache.describe(),
-                secs: best.secs,
-                sssp_secs: best.sssp_secs,
-                sssp_t2_secs: best.sssp_t2_secs,
-                sssp_computed: best.sssp_computed,
-                msbfs_waves: best.msbfs_waves,
-                msbfs_rows: best.msbfs_rows,
-                repaired_rows: best.repaired_rows,
-                repair_frontier_nodes: best.repair_frontier_nodes,
-                cache_bytes: best.cache_bytes,
-                exec: best.exec,
-            });
+            if slot == SLOT_SINGLE {
+                single_sssp_secs = best.sssp_secs;
+            }
+            sweeps.push(best.timing(name.to_string(), threads, cache));
         }
-        sssp_totals[0] += per_config_sssp[SLOT_SCALAR];
-        sssp_totals[1] += per_config_sssp[SLOT_AUTO];
         // Flag only losses beyond a 15 % + 50 ms noise allowance.
         // Cross-run jitter on this shared single-core container
         // reaches ±15-30 % per rung even at best-of-5 (ambient host
         // interference, not the code under test), while the spawn-tax
         // regression this flag guards against was +64 % / +4 s on the
         // worst dataset — far outside the allowance.
-        let thread_regression = per_config[SLOT_MULTI] > per_config[SLOT_AUTO] * 1.15
-            && per_config[SLOT_MULTI] - per_config[SLOT_AUTO] > 0.050;
+        let thread_regression = per_config[SLOT_MULTI] > per_config[SLOT_SINGLE] * 1.15
+            && per_config[SLOT_MULTI] - per_config[SLOT_SINGLE] > 0.050;
         if thread_regression {
             eprintln!(
                 "  {name}: THREAD REGRESSION — {threads_multi} threads ({:.3}s) lost to 1 \
                  thread ({:.3}s)",
-                per_config[SLOT_MULTI], per_config[SLOT_AUTO],
+                per_config[SLOT_MULTI], per_config[SLOT_SINGLE],
             );
         }
         datasets.push(DatasetSummary {
             dataset: name.to_string(),
-            scalar_single_secs: per_config[SLOT_SCALAR],
-            optimized_single_secs: per_config[SLOT_AUTO],
-            scalar_sssp_secs: per_config_sssp[SLOT_SCALAR],
-            optimized_sssp_secs: per_config_sssp[SLOT_AUTO],
-            kernel_speedup: per_config_sssp[SLOT_SCALAR]
-                / per_config_sssp[SLOT_AUTO].max(f64::MIN_POSITIVE),
-            suite_speedup: per_config[SLOT_SCALAR] / per_config[SLOT_AUTO].max(f64::MIN_POSITIVE),
+            single_secs: per_config[SLOT_SINGLE],
+            single_sssp_secs,
             multi_thread_secs: per_config[SLOT_MULTI],
-            best_config_secs: per_config[SLOT_AUTO]
+            best_config_secs: per_config[SLOT_SINGLE]
                 .min(per_config[SLOT_REPAIR])
                 .min(per_config[SLOT_MULTI]),
             thread_regression,
@@ -782,37 +681,10 @@ fn main() {
             .enumerate()
         {
             let best = best_of(
-                || {
-                    run_suite(
-                        &r1,
-                        &r2,
-                        &suite,
-                        &spec,
-                        m,
-                        opts.seed,
-                        1,
-                        BfsKernel::Auto,
-                        cache,
-                    )
-                },
+                || run_suite(&r1, &r2, &suite, &spec, m, opts.seed, 1, cache),
                 |r| r.sssp_t2_secs,
             );
-            sweeps.push(SweepTiming {
-                dataset: format!("{name} (t1={REPAIR_T1})"),
-                kernel: BfsKernel::Auto.name().to_string(),
-                threads: 1,
-                cache: cache.describe(),
-                secs: best.secs,
-                sssp_secs: best.sssp_secs,
-                sssp_t2_secs: best.sssp_t2_secs,
-                sssp_computed: best.sssp_computed,
-                msbfs_waves: best.msbfs_waves,
-                msbfs_rows: best.msbfs_rows,
-                repaired_rows: best.repaired_rows,
-                repair_frontier_nodes: best.repair_frontier_nodes,
-                cache_bytes: best.cache_bytes,
-                exec: best.exec,
-            });
+            sweeps.push(best.timing(format!("{name} (t1={REPAIR_T1})"), 1, cache));
             phase2[i] = best;
         }
         let [off, on] = phase2;
@@ -839,75 +711,7 @@ fn main() {
             avg_frontier: on.repair_frontier_nodes as f64 / on.repaired_rows.max(1) as f64,
         });
 
-        // ---- Phase 3: Δ-scan ladder on the evaluation snapshots ----
-        let m_scan = (g1.num_nodes() as u64 / 4).max(m);
-        let mut per_kernel_scan = [0.0f64; 2];
-        let mut skipped_frac = 0.0f64;
-        for (i, sk) in [ScanKernel::Scalar, ScanKernel::Auto]
-            .into_iter()
-            .enumerate()
-        {
-            let mut best: Option<(PipelineStats, usize, usize)> = None;
-            for _ in 0..REPEATS {
-                let r = run_scan_heavy(&g1, &g2, m_scan, &spec, opts.seed, sk);
-                if best.as_ref().is_none_or(|b| r.0.scan_secs < b.0.scan_secs) {
-                    best = Some(r);
-                }
-            }
-            let (stats, candidates, pairs) = best.expect("REPEATS >= 1");
-            eprintln!(
-                "  {name} scan [{}] |M|={candidates}: {:.4}s scan ({} pairs, chunks \
-                 {}/{} scanned/skipped, {} pruned; arena {}x u16 + {}x u32 rows)",
-                sk.name(),
-                stats.scan_secs,
-                pairs,
-                stats.scan_chunks_scanned,
-                stats.scan_chunks_skipped,
-                stats.scan_pairs_pruned,
-                stats.arena.u16_rows,
-                stats.arena.u32_rows,
-            );
-            per_kernel_scan[i] = stats.scan_secs;
-            let total_chunks = stats.scan_chunks_scanned + stats.scan_chunks_skipped;
-            if sk == ScanKernel::Auto {
-                skipped_frac = stats.scan_chunks_skipped as f64 / (total_chunks.max(1)) as f64;
-            }
-            scan_ladder.push(ScanSweep {
-                dataset: name.to_string(),
-                scan_kernel: sk.name().to_string(),
-                candidates,
-                pairs,
-                scan_secs: stats.scan_secs,
-                scan_chunks_scanned: stats.scan_chunks_scanned,
-                scan_chunks_skipped: stats.scan_chunks_skipped,
-                scan_pairs_pruned: stats.scan_pairs_pruned,
-                arena_u16_rows: stats.arena.u16_rows,
-                arena_u32_rows: stats.arena.u32_rows,
-                arena_reused_rows: stats.arena.reused_rows,
-                arena_slab_bytes: stats.arena.slab_bytes,
-            });
-        }
-        let scan_speedup = per_kernel_scan[0] / per_kernel_scan[1].max(f64::MIN_POSITIVE);
-        eprintln!(
-            "  {name} scan ladder: {:.4}s scalar vs {:.4}s auto — {scan_speedup:.2}x scan \
-             ({:.0}% chunks skipped)",
-            per_kernel_scan[0],
-            per_kernel_scan[1],
-            skipped_frac * 100.0,
-        );
-        scan_totals[0] += per_kernel_scan[0];
-        scan_totals[1] += per_kernel_scan[1];
-        scan_speedup_max = scan_speedup_max.max(scan_speedup);
-        scan.push(ScanSummary {
-            dataset: name.to_string(),
-            m_scan,
-            scalar_scan_secs: per_kernel_scan[0],
-            auto_scan_secs: per_kernel_scan[1],
-            scan_speedup,
-            chunks_skipped_frac: skipped_frac,
-        });
-
-        // ---- Phase 4: streaming ladder, chained vs per-step rebuild ----
+        // ---- Phase 3: streaming ladder, chained vs per-step rebuild ----
         let mut per_mode_stream = [StreamSweep::default(), StreamSweep::default()];
         let mut checksums = [0u64; 2];
         for (i, chain) in [true, false].into_iter().enumerate() {
@@ -975,7 +779,7 @@ fn main() {
             stream_speedup,
         });
 
-        // ---- Phase 5: query-throughput ladder over published epochs ----
+        // ---- Phase 4: query-throughput ladder over published epochs ----
         let twin = run_query_ladder(&t, m, opts.seed, 0);
         for readers in QUERY_READERS {
             let mut sweep = run_query_ladder(&t, m, opts.seed, readers);
@@ -1017,19 +821,13 @@ fn main() {
         sweeps,
         datasets,
         repair,
-        scan_ladder,
-        scan,
         stream_ladder,
         stream,
         query_ladder,
-        scalar_single_secs: totals[SLOT_SCALAR],
-        optimized_single_secs: totals[SLOT_AUTO],
+        single_thread_secs: totals[SLOT_SINGLE],
         multi_thread_secs: totals[SLOT_MULTI],
-        kernel_speedup: sssp_totals[0] / sssp_totals[1].max(f64::MIN_POSITIVE),
         repair_speedup: t2_totals[0] / t2_totals[1].max(f64::MIN_POSITIVE),
         repair_speedup_max,
-        scan_speedup: scan_totals[0] / scan_totals[1].max(f64::MIN_POSITIVE),
-        scan_speedup_max,
         stream_chained_hit_rate: stream_hit_totals[0][0] as f64
             / stream_hit_totals[0][1].max(1) as f64,
         stream_rebuilt_hit_rate: stream_hit_totals[1][0] as f64
@@ -1040,40 +838,25 @@ fn main() {
         query_unknown_answers: query_answer_totals[2],
         query_budget_charged,
         query_qps_peak,
-        best_config_secs: totals[SLOT_AUTO]
+        best_config_secs: totals[SLOT_SINGLE]
             .min(totals[SLOT_REPAIR])
             .min(totals[SLOT_MULTI]),
         thread_regression,
         exec_steals,
-        total_speedup: totals[SLOT_SCALAR]
-            / totals[SLOT_AUTO]
-                .min(totals[SLOT_REPAIR])
-                .min(totals[SLOT_MULTI])
-                .max(f64::MIN_POSITIVE),
     };
     let rendered = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
     std::fs::write(out, &rendered).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("{rendered}");
     eprintln!(
-        "wrote {out}: sssp path {:.3}s scalar vs {:.3}s optimized single-thread ({:.2}x \
-         kernel); incremental t2 path {:.4}s repair-off vs {:.4}s repair-on ({:.2}x repair, \
-         best dataset {:.2}x); Δ-scan path {:.4}s scalar vs {:.4}s blocked ({:.2}x scan, \
-         best dataset {:.2}x); streaming ladder hit rate {:.0}% chained vs {:.0}% rebuilt ({} datasets \
-         strictly ahead); query ladder peak {:.0} q/s \
-         ({} exact / {} bounded / {} unknown, {} budget charged); suite {:.3}s vs {:.3}s \
-         single-thread, {:.3}s at {} threads ({:.2}x total at the best config, {} steals, \
-         thread regression: {})",
-        sssp_totals[0],
-        sssp_totals[1],
-        baseline.kernel_speedup,
+        "wrote {out}: incremental t2 path {:.4}s repair-off vs {:.4}s repair-on ({:.2}x \
+         repair, best dataset {:.2}x); streaming ladder hit rate {:.0}% chained vs {:.0}% \
+         rebuilt ({} datasets strictly ahead); query ladder peak {:.0} q/s ({} exact / {} \
+         bounded / {} unknown, {} budget charged); suite {:.3}s single-thread, {:.3}s at {} \
+         threads, {:.3}s at the best config ({} steals, thread regression: {})",
         t2_totals[0],
         t2_totals[1],
         baseline.repair_speedup,
         baseline.repair_speedup_max,
-        scan_totals[0],
-        scan_totals[1],
-        baseline.scan_speedup,
-        baseline.scan_speedup_max,
         100.0 * baseline.stream_chained_hit_rate,
         100.0 * baseline.stream_rebuilt_hit_rate,
         baseline.stream_gain_datasets,
@@ -1082,11 +865,10 @@ fn main() {
         baseline.query_bounded_answers,
         baseline.query_unknown_answers,
         baseline.query_budget_charged,
-        baseline.scalar_single_secs,
-        baseline.optimized_single_secs,
+        baseline.single_thread_secs,
         baseline.multi_thread_secs,
         baseline.threads_multi,
-        baseline.total_speedup,
+        baseline.best_config_secs,
         baseline.exec_steals,
         baseline.thread_regression
     );

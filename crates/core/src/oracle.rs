@@ -15,7 +15,7 @@
 //! * **Paid** — the row has been charged to the ledger once. Admission,
 //!   [`Self::cost_of`], [`Self::has_both`] and [`Self::fully_cached_nodes`]
 //!   read *only* this, so the ledger and the candidate set are bit-identical
-//!   at any cache size, thread count, or kernel.
+//!   at any cache size or thread count.
 //! * **Resident** — the row's bytes are currently held. Residency is
 //!   bounded by a [`RowCacheBudget`] (LRU eviction, `CP_ROW_CACHE`); a paid
 //!   row that was evicted is recomputed **free of charge** on its next
@@ -28,9 +28,17 @@
 //! instead of a full sweep. Repaired rows bypass the multi-source BFS
 //! waves but still charge one SSSP each: the paper's cost model counts
 //! rows, not how cleverly they were produced.
+//!
+//! # Row kernels
+//!
+//! Fresh rows take one path: batched prefetches run 64-source MS-BFS
+//! waves, singleton and fallback rows the direction-optimizing
+//! [`cp_graph::bfs::bfs_into`], and weighted snapshots Dijkstra. The two
+//! runtime knobs are `CP_THREADS` and `CP_ROW_CACHE`; neither changes a
+//! row's bytes. The plain top-down BFS is a test reference that every
+//! cached row is checked against, not a runtime option.
 
-use crate::scan::ScanKernel;
-use cp_graph::bfs::{bfs_into, bfs_scalar_into, BfsWorkspace, TraversalWork};
+use cp_graph::bfs::{bfs_into, BfsWorkspace, TraversalWork};
 use cp_graph::dijkstra::dijkstra_into;
 use cp_graph::msbfs::{msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
 use cp_graph::repair::{
@@ -71,87 +79,23 @@ struct RepairScratch {
     wide: Vec<u32>,
 }
 
-/// Emits a one-time (per knob, per process) stderr warning for an
-/// unparseable environment-knob value. Every knob falls back to a safe
-/// default, but a typo like `CP_ROW_CACHE=64x` silently running unbounded
-/// has burned enough CI legs that the fallback is no longer silent.
-pub(crate) fn warn_bad_knob(knob: &'static str, value: &str, fallback: &str) {
-    static WARNED: std::sync::OnceLock<parking_lot::Mutex<HashSet<&'static str>>> =
-        std::sync::OnceLock::new();
-    let warned = WARNED.get_or_init(|| parking_lot::Mutex::new(HashSet::new()));
-    if warned.lock().insert(knob) {
-        eprintln!("warning: unparseable {knob}={value:?}; falling back to {fallback}");
-    }
-}
-
-/// Parses a `CP_THREADS` spelling. Delegates to [`cp_exec::parse_threads`]:
-/// out-of-range values (`0`, or more than [`cp_exec::MAX_THREADS`]) are
-/// clamped with a one-time warning rather than rejected; only unparseable
-/// strings return `None`.
-pub fn parse_threads(s: &str) -> Option<usize> {
-    cp_exec::parse_threads(s)
-}
-
-/// Worker threads for batched row computation: `CP_THREADS` when set
-/// (clamped into `1..=`[`cp_exec::MAX_THREADS`]), the capped hardware
-/// parallelism otherwise (with a one-time warning when the value is set
-/// but unparseable). Delegates to [`cp_exec::threads_from_env`].
-pub fn threads_from_env() -> usize {
-    cp_exec::threads_from_env()
-}
-
-/// Which unweighted SSSP kernel the oracle runs.
-///
-/// Kernel choice never changes *what* is computed: BFS distance rows are
-/// uniquely determined by the graph, so pairs, candidates, and ledger are
-/// bit-identical under either kernel (property-tested in
-/// `crates/core/tests/parallel_equivalence.rs`). Weighted snapshots always
-/// fall back to Dijkstra regardless of this setting.
+/// The unweighted SSSP kernel a run reports. The oracle always runs
+/// direction-optimizing single-source BFS plus bit-parallel multi-source
+/// waves (≤ 64 admitted sources per graph sweep) for batched prefetches,
+/// and Dijkstra on weighted snapshots, so `Auto` is the only kernel; the
+/// type remains only for the benchmark, which prints its name. The plain
+/// top-down [`cp_graph::bfs::bfs_scalar_into`] is the test reference.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BfsKernel {
-    /// The reference scalar top-down BFS, one source at a time — the
-    /// pre-optimization behaviour, kept for A/B runs.
-    Scalar,
-    /// Direction-optimizing single-source BFS plus bit-parallel
-    /// multi-source waves (≤ 64 admitted sources per graph sweep) for
-    /// batched prefetches. The default.
+    /// Direction-optimizing BFS plus multi-source waves.
     #[default]
     Auto,
 }
 
 impl BfsKernel {
-    /// Parses a knob spelling (`scalar` | `auto`, case-insensitive; empty
-    /// means the default).
-    pub fn parse(s: &str) -> Option<Self> {
-        let t = s.trim();
-        if t.eq_ignore_ascii_case("scalar") {
-            Some(BfsKernel::Scalar)
-        } else if t.is_empty() || t.eq_ignore_ascii_case("auto") {
-            Some(BfsKernel::Auto)
-        } else {
-            None
-        }
-    }
-
-    /// Reads `CP_BFS_KERNEL` (`scalar` | `auto`); unset means
-    /// [`BfsKernel::Auto`], anything unparseable warns once and falls back
-    /// to [`BfsKernel::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("CP_BFS_KERNEL") {
-            Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                warn_bad_knob("CP_BFS_KERNEL", &s, "auto");
-                BfsKernel::Auto
-            }),
-            Err(_) => BfsKernel::Auto,
-        }
-    }
-
-    /// The knob spelling of this kernel (`"scalar"` / `"auto"`).
+    /// The spelling of this kernel (`"auto"`).
     pub fn name(self) -> &'static str {
-        match self {
-            BfsKernel::Scalar => "scalar",
-            BfsKernel::Auto => "auto",
-        }
+        "auto"
     }
 }
 
@@ -200,11 +144,16 @@ impl RowCacheBudget {
     /// Reads `CP_ROW_CACHE`: unset or `unbounded` → [`Self::Unbounded`];
     /// a byte count with optional `k`/`m`/`g` (or `kb`/`mb`/`gb`) suffix →
     /// [`Self::Bytes`]; `0` disables the delta cache. Unparseable values
-    /// warn once and fall back to the default.
+    /// fall back to the default with a one-time (per process) stderr
+    /// warning: a typo like `CP_ROW_CACHE=64x` silently running unbounded
+    /// has burned enough CI legs that the fallback is no longer silent.
     pub fn from_env() -> Self {
+        static WARNED: std::sync::Once = std::sync::Once::new();
         match std::env::var("CP_ROW_CACHE") {
             Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                warn_bad_knob("CP_ROW_CACHE", &s, "unbounded");
+                WARNED.call_once(|| {
+                    eprintln!("warning: unparseable CP_ROW_CACHE={s:?}; falling back to unbounded");
+                });
                 RowCacheBudget::Unbounded
             }),
             Err(_) => RowCacheBudget::Unbounded,
@@ -279,7 +228,7 @@ pub struct KernelStats {
     pub msbfs_waves: u64,
     /// Rows produced by multi-source waves.
     pub msbfs_rows: u64,
-    /// Rows produced by single-source BFS (scalar or direction-optimizing).
+    /// Rows produced by single-source direction-optimizing BFS.
     pub bfs_rows: u64,
     /// Rows produced by Dijkstra (weighted snapshots).
     pub dijkstra_rows: u64,
@@ -666,8 +615,6 @@ pub struct SnapshotOracle<'a> {
     wide1: Vec<u32>,
     wide2: Vec<u32>,
     threads: usize,
-    kernel: BfsKernel,
-    scan_kernel: ScanKernel,
     kstats: KernelStats,
     work: TraversalWork,
     sssp_secs: f64,
@@ -727,9 +674,7 @@ impl<'a> SnapshotOracle<'a> {
             rws: RepairWorkspace::new(),
             wide1: Vec::new(),
             wide2: Vec::new(),
-            threads: threads_from_env(),
-            kernel: BfsKernel::from_env(),
-            scan_kernel: ScanKernel::from_env(),
+            threads: cp_exec::threads_from_env(),
             kstats: KernelStats::default(),
             work: TraversalWork::default(),
             sssp_secs: 0.0,
@@ -792,40 +737,6 @@ impl<'a> SnapshotOracle<'a> {
             Some(e) => e,
             None => cp_exec::global(),
         }
-    }
-
-    /// Sets the unweighted SSSP kernel (builder style). Kernel choice
-    /// never changes results — only wall clock.
-    pub fn with_kernel(mut self, kernel: BfsKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Sets the unweighted SSSP kernel.
-    pub fn set_kernel(&mut self, kernel: BfsKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The configured kernel.
-    pub fn kernel(&self) -> BfsKernel {
-        self.kernel
-    }
-
-    /// Sets the Δ-scan kernel (builder style). Kernel choice never changes
-    /// results — only wall clock (see [`ScanKernel`]).
-    pub fn with_scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.scan_kernel = kernel;
-        self
-    }
-
-    /// Sets the Δ-scan kernel.
-    pub fn set_scan_kernel(&mut self, kernel: ScanKernel) {
-        self.scan_kernel = kernel;
-    }
-
-    /// The configured Δ-scan kernel.
-    pub fn scan_kernel(&self) -> ScanKernel {
-        self.scan_kernel
     }
 
     /// Total nodes settled and adjacency entries examined by the SSSP
@@ -982,8 +893,7 @@ impl<'a> SnapshotOracle<'a> {
 
     /// Wall-clock seconds spent computing distance rows (single requests
     /// and batched fan-outs alike), across every phase. This is the time
-    /// the BFS kernels own — the number `pipeline_baseline` compares
-    /// across kernels; it excludes selector scoring, Δ scans, and
+    /// the BFS kernels own; it excludes selector scoring, Δ scans, and
     /// anything else outside the oracle.
     pub fn sssp_secs(&self) -> f64 {
         self.sssp_secs
@@ -1107,7 +1017,7 @@ impl<'a> SnapshotOracle<'a> {
             .growth_only
     }
 
-    /// Computes one row with the configured kernel, repairing `t2` rows
+    /// Computes one row by a full sweep, repairing `t2` rows
     /// from a resident `t1` donor when possible. `charged` routes the
     /// per-kernel accounting (free recomputations stay out of
     /// [`KernelStats`] so its row sum keeps matching the ledger).
@@ -1124,7 +1034,6 @@ impl<'a> SnapshotOracle<'a> {
             delta,
             ws,
             rws,
-            kernel,
             ..
         } = self;
         if try_repair {
@@ -1147,7 +1056,7 @@ impl<'a> SnapshotOracle<'a> {
             }
         }
         if settled.is_none() {
-            work = compute_row_fresh(graph, *kernel, u, &mut dist, ws);
+            work = compute_row_fresh(graph, u, &mut dist, ws);
         }
         match settled {
             Some(settled) => {
@@ -1297,7 +1206,7 @@ impl<'a> SnapshotOracle<'a> {
                 d1.as_slice()
             }
             None => {
-                compute_row_fresh(self.g1, self.kernel, u, d1, ws);
+                compute_row_fresh(self.g1, u, d1, ws);
                 d1.as_slice()
             }
         };
@@ -1308,7 +1217,7 @@ impl<'a> SnapshotOracle<'a> {
                 d2.as_slice()
             }
             None => {
-                compute_row_fresh(self.g2, self.kernel, u, d2, ws);
+                compute_row_fresh(self.g2, u, d2, ws);
                 d2.as_slice()
             }
         };
@@ -1334,13 +1243,13 @@ impl<'a> SnapshotOracle<'a> {
         let (k1, k2) = (self.cache.pack1, self.cache.pack2);
         let mixed = k1 != k2;
         if !have1 {
-            compute_row_fresh(self.g1, self.kernel, u, d1, ws);
+            compute_row_fresh(self.g1, u, d1, ws);
             if k1 && !mixed {
                 pack_u16_into(d1, p1);
             }
         }
         if !have2 {
-            compute_row_fresh(self.g2, self.kernel, u, d2, ws);
+            compute_row_fresh(self.g2, u, d2, ws);
             if k2 && !mixed {
                 pack_u16_into(d2, p2);
             }
@@ -1508,11 +1417,11 @@ impl<'a> SnapshotOracle<'a> {
 
     /// Full-sweep computation of a job batch — in parallel above
     /// [`PARALLEL_ROW_CUTOFF`], inline otherwise. Jobs are grouped into
-    /// kernel work items first (multi-source waves under
-    /// [`BfsKernel::Auto`]); the scoped-worker fan-out then distributes
+    /// kernel work items first (multi-source waves, see
+    /// [`Self::plan_items`]); the scoped-worker fan-out then distributes
     /// *items*, so wave batching composes with thread parallelism. Each
     /// worker owns its scratch; the shared state is one atomic item cursor
-    /// and disjoint per-item result slots. Row contents are kernel- and
+    /// and disjoint per-item result slots. Row contents are
     /// thread-invariant, so cache, ledger, and every later read are
     /// identical under any configuration.
     fn compute_full_jobs(&mut self, jobs: &[(Snapshot, u32)]) {
@@ -1551,8 +1460,7 @@ impl<'a> SnapshotOracle<'a> {
             for (which, idxs) in items {
                 let t_item = std::time::Instant::now();
                 let graph = self.graph_of(*which);
-                let res =
-                    compute_item(graph, self.kernel, jobs, idxs, &mut self.ws, &mut self.msws);
+                let res = compute_item(graph, jobs, idxs, &mut self.ws, &mut self.msws);
                 if *which == Snapshot::Second {
                     self.sssp_t2_secs += t_item.elapsed().as_secs_f64();
                 }
@@ -1567,7 +1475,6 @@ impl<'a> SnapshotOracle<'a> {
         slots.clear();
         slots.resize_with(items.len(), || (ItemResult::default(), 0.0));
         let (g1, g2) = (self.g1, self.g2);
-        let kernel = self.kernel;
         let exec = self.exec.clone();
         let exec: &cp_exec::Executor = match exec.as_deref() {
             Some(e) => e,
@@ -1581,14 +1488,7 @@ impl<'a> SnapshotOracle<'a> {
                 Snapshot::Second => g2,
             };
             let t_item = std::time::Instant::now();
-            let res = compute_item(
-                graph,
-                kernel,
-                jobs,
-                idxs,
-                &mut scratch.ws,
-                &mut scratch.msws,
-            );
+            let res = compute_item(graph, jobs, idxs, &mut scratch.ws, &mut scratch.msws);
             *slot = (res, t_item.elapsed().as_secs_f64());
         });
         // Merge strictly in item (admission) order, after the batch —
@@ -1622,7 +1522,6 @@ impl<'a> SnapshotOracle<'a> {
             delta,
             ws,
             rws,
-            kernel,
             threads,
             ..
         } = &mut *self;
@@ -1631,12 +1530,11 @@ impl<'a> SnapshotOracle<'a> {
             .iter()
             .map(|&(_, u)| cache.get_ref(Snapshot::First, NodeId(u)))
             .collect();
-        let kernel = *kernel;
         let threads = (*threads).min(jobs.len()).max(1);
         if threads == 1 || jobs.len() < PARALLEL_ROW_CUTOFF {
             let mut wide = Vec::new();
             slots.extend(jobs.iter().zip(&donors).map(|(&(_, u), &donor)| {
-                repair_item(g2, kernel, NodeId(u), donor, delta, ws, rws, &mut wide)
+                repair_item(g2, NodeId(u), donor, delta, ws, rws, &mut wide)
             }));
         } else {
             // Pre-sized one-writer-per-slot results on the persistent
@@ -1649,16 +1547,7 @@ impl<'a> SnapshotOracle<'a> {
             let donors = &donors;
             exec.run(&mut slots, threads, |i, slot, ctx| {
                 let RepairScratch { ws, rws, wide } = ctx.scratch.get_or(RepairScratch::default);
-                *slot = repair_item(
-                    g2,
-                    kernel,
-                    NodeId(jobs[i].1),
-                    donors[i],
-                    delta,
-                    ws,
-                    rws,
-                    wide,
-                );
+                *slot = repair_item(g2, NodeId(jobs[i].1), donors[i], delta, ws, rws, wide);
             });
         }
         drop(donors);
@@ -1685,37 +1574,29 @@ impl<'a> SnapshotOracle<'a> {
         self.sssp_secs += started.elapsed().as_secs_f64();
     }
 
-    /// Plans the kernel work items for a job batch: under [`BfsKernel::Auto`]
-    /// the unweighted jobs of each snapshot are chunked, in admission order,
-    /// into multi-source waves of at most [`WAVE_WIDTH`] sources; weighted
-    /// jobs (and every job under [`BfsKernel::Scalar`]) become single-source
-    /// items. Each item carries the indices of the jobs it resolves.
+    /// Plans the kernel work items for a job batch: the unweighted jobs of
+    /// each snapshot are chunked, in admission order, into multi-source
+    /// waves of at most [`WAVE_WIDTH`] sources; weighted jobs become
+    /// single-source items. Each item carries the indices of the jobs it
+    /// resolves.
     fn plan_items(&self, jobs: &[(Snapshot, u32)]) -> Vec<(Snapshot, Vec<usize>)> {
         let mut items: Vec<(Snapshot, Vec<usize>)> = Vec::new();
-        if self.kernel == BfsKernel::Auto {
-            let mut snap1: Vec<usize> = Vec::new();
-            let mut snap2: Vec<usize> = Vec::new();
-            for (i, &(which, _)) in jobs.iter().enumerate() {
-                if self.graph_of(which).is_weighted() {
-                    items.push((which, vec![i]));
-                } else {
-                    match which {
-                        Snapshot::First => snap1.push(i),
-                        Snapshot::Second => snap2.push(i),
-                    }
+        let mut snap1: Vec<usize> = Vec::new();
+        let mut snap2: Vec<usize> = Vec::new();
+        for (i, &(which, _)) in jobs.iter().enumerate() {
+            if self.graph_of(which).is_weighted() {
+                items.push((which, vec![i]));
+            } else {
+                match which {
+                    Snapshot::First => snap1.push(i),
+                    Snapshot::Second => snap2.push(i),
                 }
             }
-            for (which, idxs) in [(Snapshot::First, snap1), (Snapshot::Second, snap2)] {
-                for chunk in idxs.chunks(WAVE_WIDTH) {
-                    items.push((which, chunk.to_vec()));
-                }
+        }
+        for (which, idxs) in [(Snapshot::First, snap1), (Snapshot::Second, snap2)] {
+            for chunk in idxs.chunks(WAVE_WIDTH) {
+                items.push((which, chunk.to_vec()));
             }
-        } else {
-            items.extend(
-                jobs.iter()
-                    .enumerate()
-                    .map(|(i, &(which, _))| (which, vec![i])),
-            );
         }
         items
     }
@@ -1739,12 +1620,11 @@ struct ItemResult {
     work: TraversalWork,
 }
 
-/// Computes one row from scratch with the configured kernel, returning the
-/// traversal work (no repair, no stats — also the shared-read fallback of
-/// [`SnapshotOracle::read_rows`]).
+/// Computes one row from scratch — direction-optimizing BFS, or Dijkstra
+/// on a weighted snapshot — returning the traversal work (no repair, no
+/// stats — also the shared-read fallback of [`SnapshotOracle::read_rows`]).
 fn compute_row_fresh(
     graph: &Graph,
-    kernel: BfsKernel,
     u: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -1752,10 +1632,7 @@ fn compute_row_fresh(
     if graph.is_weighted() {
         dijkstra_into(graph, u, dist)
     } else {
-        match kernel {
-            BfsKernel::Scalar => bfs_scalar_into(graph, u, dist, ws),
-            BfsKernel::Auto => bfs_into(graph, u, dist, ws),
-        }
+        bfs_into(graph, u, dist, ws)
     }
 }
 
@@ -1764,7 +1641,6 @@ fn compute_row_fresh(
 /// tagged with their job indices, plus the work counters.
 fn compute_item(
     graph: &Graph,
-    kernel: BfsKernel,
     jobs: &[(Snapshot, u32)],
     idxs: &[usize],
     ws: &mut BfsWorkspace,
@@ -1782,13 +1658,7 @@ fn compute_item(
         .iter()
         .map(|&i| {
             let mut dist = Vec::new();
-            work.merge(compute_row_fresh(
-                graph,
-                kernel,
-                NodeId(jobs[i].1),
-                &mut dist,
-                ws,
-            ));
+            work.merge(compute_row_fresh(graph, NodeId(jobs[i].1), &mut dist, ws));
             (i, dist)
         })
         .collect();
@@ -1800,10 +1670,8 @@ fn compute_item(
 /// the worker's `wide` buffer first (the repair kernels take canonical
 /// `u32` rows). Returns the row, `Some(settled)` iff repaired, and the
 /// item's seconds.
-#[allow(clippy::too_many_arguments)]
 fn repair_item(
     g2: &Graph,
-    kernel: BfsKernel,
     u: NodeId,
     donor: Option<RowRef<'_>>,
     delta: &SnapshotDelta,
@@ -1829,7 +1697,7 @@ fn repair_item(
             })
         }
         None => {
-            compute_row_fresh(g2, kernel, u, &mut dist, ws);
+            compute_row_fresh(g2, u, &mut dist, ws);
             None
         }
     };
@@ -1863,25 +1731,6 @@ mod tests {
         o.rows(NodeId(0)).unwrap();
         assert_eq!(o.ledger().total(), 2);
         assert_eq!(o.remaining(), 2);
-    }
-
-    #[test]
-    fn knob_parsers_accept_canonical_spellings() {
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads(" 16 "), Some(16));
-        // Out-of-range values clamp (with a one-time warning) instead of
-        // silently falling back to hardware parallelism.
-        assert_eq!(parse_threads("0"), Some(1));
-        assert_eq!(parse_threads("9999"), Some(cp_exec::MAX_THREADS));
-        assert_eq!(parse_threads(""), None);
-        assert_eq!(parse_threads("four"), None);
-        assert_eq!(parse_threads("-2"), None);
-
-        assert_eq!(BfsKernel::parse("scalar"), Some(BfsKernel::Scalar));
-        assert_eq!(BfsKernel::parse(" SCALAR "), Some(BfsKernel::Scalar));
-        assert_eq!(BfsKernel::parse("auto"), Some(BfsKernel::Auto));
-        assert_eq!(BfsKernel::parse(""), Some(BfsKernel::Auto));
-        assert_eq!(BfsKernel::parse("vectorized"), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::oracle::{
 };
 use crate::scan::{scan_delta_row, ScanCounters, ScanKernel};
 use crate::selectors::CandidateSelector;
-use cp_graph::{distance_decrease, Graph, NodeId};
+use cp_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -68,16 +68,15 @@ pub struct PipelineStats {
     pub cache_bytes: usize,
     /// Worker threads the oracle was configured with.
     pub threads: usize,
-    /// The unweighted SSSP kernel the oracle ran (`scalar` | `auto`).
+    /// Always `auto`; remains only for the benchmark, which prints it.
     pub kernel: BfsKernel,
     /// Per-kernel work counters: multi-source waves and how many rows each
     /// kernel produced (`msbfs_rows + bfs_rows + dijkstra_rows +
     /// repair_rows` equals `sssp_computed`).
     pub kernel_stats: KernelStats,
-    /// The Δ-scan kernel the `M × V` phase ran (`scalar` | `auto`).
+    /// Always `auto`; remains only for the benchmark, which prints it.
     pub scan_kernel: ScanKernel,
-    /// Δ-scan chunks whose elements were walked (blocked kernel only;
-    /// zero under the scalar reference scan).
+    /// Δ-scan chunks whose elements were walked.
     pub scan_chunks_scanned: u64,
     /// Δ-scan chunks skipped whole because their maximum Δ was below the
     /// shared floor.
@@ -199,9 +198,9 @@ pub fn run_pipeline(
             recomputed_rows: oracle.recomputed_rows(),
             cache_bytes: oracle.cache_bytes(),
             threads: oracle.threads(),
-            kernel: oracle.kernel(),
+            kernel: BfsKernel::Auto,
             kernel_stats: oracle.kernel_stats(),
-            scan_kernel: oracle.scan_kernel(),
+            scan_kernel: ScanKernel::Auto,
             scan_chunks_scanned: scan_counters.chunks_scanned,
             scan_chunks_skipped: scan_counters.chunks_skipped,
             scan_pairs_pruned: scan_counters.pairs_pruned,
@@ -233,8 +232,8 @@ pub fn run_pipeline(
 /// buffer once full (k distinct pairs at Δ ≥ m prove every Δ < m pair is
 /// outside the top k). Pruning is therefore conservative, and the final
 /// retain/sort/truncate below cuts exactly as the unpruned scan would —
-/// results are bit-identical across kernels, thread counts and cache
-/// budgets.
+/// results are bit-identical to the per-element reference loop at any
+/// thread count and cache budget.
 fn pairs_from_candidates(
     oracle: &SnapshotOracle<'_>,
     candidates: &[NodeId],
@@ -256,7 +255,7 @@ fn pairs_from_candidates(
     // over the pairs *visible to this run* (the exact Δmax is unknown
     // within the budget; evaluation harnesses pass an explicit Threshold
     // from the exact baseline instead) — and it is exact even under the
-    // blocked kernel, because skipped chunks still fold their maxima into
+    // chunk skipping, because skipped chunks still fold their maxima into
     // `observed_max`.
     let final_floor = match spec {
         TopKSpec::Threshold { delta_min } => (*delta_min).max(1),
@@ -298,7 +297,6 @@ fn scan_candidate_rows(
     floor: &AtomicU32,
     observed_max: &AtomicU32,
 ) -> (Vec<ConvergingPair>, ScanCounters) {
-    let kernel = oracle.scan_kernel();
     let from_max_slack = match spec {
         TopKSpec::ThresholdFromMax { slack } => Some(*slack),
         _ => None,
@@ -321,57 +319,34 @@ fn scan_candidate_rows(
         } = s;
         let u = candidates[i];
         let u_idx = u.index();
-        match kernel {
-            ScanKernel::Auto => {
-                let (r1, r2) = oracle.read_rows_packed(u, rows);
-                scan_delta_row(
-                    r1,
-                    r2,
-                    0,
-                    floor,
-                    observed_max,
-                    from_max_slack,
-                    counters,
-                    &mut |v_idx, delta| {
-                        if v_idx == u_idx || (in_m[v_idx] && v_idx < u_idx) {
-                            return;
-                        }
-                        out.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
-                        let Some(k) = topk else { return };
-                        if heap.len() < k {
-                            heap.push(Reverse(delta));
-                        } else if delta > heap.peek().expect("nonempty").0 {
-                            heap.pop();
-                            heap.push(Reverse(delta));
-                        } else {
-                            return;
-                        }
-                        if heap.len() == k {
-                            floor.fetch_max(heap.peek().expect("nonempty").0, Ordering::Relaxed);
-                        }
-                    },
-                );
-            }
-            ScanKernel::Scalar => {
-                // The reference per-element loop: no chunking, no
-                // pruning — the pre-optimization behaviour, kept for
-                // A/B runs and conformance tests.
-                let (d1, d2) = oracle.read_rows(u, rows);
-                for v_idx in 0..d1.len() {
-                    if v_idx == u_idx || (in_m[v_idx] && v_idx < u_idx) {
-                        continue;
-                    }
-                    let Some(delta) = distance_decrease(d1[v_idx], d2[v_idx]) else {
-                        continue;
-                    };
-                    if delta == 0 {
-                        continue;
-                    }
-                    observed_max.fetch_max(delta, Ordering::Relaxed);
-                    out.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
+        let (r1, r2) = oracle.read_rows_packed(u, rows);
+        scan_delta_row(
+            r1,
+            r2,
+            0,
+            floor,
+            observed_max,
+            from_max_slack,
+            counters,
+            &mut |v_idx, delta| {
+                if v_idx == u_idx || (in_m[v_idx] && v_idx < u_idx) {
+                    return;
                 }
-            }
-        }
+                out.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
+                let Some(k) = topk else { return };
+                if heap.len() < k {
+                    heap.push(Reverse(delta));
+                } else if delta > heap.peek().expect("nonempty").0 {
+                    heap.pop();
+                    heap.push(Reverse(delta));
+                } else {
+                    return;
+                }
+                if heap.len() == k {
+                    floor.fetch_max(heap.peek().expect("nonempty").0, Ordering::Relaxed);
+                }
+            },
+        );
     };
 
     let threads = oracle.threads().min(candidates.len()).max(1);

@@ -1,13 +1,14 @@
 //! Differential conformance of the snapshot-delta row cache.
 //!
-//! The tentpole's contract: the delta cache is a pure wall-clock
-//! optimization. Pipeline **results** — pairs, candidate set, budget
-//! ledger — are bit-identical with the cache on or off, at any thread
-//! count, under either BFS kernel, and at any resident-row budget, on
-//! every synthetic evolving-graph generator in `cp-gen`. The reference
-//! configuration is the pre-cache compute path (1 thread, scalar kernel,
-//! `RowCacheBudget::Bytes(0)`); every other configuration must reproduce
-//! it exactly.
+//! The contract: the delta cache, the thread fan-out, the multi-source
+//! waves and the blocked Δ-scan are pure wall-clock optimizations.
+//! Pipeline **results** — pairs, candidate set, budget ledger — are
+//! bit-identical with the cache on or off, at any thread count and at any
+//! resident-row budget, on every synthetic evolving-graph generator in
+//! `cp-gen`. Candidates and ledger must reproduce the pre-cache compute
+//! path (1 thread, `RowCacheBudget::Bytes(0)`) exactly; pairs must equal
+//! [`reference::reference_pairs`] — the per-element Δ loop over scalar-BFS
+//! rows of those candidates.
 //!
 //! A second family of checks anchors the pipeline to ground truth: the
 //! exact all-pairs solver vs. the unbudgeted Incidence baseline, which by
@@ -16,8 +17,7 @@
 //! per-source BFS brute force at several thread counts.
 
 use cp_core::exact::{exact_top_k, sort_pairs, ConvergingPair, TopKSpec};
-use cp_core::oracle::{BfsKernel, RowCacheBudget, SnapshotOracle};
-use cp_core::scan::ScanKernel;
+use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
 use cp_core::selectors::{active_nodes, incidence_full, SelectorKind};
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_gen::affiliation::{affiliation, AffiliationParams};
@@ -34,7 +34,10 @@ use cp_graph::bfs::bfs;
 use cp_graph::builder::graph_from_edges;
 use cp_graph::{distance_decrease, Graph, NodeId, TemporalGraph};
 use proptest::prelude::*;
+use reference::reference_pairs;
 use std::collections::HashMap;
+
+mod reference;
 
 /// One small evolving graph per cp-gen generator.
 fn generator_cases() -> Vec<(&'static str, TemporalGraph)> {
@@ -114,7 +117,6 @@ fn generator_cases() -> Vec<(&'static str, TemporalGraph)> {
     ]
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_config(
     g1: &Graph,
     g2: &Graph,
@@ -122,20 +124,18 @@ fn run_config(
     m: u64,
     spec: &TopKSpec,
     threads: usize,
-    kernel: BfsKernel,
     cache: RowCacheBudget,
 ) -> BudgetedResult {
     let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
         .with_threads(threads)
-        .with_kernel(kernel)
         .with_row_cache(cache);
     let mut sel = kind.build(3);
     run_pipeline(&mut oracle, sel.as_mut(), spec)
 }
 
 /// The full differential matrix: every spec shape × threads {1,2,8} ×
-/// kernels {scalar,auto} × cache budgets {off, tiny, unbounded} against
-/// the reference configuration, on every generator. The tiny budget (one
+/// cache budgets {off, tiny, unbounded} against the reference pairs and
+/// the 1-thread cache-off run, on every generator. The tiny budget (one
 /// row's worth of bytes beyond the pinned pair) forces constant eviction,
 /// free recomputation, and donor-miss fallbacks in the repair planner.
 /// Some unbounded-cache cell must actually repair, so the cache-on half
@@ -154,56 +154,44 @@ fn pipeline_is_invariant_across_the_cache_matrix() {
         for kind in [SelectorKind::Degree, SelectorKind::Mmsd { landmarks: 3 }] {
             for spec in &specs {
                 for m in [4u64, 12] {
-                    let reference = run_config(
-                        &g1,
-                        &g2,
-                        kind,
-                        m,
-                        spec,
-                        1,
-                        BfsKernel::Scalar,
-                        RowCacheBudget::Bytes(0),
-                    );
+                    let reference =
+                        run_config(&g1, &g2, kind, m, spec, 1, RowCacheBudget::Bytes(0));
+                    let want = reference_pairs(&g1, &g2, &reference.candidates, spec);
                     for threads in [1usize, 2, 8] {
-                        for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
-                            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded]
-                            {
-                                let got =
-                                    run_config(&g1, &g2, kind, m, spec, threads, kernel, cache);
-                                let ctx = format!(
-                                    "{name}/{}/{spec:?}/m={m}/threads={threads}/{}/cache={}",
-                                    kind.name(),
-                                    kernel.name(),
-                                    cache.describe(),
-                                );
-                                assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
+                        for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
+                            let got = run_config(&g1, &g2, kind, m, spec, threads, cache);
+                            let ctx = format!(
+                                "{name}/{}/{spec:?}/m={m}/threads={threads}/cache={}",
+                                kind.name(),
+                                cache.describe(),
+                            );
+                            assert_eq!(got.pairs, want, "pairs diverge: {ctx}");
+                            assert_eq!(
+                                got.candidates, reference.candidates,
+                                "candidates diverge: {ctx}"
+                            );
+                            assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+                            // Stats stay coherent in every configuration:
+                            // charged rows add up to the ledger, and the
+                            // disabled cache never repairs.
+                            let ks = got.stats.kernel_stats;
+                            assert_eq!(
+                                ks.msbfs_rows
+                                    + ks.bfs_rows
+                                    + ks.dijkstra_rows
+                                    + ks.repair_rows
+                                    + got.stats.chained_rows,
+                                got.budget.total(),
+                                "kernel counters diverge from the ledger: {ctx}"
+                            );
+                            if cache == RowCacheBudget::Bytes(0) {
                                 assert_eq!(
-                                    got.candidates, reference.candidates,
-                                    "candidates diverge: {ctx}"
+                                    got.stats.repaired_rows, 0,
+                                    "disabled cache must not repair: {ctx}"
                                 );
-                                assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                                // Stats stay coherent in every configuration:
-                                // charged rows add up to the ledger, and the
-                                // disabled cache never repairs.
-                                let ks = got.stats.kernel_stats;
-                                assert_eq!(
-                                    ks.msbfs_rows
-                                        + ks.bfs_rows
-                                        + ks.dijkstra_rows
-                                        + ks.repair_rows
-                                        + got.stats.chained_rows,
-                                    got.budget.total(),
-                                    "kernel counters diverge from the ledger: {ctx}"
-                                );
-                                if cache == RowCacheBudget::Bytes(0) {
-                                    assert_eq!(
-                                        got.stats.repaired_rows, 0,
-                                        "disabled cache must not repair: {ctx}"
-                                    );
-                                }
-                                if cache == RowCacheBudget::Unbounded {
-                                    repaired_somewhere |= got.stats.repaired_rows > 0;
-                                }
+                            }
+                            if cache == RowCacheBudget::Unbounded {
+                                repaired_somewhere |= got.stats.repaired_rows > 0;
                             }
                         }
                     }
@@ -252,28 +240,11 @@ fn incidence_baseline_matches_exact_ground_truth() {
     }
 }
 
-fn run_scan_config(
-    g1: &Graph,
-    g2: &Graph,
-    m: u64,
-    spec: &TopKSpec,
-    threads: usize,
-    scan: ScanKernel,
-    cache: RowCacheBudget,
-) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_threads(threads)
-        .with_row_cache(cache)
-        .with_scan_kernel(scan);
-    let mut sel = SelectorKind::Degree.build(3);
-    run_pipeline(&mut oracle, sel.as_mut(), spec)
-}
-
-/// The Δ-scan kernel matrix: `CP_SCAN_KERNEL` {scalar, auto} × threads
-/// {1,2,8} × cache budgets {off, tiny, 64k, unbounded} × every spec shape,
-/// against the reference scan (1 thread, scalar, cache off). The blocked
-/// kernel's chunk skipping and rising floors must never change pairs,
-/// candidates, or the ledger.
+/// The Δ-scan matrix: threads {1,2,8} × cache budgets {off, tiny, 64k,
+/// unbounded} × every spec shape. The blocked kernel's chunk skipping and
+/// rising floors must reproduce the reference per-element loop
+/// ([`reference_pairs`]) and never change candidates or the ledger of the
+/// 1-thread cache-off run.
 #[test]
 fn scan_kernel_is_invariant_across_the_matrix() {
     let specs = [
@@ -281,52 +252,37 @@ fn scan_kernel_is_invariant_across_the_matrix() {
         TopKSpec::ThresholdFromMax { slack: 1 },
         TopKSpec::Threshold { delta_min: 2 },
     ];
+    let degree = SelectorKind::Degree;
     for (name, t) in generator_cases() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
         // One resident row pair plus change, at the packed (u16) width.
         let tiny = RowCacheBudget::Bytes(3 * 2 * g1.num_nodes());
         for spec in &specs {
-            let reference = run_scan_config(
-                &g1,
-                &g2,
-                12,
-                spec,
-                1,
-                ScanKernel::Scalar,
-                RowCacheBudget::Bytes(0),
-            );
+            let reference = run_config(&g1, &g2, degree, 12, spec, 1, RowCacheBudget::Bytes(0));
+            let want = reference_pairs(&g1, &g2, &reference.candidates, spec);
             for threads in [1usize, 2, 8] {
-                for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-                    for cache in [
-                        RowCacheBudget::Bytes(0),
-                        tiny,
-                        RowCacheBudget::Bytes(64 * 1024),
-                        RowCacheBudget::Unbounded,
-                    ] {
-                        let got = run_scan_config(&g1, &g2, 12, spec, threads, scan, cache);
-                        let ctx = format!(
-                            "{name}/{spec:?}/threads={threads}/scan={}/cache={}",
-                            scan.name(),
-                            cache.describe(),
+                for cache in [
+                    RowCacheBudget::Bytes(0),
+                    tiny,
+                    RowCacheBudget::Bytes(64 * 1024),
+                    RowCacheBudget::Unbounded,
+                ] {
+                    let got = run_config(&g1, &g2, degree, 12, spec, threads, cache);
+                    let ctx = format!(
+                        "{name}/{spec:?}/threads={threads}/cache={}",
+                        cache.describe(),
+                    );
+                    assert_eq!(got.pairs, want, "pairs diverge: {ctx}");
+                    assert_eq!(
+                        got.candidates, reference.candidates,
+                        "candidates diverge: {ctx}"
+                    );
+                    assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+                    if !got.candidates.is_empty() {
+                        assert!(
+                            got.stats.scan_chunks_scanned + got.stats.scan_chunks_skipped > 0,
+                            "blocked kernel saw no chunks: {ctx}"
                         );
-                        assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                        assert_eq!(
-                            got.candidates, reference.candidates,
-                            "candidates diverge: {ctx}"
-                        );
-                        assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                        assert_eq!(got.stats.scan_kernel, scan, "kernel not recorded: {ctx}");
-                        if scan == ScanKernel::Scalar {
-                            // The reference loop neither chunks nor prunes.
-                            assert_eq!(got.stats.scan_chunks_scanned, 0, "{ctx}");
-                            assert_eq!(got.stats.scan_chunks_skipped, 0, "{ctx}");
-                            assert_eq!(got.stats.scan_pairs_pruned, 0, "{ctx}");
-                        } else if !got.candidates.is_empty() {
-                            assert!(
-                                got.stats.scan_chunks_scanned + got.stats.scan_chunks_skipped > 0,
-                                "blocked kernel saw no chunks: {ctx}"
-                            );
-                        }
                     }
                 }
             }
@@ -420,7 +376,8 @@ proptest! {
 }
 
 /// Weighted snapshots must keep full-width rows — Dijkstra distances can
-/// exceed `u16` — while the pipeline stays scan-kernel-invariant on them.
+/// exceed `u16` — while the pipeline still reproduces the reference pairs
+/// (Dijkstra rows, per-element Δ loop) on them.
 #[test]
 fn weighted_rows_take_the_u32_arena_path() {
     let weighted = |extra: &[(u32, u32, u32)]| {
@@ -436,29 +393,24 @@ fn weighted_rows_take_the_u32_arena_path() {
     let g1 = weighted(&[]);
     let g2 = weighted(&[(0, 15, 1), (4, 11, 2)]);
     let spec = TopKSpec::ThresholdFromMax { slack: 1 };
-    let reference = run_scan_config(
-        &g1,
-        &g2,
-        8,
-        &spec,
-        1,
-        ScanKernel::Scalar,
-        RowCacheBudget::Bytes(0),
-    );
-    for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-        let got = run_scan_config(&g1, &g2, 8, &spec, 2, scan, RowCacheBudget::Unbounded);
-        assert_eq!(got.pairs, reference.pairs, "scan={}", scan.name());
-        assert_eq!(got.candidates, reference.candidates, "scan={}", scan.name());
+    let degree = SelectorKind::Degree;
+    let reference = run_config(&g1, &g2, degree, 8, &spec, 1, RowCacheBudget::Bytes(0));
+    let want = reference_pairs(&g1, &g2, &reference.candidates, &spec);
+    for (threads, cache) in [
+        (1, RowCacheBudget::Bytes(0)),
+        (2, RowCacheBudget::Unbounded),
+    ] {
+        let got = run_config(&g1, &g2, degree, 8, &spec, threads, cache);
+        let ctx = format!("threads={threads}/cache={}", cache.describe());
+        assert_eq!(got.pairs, want, "{ctx}");
+        assert_eq!(got.candidates, reference.candidates, "{ctx}");
         assert_eq!(
             got.stats.arena.u16_rows, 0,
             "weighted rows must not be packed"
         );
         assert!(got.stats.arena.u32_rows > 0, "u32 arena must hold the rows");
     }
-    assert!(
-        !reference.pairs.is_empty(),
-        "weighted case must not be vacuous"
-    );
+    assert!(!want.is_empty(), "weighted case must not be vacuous");
 }
 
 /// The exact solver's top-k cut is reproduced by the budgeted pipeline
@@ -472,16 +424,7 @@ fn full_budget_recovers_exact_top_k_under_any_cache() {
         let exact = exact_top_k(&g1, &g2, &spec, 2);
         let n = g1.num_nodes() as u64;
         for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-            let got = run_config(
-                &g1,
-                &g2,
-                SelectorKind::Degree,
-                n,
-                &spec,
-                2,
-                BfsKernel::Auto,
-                cache,
-            );
+            let got = run_config(&g1, &g2, SelectorKind::Degree, n, &spec, 2, cache);
             assert_eq!(
                 got.pairs,
                 exact.pairs,

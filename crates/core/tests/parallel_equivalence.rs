@@ -1,21 +1,26 @@
-//! Determinism of the parallel pipeline: neither the thread count nor the
-//! BFS kernel configured on the oracle may change *what* is computed —
-//! pairs, candidate set, and budget ledger are bit-identical at any worker
-//! count and under either kernel, because budget admission is sequential
-//! and BFS levels are uniquely determined by the graph; only the SSSP
-//! fan-out, the wave batching, and the Δ scan differ.
+//! Determinism of the parallel pipeline: the thread count configured on
+//! the oracle may not change *what* is computed — pairs, candidate set,
+//! and budget ledger are bit-identical at any worker count, because budget
+//! admission is sequential and BFS levels are uniquely determined by the
+//! graph; only the SSSP fan-out, the wave batching, and the Δ scan differ.
+//! Rows and pairs are also held to the scalar-BFS / per-element-loop
+//! references of `reference/mod.rs`.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, RowCacheBudget, Snapshot, SnapshotOracle};
+use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_exec::Executor;
 use cp_gen::datasets::{DatasetKind, DatasetProfile};
 use cp_graph::betweenness::{betweenness_exact, Betweenness};
 use cp_graph::builder::graph_from_edges;
+use cp_graph::rowpack::{widen_u16_into, RowRef};
 use cp_graph::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
+use reference::{reference_pairs, reference_row};
 use std::sync::Arc;
+
+mod reference;
 
 /// A generated case: node count, base edges, extra edges.
 type SnapshotPairCase = (usize, Vec<(u32, u32)>, Vec<(u32, u32)>);
@@ -48,25 +53,38 @@ fn run_with_threads(
     seed: u64,
     threads: usize,
 ) -> BudgetedResult {
-    run_with(g1, g2, kind, m, spec, seed, threads, BfsKernel::Auto)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_with(
-    g1: &Graph,
-    g2: &Graph,
-    kind: SelectorKind,
-    m: u64,
-    spec: &TopKSpec,
-    seed: u64,
-    threads: usize,
-    kernel: BfsKernel,
-) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_threads(threads)
-        .with_kernel(kernel);
+    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m).with_threads(threads);
     let mut sel = kind.build(seed);
     run_pipeline(&mut oracle, sel.as_mut(), spec)
+}
+
+/// Asserts that every cached row of `u` in `oracle` equals the reference
+/// row (scalar BFS, or Dijkstra on weighted snapshots).
+fn assert_rows_match_reference(
+    oracle: &SnapshotOracle<'_>,
+    g1: &Graph,
+    g2: &Graph,
+    u: NodeId,
+    ctx: &str,
+) {
+    for (which, g) in [(Snapshot::First, g1), (Snapshot::Second, g2)] {
+        let got = match oracle
+            .cached_row(which, u)
+            .expect("prefetched row is resident")
+        {
+            RowRef::U32(r) => r.to_vec(),
+            RowRef::U16(p) => {
+                let mut wide = Vec::new();
+                widen_u16_into(p, &mut wide);
+                wide
+            }
+        };
+        assert_eq!(
+            got,
+            reference_row(g, u),
+            "{ctx}: row of {u} diverges in {which:?}"
+        );
+    }
 }
 
 const SELECTORS: [SelectorKind; 6] = [
@@ -130,8 +148,9 @@ proptest! {
         }
     }
 
-    /// Scalar vs optimized kernel: identical pairs, candidates, and
-    /// ledger across thread counts — the tentpole's determinism contract.
+    /// The runtime kernels vs the references: pairs equal the
+    /// per-element Δ loop over scalar-BFS rows of the candidates, and
+    /// candidates and ledger equal the 1-thread run, at every thread count.
     #[test]
     fn pipeline_is_kernel_invariant(
         case in snapshot_pair(40),
@@ -141,20 +160,21 @@ proptest! {
         let (g1, g2) = build_graphs(&case);
         let spec = TopKSpec::ThresholdFromMax { slack: 1 };
         for kind in SELECTORS {
-            let scalar = run_with(&g1, &g2, kind, m, &spec, seed, 1, BfsKernel::Scalar);
+            let single = run_with_threads(&g1, &g2, kind, m, &spec, seed, 1);
+            let want = reference_pairs(&g1, &g2, &single.candidates, &spec);
             for threads in [1usize, 2, 8] {
-                let auto = run_with(&g1, &g2, kind, m, &spec, seed, threads, BfsKernel::Auto);
+                let got = run_with_threads(&g1, &g2, kind, m, &spec, seed, threads);
                 prop_assert_eq!(
-                    &auto.pairs, &scalar.pairs,
-                    "{} pairs diverge (auto, {} threads)", kind.name(), threads
+                    &got.pairs, &want,
+                    "{} pairs diverge from the reference ({} threads)", kind.name(), threads
                 );
                 prop_assert_eq!(
-                    &auto.candidates, &scalar.candidates,
-                    "{} candidates diverge (auto, {} threads)", kind.name(), threads
+                    &got.candidates, &single.candidates,
+                    "{} candidates diverge ({} threads)", kind.name(), threads
                 );
                 prop_assert_eq!(
-                    auto.budget, scalar.budget,
-                    "{} ledger diverges (auto, {} threads)", kind.name(), threads
+                    got.budget, single.budget,
+                    "{} ledger diverges ({} threads)", kind.name(), threads
                 );
             }
         }
@@ -266,8 +286,9 @@ fn grid_snapshots() -> (Graph, Graph) {
 }
 
 /// Explicit batch widths {1, 64, 65} through `prefetch_node_rows`: every
-/// row the optimized kernel caches must be byte-identical to the scalar
-/// oracle's, and the wave counters must reflect the planned chunking.
+/// row the oracle caches must equal the scalar-BFS reference row, the
+/// report and ledger must match a 1-thread oracle's, and the wave counters
+/// must reflect the planned chunking.
 #[test]
 fn prefetch_batch_widths_are_kernel_invariant() {
     let (g1, g2) = grid_snapshots();
@@ -275,25 +296,18 @@ fn prefetch_batch_widths_are_kernel_invariant() {
         let nodes: Vec<NodeId> = (0..width as u32).map(NodeId).collect();
         // The wave/repair expectations below need the delta cache on, so
         // pin it against the environment (the CI matrix sets CP_ROW_CACHE=0).
-        let mut scalar = SnapshotOracle::unbounded(&g1, &g2)
-            .with_kernel(BfsKernel::Scalar)
+        let mut single = SnapshotOracle::unbounded(&g1, &g2)
+            .with_threads(1)
             .with_row_cache(RowCacheBudget::Unbounded);
         let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-            .with_kernel(BfsKernel::Auto)
             .with_row_cache(RowCacheBudget::Unbounded)
             .with_threads(4);
-        let rs = scalar.prefetch_node_rows(&nodes);
+        let rs = single.prefetch_node_rows(&nodes);
         let ra = auto.prefetch_node_rows(&nodes);
         assert_eq!(rs, ra, "width {width}: prefetch reports diverge");
-        assert_eq!(scalar.ledger(), auto.ledger(), "width {width}");
+        assert_eq!(single.ledger(), auto.ledger(), "width {width}");
         for &u in &nodes {
-            for which in [Snapshot::First, Snapshot::Second] {
-                assert_eq!(
-                    scalar.cached_row(which, u),
-                    auto.cached_row(which, u),
-                    "width {width}: row of {u} diverges in {which:?}"
-                );
-            }
+            assert_rows_match_reference(&auto, &g1, &g2, u, &format!("width {width}"));
         }
         let ks = auto.kernel_stats();
         // The snapshots grow (`g1 ⊆ g2`), so every `t2` row is repaired
@@ -314,13 +328,16 @@ fn prefetch_batch_widths_are_kernel_invariant() {
             auto.ledger().total(),
             "width {width}: row counters must add up to the ledger"
         );
-        assert_eq!(scalar.kernel_stats().msbfs_waves, 0);
-        assert_eq!(scalar.kernel_stats().repair_rows, width as u64);
+        assert_eq!(
+            single.kernel_stats(),
+            ks,
+            "width {width}: planning is thread-invariant"
+        );
     }
 }
 
-/// Weighted snapshots always fall back to Dijkstra: the optimized kernel
-/// plans no waves and the rows are identical to the scalar oracle's.
+/// Weighted snapshots always fall back to Dijkstra: the oracle plans no
+/// waves and every row equals the reference Dijkstra row.
 #[test]
 fn weighted_snapshots_fall_back_to_dijkstra() {
     let weighted = |extra: &[(u32, u32, u32)]| {
@@ -339,23 +356,12 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
     let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
     // Repair expectations below need the delta cache on regardless of the
     // environment's CP_ROW_CACHE.
-    let mut scalar = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Scalar)
-        .with_row_cache(RowCacheBudget::Unbounded);
     let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Auto)
         .with_row_cache(RowCacheBudget::Unbounded)
         .with_threads(4);
-    scalar.prefetch_node_rows(&nodes);
     auto.prefetch_node_rows(&nodes);
     for &u in &nodes {
-        for which in [Snapshot::First, Snapshot::Second] {
-            assert_eq!(
-                scalar.cached_row(which, u),
-                auto.cached_row(which, u),
-                "row of {u} diverges in {which:?}"
-            );
-        }
+        assert_rows_match_reference(&auto, &g1, &g2, u, "weighted");
     }
     let ks = auto.kernel_stats();
     assert_eq!(ks.msbfs_waves, 0, "weighted graphs must not plan waves");
@@ -370,17 +376,17 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
 
 /// Spawn-once across prefetch batches: one injected pool serves three
 /// consecutive wide prefetch fan-outs, `workers_spawned` settles after
-/// the first batch and never moves again, and every cached row matches
-/// a single-thread scalar oracle byte for byte.
+/// the first batch and never moves again, every cached row equals the
+/// scalar-BFS reference row, and reports and ledger match a single-thread
+/// oracle's.
 #[test]
 fn injected_pool_is_reused_across_prefetch_batches() {
     let (g1, g2) = grid_snapshots();
     let pool = Arc::new(Executor::new(4));
-    let mut scalar = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Scalar)
+    let mut single = SnapshotOracle::unbounded(&g1, &g2)
+        .with_threads(1)
         .with_row_cache(RowCacheBudget::Unbounded);
     let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Auto)
         .with_row_cache(RowCacheBudget::Unbounded)
         .with_threads(4)
         .with_executor(Arc::clone(&pool));
@@ -389,17 +395,11 @@ fn injected_pool_is_reused_across_prefetch_batches() {
     let mut spawned_after_first = 0;
     for batch in 0..3u32 {
         let nodes: Vec<NodeId> = (batch * 20..(batch + 1) * 20).map(NodeId).collect();
-        let rs = scalar.prefetch_node_rows(&nodes);
+        let rs = single.prefetch_node_rows(&nodes);
         let ra = auto.prefetch_node_rows(&nodes);
         assert_eq!(rs, ra, "batch {batch}: prefetch reports diverge");
         for &u in &nodes {
-            for which in [Snapshot::First, Snapshot::Second] {
-                assert_eq!(
-                    scalar.cached_row(which, u),
-                    auto.cached_row(which, u),
-                    "batch {batch}: row of {u} diverges in {which:?}"
-                );
-            }
+            assert_rows_match_reference(&auto, &g1, &g2, u, &format!("batch {batch}"));
         }
         let stats = pool.stats();
         assert!(
@@ -416,7 +416,7 @@ fn injected_pool_is_reused_across_prefetch_batches() {
         }
         assert!(stats.batches_run > u64::from(batch));
     }
-    assert_eq!(scalar.ledger(), auto.ledger());
+    assert_eq!(single.ledger(), auto.ledger());
 }
 
 /// Brandes edge betweenness is bit-identical at every thread count: its

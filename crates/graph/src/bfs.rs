@@ -11,9 +11,11 @@
 //!   adjacency for a frontier parent — once the frontier's outgoing-edge sum
 //!   dominates the unexplored remainder. The frontier doubles as a `u64`-word
 //!   bitset in bottom-up mode so the parent test is one AND per probe.
-//! * [`bfs_scalar_into`] — the plain top-down kernel, kept as the reference
-//!   implementation for A/B runs (`CP_BFS_KERNEL=scalar`) and for the
-//!   kernel-equivalence property tests.
+//! * [`bfs_scalar_into`] — the plain top-down kernel. No runtime path
+//!   selects it: it is the reference implementation the tests hold the
+//!   runtime kernels to (the kernel-equivalence properties and the
+//!   pipeline conformance suites) and the baseline of cp-bench's
+//!   `benches/kernels.rs`.
 //!
 //! Both kernels produce bit-identical distance rows: BFS levels are uniquely
 //! determined by the graph, so traversal direction never shows in the output.
@@ -233,8 +235,8 @@ fn top_down(graph: &Graph, dist: &mut [u32], ws: &mut BfsWorkspace, work: &mut T
 }
 
 /// The scalar (always top-down) reference kernel. Same output as
-/// [`bfs_into`], work counters included; exists so A/B runs and equivalence
-/// tests can pin the pre-optimization behaviour (`CP_BFS_KERNEL=scalar`).
+/// [`bfs_into`], work counters included; exists so equivalence tests and
+/// benchmarks can pin the pre-optimization behaviour.
 #[inline]
 pub fn bfs_scalar_into(
     graph: &Graph,

@@ -3,8 +3,7 @@
 use crate::index::QueryIndex;
 use crate::subs::{PairTrack, StreamEvent, Watch, WatchId, WatchKind};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle};
-use cp_core::scan::ScanKernel;
+use cp_core::oracle::{RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult, PipelineStats};
 use cp_graph::temporal::GraphAccumulator;
@@ -35,9 +34,8 @@ pub enum ReviewPolicy {
 /// each review runs under its own `2m` SSSP ledger with a selector seeded
 /// `seed + review_index`, so review *r*'s output is bit-identical to a
 /// from-scratch [`cp_core::topk::budgeted_top_k`] on the same snapshot
-/// pair. The `Option` knobs override the process-environment defaults
-/// (`CP_THREADS`, `CP_BFS_KERNEL`, `CP_SCAN_KERNEL`, `CP_ROW_CACHE`)
-/// — `None` inherits them.
+/// pair. The two `Option` knobs override the process-environment
+/// defaults (`CP_THREADS`, `CP_ROW_CACHE`) — `None` inherits them.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Candidate budget per review (`2m` SSSPs each).
@@ -52,10 +50,6 @@ pub struct StreamConfig {
     pub policy: ReviewPolicy,
     /// Worker threads (`None`: `CP_THREADS` / default).
     pub threads: Option<usize>,
-    /// Unweighted SSSP kernel (`None`: `CP_BFS_KERNEL` / default).
-    pub kernel: Option<BfsKernel>,
-    /// Δ-scan kernel (`None`: `CP_SCAN_KERNEL` / default).
-    pub scan_kernel: Option<ScanKernel>,
     /// Resident-row byte budget (`None`: `CP_ROW_CACHE` / default).
     pub row_cache: Option<RowCacheBudget>,
     /// Chain the row cache across reviews: step *t*'s resident `t2` rows
@@ -77,8 +71,6 @@ impl StreamConfig {
             seed,
             policy: ReviewPolicy::Manual,
             threads: None,
-            kernel: None,
-            scan_kernel: None,
             row_cache: None,
             chain_cache: true,
         }
@@ -495,12 +487,6 @@ impl StreamEngine {
         }
         if let Some(t) = self.config.threads {
             oracle.set_threads(t);
-        }
-        if let Some(k) = self.config.kernel {
-            oracle.set_kernel(k);
-        }
-        if let Some(k) = self.config.scan_kernel {
-            oracle.set_scan_kernel(k);
         }
         if let Some(b) = self.config.row_cache {
             oracle.set_row_cache(b);

@@ -1,14 +1,14 @@
 //! Streaming conformance: the engine is a *serving shape*, not a new
 //! algorithm. Every review's visible output — pairs, candidate set, budget
 //! ledger — must be bit-identical to a from-scratch budgeted pipeline run
-//! on the same snapshot pair with the same seed, across the full knob
-//! matrix (BFS/scan kernels × threads × row-cache budgets), with
+//! on the same snapshot pair with the same seed (1 thread, row cache off),
+//! and its pairs must equal the per-element reference loop over scalar-BFS
+//! rows, across the full knob matrix (threads × row-cache budgets), with
 //! review-to-review cache chaining on or off. Chaining, like the row cache
 //! it extends, is a pure wall-clock optimization.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, RowCacheBudget, SnapshotOracle};
-use cp_core::scan::ScanKernel;
+use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_gen::ba::barabasi_albert;
@@ -19,7 +19,11 @@ use cp_graph::builder::graph_from_edges;
 use cp_graph::{Graph, NodeId, TemporalGraph};
 use cp_stream::{StreamConfig, StreamEngine, StreamError, StreamSnapshot};
 use proptest::prelude::*;
+use reference::reference_pairs;
 use std::sync::Arc;
+
+#[path = "../../core/tests/reference/mod.rs"]
+mod reference;
 
 /// A few small evolving graphs with different growth shapes.
 fn generator_cases() -> Vec<(&'static str, TemporalGraph)> {
@@ -47,19 +51,28 @@ fn feed(engine: &mut StreamEngine, t: &TemporalGraph, from: usize, to: usize) {
     }
 }
 
-/// The from-scratch reference: a fresh oracle with the same knobs and the
-/// engine's per-review seed convention.
+/// The from-scratch reference: a fresh single-thread, cache-off oracle
+/// with the engine's per-review seed convention.
 fn reference(g1: &Graph, g2: &Graph, cfg: &StreamConfig, review: u32) -> BudgetedResult {
     let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * cfg.m)
-        .with_threads(cfg.threads.unwrap())
-        .with_kernel(cfg.kernel.unwrap())
-        .with_scan_kernel(cfg.scan_kernel.unwrap())
-        .with_row_cache(cfg.row_cache.unwrap());
+        .with_threads(1)
+        .with_row_cache(RowCacheBudget::Bytes(0));
     let mut sel = cfg.selector.build(cfg.seed.wrapping_add(review as u64));
     run_pipeline(&mut oracle, sel.as_mut(), &cfg.spec)
 }
 
-fn assert_review_matches(got: &StreamSnapshot, want: &BudgetedResult, ctx: &str) {
+fn assert_review_matches(
+    got: &StreamSnapshot,
+    g1: &Graph,
+    want: &BudgetedResult,
+    spec: &TopKSpec,
+    ctx: &str,
+) {
+    let pairs = reference_pairs(g1, &got.graph, &want.candidates, spec);
+    assert_eq!(
+        got.result.pairs, pairs,
+        "pairs diverge from the reference: {ctx}"
+    );
     assert_eq!(got.result.pairs, want.pairs, "pairs diverge: {ctx}");
     assert_eq!(
         got.result.candidates, want.candidates,
@@ -81,8 +94,8 @@ fn assert_review_matches(got: &StreamSnapshot, want: &BudgetedResult, ctx: &str)
 }
 
 /// The full streaming matrix: every review of an engine run (chaining on)
-/// reproduces the from-scratch pipeline bit-for-bit under kernels
-/// {scalar, auto} × threads {1, 2, 8} × row-cache budgets {off, tiny,
+/// reproduces the from-scratch pipeline and the reference pairs
+/// bit-for-bit under threads {1, 2, 8} × row-cache budgets {off, tiny,
 /// unbounded}.
 #[test]
 fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
@@ -92,37 +105,30 @@ fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
         let tiny = RowCacheBudget::Bytes(3 * 4 * n);
         for threads in [1usize, 2, 8] {
-            for (kernel, scan) in [
-                (BfsKernel::Scalar, ScanKernel::Scalar),
-                (BfsKernel::Auto, ScanKernel::Auto),
-            ] {
-                for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                    let mut cfg = StreamConfig::new(
-                        8,
-                        SelectorKind::Mmsd { landmarks: 3 },
-                        TopKSpec::ThresholdFromMax { slack: 1 },
-                        3,
+            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
+                let mut cfg = StreamConfig::new(
+                    8,
+                    SelectorKind::Mmsd { landmarks: 3 },
+                    TopKSpec::ThresholdFromMax { slack: 1 },
+                    3,
+                );
+                cfg.threads = Some(threads);
+                cfg.row_cache = Some(cache);
+                let mut engine =
+                    StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+                for w in cuts.windows(2) {
+                    let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+                    let g1 = t.snapshot_of_prefix(f1);
+                    let g2 = t.snapshot_of_prefix(f2);
+                    feed(&mut engine, &t, f1, f2);
+                    let epoch = engine.review();
+                    assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
+                    let want = reference(&g1, &g2, &cfg, epoch.review);
+                    let ctx = format!(
+                        "{name}/review={}/threads={threads}/cache={cache:?}",
+                        epoch.review
                     );
-                    cfg.threads = Some(threads);
-                    cfg.kernel = Some(kernel);
-                    cfg.scan_kernel = Some(scan);
-                    cfg.row_cache = Some(cache);
-                    let mut engine =
-                        StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
-                    for w in cuts.windows(2) {
-                        let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                        let g1 = t.snapshot_of_prefix(f1);
-                        let g2 = t.snapshot_of_prefix(f2);
-                        feed(&mut engine, &t, f1, f2);
-                        let epoch = engine.review();
-                        assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
-                        let want = reference(&g1, &g2, &cfg, epoch.review);
-                        let ctx = format!(
-                            "{name}/review={}/threads={threads}/{kernel:?}/cache={cache:?}",
-                            epoch.review
-                        );
-                        assert_review_matches(&epoch, &want, &ctx);
-                    }
+                    assert_review_matches(&epoch, &g1, &want, &cfg.spec, &ctx);
                 }
             }
         }
@@ -146,8 +152,6 @@ fn injected_pool_serves_every_review_without_respawning() {
             3,
         );
         cfg.threads = Some(4);
-        cfg.kernel = Some(BfsKernel::Auto);
-        cfg.scan_kernel = Some(ScanKernel::Auto);
         cfg.row_cache = Some(RowCacheBudget::Unbounded);
         let pool = Arc::new(cp_exec::Executor::new(4));
         let start = t.snapshot_of_prefix(prefix(cuts[0]));

@@ -14,16 +14,12 @@ echo "==> cargo test -q"
 # arguments.
 cargo test -q
 
-echo "==> cargo test -q [CP_BFS_KERNEL=scalar, CP_ROW_CACHE=0]"
-# Matrix leg: the reference scalar kernel with the snapshot-delta row
-# cache disabled — keeps the pre-optimization compute path green too,
-# in every crate (tests that assert row-cache hits pin their own budget).
-CP_BFS_KERNEL=scalar CP_ROW_CACHE=0 cargo test -q
-
-echo "==> cargo test -q [CP_SCAN_KERNEL=scalar]"
-# Matrix leg: the reference per-element Δ-scan loop — the blocked kernel
-# and its pruning must be a pure wall-clock optimization.
-CP_SCAN_KERNEL=scalar cargo test -q
+echo "==> cargo test -q [CP_ROW_CACHE=0]"
+# Matrix leg: the snapshot-delta row cache disabled — keeps the pre-cache
+# compute path green too, in every crate (tests that assert row-cache
+# hits pin their own budget). The scalar BFS and the per-element Δ loop
+# are test references, checked by the default run above.
+CP_ROW_CACHE=0 cargo test -q
 
 echo "==> cargo test -q [CP_THREADS=8]"
 # Matrix leg: a wide persistent pool under every conformance suite —
@@ -39,7 +35,7 @@ echo "==> CLI determinism [every selector and --exact, default env vs each runti
 # (IncBet, whose exact Brandes fans out on the oracle's width, included)
 # and for the exact answer (`--exact`, MS-BFS waves over the pool) the
 # root CLI prints byte-identical pairs with no knob set and with each of
-# the four runtime knobs moved off its default.
+# the two runtime knobs moved off its default.
 det_dir="$(mktemp -d -t cp_determinism.XXXXXX)"
 python3 - "$det_dir/graph.txt" <<'PY'
 import random
@@ -58,9 +54,9 @@ with open(sys.argv[1], "w") as f:
 PY
 for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random exact; do
     if [ "$sel" = exact ]; then mode=(--exact); else mode=(--selector "$sel"); fi
-    for knob in default CP_THREADS=8 CP_BFS_KERNEL=scalar CP_SCAN_KERNEL=scalar CP_ROW_CACHE=0; do
+    for knob in default CP_THREADS=8 CP_ROW_CACHE=0; do
         # `default` expands to no assignment at all: every knob unset.
-        env -u CP_THREADS -u CP_BFS_KERNEL -u CP_SCAN_KERNEL -u CP_ROW_CACHE ${knob#default} \
+        env -u CP_THREADS -u CP_ROW_CACHE ${knob#default} \
             cargo run --release -q -- "$det_dir/graph.txt" \
             --t1 0.8 --t2 1.0 --m 40 --k 200 "${mode[@]}" \
             > "$det_dir/$sel.$knob.tsv" 2> "$det_dir/stderr" || {
@@ -101,8 +97,9 @@ grep -q '"exec_steals": [1-9]' "$smoke_out" || {
     rm -f "$smoke_out"
     exit 1
 }
-# The Δ-scan ladder must actually exercise chunk skipping somewhere:
-# at least one dataset reports a nonzero scan_chunks_skipped.
+# The default Δ-scan must actually exercise chunk skipping somewhere:
+# at least one phase-1/phase-2 sweep reports a nonzero
+# scan_chunks_skipped.
 grep -q '"scan_chunks_skipped": [1-9]' "$smoke_out" || {
     echo "ci.sh: no dataset skipped any Δ-scan chunks" >&2
     rm -f "$smoke_out"
