@@ -1,4 +1,5 @@
-//! Exact Brandes edge betweenness, with the graph's forest peeled off first.
+//! Exact Brandes edge betweenness, with the graph's forest peeled off first
+//! and the 2-core swept in blocks of sources.
 //!
 //! The Incidence baseline of Papadimitriou et al. ranks active nodes by the
 //! *importance* of their new edges — an estimate of edge betweenness. The
@@ -19,31 +20,56 @@
 //! * **Weighted sweeps over the compacted core.** A shortest path between
 //!   two core nodes never enters a tree, and a pair of tree nodes uses
 //!   the core path between their attachment nodes, so a core edge's score
-//!   is `Σ w(s)·w(t)·σ_st(e)/σ_st` over core pairs. Brandes runs once per
-//!   core source on a CSR of the core alone: each target counts `w(t)`
-//!   times (its coefficient starts at `w(t)/σ` instead of `1/σ`) and each
-//!   source's contributions are scaled by `w(s)`.
-//! * **Backward pass over DAG arcs only.** While the forward BFS from a
-//!   source runs, every arc `u→v` with `dist[v] == dist[u] + 1` (an arc of
-//!   the shortest-path DAG) is recorded as `(tail, arc index)`, 8 bytes per
-//!   DAG arc. The dependency pass walks that record in reverse — all arcs
-//!   out of a node come after all arcs into it — adding
-//!   `c = σ[u]·coef[v]` to the arc's edge, with
-//!   `coef[v] = (w(v) + δ[v]) / σ[v]` kept per node, instead of rescanning
-//!   every arc and testing `dist` on each.
+//!   is `Σ w(s)·w(t)·σ_st(e)/σ_st` over core pairs. Brandes runs from
+//!   every core source on a CSR of the core alone: each target counts
+//!   `w(t)` times (its coefficient starts at `w(t)/σ` instead of `1/σ`)
+//!   and each source's contributions are scaled by `w(s)`.
+//! * **Block sweeps.** One task sweeps a block of up to 64 core sources
+//!   at once, the batched form of Brandes' algorithm (Brandes, 2001) with
+//!   MS-BFS words as the frontier (Then et al., VLDB 2014). Blocks are
+//!   consecutive runs of a BFS order of the core, so a block's sources
+//!   are close and share most of their levels. A level entry is a node
+//!   with the word of the sources that reach it on that level.
+//!   - *Forward*, level by level: each entry `(u, vis)` scans `u`'s arcs
+//!     once, `new = vis & !seen[v]` selects the sources for which `u→v`
+//!     is a shortest-path DAG arc into a fresh node, and each of them
+//!     pushes σ along it.
+//!   - *Backward*, levels in reverse: with `cur[v]` the word of `v` one
+//!     level deeper, `vis & cur[v]` selects the sources for which `u→v`
+//!     is a DAG arc. Each adds `coef_b[v]` to `δ_b[u]` and
+//!     `σ_b[u]·coef_b[v]`, counted `w(s_b)` times, to the arc's edge,
+//!     where `coef_b[v] = (w(v) + δ_b[v]) / σ_b[v]`.
+//!
+//!   Node `v` and source `b` share one `f64` slot `val[v·w + b]`: σ
+//!   during the forward pass, `coef` after it.
+//! * **Width cap.** The block width is `w = clamp(2^16 / k, 1, 64)` for a
+//!   core of `k` nodes, so a lane's slots hold at most 2^16 `f64` (512
+//!   KiB) next to its `O(k)` words, its level entries and its `O(m)` edge
+//!   sums. Wider blocks scan fewer arcs but cost memory in every lane; a
+//!   core of 2^16 or more nodes sweeps one source per block, as plain
+//!   Brandes does. Lane buffers live for one call and are freed by the
+//!   merge, so they never add to a later phase's peak.
 //! * **Fixed-point reduction.** Each per-source contribution `c` is added
 //!   as the integer `round(c·2^F)`, with `F = 61 − ⌈log2 n²⌉`. The weights
 //!   of a component sum to at most `n`, so one edge's sum over all core
-//!   sources stays below `n²` and cannot overflow an `i64`. Integer sums
-//!   do not depend on which lane summed which source, so the scores are
-//!   bit-identical at every thread count and steal schedule. The price is
+//!   sources stays below `n²` and cannot overflow an `i64`. The price is
 //!   resolution: a core edge's score takes at most one rounding per core
 //!   source, so its absolute error is at most `k·2^-(F+2)` after halving,
-//!   with `k ≤ n` the number of core nodes, and `F` loses a bit each time
-//!   `n²` doubles. That is 35 bits at the emulators' scale-0.25 sizes
-//!   (bound ≈ 5e-8), 31 at the largest full-scale emulator (25.5k nodes,
-//!   bound ≈ 3e-6) and about 21 at a million nodes, where small scores
-//!   lose most of their digits. Bridge scores are exact.
+//!   and `F` loses a bit each time `n²` doubles. That is 35 bits at the
+//!   emulators' scale-0.25 sizes (bound ≈ 5e-8), 31 at the largest
+//!   full-scale emulator (25.5k nodes, bound ≈ 3e-6) and about 21 at a
+//!   million nodes, where small scores lose most of their digits. Bridge
+//!   scores are exact.
+//!
+//! **Why the scores are bit-identical** at every block width, block order
+//! and thread count: σ values are integers (below 2^53), so the order of
+//! the forward additions cannot change them. In the backward pass each
+//! source's floating-point operations run in the order of the per-source
+//! sweep — a node's DAG arcs in reverse CSR order, `coef` read only once
+//! final — so every rounded contribution is the same integer, and
+//! integer sums do not depend on which lane summed which block. The
+//! per-source sweep survives as the reference the tests hold the block
+//! sweep to.
 
 use crate::components::components;
 use crate::graph::Graph;
@@ -59,15 +85,34 @@ pub struct Betweenness {
     pub edge: Vec<f64>,
 }
 
-/// `dist` of a node the current sweep has not reached. The largest value,
-/// so one comparison `dist[v] >= level` admits both unreached nodes and
-/// nodes already found on `level`.
-const UNREACHED: u32 = u32::MAX;
+/// Most sources in one block: one bit per source in a `u64` word.
+const MAX_BLOCK: usize = 64;
+
+/// Most `f64` slots a lane's block sweep holds: `k·w ≤ 2^16`, 512 KiB.
+const LANE_SLOTS: usize = 1 << 16;
+
+/// Block width for a core of `k` nodes: as many sources as fit
+/// [`LANE_SLOTS`], between 1 and [`MAX_BLOCK`].
+fn block_width(k: usize) -> usize {
+    (LANE_SLOTS / k.max(1)).clamp(1, MAX_BLOCK)
+}
 
 /// `x ≥ 0` rounded to the nearest integer.
 #[inline]
 fn fixed(x: f64) -> i64 {
     (x + 0.5) as i64
+}
+
+/// The set bits of `word`, lowest first.
+#[inline]
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// A graph with its forest peeled off: the compacted 2-core the sweeps
@@ -152,108 +197,193 @@ impl Peeled {
     fn num_nodes(&self) -> usize {
         self.weight.len()
     }
+
+    /// Every core node in BFS order, restarting at the lowest unreached
+    /// node once per component.
+    fn bfs_order(&self) -> Vec<u32> {
+        let k = self.num_nodes();
+        let mut reached = vec![false; k];
+        let mut order = Vec::with_capacity(k);
+        for root in 0..k {
+            if reached[root] {
+                continue;
+            }
+            reached[root] = true;
+            let mut head = order.len();
+            order.push(root as u32);
+            while head < order.len() {
+                let u = order[head] as usize;
+                head += 1;
+                for &v in &self.targets[self.offsets[u]..self.offsets[u + 1]] {
+                    if !reached[v as usize] {
+                        reached[v as usize] = true;
+                        order.push(v);
+                    }
+                }
+            }
+        }
+        order
+    }
 }
 
-/// Per-worker Brandes scratch, persistent across batches in the
-/// executor's [`cp_exec::WorkerScratch`]. At rest every vector is clean —
-/// `dist` all [`UNREACHED`], `sigma` and the accumulator all zero — so a
-/// batch over a core of the same size reuses it as is.
-struct BrandesScratch {
-    /// BFS level, [`UNREACHED`] for nodes not reached yet.
-    dist: Vec<u32>,
-    sigma: Vec<f64>,
-    /// `(w(v) + δ[v]) / σ[v]`: written for every reached node, so it needs
-    /// no reset.
-    coef: Vec<f64>,
-    /// Core nodes reached from the current source, in BFS order.
-    order: Vec<u32>,
-    /// `(tail, core arc index)` of every shortest-path DAG arc, in BFS
-    /// order.
-    dag: Vec<(u32, u32)>,
+/// Per-lane block-sweep scratch, kept in the executor's
+/// [`cp_exec::WorkerScratch`] for one call: the merge frees it. Between
+/// blocks every word and slot is zero again, so the next block reuses it
+/// as is.
+#[derive(Default)]
+struct BlockScratch {
+    /// `(k, m, w)`: core nodes, graph edges and block width.
+    shape: (usize, usize, usize),
+    /// `seen[v]` bit `b`: source `b` reached `v` on a level already
+    /// entered.
+    seen: Vec<u64>,
+    /// Forward: `v`'s word on the level being discovered. Backward:
+    /// `cur[v]`, `v`'s word one level deeper than the level being walked.
+    next: Vec<u64>,
+    /// `val[v·w + b]`: `σ_b[v]` in the forward pass, then
+    /// `coef_b[v] = (w(v) + δ_b[v]) / σ_b[v]`.
+    val: Vec<f64>,
+    /// `(node, word)` level entries, level after level: bit `b` of the
+    /// word is set when the node is on this level of source `b`'s BFS.
+    entries: Vec<(u32, u64)>,
+    /// Where each level starts in `entries`, then the end.
+    levels: Vec<usize>,
     /// Fixed-point edge sums of this lane's sources, by graph edge id.
     edge: Vec<i64>,
 }
 
-impl BrandesScratch {
-    fn new(n: usize, m: usize) -> Self {
-        BrandesScratch {
-            dist: vec![UNREACHED; n],
-            sigma: vec![0.0; n],
-            coef: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            dag: Vec::new(),
+impl BlockScratch {
+    fn new(shape: (usize, usize, usize)) -> Self {
+        let (k, m, w) = shape;
+        BlockScratch {
+            shape,
+            seen: vec![0; k],
+            next: vec![0; k],
+            val: vec![0.0; k * w],
+            entries: Vec::new(),
+            levels: Vec::new(),
             edge: vec![0; m],
         }
     }
 
-    /// One weighted Brandes sweep from core node `s`, added to the lane's
-    /// accumulator in units of `unit = 2^F`.
-    fn sweep(&mut self, core: &Peeled, s: usize, unit: f64) {
+    /// Weighted Brandes from every core node in `sources` (at most the
+    /// block width), added to the lane's accumulator in units of
+    /// `unit = 2^F`.
+    fn sweep(&mut self, core: &Peeled, sources: &[u32], unit: f64) {
+        let w = self.shape.2;
         let offsets = &core.offsets;
         let targets = &core.targets;
         let weight = &core.weight;
-        let BrandesScratch {
-            dist,
-            sigma,
-            coef,
-            order,
-            dag,
+        let BlockScratch {
+            seen,
+            next,
+            val,
+            entries,
+            levels,
             edge,
+            ..
         } = self;
 
-        dist[s] = 0;
-        sigma[s] = 1.0;
-        order.push(s as u32);
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head] as usize;
-            head += 1;
-            let next = dist[u] + 1;
-            // All of `u`'s DAG in-arcs came from the previous level, so
-            // σ[u] is final: seed `coef[u] = (w(u) + δ[u]) / σ[u]` with
-            // δ = 0.
-            let su = sigma[u];
-            coef[u] = weight[u] / su;
-            let first = offsets[u];
-            for (a, &v) in (first..).zip(&targets[first..offsets[u + 1]]) {
-                let v = v as usize;
-                let dv = dist[v];
-                if dv >= next {
-                    if dv == UNREACHED {
-                        dist[v] = next;
-                        order.push(v as u32);
+        for (b, &s) in sources.iter().enumerate() {
+            let s = s as usize;
+            seen[s] = 1 << b;
+            val[s * w + b] = 1.0;
+            entries.push((s as u32, 1 << b));
+        }
+        // Forward: a node joins the next level at its first new bit, and
+        // its word is final once the level is scanned. σ values are
+        // integers, so the order of the pushes cannot change them.
+        let mut start = 0;
+        while start < entries.len() {
+            let end = entries.len();
+            levels.push(start);
+            for i in start..end {
+                let (u, vis) = entries[i];
+                let u = u as usize;
+                for &v in &targets[offsets[u]..offsets[u + 1]] {
+                    let v = v as usize;
+                    let new = vis & !seen[v];
+                    if new != 0 {
+                        if next[v] == 0 {
+                            entries.push((v as u32, 0));
+                        }
+                        next[v] |= new;
+                        for b in bits(new) {
+                            val[v * w + b] += val[u * w + b];
+                        }
                     }
-                    sigma[v] += su;
-                    dag.push((u as u32, a as u32));
+                }
+            }
+            for entry in &mut entries[end..] {
+                let v = entry.0 as usize;
+                entry.1 = std::mem::take(&mut next[v]);
+                seen[v] |= entry.1;
+            }
+            start = end;
+        }
+        levels.push(start);
+
+        // Backward, deepest level first. A stale `cur` word from two or
+        // more levels deeper never matches: BFS levels of adjacent nodes
+        // differ by at most one. Per source this is the per-source sweep's
+        // order — a node's DAG arcs in reverse CSR order, `coef[v]` final
+        // when read — so `δ[u] = σ[u]·Σ coef[v]` and edge `u→v` carries
+        // `σ[u]·coef[v]`, counted `w(s)` times, bit for bit.
+        let cur = next;
+        let mut ws = [0.0; MAX_BLOCK];
+        for (b, &s) in sources.iter().enumerate() {
+            ws[b] = weight[s as usize] * unit;
+        }
+        let mut su = [0.0; MAX_BLOCK];
+        let mut sum = [0.0; MAX_BLOCK];
+        let depth = levels.len() - 1;
+        for l in (0..depth).rev() {
+            let (lo, hi) = (levels[l], levels[l + 1]);
+            let deeper = l + 1 < depth;
+            if deeper {
+                for &(v, word) in &entries[hi..levels[l + 2]] {
+                    cur[v as usize] = word;
+                }
+            }
+            for &(u, vis) in &entries[lo..hi] {
+                let u = u as usize;
+                let uw = u * w;
+                for b in bits(vis) {
+                    su[b] = val[uw + b] * ws[b];
+                    sum[b] = 0.0;
+                }
+                if deeper {
+                    for a in (offsets[u]..offsets[u + 1]).rev() {
+                        let v = targets[a] as usize;
+                        let mask = vis & cur[v];
+                        if mask != 0 {
+                            let vw = v * w;
+                            let mut c = 0;
+                            for b in bits(mask) {
+                                let cv = val[vw + b];
+                                sum[b] += cv;
+                                c += fixed(su[b] * cv);
+                            }
+                            edge[core.arc_edge[a] as usize] += c;
+                        }
+                    }
+                }
+                for b in bits(vis) {
+                    val[uw + b] = weight[u] / val[uw + b] + sum[b];
                 }
             }
         }
 
-        // Reverse BFS order visits each tail's arcs as one run, after the
-        // runs of all its successors, so `coef[v]` is final when read:
-        // `δ[u] = σ[u]·Σ coef[v]` and edge `u→v` carries `σ[u]·coef[v]`,
-        // counted `w(s)` times.
-        let ws = weight[s] * unit;
-        let mut i = dag.len();
-        while i > 0 {
-            let u = dag[i - 1].0 as usize;
-            let su = sigma[u] * ws;
-            let mut sum = 0.0;
-            while i > 0 && dag[i - 1].0 as usize == u {
-                let a = dag[i - 1].1 as usize;
-                i -= 1;
-                let cv = coef[targets[a] as usize];
-                sum += cv;
-                edge[core.arc_edge[a] as usize] += fixed(su * cv);
+        for &(v, word) in entries.iter() {
+            let v = v as usize;
+            seen[v] = 0;
+            cur[v] = 0;
+            for b in bits(word) {
+                val[v * w + b] = 0.0;
             }
-            coef[u] += sum;
         }
-        for &v in order.iter() {
-            dist[v as usize] = UNREACHED;
-            sigma[v as usize] = 0.0;
-        }
-        order.clear();
-        dag.clear();
+        entries.clear();
+        levels.clear();
     }
 }
 
@@ -265,8 +395,15 @@ fn fraction_bits(n: usize) -> i32 {
 }
 
 /// Exact edge betweenness: bridges of the peeled forest in closed form,
-/// the 2-core by weighted Brandes from every core source.
+/// the 2-core by weighted Brandes from every core source, swept in blocks
+/// of [`block_width`] sources.
 pub fn betweenness_exact(graph: &Graph, threads: usize) -> Betweenness {
+    betweenness_blocks(graph, threads, block_width)
+}
+
+/// [`betweenness_exact`] with blocks of `width(k)` sources for a core of
+/// `k` nodes.
+fn betweenness_blocks(graph: &Graph, threads: usize, width: fn(usize) -> usize) -> Betweenness {
     assert!(
         !graph.is_weighted(),
         "betweenness supports unweighted graphs only"
@@ -275,34 +412,55 @@ pub fn betweenness_exact(graph: &Graph, threads: usize) -> Betweenness {
         u32::try_from(graph.num_arcs()).is_ok(),
         "betweenness indexes arcs as u32"
     );
-    let m = graph.num_edges();
     let core = Peeled::new(graph);
-    let k = core.num_nodes();
     let unit = 2f64.powi(fraction_bits(graph.num_nodes()));
+    let w = width(core.num_nodes());
+    let sums = block_sums(&core, graph.num_edges(), unit, threads, w);
+    scores(&core, sums, unit)
+}
+
+/// The fixed-point core edge sums, over `threads` lanes that each sweep
+/// blocks of `w` sources.
+fn block_sums(core: &Peeled, m: usize, unit: f64, threads: usize, w: usize) -> Vec<i64> {
+    assert!(
+        (1..=MAX_BLOCK).contains(&w),
+        "block width {w} not in 1..=64"
+    );
+    let shape = (core.num_nodes(), m, w);
+    let order = core.bfs_order();
+    let mut blocks: Vec<&[u32]> = order.chunks(w).collect();
     let mut sums = vec![0i64; m];
-    let mut slots = vec![(); k];
     cp_exec::global().run_collect(
-        &mut slots,
+        &mut blocks,
         threads.max(1),
-        |s, _slot, ctx| {
-            let scratch = ctx.scratch.get_or(|| BrandesScratch::new(k, m));
-            if scratch.dist.len() != k || scratch.edge.len() != m {
-                *scratch = BrandesScratch::new(k, m);
+        |_, block, ctx| {
+            let scratch = ctx.scratch.get_or(BlockScratch::default);
+            if scratch.shape != shape {
+                // Empty since the last call's merge: a lane never holds
+                // two scratches.
+                *scratch = BlockScratch::new(shape);
             }
-            scratch.sweep(&core, s, unit);
+            scratch.sweep(core, block, unit);
         },
         |_w, scratch| {
             // Integer sums: the merge order, like the steal schedule that
-            // decided which lane swept which source, cannot change a bit.
-            if let Some(s) = scratch.get_if::<BrandesScratch>() {
-                if s.dist.len() == k && s.edge.len() == m {
-                    for (dst, src) in sums.iter_mut().zip(s.edge.iter_mut()) {
-                        *dst += std::mem::take(src);
-                    }
+            // decided which lane swept which block, cannot change a bit.
+            // A lane that swept no block holds an empty scratch.
+            if let Some(s) = scratch.get_if::<BlockScratch>() {
+                for (dst, src) in sums.iter_mut().zip(&s.edge) {
+                    *dst += src;
                 }
+                // Parked in the pool, the buffers would stay resident
+                // through every later phase and add to its peak.
+                *s = BlockScratch::default();
             }
         },
     );
+    sums
+}
+
+/// Final scores from the core edge sums and the peeled bridges.
+fn scores(core: &Peeled, sums: Vec<i64>, unit: f64) -> Betweenness {
     // Undirected: each unordered core pair was counted from both
     // endpoints. Bridges were never swept, so their sums are zero.
     let factor = 0.5 / unit;
@@ -318,6 +476,288 @@ mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
     use crate::graph::NodeId;
+    use proptest::prelude::*;
+
+    /// `dist` of a node the reference sweep has not reached. The largest
+    /// value, so one comparison `dist[v] >= level` admits both unreached
+    /// nodes and nodes already found on `level`.
+    const UNREACHED: u32 = u32::MAX;
+
+    /// The per-source weighted Brandes sweep: the reference the block
+    /// sweep must match bit for bit. The forward BFS records every
+    /// shortest-path DAG arc as `(tail, arc index)`, and the dependency
+    /// pass walks that record in reverse.
+    struct SourceScratch {
+        dist: Vec<u32>,
+        sigma: Vec<f64>,
+        coef: Vec<f64>,
+        order: Vec<u32>,
+        dag: Vec<(u32, u32)>,
+        edge: Vec<i64>,
+    }
+
+    impl SourceScratch {
+        fn new(n: usize, m: usize) -> Self {
+            SourceScratch {
+                dist: vec![UNREACHED; n],
+                sigma: vec![0.0; n],
+                coef: vec![0.0; n],
+                order: Vec::with_capacity(n),
+                dag: Vec::new(),
+                edge: vec![0; m],
+            }
+        }
+
+        fn sweep(&mut self, core: &Peeled, s: usize, unit: f64) {
+            let offsets = &core.offsets;
+            let targets = &core.targets;
+            let weight = &core.weight;
+            let SourceScratch {
+                dist,
+                sigma,
+                coef,
+                order,
+                dag,
+                edge,
+            } = self;
+
+            dist[s] = 0;
+            sigma[s] = 1.0;
+            order.push(s as u32);
+            let mut head = 0;
+            while head < order.len() {
+                let u = order[head] as usize;
+                head += 1;
+                let next = dist[u] + 1;
+                let su = sigma[u];
+                coef[u] = weight[u] / su;
+                let first = offsets[u];
+                for (a, &v) in (first..).zip(&targets[first..offsets[u + 1]]) {
+                    let v = v as usize;
+                    let dv = dist[v];
+                    if dv >= next {
+                        if dv == UNREACHED {
+                            dist[v] = next;
+                            order.push(v as u32);
+                        }
+                        sigma[v] += su;
+                        dag.push((u as u32, a as u32));
+                    }
+                }
+            }
+
+            let ws = weight[s] * unit;
+            let mut i = dag.len();
+            while i > 0 {
+                let u = dag[i - 1].0 as usize;
+                let su = sigma[u] * ws;
+                let mut sum = 0.0;
+                while i > 0 && dag[i - 1].0 as usize == u {
+                    let a = dag[i - 1].1 as usize;
+                    i -= 1;
+                    let cv = coef[targets[a] as usize];
+                    sum += cv;
+                    edge[core.arc_edge[a] as usize] += fixed(su * cv);
+                }
+                coef[u] += sum;
+            }
+            for &v in order.iter() {
+                dist[v as usize] = UNREACHED;
+                sigma[v as usize] = 0.0;
+            }
+            order.clear();
+            dag.clear();
+        }
+    }
+
+    /// The fixed-point core edge sums of per-source sweeps from every
+    /// core node, in id order on one thread.
+    fn reference_sums(core: &Peeled, m: usize, unit: f64) -> Vec<i64> {
+        let mut scratch = SourceScratch::new(core.num_nodes(), m);
+        for s in 0..core.num_nodes() {
+            scratch.sweep(core, s, unit);
+        }
+        scratch.edge
+    }
+
+    /// Holds the block sweep to the per-source reference on `g`: the
+    /// `i64` sums at widths 1, 3, 64 and the capped width, and the final
+    /// `f64` bits, at 1, 2 and 8 threads.
+    fn assert_blocks_match_reference(g: &Graph) -> Result<(), TestCaseError> {
+        let core = Peeled::new(g);
+        let m = g.num_edges();
+        let unit = 2f64.powi(fraction_bits(g.num_nodes()));
+        let want = reference_sums(&core, m, unit);
+        let want_bits: Vec<u64> = scores(&core, want.clone(), unit)
+            .edge
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        let capped = block_width(core.num_nodes());
+        for width in [1, 3, 64, capped] {
+            for threads in [1, 2, 8] {
+                let got = block_sums(&core, m, unit, threads, width);
+                prop_assert!(
+                    got == want,
+                    "edge sums differ at width {} threads {}",
+                    width,
+                    threads
+                );
+            }
+        }
+        for (width, threads) in [(block_width as fn(usize) -> usize, 2), (|_| 3, 8)] {
+            let got: Vec<u64> = betweenness_blocks(g, threads, width)
+                .edge
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            prop_assert!(got == want_bits, "score bits differ at {} threads", threads);
+        }
+        Ok(())
+    }
+
+    /// Strategy: a graph whose 2-core has exactly 63, 64, 65 or 130 nodes
+    /// (one or two components of cycles with chords), with trees hung off
+    /// core nodes, pure tree components and isolated nodes around it.
+    fn sized_core_graph() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32)>)> {
+        (
+            (0usize..4, 0u32..40),
+            prop::collection::vec((0u32..1000, 0u32..1000), 0..40),
+            prop::collection::vec((0u32..1000, 1u32..5), 0..12),
+            (prop::collection::vec(1u32..6, 0..3), 0u32..3),
+        )
+            .prop_map(|((pick, split), chords, trees, (pure, isolated))| {
+                let k = [63u32, 64, 65, 130][pick];
+                // A split below 3 leaves one core component.
+                let first = if split < 3 { k } else { split };
+                let mut edges = Vec::new();
+                for (base, len) in [(0, first), (first, k - first)] {
+                    for i in 0..len {
+                        edges.push((base + i, base + (i + 1) % len));
+                    }
+                    for &(a, b) in &chords {
+                        if len > 0 {
+                            edges.push((base + a % len, base + b % len));
+                        }
+                    }
+                }
+                let mut next = k;
+                for (at, size) in trees {
+                    // A path of `size` nodes hung off core node `at % k`.
+                    let mut parent = at % k;
+                    for _ in 0..size {
+                        edges.push((parent, next));
+                        parent = next;
+                        next += 1;
+                    }
+                }
+                for size in pure {
+                    for i in 1..=size {
+                        edges.push((next + i / 2, next + i));
+                    }
+                    next += size + 1;
+                }
+                ((next + isolated) as usize, k as usize, edges)
+            })
+    }
+
+    /// Strategy: a small random graph with pendant leaves and a separate
+    /// pure tree, so some cases are disconnected and some cores are empty.
+    fn leafy_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+        (2u32..30)
+            .prop_flat_map(|n| {
+                (
+                    Just(n),
+                    prop::collection::vec((0..n, 0..n), 0..50),
+                    prop::collection::vec(0..n, 0..10),
+                    0u32..5,
+                )
+            })
+            .prop_map(|(n, mut edges, pendants, tree)| {
+                let mut next = n;
+                for p in pendants {
+                    edges.push((p, next));
+                    next += 1;
+                }
+                for i in 1..tree {
+                    edges.push((next + i / 2, next + i));
+                }
+                ((next + tree) as usize, edges)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn block_sweep_matches_per_source_on_sized_cores((n, k, edges) in sized_core_graph()) {
+            let g = graph_from_edges(n, &edges);
+            prop_assert_eq!(Peeled::new(&g).num_nodes(), k);
+            assert_blocks_match_reference(&g)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn block_sweep_matches_per_source_on_leafy_graphs((n, edges) in leafy_graph()) {
+            assert_blocks_match_reference(&graph_from_edges(n, &edges))?;
+        }
+    }
+
+    #[test]
+    fn block_width_caps_the_lane_slots() {
+        assert_eq!(block_width(0), 64);
+        assert_eq!(block_width(1), 64);
+        assert_eq!(block_width(1024), 64);
+        assert_eq!(block_width(1025), 63);
+        assert_eq!(block_width(4210), 15);
+        assert_eq!(block_width(1 << 15), 2);
+        assert_eq!(block_width(1 << 16), 1);
+        assert_eq!(block_width(usize::MAX), 1);
+    }
+
+    #[test]
+    fn lane_scratch_is_freed_when_the_call_returns() {
+        // A wheel: its 13 nodes all stay in the core.
+        let mut edges: Vec<(u32, u32)> = (1..13).map(|i| (0, i)).collect();
+        edges.extend((1..13).map(|i| (i, i % 12 + 1)));
+        let g = graph_from_edges(13, &edges);
+        betweenness_exact(&g, 2);
+        let mut slots = vec![(); 8];
+        cp_exec::global().run_collect(
+            &mut slots,
+            2,
+            |_, _, _| {},
+            |_, scratch| {
+                if let Some(s) = scratch.get_if::<BlockScratch>() {
+                    assert!(s.seen.is_empty() && s.val.is_empty() && s.edge.is_empty());
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn bfs_order_restarts_per_component() {
+        // The cycle 0-3-1-4-2-0 in BFS order from 0, then the triangle
+        // {5, 6, 7} from its lowest node.
+        let g = graph_from_edges(
+            8,
+            &[
+                (0, 3),
+                (3, 1),
+                (1, 4),
+                (4, 2),
+                (2, 0),
+                (5, 6),
+                (6, 7),
+                (7, 5),
+            ],
+        );
+        let core = Peeled::new(&g);
+        assert_eq!(core.bfs_order(), vec![0, 2, 3, 4, 1, 5, 6, 7]);
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");

@@ -32,10 +32,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> CLI determinism [every selector and --exact, default env vs each runtime knob]"
 # The bit-identical contract at the user surface: for every selector
-# (IncBet, whose exact Brandes fans out on the oracle's width, included)
-# and for the exact answer (`--exact`, MS-BFS waves over the pool) the
-# root CLI prints byte-identical pairs with no knob set and with each of
-# the two runtime knobs moved off its default.
+# (IncBet, whose exact Brandes fans its source blocks out on the
+# oracle's width, included) and for the exact answer (`--exact`, MS-BFS
+# waves over the pool) the root CLI prints byte-identical pairs with no
+# knob set and with each of the two runtime knobs moved off its default:
+# one lane sweeping every block, eight lanes, and no row cache.
 det_dir="$(mktemp -d -t cp_determinism.XXXXXX)"
 python3 - "$det_dir/graph.txt" <<'PY'
 import random
@@ -54,7 +55,7 @@ with open(sys.argv[1], "w") as f:
 PY
 for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random exact; do
     if [ "$sel" = exact ]; then mode=(--exact); else mode=(--selector "$sel"); fi
-    for knob in default CP_THREADS=8 CP_ROW_CACHE=0; do
+    for knob in default CP_THREADS=1 CP_THREADS=8 CP_ROW_CACHE=0; do
         # `default` expands to no assignment at all: every knob unset.
         env -u CP_THREADS -u CP_ROW_CACHE ${knob#default} \
             cargo run --release -q -- "$det_dir/graph.txt" \
