@@ -1,6 +1,5 @@
 //! Reusable landmark bound machinery: certified Δ bounds for arbitrary
-//! pairs, and the resident-row landmark indexes behind the streaming query
-//! path.
+//! pairs.
 //!
 //! The budgeted pipeline *verifies* a pair's Δ by owning one endpoint's
 //! full distance rows. But the `2l` landmark rows the landmark selectors
@@ -20,89 +19,13 @@
 //! recommender) at almost zero cost, falling back to the budgeted pipeline
 //! only for the uncertain ones.
 //!
-//! Its consumer is the streaming **query index**, which captures
-//! [`resident_landmark_indexes`] at epoch publish so point queries can be
-//! bracketed after the oracle is gone, and which asks [`all_pairs_below`]
-//! whether a non-resident seed can have any converging pair at all.
+//! The streaming query index (`cp_stream::QueryIndex`) applies the same
+//! inequalities to its own node-major landmark table at query time.
 
 use crate::exact::ConvergingPair;
 use crate::oracle::{Snapshot, SnapshotOracle};
 use cp_graph::landmark_index::LandmarkIndex;
-use cp_graph::rowpack::{widen_u16_into, RowRef};
 use cp_graph::{NodeId, INF};
-
-/// Cap on the landmark rows folded into resident-row triangle bounds:
-/// each landmark costs one `O(n)` sweep per bounded node, so past a
-/// handful the marginal bound tightening stops paying for itself.
-pub const MAX_RESIDENT_LANDMARKS: usize = 16;
-
-/// One resident row widened to canonical `u32`.
-fn widen(r: RowRef<'_>) -> Vec<u32> {
-    match r {
-        RowRef::U32(row) => row.to_vec(),
-        RowRef::U16(packed) => {
-            let mut wide = Vec::new();
-            widen_u16_into(packed, &mut wide);
-            wide
-        }
-    }
-}
-
-/// Builds one landmark index per snapshot from rows the oracle already
-/// holds — fully paid candidates whose exact rows are resident in *both*
-/// snapshots, the first `max` in ascending id order. Free: nothing is
-/// computed or charged (`&self` access only). `None` when no such node
-/// exists (e.g. a selector that paid for nothing, or a `Bytes(0)` cache).
-pub fn resident_landmark_indexes(
-    oracle: &SnapshotOracle<'_>,
-    max: usize,
-) -> Option<(LandmarkIndex, LandmarkIndex)> {
-    let mut landmarks = Vec::new();
-    let mut rows1 = Vec::new();
-    let mut rows2 = Vec::new();
-    for w in oracle.fully_cached_nodes() {
-        let Some((r1, r2)) = oracle.cached_rows(w) else {
-            continue;
-        };
-        landmarks.push(w);
-        rows1.push(widen(r1));
-        rows2.push(widen(r2));
-        if landmarks.len() >= max {
-            break;
-        }
-    }
-    if landmarks.is_empty() {
-        return None;
-    }
-    Some((
-        LandmarkIndex::from_rows(landmarks.clone(), rows1),
-        LandmarkIndex::from_rows(landmarks, rows2),
-    ))
-}
-
-/// Whether **every** pair of `u` is certified below `floor`:
-/// `UB1(u, v) − LB2(u, v) < floor` for all `v ≠ u`, or `LB2(u, v) = ∞`
-/// (which proves `d2(u, v) = ∞`, hence Δ = 0 under the scan's convention).
-///
-/// `ub1`/`lb2` are caller-owned scratch (resized and overwritten) so a
-/// sweep over many candidates reuses two allocations.
-pub fn all_pairs_below(
-    index1: &LandmarkIndex,
-    index2: &LandmarkIndex,
-    u: NodeId,
-    floor: u32,
-    ub1: &mut Vec<u32>,
-    lb2: &mut Vec<u32>,
-) -> bool {
-    index1.accumulate_upper_bounds(u, ub1);
-    index2.accumulate_lower_bounds(u, lb2);
-    ub1.iter()
-        .zip(lb2.iter())
-        .enumerate()
-        .all(|(v, (&ub, &lb))| {
-            v == u.index() || lb == INF || (ub != INF && ub.saturating_sub(lb) < floor)
-        })
-}
 
 /// Landmark bounds over a snapshot pair.
 pub struct DeltaBounds {
@@ -247,7 +170,6 @@ pub struct Triage {
 mod tests {
     use super::*;
     use crate::exact::{exact_top_k, TopKSpec};
-    use crate::oracle::RowCacheBudget;
     use cp_graph::builder::graph_from_edges;
     use cp_graph::Graph;
 
@@ -366,64 +288,5 @@ mod tests {
         let (g1, g2) = graphs();
         let b = bounds(&g1, &g2, &[0]);
         assert!(b.certify(&[(NodeId(3), NodeId(3))], 1).is_empty());
-    }
-
-    #[test]
-    fn resident_indexes_capture_paid_rows_for_free() {
-        let (g1, g2) = graphs();
-        let mut oracle =
-            SnapshotOracle::with_budget(&g1, &g2, 8).with_row_cache(RowCacheBudget::Unbounded);
-        oracle.rows(NodeId(0)).unwrap();
-        oracle.rows(NodeId(5)).unwrap();
-        let spent = oracle.ledger().total();
-        let (i1, i2) =
-            resident_landmark_indexes(&oracle, MAX_RESIDENT_LANDMARKS).expect("two residents");
-        assert_eq!(oracle.ledger().total(), spent, "capture charged the ledger");
-        assert_eq!(i1.landmarks(), &[NodeId(0), NodeId(5)]);
-        assert_eq!(i2.landmarks(), &[NodeId(0), NodeId(5)]);
-        // The captured rows are the exact rows: bounds at a landmark are
-        // tight.
-        assert_eq!(
-            i2.upper_bound(NodeId(0), NodeId(9)),
-            1,
-            "chord distance through the landmark itself"
-        );
-        // The cap is honored.
-        let (one, _) = resident_landmark_indexes(&oracle, 1).unwrap();
-        assert_eq!(one.len(), 1);
-    }
-
-    #[test]
-    fn resident_indexes_absent_without_paid_rows() {
-        let (g1, g2) = graphs();
-        let oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
-        assert!(resident_landmark_indexes(&oracle, 16).is_none());
-    }
-
-    #[test]
-    fn all_pairs_below_matches_bruteforce() {
-        let (g1, g2) = graphs();
-        let l: Vec<NodeId> = [0u32, 9].iter().map(|&i| NodeId(i)).collect();
-        let i1 = LandmarkIndex::build(&g1, &l);
-        let i2 = LandmarkIndex::build(&g2, &l);
-        let (mut ub1, mut lb2) = (Vec::new(), Vec::new());
-        for floor in [1u32, 2, 5] {
-            for u in 0..10u32 {
-                let u = NodeId(u);
-                let brute = (0..10u32).map(NodeId).all(|v| {
-                    if v == u {
-                        return true;
-                    }
-                    let ub = i1.upper_bound(u, v);
-                    let lb = i2.lower_bound(u, v);
-                    lb == INF || (ub != INF && ub.saturating_sub(lb) < floor)
-                });
-                assert_eq!(
-                    all_pairs_below(&i1, &i2, u, floor, &mut ub1, &mut lb2),
-                    brute,
-                    "u={u:?} floor={floor}"
-                );
-            }
-        }
     }
 }

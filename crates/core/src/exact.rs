@@ -124,7 +124,14 @@ impl ExactTopK {
 /// order every answer list in the library uses (the budgeted pipeline,
 /// the exact baseline, and `cp-query`'s per-seed top-k).
 pub fn sort_pairs(pairs: &mut [ConvergingPair]) {
-    pairs.sort_unstable_by(|a, b| b.delta.cmp(&a.delta).then(a.pair.cmp(&b.pair)));
+    pairs.sort_unstable_by(canonical_order);
+}
+
+/// The canonical pair order: descending Δ, then ascending ids. Total on
+/// pairs with distinct ids, so an unstable sort or a selection under it
+/// is deterministic.
+pub fn canonical_order(a: &ConvergingPair, b: &ConvergingPair) -> std::cmp::Ordering {
+    b.delta.cmp(&a.delta).then(a.pair.cmp(&b.pair))
 }
 
 /// Per-buffer soft capacity before a worker re-prunes locally.

@@ -41,9 +41,7 @@
 //! * [`bounds`] — an extension beyond the paper: certified Δ lower/upper
 //!   bounds for arbitrary pairs from landmark rows alone (no per-pair
 //!   SSSP), enabling certify/rule-out/undecided triage of hypothesized
-//!   pairs; also the resident-row landmark indexes behind the streaming
-//!   query path ([`estimate`] is the compatibility shim of its former
-//!   home).
+//!   pairs ([`estimate`] is the compatibility shim of its former home).
 //!
 //! Continuous monitoring over whole snapshot sequences lives in the
 //! `cp-stream` crate, built on this crate's oracle and pipeline.

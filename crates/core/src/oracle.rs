@@ -45,7 +45,7 @@ use cp_graph::repair::{
     bfs_repair_into, dijkstra_repair_into, snapshot_delta, RepairWorkspace, SnapshotDelta,
 };
 use cp_graph::rowpack::{
-    fits_u16, pack_u16_into, pack_u16_slice, widen_u16_into, RowArena, RowId, RowRef,
+    copy_row_into, fits_u16, pack_u16_into, widen_u16_into, RowArena, RowId, RowRef,
 };
 use cp_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -311,40 +311,6 @@ pub struct NodePrefetchReport {
     pub rows: PrefetchReport,
 }
 
-/// Exact distance rows exported from one oracle's resident cache
-/// ([`SnapshotOracle::export_resident_rows`]), keyed by source node and
-/// sorted by id — the donor hand-off that chains successive streaming
-/// reviews (step *t*'s `t2` rows seed step *t+1*'s `t1` side, see
-/// [`SnapshotOracle::import_donor_rows`]).
-#[derive(Clone, Debug, Default)]
-pub struct RowHandoff {
-    num_nodes: usize,
-    /// `(source, exact u32 distance row)`, ascending by source.
-    rows: Vec<(u32, Vec<u32>)>,
-}
-
-impl RowHandoff {
-    /// Size of the node universe the rows were computed over.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of exported rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the hand-off carries no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The exported `(source, row)` pairs, ascending by source.
-    pub fn into_rows(self) -> Vec<(u32, Vec<u32>)> {
-        self.rows
-    }
-}
-
 /// A resident row's arena slot, tagged with its storage width.
 enum RowSlot {
     /// `u16`-packed row in the compact arena (unweighted snapshots on a
@@ -457,9 +423,9 @@ impl RowCache {
         }
     }
 
-    /// Packs a computed row into an arena slot (recycling freed slots) and
-    /// makes it resident.
-    fn insert(&mut self, which: Snapshot, u: NodeId, row: Vec<u32>) {
+    /// Copies a row into an arena slot at the snapshot's storage width
+    /// (recycling freed slots) and makes it resident.
+    fn insert(&mut self, which: Snapshot, u: NodeId, row: RowRef<'_>) {
         self.tick += 1;
         let key = cache_key(which, u);
         if let Some(old) = self.resident.remove(&key) {
@@ -467,12 +433,12 @@ impl RowCache {
         }
         let slot = if self.packs(which) {
             let id = self.arena16.alloc();
-            pack_u16_slice(&row, self.arena16.row_mut(id));
+            copy_row_into(row, self.arena16.row_mut(id));
             self.bytes += self.arena16.row_bytes();
             RowSlot::U16(id)
         } else {
             let id = self.arena32.alloc();
-            self.arena32.row_mut(id).copy_from_slice(&row);
+            copy_row_into(row, self.arena32.row_mut(id));
             self.bytes += self.arena32.row_bytes();
             RowSlot::U32(id)
         };
@@ -825,67 +791,65 @@ impl<'a> SnapshotOracle<'a> {
         self.chained_rows
     }
 
-    /// Exports every resident row of one snapshot, widened to canonical
-    /// `u32` and sorted by source id. The streaming engine feeds step
-    /// *t*'s `t2` export into step *t+1*'s oracle as `t1` donors (the two
-    /// oracles index the *same* graph object, so the rows carry over
-    /// exactly) and captures both snapshots' exports for point queries.
-    pub fn export_resident_rows(&self, which: Snapshot) -> RowHandoff {
+    /// Every resident row of one snapshot at its storage width, ascending
+    /// by source. The streaming engine copies both snapshots' rows into the
+    /// epoch's query index; that index's `t2` rows then seed the next
+    /// review's oracle as `t1` donors ([`Self::import_donor_rows`]) — the
+    /// two oracles index the *same* graph object, so the rows carry over
+    /// exactly.
+    pub fn resident_rows(&self, which: Snapshot) -> Vec<(NodeId, RowRef<'_>)> {
         let snap_bit = match which {
             Snapshot::First => 0u64,
             Snapshot::Second => 1u64 << 32,
         };
-        let mut rows = Vec::new();
-        for &key in self.cache.resident.keys() {
-            if key & (1u64 << 32) != snap_bit {
-                continue;
-            }
-            let u = NodeId(key as u32);
-            let Some(r) = self.cache.get_ref(which, u) else {
-                continue;
-            };
-            let mut wide = Vec::new();
-            match r {
-                RowRef::U32(row) => wide.extend_from_slice(row),
-                RowRef::U16(packed) => widen_u16_into(packed, &mut wide),
-            }
-            rows.push((u.0, wide));
-        }
+        let mut rows: Vec<(NodeId, RowRef<'_>)> = self
+            .cache
+            .resident
+            .keys()
+            .filter(|&&key| key & (1u64 << 32) == snap_bit)
+            .filter_map(|&key| {
+                let u = NodeId(key as u32);
+                Some((u, self.cache.get_ref(which, u)?))
+            })
+            .collect();
         rows.sort_unstable_by_key(|&(u, _)| u);
-        RowHandoff {
-            num_nodes: self.num_nodes(),
-            rows,
-        }
+        rows
     }
 
-    /// Seeds the resident cache with donor rows exported from another
-    /// oracle — resident but **unpaid**, so the first use of each row is
-    /// still charged to this oracle's own ledger (and then counted in
-    /// [`Self::chained_rows`] instead of running a kernel), and repair can
-    /// use the `t1` imports as donors for `t2` sweeps. Ledger, admission
-    /// order, and results are bit-identical with or without an import;
-    /// only the work done per charge changes.
+    /// Seeds the resident cache with donor rows computed elsewhere (the
+    /// previous review's published `t2` rows) — resident but **unpaid**,
+    /// so the first use of each row is still charged to this oracle's own
+    /// ledger (and then counted in [`Self::chained_rows`] instead of
+    /// running a kernel), and repair can use the `t1` imports as donors
+    /// for `t2` sweeps. Ledger, admission order, and results are
+    /// bit-identical with or without an import; only the work done per
+    /// charge changes.
     ///
     /// The caller asserts each row holds the exact distances of `which`'s
-    /// graph from its source. Rows already paid or resident are left
+    /// graph from its source. Rows are copied at this oracle's storage
+    /// width (a straight copy when the donor is stored at the same width)
+    /// in the order given. Rows already paid or resident are left
     /// untouched; imports land through the normal LRU (so a byte budget
     /// still holds). Returns the rows admitted.
     ///
     /// # Panics
-    /// Panics if the hand-off's node universe differs from this oracle's.
-    pub fn import_donor_rows(&mut self, which: Snapshot, handoff: &RowHandoff) -> u64 {
-        assert_eq!(
-            handoff.num_nodes,
-            self.num_nodes(),
-            "donor hand-off node universe mismatch"
-        );
+    /// Panics if a row's length differs from this oracle's node universe.
+    pub fn import_donor_rows<'r>(
+        &mut self,
+        which: Snapshot,
+        rows: impl IntoIterator<Item = (NodeId, RowRef<'r>)>,
+    ) -> u64 {
         let mut imported = 0u64;
-        for (u, row) in &handoff.rows {
-            let u = NodeId(*u);
+        for (u, row) in rows {
+            assert_eq!(
+                row.len(),
+                self.num_nodes(),
+                "donor row node universe mismatch"
+            );
             if self.cache.is_paid(which, u) || self.cache.is_resident(which, u) {
                 continue;
             }
-            self.cache.insert(which, u, row.clone());
+            self.cache.insert(which, u, row);
             imported += 1;
         }
         imported
@@ -1094,7 +1058,7 @@ impl<'a> SnapshotOracle<'a> {
             if !self.cache.touch(which, u) {
                 let dist = self.compute_one(which, u, false);
                 self.recomputed_rows += 1;
-                self.cache.insert(which, u, dist);
+                self.cache.insert(which, u, RowRef::U32(&dist));
             }
         } else {
             self.charge()?;
@@ -1107,7 +1071,7 @@ impl<'a> SnapshotOracle<'a> {
                 self.cache.touch(which, u);
             } else {
                 let dist = self.compute_one(which, u, true);
-                self.cache.insert(which, u, dist);
+                self.cache.insert(which, u, RowRef::U32(&dist));
             }
         }
         Ok(())
@@ -1568,7 +1532,7 @@ impl<'a> SnapshotOracle<'a> {
                     }
                 }
             }
-            self.cache.insert(Snapshot::Second, u, dist);
+            self.cache.insert(Snapshot::Second, u, RowRef::U32(&dist));
         }
         self.repair_slots = slots;
         self.sssp_secs += started.elapsed().as_secs_f64();
@@ -1607,7 +1571,7 @@ impl<'a> SnapshotOracle<'a> {
         self.work.merge(res.work);
         for (idx, dist) in res.rows {
             let (which, u) = jobs[idx];
-            self.cache.insert(which, NodeId(u), dist);
+            self.cache.insert(which, NodeId(u), RowRef::U32(&dist));
         }
     }
 }
@@ -2037,14 +2001,14 @@ mod tests {
         for u in g0.nodes() {
             step1.rows(u).unwrap();
         }
-        let handoff = step1.export_resident_rows(Snapshot::Second);
+        let handoff = step1.resident_rows(Snapshot::Second);
         assert_eq!(handoff.len(), 5);
-        assert_eq!(handoff.num_nodes(), 5);
-        assert!(!handoff.is_empty());
+        assert!(handoff.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+        assert!(handoff.iter().all(|(_, r)| matches!(r, RowRef::U16(_))));
 
         let mut chained =
             SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
-        assert_eq!(chained.import_donor_rows(Snapshot::First, &handoff), 5);
+        assert_eq!(chained.import_donor_rows(Snapshot::First, handoff), 5);
         let mut scratch =
             SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         for u in g1.nodes() {
@@ -2082,10 +2046,10 @@ mod tests {
         }
         // Exporting t1 of (g1, g2) and importing it back as t1 of another
         // (g1, g2) oracle that already paid for node 0's rows.
-        let handoff = donor.export_resident_rows(Snapshot::First);
+        let handoff = donor.resident_rows(Snapshot::First);
         let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         o.rows(NodeId(0)).unwrap();
-        assert_eq!(o.import_donor_rows(Snapshot::First, &handoff), 4);
+        assert_eq!(o.import_donor_rows(Snapshot::First, handoff), 4);
         o.rows(NodeId(0)).unwrap();
         assert_eq!(o.chained_rows(), 0, "already-paid rows never chain");
         o.rows(NodeId(1)).unwrap();
@@ -2096,10 +2060,11 @@ mod tests {
     #[should_panic(expected = "universe mismatch")]
     fn donor_import_rejects_foreign_universe() {
         let (g1, g2) = graphs();
-        let donor = SnapshotOracle::unbounded(&g1, &g2);
-        let handoff = donor.export_resident_rows(Snapshot::First);
+        let mut donor = SnapshotOracle::unbounded(&g1, &g2);
+        donor.rows(NodeId(0)).unwrap();
+        let handoff = donor.resident_rows(Snapshot::First);
         let h1 = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let h2 = graph_from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        SnapshotOracle::unbounded(&h1, &h2).import_donor_rows(Snapshot::First, &handoff);
+        SnapshotOracle::unbounded(&h1, &h2).import_donor_rows(Snapshot::First, handoff);
     }
 }

@@ -25,25 +25,13 @@ pub fn fits_u16(graph: &Graph) -> bool {
     !graph.is_weighted() && graph.num_nodes() <= u16::MAX as usize
 }
 
-/// Packs a `u32` distance row into a `u16` slot of the same length,
-/// mapping [`INF`] to [`INF_U16`]. The caller guarantees every finite
-/// distance fits (see [`fits_u16`]); debug builds assert it.
-pub fn pack_u16_slice(src: &[u32], dst: &mut [u16]) {
-    assert_eq!(src.len(), dst.len(), "row length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        debug_assert!(
-            *s == INF || *s < u32::from(INF_U16),
-            "distance overflows u16"
-        );
-        *d = if *s == INF { INF_U16 } else { *s as u16 };
-    }
-}
-
-/// Packs a `u32` row into a (cleared) `u16` buffer (see [`pack_u16_slice`]).
+/// Packs a `u32` row into a (cleared) `u16` buffer, mapping [`INF`] to
+/// [`INF_U16`]. The caller guarantees every finite distance fits (see
+/// [`fits_u16`]); debug builds assert it.
 pub fn pack_u16_into(src: &[u32], dst: &mut Vec<u16>) {
     dst.clear();
     dst.resize(src.len(), 0);
-    pack_u16_slice(src, dst);
+    copy_row_into(RowRef::U32(src), dst);
 }
 
 /// Widens a `u16`-packed row back to `u32`, mapping [`INF_U16`] to [`INF`].
@@ -61,6 +49,80 @@ pub fn widen_u16(d: u16) -> u32 {
         INF
     } else {
         u32::from(d)
+    }
+}
+
+/// One row entry at its storage width: `u16` ([`INF_U16`] sentinel) or
+/// `u32` ([`INF`] sentinel). Lets one generic body serve rows of either
+/// width without widening them first.
+pub trait RowDist: Copy + Default + Send + Sync + 'static {
+    /// The canonical `u32` distance ([`INF`] if unreachable).
+    fn widen(self) -> u32;
+    /// Stores a canonical distance at this width ([`INF`] maps to the
+    /// width's sentinel). The caller guarantees a finite value fits.
+    fn narrow(d: u32) -> Self;
+    /// The row as a slice of this width, when it is stored at it.
+    fn slice(row: RowRef<'_>) -> Option<&[Self]>;
+}
+
+impl RowDist for u16 {
+    #[inline(always)]
+    fn widen(self) -> u32 {
+        widen_u16(self)
+    }
+    #[inline(always)]
+    fn narrow(d: u32) -> u16 {
+        debug_assert!(d == INF || d < u32::from(INF_U16), "distance overflows u16");
+        if d == INF {
+            INF_U16
+        } else {
+            d as u16
+        }
+    }
+    fn slice(row: RowRef<'_>) -> Option<&[u16]> {
+        match row {
+            RowRef::U16(r) => Some(r),
+            RowRef::U32(_) => None,
+        }
+    }
+}
+
+impl RowDist for u32 {
+    #[inline(always)]
+    fn widen(self) -> u32 {
+        self
+    }
+    #[inline(always)]
+    fn narrow(d: u32) -> u32 {
+        d
+    }
+    fn slice(row: RowRef<'_>) -> Option<&[u32]> {
+        match row {
+            RowRef::U32(r) => Some(r),
+            RowRef::U16(_) => None,
+        }
+    }
+}
+
+/// Copies a row into a slot of width `T`: a straight copy when the row is
+/// stored at `T`, an element-wise conversion otherwise.
+pub fn copy_row_into<T: RowDist>(row: RowRef<'_>, dst: &mut [T]) {
+    assert_eq!(row.len(), dst.len(), "row length mismatch");
+    if let Some(src) = T::slice(row) {
+        dst.copy_from_slice(src);
+        return;
+    }
+    match row {
+        RowRef::U16(src) => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = T::narrow(widen_u16(s));
+            }
+        }
+        RowRef::U32(src) => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = T::narrow(s);
+            }
+        }
     }
 }
 
@@ -263,6 +325,24 @@ mod tests {
         let w = RowRef::U32(&wide);
         assert_eq!(w.get(1), INF);
         assert_eq!(w.to_u32_vec(), wide);
+    }
+
+    #[test]
+    fn copy_row_into_converts_between_widths() {
+        let wide = vec![0, 7, 65_534, INF];
+        let packed: Vec<u16> = vec![0, 7, 65_534, INF_U16];
+        let mut to16 = vec![1u16; 4];
+        copy_row_into(RowRef::U32(&wide), &mut to16);
+        assert_eq!(to16, packed);
+        let mut to32 = vec![1u32; 4];
+        copy_row_into(RowRef::U16(&packed), &mut to32);
+        assert_eq!(to32, wide);
+        let mut same = vec![1u16; 4];
+        copy_row_into(RowRef::U16(&packed), &mut same);
+        assert_eq!(same, packed);
+        assert_eq!(u16::slice(RowRef::U16(&packed)), Some(&packed[..]));
+        assert_eq!(u32::slice(RowRef::U16(&packed)), None);
+        assert_eq!((INF_U16.widen(), u16::narrow(INF)), (INF, INF_U16));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use crate::answer::Answer;
 use crate::traverse::Cursor;
-use cp_core::bounds::all_pairs_below;
-use cp_core::exact::{sort_pairs, ConvergingPair};
+use cp_core::exact::{canonical_order, ConvergingPair};
 use cp_core::oracle::Snapshot;
+use cp_graph::rowpack::{RowDist, RowRef};
 use cp_graph::{distance_decrease, NodeId, INF};
 use cp_stream::{StreamReader, StreamSnapshot};
 use std::sync::Arc;
@@ -25,11 +25,11 @@ pub struct SeedTopK {
 ///
 /// Wraps an epoch reader ([`StreamReader`]); every call pins the newest
 /// epoch with one `Arc` clone and serves entirely from its published
-/// [`cp_stream::QueryIndex`] — resident rows, chained donor rows and at
-/// most 16 landmark row pairs. Queries never touch a budget ledger, never
-/// lock the engine, and never block a concurrent review: the zero-budget
-/// guarantee is structural (this type holds no oracle and no `&mut`
-/// anything).
+/// [`cp_stream::QueryIndex`] — resident rows, chained donor rows and
+/// node-major records of at most 16 landmarks. Queries never touch a
+/// budget ledger, never lock the engine, and never block a concurrent
+/// review: the zero-budget guarantee is structural (this type holds no
+/// oracle and no `&mut` anything).
 ///
 /// Each convenience method pins the latest epoch independently; a caller
 /// that needs several reads from *one* consistent epoch should hold an
@@ -103,48 +103,42 @@ impl EpochView {
         u.index() < self.snap.graph.num_nodes()
     }
 
-    /// The certified interval on `d(u, v)` in one review snapshot:
-    /// resident rows first (either endpoint — the graphs are undirected),
-    /// landmark triangle bounds otherwise. `(INF, INF)` is *certified
-    /// disconnected*; `(0, INF)` is "nothing known".
-    fn dist_interval(&self, which: Snapshot, u: NodeId, v: NodeId) -> (u32, u32) {
-        if u == v {
-            return (0, 0);
-        }
+    /// `d(u, v)` in one review snapshot from a resident row of either
+    /// endpoint (the graphs are undirected), if one was captured.
+    #[inline]
+    fn resident(&self, which: Snapshot, u: NodeId, v: NodeId) -> Option<u32> {
         let q = &self.snap.query;
-        for (a, b) in [(u, v), (v, u)] {
-            if let Some(row) = q.row(which, a) {
-                let d = row[b.index()];
-                return (d, d);
-            }
-        }
-        match q.landmarks() {
-            Some((i1, i2)) => {
-                let idx = match which {
-                    Snapshot::First => i1,
-                    Snapshot::Second => i2,
-                };
-                idx.bounds(u, v)
-            }
-            None => (0, INF),
+        match q.row(which, u) {
+            Some(row) => Some(row.get(v.index())),
+            None => q.row(which, v).map(|row| row.get(u.index())),
         }
     }
 
     /// What the epoch proves about `d(u, v)` in the epoch's graph (the
-    /// review's second snapshot). `Answer::Exact(INF)` means certified
-    /// disconnected. Out-of-universe endpoints answer `Unknown`.
+    /// review's second snapshot): a resident row of either endpoint
+    /// answers exactly, the landmark bounds otherwise. `Answer::Exact(INF)`
+    /// means certified disconnected. Out-of-universe endpoints answer
+    /// `Unknown`.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Answer {
         if !self.in_universe(u) || !self.in_universe(v) {
             return Answer::Unknown;
         }
-        let (lb, ub) = self.dist_interval(Snapshot::Second, u, v);
+        if u == v {
+            return Answer::Exact(0);
+        }
+        let (lb, ub) = match self.resident(Snapshot::Second, u, v) {
+            Some(d) => (d, d),
+            None => self.snap.query.landmark_bounds(Snapshot::Second, u, v),
+        };
         Answer::from_interval(lb, ub)
     }
 
     /// What the epoch proves about `Δ(u, v) = d_t1(u, v) − d_t2(u, v)`,
     /// the review's distance decrease. Follows the pipeline's convention
     /// ([`cp_graph::distance_decrease`]): a pair disconnected in the first
-    /// snapshot is outside the problem and answers `Exact(0)`.
+    /// snapshot is outside the problem and answers `Exact(0)`. When
+    /// neither snapshot has a resident row for the pair, both intervals
+    /// come from one pass over the two endpoints' landmark records.
     pub fn delta(&self, u: NodeId, v: NodeId) -> Answer {
         if !self.in_universe(u) || !self.in_universe(v) {
             return Answer::Unknown;
@@ -152,8 +146,17 @@ impl EpochView {
         if u == v {
             return Answer::Exact(0);
         }
-        let (lb1, ub1) = self.dist_interval(Snapshot::First, u, v);
-        let (lb2, ub2) = self.dist_interval(Snapshot::Second, u, v);
+        let q = &self.snap.query;
+        let exact = |d: u32| (d, d);
+        let [(lb1, ub1), (lb2, ub2)] = match (
+            self.resident(Snapshot::First, u, v),
+            self.resident(Snapshot::Second, u, v),
+        ) {
+            (Some(d1), Some(d2)) => [exact(d1), exact(d2)],
+            (Some(d1), None) => [exact(d1), q.landmark_bounds(Snapshot::Second, u, v)],
+            (None, Some(d2)) => [q.landmark_bounds(Snapshot::First, u, v), exact(d2)],
+            (None, None) => q.landmark_bounds_both(u, v),
+        };
         // Certified disconnection on either side forces Δ = 0: in the
         // first snapshot the pair is outside the problem; in the second it
         // implies (growth-only) disconnection in the first too.
@@ -185,10 +188,12 @@ impl EpochView {
     /// landmark-certified pruning for non-resident seeds.
     ///
     /// * Seed resident in both snapshots: Δs are computed exactly from the
-    ///   captured rows, and the answer is `complete`.
+    ///   captured rows, the `k` best are selected and only they are
+    ///   sorted, and the answer is `complete`.
     /// * Seed not resident: if the landmark bounds certify every pair of
     ///   the seed below Δ = 1, the empty answer is complete; otherwise the
-    ///   epoch cannot serve the seed (`complete: false`).
+    ///   epoch cannot serve the seed (`complete: false`). The walk stops at
+    ///   the first pair the bounds cannot rule out.
     pub fn topk_for_seed(&self, u: NodeId, k: usize) -> SeedTopK {
         if !self.in_universe(u) {
             return SeedTopK {
@@ -197,34 +202,25 @@ impl EpochView {
             };
         }
         let q = &self.snap.query;
-        let (r1, r2) = (q.row(Snapshot::First, u), q.row(Snapshot::Second, u));
-        let (Some(r1), Some(r2)) = (r1, r2) else {
-            // Landmark-certified pruning: every pair of `u` certified
-            // below Δ = 1 proves the seed has no converging pair at all.
-            let complete = match q.landmarks() {
-                Some((i1, i2)) => {
-                    let (mut ub1, mut lb2) = (Vec::new(), Vec::new());
-                    all_pairs_below(i1, i2, u, 1, &mut ub1, &mut lb2)
-                }
-                None => false,
-            };
+        let (Some(r1), Some(r2)) = (q.row(Snapshot::First, u), q.row(Snapshot::Second, u)) else {
             return SeedTopK {
                 pairs: Vec::new(),
-                complete,
+                complete: q.rules_out_seed(u),
             };
         };
-        let mut pairs: Vec<ConvergingPair> = r1
-            .iter()
-            .zip(r2)
-            .enumerate()
-            .filter(|&(v, _)| v != u.index())
-            .filter_map(|(v, (&d1, &d2))| match distance_decrease(d1, d2) {
-                Some(delta) if delta >= 1 => Some(ConvergingPair::new(u, NodeId::new(v), delta)),
-                _ => None,
-            })
-            .collect();
-        sort_pairs(&mut pairs);
-        pairs.truncate(k);
+        let mut pairs = match (r1, r2) {
+            (RowRef::U16(a), RowRef::U16(b)) => seed_pairs(u, a, b),
+            (RowRef::U16(a), RowRef::U32(b)) => seed_pairs(u, a, b),
+            (RowRef::U32(a), RowRef::U16(b)) => seed_pairs(u, a, b),
+            (RowRef::U32(a), RowRef::U32(b)) => seed_pairs(u, a, b),
+        };
+        // The canonical order is total, so selecting the k best and
+        // sorting only them equals a full sort cut to k.
+        if k < pairs.len() {
+            pairs.select_nth_unstable_by(k, canonical_order);
+            pairs.truncate(k);
+        }
+        pairs.sort_unstable_by(canonical_order);
         SeedTopK {
             pairs,
             complete: true,
@@ -237,4 +233,19 @@ impl EpochView {
     pub fn from(&self, start: NodeId) -> Cursor {
         Cursor::rooted(Arc::clone(&self.snap), start)
     }
+}
+
+/// Every pair `(u, v)` with `Δ ≥ 1` from `u`'s two rows, in ascending `v`.
+fn seed_pairs<A: RowDist, B: RowDist>(u: NodeId, r1: &[A], r2: &[B]) -> Vec<ConvergingPair> {
+    r1.iter()
+        .zip(r2)
+        .enumerate()
+        .filter(|&(v, _)| v != u.index())
+        .filter_map(
+            |(v, (&d1, &d2))| match distance_decrease(d1.widen(), d2.widen()) {
+                Some(delta) if delta >= 1 => Some(ConvergingPair::new(u, NodeId::new(v), delta)),
+                _ => None,
+            },
+        )
+        .collect()
 }

@@ -18,6 +18,20 @@
 //! * [`SeedTopK`] — per-seed top-k with a completeness certificate.
 //! * [`Cursor`] — composable traversal: `from(u).step().filter(p).collect()`.
 //!
+//! # What a query reads
+//!
+//! The index is laid out for these reads (see [`cp_stream::index`]).
+//! Resident rows are found through a dense slot per node and read at
+//! their storage width — `u16` when the snapshot has unit weights and at
+//! most 65 535 nodes, `u32` otherwise. Landmark bounds come from one
+//! node-major record per node, `[d1(ℓ_0..ℓ_16) | d2(ℓ_0..ℓ_16)]`: 64
+//! bytes, one cache line at `u16` width. Because one record holds both
+//! snapshots, [`EpochView::distance`] reads the `d2` halves of two records
+//! and [`EpochView::delta`] folds both halves of the *same* two records in
+//! one pass. A non-resident seed's [`EpochView::topk_for_seed`] walks the
+//! records and stops at the first pair the bounds cannot rule out; a
+//! resident seed sorts only its best `k` pairs.
+//!
 //! ```
 //! use cp_query::{Answer, QueryEngine};
 //! use cp_core::exact::TopKSpec;

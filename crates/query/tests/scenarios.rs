@@ -111,18 +111,16 @@ fn feed(engine: &mut StreamEngine, t: &TemporalGraph, from: usize, to: usize) {
 }
 
 /// A small budget on a 70-node graph: most rows are not resident, so
-/// most pairs lean on the landmark bounds. The row cache is pinned, not
-/// read from `CP_ROW_CACHE`: the epoch's landmark index is built from
-/// cached rows.
+/// most pairs lean on the landmark bounds. The row cache is read from
+/// `CP_ROW_CACHE`: the epoch's landmarks are paid rows, so they bound
+/// pairs under any cache budget.
 fn budgeted_config() -> StreamConfig {
-    let mut cfg = StreamConfig::new(
+    StreamConfig::new(
         5,
         SelectorKind::Mmsd { landmarks: 3 },
         TopKSpec::ThresholdFromMax { slack: 1 },
         7,
-    );
-    cfg.row_cache = Some(RowCacheBudget::Unbounded);
-    cfg
+    )
 }
 
 /// How one epoch answered the pairs it holds no row for.

@@ -3,7 +3,7 @@
 use crate::index::QueryIndex;
 use crate::subs::{PairTrack, StreamEvent, Watch, WatchId, WatchKind};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle};
+use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult, PipelineStats};
 use cp_graph::temporal::GraphAccumulator;
@@ -195,7 +195,7 @@ pub struct StreamSnapshot {
     /// Per-review instrumentation.
     pub stats: StreamStats,
     /// Read-only query material captured from the review's oracle before
-    /// it was dropped: resident rows and landmark indexes. Point queries
+    /// it was dropped: resident rows and landmark records. Point queries
     /// (`cp-query`) are served entirely from this — no budget, no locks,
     /// no engine access.
     pub query: Arc<QueryIndex>,
@@ -224,9 +224,6 @@ pub struct StreamEngine {
     acc: GraphAccumulator,
     /// The snapshot of the last review — the `G_t1` of the next one.
     current: Arc<Graph>,
-    /// Step *t*'s exported `t2` rows, pending import as step *t+1*'s `t1`
-    /// donors.
-    handoff: Option<RowHandoff>,
     history: HashMap<(NodeId, NodeId), PairTrack>,
     watches: Vec<Watch>,
     next_watch: u64,
@@ -284,7 +281,6 @@ impl StreamEngine {
             config,
             acc,
             current,
-            handoff: None,
             history: HashMap::new(),
             watches: Vec::new(),
             next_watch: 0,
@@ -491,16 +487,17 @@ impl StreamEngine {
         if let Some(b) = self.config.row_cache {
             oracle.set_row_cache(b);
         }
-        // Chain: the previous review's t2 rows are exact t1 rows here —
-        // `g1` *is* the graph they were computed on. Imported after the
-        // knobs so the configured row cache bounds the imports. Pointless
-        // under `Bytes(0)` (the LRU would evict the imports immediately).
+        // Chain: the previous epoch's published t2 rows are exact t1 rows
+        // here — `g1` *is* the graph they were computed on — and they are
+        // copied at storage width. Imported after the knobs so the
+        // configured row cache bounds the imports. Pointless under
+        // `Bytes(0)` (the LRU would evict the imports immediately).
         let chaining = self.config.chain_cache && oracle.row_cache() != RowCacheBudget::Bytes(0);
         let mut donor_rows_imported = 0;
         if chaining {
-            if let Some(h) = &self.handoff {
-                donor_rows_imported = oracle.import_donor_rows(Snapshot::First, h);
-            }
+            let prev = Arc::clone(&self.shared.read().query);
+            donor_rows_imported =
+                oracle.import_donor_rows(Snapshot::First, prev.rows(Snapshot::Second));
         }
 
         let mut selector = self
@@ -510,11 +507,11 @@ impl StreamEngine {
         let t_pipeline = Instant::now();
         let result = run_pipeline(&mut oracle, selector.as_mut(), &self.config.spec);
         let pipeline_secs = t_pipeline.elapsed().as_secs_f64();
-        self.handoff = chaining.then(|| oracle.export_resident_rows(Snapshot::Second));
         let repaired_rows = oracle.repaired_rows();
         let donor_chain_hits = oracle.chained_rows();
         // Capture the query material while the oracle still owns its row
-        // cache; the published epoch serves point queries from this copy.
+        // cache; the published epoch serves point queries from this copy,
+        // and the next review takes its t1 donors from it.
         let query = Arc::new(QueryIndex::capture(&oracle));
         drop(oracle);
 

@@ -16,20 +16,21 @@
 //!   every Δt of stream time, or explicit [`StreamEngine::review`]) the
 //!   engine cuts the next snapshot and runs the budgeted pipeline against
 //!   the previous one, charging each review its own honest `2m` ledger.
-//! * **Chained repair** — step *t*'s resident `t2` rows are exported and
-//!   imported into step *t+1*'s oracle as `t1` donors
-//!   ([`cp_core::oracle::RowHandoff`]): the same graph object is on both
-//!   sides of the hand-off, so rows carry over exactly, first uses are
-//!   still charged, and the per-review results stay bit-identical to a
-//!   from-scratch [`cp_core::topk::budgeted_top_k`] run.
+//! * **Chained repair** — the `t2` rows step *t* publishes in its
+//!   [`QueryIndex`] are imported into step *t+1*'s oracle as `t1` donors
+//!   ([`cp_core::oracle::SnapshotOracle::import_donor_rows`], copied at
+//!   storage width): the same graph object is on both sides of the
+//!   hand-off, so rows carry over exactly, first uses are still charged,
+//!   and the per-review results stay bit-identical to a from-scratch
+//!   [`cp_core::topk::budgeted_top_k`] run.
 //! * **Publish** — each review becomes an immutable epoch
 //!   ([`StreamSnapshot`]) swapped behind an `Arc`; [`StreamReader`]
 //!   handles never observe a half-advanced step.
 //! * **Serve** — each epoch carries a read-only [`QueryIndex`] (resident
-//!   rows and landmark row indexes) captured from the review's oracle at
-//!   publish. The
-//!   `cp-query` crate answers budget-free point queries entirely from
-//!   this published material.
+//!   rows in dense packed arenas and one node-major landmark record per
+//!   node) captured from the review's oracle at publish. The `cp-query`
+//!   crate answers budget-free point queries entirely from this published
+//!   material.
 //! * **Subscribe** — [`StreamEngine::watch_pair`] /
 //!   [`StreamEngine::watch_node`] / [`StreamEngine::watch_topk`] deliver
 //!   [`StreamEvent`]s per review ("Δ(u,v) ≥ τ", "pair entered/left the
@@ -50,6 +51,6 @@ pub use engine::{
     ReviewPolicy, StreamConfig, StreamEngine, StreamError, StreamReader, StreamSnapshot,
     StreamStats,
 };
-pub use index::QueryIndex;
+pub use index::{QueryIndex, MAX_RESIDENT_LANDMARKS};
 pub use monitor::{ConvergenceMonitor, MonitorConfig, MonitorStep, PairHistory};
 pub use subs::{PairTrack, StreamEvent, WatchId};

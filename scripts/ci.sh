@@ -74,6 +74,39 @@ for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd ma
 done
 rm -rf "$det_dir"
 
+echo "==> point_queries determinism [default env vs CP_THREADS=1 and 8; CP_ROW_CACHE=0 keeps landmark bounds]"
+# The query layer under the same contract: the example's per-epoch probe
+# tallies, pair answers and per-seed top-k print byte-identical with no
+# knob set, with one lane and with eight. With the row cache off, every
+# probe line must still count Bounded answers: the epoch's landmarks are
+# paid rows, recomputed for the query index when the cache evicted them.
+pq_dir="$(mktemp -d -t cp_point_queries.XXXXXX)"
+for knob in default CP_THREADS=1 CP_THREADS=8 CP_ROW_CACHE=0; do
+    env -u CP_THREADS -u CP_ROW_CACHE ${knob#default} \
+        cargo run --release -q --example point_queries \
+        > "$pq_dir/$knob.txt" 2> "$pq_dir/stderr" || {
+        cat "$pq_dir/stderr" >&2
+        rm -rf "$pq_dir"
+        exit 1
+    }
+done
+for knob in CP_THREADS=1 CP_THREADS=8; do
+    if ! diff -q "$pq_dir/default.txt" "$pq_dir/$knob.txt" > /dev/null; then
+        echo "ci.sh: point_queries printed different answers under $knob than with no knob set" >&2
+        rm -rf "$pq_dir"
+        exit 1
+    fi
+done
+probe_lines="$(grep -c 'probes against epoch' "$pq_dir/CP_ROW_CACHE=0.txt" || true)"
+bounded_lines="$(grep -cE 'probes against epoch [0-9]+: [0-9]+ exact, [1-9][0-9]* bounded' \
+    "$pq_dir/CP_ROW_CACHE=0.txt" || true)"
+if [ "$probe_lines" -lt 1 ] || [ "$probe_lines" != "$bounded_lines" ]; then
+    echo "ci.sh: under CP_ROW_CACHE=0 a point_queries epoch answered no pair Bounded" >&2
+    rm -rf "$pq_dir"
+    exit 1
+fi
+rm -rf "$pq_dir"
+
 echo "==> pipeline_baseline release smoke (CP_THREADS=2, --scale=0.1)"
 smoke_out="$(mktemp -t bench_pipeline_smoke.XXXXXX.json)"
 CP_THREADS=2 cargo run --release -q -p cp-bench --bin pipeline_baseline -- \
