@@ -109,16 +109,14 @@ fn main() {
                 agg.sssp_computed += row.stats.sssp_computed;
                 agg.cache_hits += row.stats.cache_hits;
                 agg.cache_misses += row.stats.cache_misses;
-                agg.repaired_rows += row.stats.repaired_rows;
-                agg.repair_frontier_nodes += row.stats.repair_frontier_nodes;
                 agg.recomputed_rows += row.stats.recomputed_rows;
+                agg.chained_rows += row.stats.chained_rows;
                 agg.cache_bytes = agg.cache_bytes.max(row.stats.cache_bytes);
                 agg.threads = row.stats.threads;
                 agg.kernel_stats.msbfs_waves += row.stats.kernel_stats.msbfs_waves;
                 agg.kernel_stats.msbfs_rows += row.stats.kernel_stats.msbfs_rows;
                 agg.kernel_stats.bfs_rows += row.stats.kernel_stats.bfs_rows;
                 agg.kernel_stats.dijkstra_rows += row.stats.kernel_stats.dijkstra_rows;
-                agg.kernel_stats.repair_rows += row.stats.kernel_stats.repair_rows;
                 agg.scan_chunks_scanned += row.stats.scan_chunks_scanned;
                 agg.scan_chunks_skipped += row.stats.scan_chunks_skipped;
                 agg.scan_pairs_pruned += row.stats.scan_pairs_pruned;
@@ -130,25 +128,25 @@ fn main() {
             }
             rows.push(cells);
         }
+        assert_eq!(
+            agg.kernel_rows(),
+            agg.sssp_computed,
+            "[{}] kernel row counters diverge from the ledger",
+            snaps.name
+        );
         stats_rows.push(vec![
             snaps.name.clone(),
             agg.threads.to_string(),
             agg.sssp_computed.to_string(),
             agg.kernel_stats.msbfs_waves.to_string(),
             format!(
-                "{}/{}/{}/{}",
+                "{}/{}/{}",
                 agg.kernel_stats.msbfs_rows,
                 agg.kernel_stats.bfs_rows,
-                agg.kernel_stats.dijkstra_rows,
-                agg.kernel_stats.repair_rows
+                agg.kernel_stats.dijkstra_rows
             ),
             agg.cache_hits.to_string(),
             agg.cache_misses.to_string(),
-            format!(
-                "{}/{:.0}",
-                agg.repaired_rows,
-                agg.repair_frontier_nodes as f64 / agg.repaired_rows.max(1) as f64
-            ),
             format!("{}", agg.cache_bytes / 1024),
             format!(
                 "{}/{}/{}",
@@ -189,10 +187,9 @@ fn main() {
             "threads",
             "sssp",
             "waves",
-            "ms/bfs/dij/rep rows",
+            "ms/bfs/dij rows",
             "cache hit",
             "cache miss",
-            "repaired/region",
             "cache KiB",
             "chunks scan/skip/pruned",
             "arena u16/u32/reuse/KiB",

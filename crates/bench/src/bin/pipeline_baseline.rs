@@ -1,7 +1,7 @@
-//! Machine-readable perf baseline for the parallel pipeline, the
-//! snapshot-delta row cache, the streaming engine and the query layer.
+//! Machine-readable perf baseline for the parallel pipeline, the row
+//! cache, the streaming engine and the query layer.
 //!
-//! Four measurement phases, written together to `BENCH_pipeline.json` in
+//! Three measurement phases, written together to `BENCH_pipeline.json` in
 //! the current directory (`--out=PATH` overrides):
 //!
 //! **Phase 1 — thread and cache ladder** on the paper's evaluation
@@ -10,8 +10,7 @@
 //! dataset:
 //!
 //! 1. one thread, row cache disabled,
-//! 2. one thread, unbounded row cache — the default configuration, with
-//!    snapshot-delta repair of `t2` rows,
+//! 2. one thread, unbounded row cache — the default configuration,
 //! 3. the configured thread count, row cache disabled — a pure
 //!    threads-on/threads-off A/B against rung 1.
 //!
@@ -19,46 +18,39 @@
 //! 64-wide multi-source waves, and the blocked, chunk-skipping Δ-scan,
 //! whose chunk and prune counters each sweep records.
 //!
-//! **Phase 2 — incremental regime** on a *tight* snapshot pair
-//! ([`REPAIR_T1`] → 100 %): the re-evaluation scenario the delta cache is
-//! built for, where the edge delta is a few percent of the stream and the
-//! shrinking region is small. The same suite runs with the cache off and
-//! on (one thread); `repair_speedup` compares the two on `sssp_t2_secs`,
-//! the `t2`-row share of the oracle's distance work.
-//!
-//! The eval pair's 20 % edge delta moves roughly half of all distances,
-//! so there a per-row repair cannot beat a 64-wide multi-source wave —
-//! phase 1 documents that boundary honestly (its `t2` timings are part of
-//! the sweeps), while phase 2 measures the regime the optimization
-//! targets. Results are bit-identical in every configuration (see
+//! Results are bit-identical in every configuration (see
 //! `crates/core/tests/parallel_equivalence.rs` and
 //! `crates/core/tests/conformance.rs`); only the timing differs, which is
 //! what this baseline records.
 //!
-//! **Phase 3 — streaming ladder** over a whole review sequence: the
+//! **Phase 2 — streaming ladder** over a whole review sequence: the
 //! `cp-stream` engine replays each dataset's event stream across
 //! [`STREAM_CUTS`] (≥ 5 reviews, each under its own `2m` ledger) twice —
 //! with review-to-review cache chaining on (step *t*'s resident `t2` rows
 //! imported as step *t+1*'s `t1` donors) and off (the per-step rebuild the
 //! old monitor did). Pairs and ledgers are bit-identical by construction
 //! (the streaming conformance suite holds the engine to it); what moves is
-//! the donor/repair hit rate — the fraction of charged rows served by a
-//! chained donor or derived by snapshot-delta repair instead of a full
-//! sweep — and the pipeline wall clock, best of [`REPEATS`] ladder runs.
+//! the donor hit rate — the fraction of charged rows served by a chained
+//! donor instead of a kernel — and the pipeline wall clock, best of
+//! [`REPEATS`] ladder runs.
 //!
-//! **Phase 4 — query-throughput ladder** over the same review sequence:
+//! **Phase 3 — query-throughput ladder** over the same review sequence:
 //! the `cp-query` layer answers budget-free point queries (`distance` +
 //! `delta`) from published epochs while the engine advances the
 //! [`STREAM_CUTS`] reviews, at 1, 2 and 8 concurrent reader threads.
-//! Recorded per rung: queries/sec and the Exact/Bounded/Unknown answer
-//! mix. A reader-free twin run pins the ledger: every rung's summed
-//! review budget must equal the twin's exactly (`query_budget_charged`
-//! stays 0) — queries are served from immutable epochs and spend nothing.
+//! Recorded per rung: queries/sec of the closed-loop readers, and the
+//! Exact/Bounded/Unknown answer mix of a fixed probe list
+//! ([`MIX_PROBES`] pairs) that the review driver asks once against each
+//! epoch it publishes — so the mix depends on the epochs only, not on
+//! how fast the readers happened to run. A reader-free twin run pins the
+//! ledger: every rung's summed review budget must equal the twin's
+//! exactly (`query_budget_charged` stays 0) — queries are served from
+//! immutable epochs and spend nothing.
 //!
 //! Per sweep, three timings: `secs` (whole suite, end to end),
 //! `sssp_secs` (the oracle's distance-row computation, the path the BFS
-//! kernels own), and `sssp_t2_secs` (its `G_t2` share, per-item summed —
-//! the path repair attacks). The suite total additionally includes
+//! kernels own), and `sssp_t2_secs` (its `G_t2` share, per-item
+//! summed). The suite total additionally includes
 //! IncBet's exact-betweenness grant, which the paper gives that baseline
 //! for free.
 //!
@@ -72,7 +64,6 @@ use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, PipelineStats};
 use cp_gen::datasets::{DatasetKind, DatasetProfile, EVAL_SNAPSHOTS};
-use cp_graph::repair::snapshot_delta;
 use cp_graph::{Graph, NodeId, TemporalGraph};
 use cp_query::{Answer, QueryEngine};
 use cp_stream::{StreamConfig, StreamEngine, StreamError};
@@ -85,14 +76,14 @@ use std::time::Instant;
 struct SweepTiming {
     dataset: String,
     threads: usize,
-    /// Row-cache budget knob value (`"0"` = delta cache disabled).
+    /// Row-cache budget knob value (`"0"` = nothing resident).
     cache: String,
     /// Best-of-repeats wall clock of the whole selector suite, seconds.
     secs: f64,
     /// Oracle distance-row computation seconds within the best repeat.
     sssp_secs: f64,
     /// The `G_t2` share of `sssp_secs` (per-item summed) within the best
-    /// repeat — what snapshot-delta repair attacks.
+    /// repeat.
     sssp_t2_secs: f64,
     /// SSSPs charged across the suite (identical for every configuration).
     sssp_computed: u64,
@@ -100,12 +91,6 @@ struct SweepTiming {
     msbfs_waves: u64,
     /// Rows produced by multi-source waves.
     msbfs_rows: u64,
-    /// `t2` rows produced by snapshot-delta repair (0 with the cache
-    /// disabled).
-    repaired_rows: u64,
-    /// Nodes settled by repair frontiers — the work done in place of full
-    /// sweeps.
-    repair_frontier_nodes: u64,
     /// Resident row-cache bytes at the end of the suite's largest run.
     cache_bytes: usize,
     /// Δ-scan chunks whose elements were walked.
@@ -142,29 +127,7 @@ struct DatasetSummary {
     thread_regression: bool,
 }
 
-/// Per-dataset repair comparison on the tight snapshot pair (phase 2,
-/// `REPAIR_T1` → 100 %, one thread).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct RepairSummary {
-    dataset: String,
-    /// First-snapshot cut of the tight pair (fraction of the stream).
-    t1_fraction: f64,
-    /// `|E_t2 \ E_t1|` of the tight pair.
-    delta_edges: usize,
-    /// `t2`-row seconds with the delta cache off.
-    repair_off_t2_secs: f64,
-    /// `t2`-row seconds with the delta cache on.
-    repair_on_t2_secs: f64,
-    /// `repair_off_t2_secs / repair_on_t2_secs`: the measured speedup of
-    /// snapshot-delta repair on the `t2`-row path.
-    repair_speedup: f64,
-    /// `t2` rows repaired in the cache-on run.
-    repaired_rows: u64,
-    /// Mean shrinking-region size per repaired row.
-    avg_frontier: f64,
-}
-
-/// One engine ladder run (phase 3): a full review sequence with chaining
+/// One engine ladder run (phase 2): a full review sequence with chaining
 /// on or off, counters summed over all reviews.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct StreamSweep {
@@ -183,9 +146,7 @@ struct StreamSweep {
     donor_rows_imported: u64,
     /// Charged rows served straight from imported donors.
     donor_chain_hits: u64,
-    /// `t2` rows derived by snapshot-delta repair.
-    repaired_rows: u64,
-    /// `(donor_chain_hits + repaired_rows) / sssp_computed`.
+    /// `donor_chain_hits / sssp_computed`.
     donor_hit_rate: f64,
     /// Best-of-repeats budgeted-pipeline seconds summed over reviews.
     pipeline_secs: f64,
@@ -194,15 +155,15 @@ struct StreamSweep {
     advance_secs: f64,
 }
 
-/// Per-dataset chained-vs-rebuilt comparison (phase 3).
+/// Per-dataset chained-vs-rebuilt comparison (phase 2).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct StreamSummary {
     dataset: String,
     /// Reviews in the ladder.
     reviews: u32,
-    /// Donor/repair hit rate with chaining on.
+    /// Donor hit rate with chaining on.
     chained_hit_rate: f64,
-    /// Donor/repair hit rate with per-step rebuild.
+    /// Donor hit rate with per-step rebuild.
     rebuilt_hit_rate: f64,
     /// `chained_hit_rate - rebuilt_hit_rate` — strictly positive wherever
     /// the hand-off served rows the rebuild had to sweep for.
@@ -215,7 +176,7 @@ struct StreamSummary {
     stream_speedup: f64,
 }
 
-/// One query-throughput rung (phase 4): point queries answered from
+/// One query-throughput rung (phase 3): point queries answered from
 /// published epochs at a fixed reader-thread count while the engine
 /// advances reviews.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -229,11 +190,12 @@ struct QuerySweep {
     secs: f64,
     /// Queries per second, summed over readers.
     qps: f64,
-    /// `Answer::Exact` answers observed.
+    /// `Answer::Exact` answers to the fixed probe list, asked once per
+    /// published epoch.
     exact: u64,
-    /// `Answer::Bounded` answers observed.
+    /// `Answer::Bounded` answers to the fixed probe list.
     bounded: u64,
-    /// `Answer::Unknown` answers observed.
+    /// `Answer::Unknown` answers to the fixed probe list.
     unknown: u64,
     /// Summed review ledger of the run — must equal the reader-free
     /// twin's (queries spend nothing).
@@ -249,11 +211,8 @@ struct Baseline {
     m: u64,
     repeats: u32,
     threads_multi: usize,
-    /// The tight pair's first-snapshot fraction (phase 2).
-    repair_t1_fraction: f64,
     sweeps: Vec<SweepTiming>,
     datasets: Vec<DatasetSummary>,
-    repair: Vec<RepairSummary>,
     stream_ladder: Vec<StreamSweep>,
     stream: Vec<StreamSummary>,
     query_ladder: Vec<QuerySweep>,
@@ -262,27 +221,21 @@ struct Baseline {
     /// Suite totals: cache off, `threads_multi` threads —
     /// `single_thread_secs` with the pool turned on.
     multi_thread_secs: f64,
-    /// Repair speedup on the `t2`-row path in the incremental regime,
-    /// summed over datasets (phase 2).
-    repair_speedup: f64,
-    /// The best per-dataset `repair_speedup` — the repair win on the
-    /// dataset whose delta structure suits it best.
-    repair_speedup_max: f64,
-    /// Donor/repair hit rate of the chained streaming ladder, summed over
-    /// datasets (phase 3).
+    /// Donor hit rate of the chained streaming ladder, summed over
+    /// datasets (phase 2).
     stream_chained_hit_rate: f64,
-    /// Donor/repair hit rate of the per-step-rebuild ladder.
+    /// Donor hit rate of the per-step-rebuild ladder.
     stream_rebuilt_hit_rate: f64,
     /// Datasets where chaining reached a strictly higher hit rate than
     /// the rebuild — the chain's reach across the review boundary.
     stream_gain_datasets: usize,
-    /// `Answer::Exact` point-query answers across the whole query ladder
-    /// (phase 4).
+    /// `Answer::Exact` probe-list answers across the whole query ladder
+    /// (phase 3).
     query_exact_answers: u64,
-    /// `Answer::Bounded` point-query answers across the whole query
+    /// `Answer::Bounded` probe-list answers across the whole query
     /// ladder — nonzero proves the answer lattice's middle rung is live.
     query_bounded_answers: u64,
-    /// `Answer::Unknown` point-query answers across the whole query
+    /// `Answer::Unknown` probe-list answers across the whole query
     /// ladder.
     query_unknown_answers: u64,
     /// Summed ledger difference between every query-ladder rung and its
@@ -292,12 +245,12 @@ struct Baseline {
     /// The best queries/sec observed on any query-ladder rung.
     query_qps_peak: f64,
     /// Suite totals of the fastest rung per dataset (one thread
-    /// cache-off, one thread + repair, or `threads_multi` cache-off).
+    /// cache-off, one thread cache-on, or `threads_multi` cache-off).
     best_config_secs: f64,
     /// `true` when any dataset's `threads_multi` rung lost to its
     /// single-thread twin — see [`DatasetSummary::thread_regression`].
     thread_regression: bool,
-    /// Work-stealing events across every phase-1/phase-2 sweep's best
+    /// Work-stealing events across every phase-1 sweep's best
     /// repeat — nonzero proves chunks actually migrate between the
     /// persistent pool's workers.
     exec_steals: u64,
@@ -311,19 +264,15 @@ const REPEATS: u32 = 3;
 /// deltas reproducible.
 const PHASE1_REPEATS: u32 = 5;
 
-/// Phase 2's first-snapshot cut: the last 5 % of the stream is the delta,
-/// emulating a re-evaluation shortly after the previous one.
-const REPAIR_T1: f64 = 0.95;
-
-/// Phase 3's review schedule: the engine starts at the first cut and
+/// Phases 2 and 3's review schedule: the engine starts at the first cut and
 /// reviews at each subsequent one — five reviews over the stream's second
 /// half, tight enough (10 % deltas) that chained donors stay relevant.
 const STREAM_CUTS: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
-/// Phase 1 config slots (threads, cache): one thread, one thread +
-/// repair, full threads.
+/// Phase 1 config slots (threads, cache): one thread, one thread with
+/// the row cache on, full threads.
 const SLOT_SINGLE: usize = 0;
-const SLOT_REPAIR: usize = 1;
+const SLOT_CACHE: usize = 1;
 const SLOT_MULTI: usize = 2;
 
 /// Accumulated pipeline counters of one suite run.
@@ -335,8 +284,6 @@ struct SuiteRun {
     sssp_computed: u64,
     msbfs_waves: u64,
     msbfs_rows: u64,
-    repaired_rows: u64,
-    repair_frontier_nodes: u64,
     cache_bytes: usize,
     scan_chunks_scanned: u64,
     scan_chunks_skipped: u64,
@@ -352,8 +299,6 @@ impl SuiteRun {
         self.sssp_computed += stats.sssp_computed;
         self.msbfs_waves += stats.kernel_stats.msbfs_waves;
         self.msbfs_rows += stats.kernel_stats.msbfs_rows;
-        self.repaired_rows += stats.repaired_rows;
-        self.repair_frontier_nodes += stats.repair_frontier_nodes;
         self.cache_bytes = self.cache_bytes.max(stats.cache_bytes);
         self.scan_chunks_scanned += stats.scan_chunks_scanned;
         self.scan_chunks_skipped += stats.scan_chunks_skipped;
@@ -372,8 +317,6 @@ impl SuiteRun {
             sssp_computed: self.sssp_computed,
             msbfs_waves: self.msbfs_waves,
             msbfs_rows: self.msbfs_rows,
-            repaired_rows: self.repaired_rows,
-            repair_frontier_nodes: self.repair_frontier_nodes,
             cache_bytes: self.cache_bytes,
             scan_chunks_scanned: self.scan_chunks_scanned,
             scan_chunks_skipped: self.scan_chunks_skipped,
@@ -409,20 +352,7 @@ fn run_suite(
     run
 }
 
-/// Best-of-repeats: keeps the run whose metric (`suite` wall clock or
-/// `t2` seconds) is smallest.
-fn best_of<F: FnMut() -> SuiteRun, M: Fn(&SuiteRun) -> f64>(mut run: F, metric: M) -> SuiteRun {
-    let mut best: Option<SuiteRun> = None;
-    for _ in 0..REPEATS {
-        let r = run();
-        if best.as_ref().is_none_or(|b| metric(&r) < metric(b)) {
-            best = Some(r);
-        }
-    }
-    best.expect("REPEATS >= 1")
-}
-
-/// One full streaming ladder (phase 3): replays the dataset's events
+/// One full streaming ladder (phase 2): replays the dataset's events
 /// across [`STREAM_CUTS`] with the given chaining mode, returning summed
 /// per-review counters. Pairs/ledger are mode-invariant (conformance-
 /// tested); the pairs of each review are folded into a checksum so the
@@ -460,7 +390,6 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
         sweep.sssp_computed += epoch.stats.pipeline.sssp_computed;
         sweep.donor_rows_imported += epoch.stats.donor_rows_imported;
         sweep.donor_chain_hits += epoch.stats.donor_chain_hits;
-        sweep.repaired_rows += epoch.stats.repaired_rows;
         sweep.pipeline_secs += epoch.stats.pipeline_secs;
         sweep.advance_secs += epoch.stats.advance_secs;
         for p in &epoch.result.pairs {
@@ -469,19 +398,29 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
             );
         }
     }
-    sweep.donor_hit_rate =
-        (sweep.donor_chain_hits + sweep.repaired_rows) as f64 / sweep.sssp_computed.max(1) as f64;
+    sweep.donor_hit_rate = sweep.donor_chain_hits as f64 / sweep.sssp_computed.max(1) as f64;
     (sweep, checksum)
 }
 
-/// Phase 4's reader-thread rungs.
+/// Phase 3's reader-thread rungs.
 const QUERY_READERS: [usize; 3] = [1, 2, 8];
 
-/// One query-throughput ladder run (phase 4): `readers` concurrent
+/// Pairs in phase 3's fixed probe list: the review driver asks
+/// `distance` and `delta` of each against every epoch it publishes.
+const MIX_PROBES: usize = 1024;
+
+/// The `i`-th query pair over an `n`-node universe (readers and the probe
+/// list share this spread).
+fn query_pair(i: usize, n: usize) -> (NodeId, NodeId) {
+    (NodeId::new(i % n), NodeId::new((i * 31 + 7) % n))
+}
+
+/// One query-throughput ladder run (phase 3): `readers` concurrent
 /// threads issue point queries (`distance` + `delta`) against whatever
 /// epoch is currently published while the main thread replays the
-/// [`STREAM_CUTS`] reviews. With `readers == 0` this is the reader-free
-/// twin that pins the ledger.
+/// [`STREAM_CUTS`] reviews, asking the [`MIX_PROBES`] probe list of each
+/// epoch right after publishing it. With `readers == 0` this is the
+/// reader-free twin that pins the ledger.
 fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> QuerySweep {
     let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
     let n = t.num_nodes();
@@ -497,13 +436,15 @@ fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Que
         StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(STREAM_CUTS[0])), cfg);
     let q = QueryEngine::new(engine.reader());
     let stop = AtomicBool::new(false);
-    let tallies = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+    let queries = AtomicU64::new(0);
     let started = Instant::now();
     // The review driver runs on the caller thread; readers run on a
     // dedicated pool (not the global one, which the reviews' oracles
     // use for their own fan-out and which runs one batch at a time).
-    let drive = |engine: &mut StreamEngine| -> u64 {
+    // Returns the summed ledger and the probe list's answer mix.
+    let drive = |engine: &mut StreamEngine| -> (u64, [u64; 3]) {
         let mut ledger = 0u64;
+        let mut mix = [0u64; 3];
         for w in STREAM_CUTS.windows(2) {
             for &e in &t.events()[prefix(w[0])..prefix(w[1])] {
                 match engine.ingest(e) {
@@ -514,11 +455,22 @@ fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Que
                 }
             }
             ledger += engine.review().result.budget.total();
+            let view = q.epoch();
+            for i in 0..MIX_PROBES {
+                let (u, v) = query_pair(i, n);
+                for ans in [view.distance(u, v), view.delta(u, v)] {
+                    mix[match ans {
+                        Answer::Exact(_) => 0,
+                        Answer::Bounded { .. } => 1,
+                        Answer::Unknown => 2,
+                    }] += 1;
+                }
+            }
         }
         stop.store(true, Ordering::Relaxed);
-        ledger
+        (ledger, mix)
     };
-    let ledger = if readers == 0 {
+    let (ledger, [exact, bounded, unknown]) = if readers == 0 {
         drive(&mut engine)
     } else {
         let pool = cp_exec::Executor::new(readers);
@@ -530,16 +482,9 @@ fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Que
                 let mut i = r;
                 while !stop.load(Ordering::Relaxed) {
                     let view = q.epoch();
-                    let u = NodeId::new(i % n);
-                    let v = NodeId::new((i * 31 + 7) % n);
-                    for ans in [view.distance(u, v), view.delta(u, v)] {
-                        let slot = match ans {
-                            Answer::Exact(_) => 0,
-                            Answer::Bounded { .. } => 1,
-                            Answer::Unknown => 2,
-                        };
-                        tallies[slot].fetch_add(1, Ordering::Relaxed);
-                    }
+                    let (u, v) = query_pair(i, n);
+                    std::hint::black_box((view.distance(u, v), view.delta(u, v)));
+                    queries.fetch_add(2, Ordering::Relaxed);
                     i = i.wrapping_add(readers);
                 }
             },
@@ -547,8 +492,7 @@ fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Que
         )
     };
     let secs = started.elapsed().as_secs_f64();
-    let [exact, bounded, unknown] = tallies.map(AtomicU64::into_inner);
-    let queries = exact + bounded + unknown;
+    let queries = queries.into_inner();
     QuerySweep {
         dataset: String::new(),
         readers,
@@ -572,8 +516,7 @@ fn main() {
 
     eprintln!(
         "pipeline_baseline: scale {}, seed {}, m {m}; phase 1 (eval pair): 1 thread vs \
-         1 thread + repair vs {threads_multi} threads; phase 2 (t1 = {REPAIR_T1}): repair \
-         off vs on",
+         1 thread + row cache vs {threads_multi} threads",
         opts.scale, opts.seed
     );
 
@@ -588,16 +531,13 @@ fn main() {
     ];
     let mut sweeps: Vec<SweepTiming> = Vec::new();
     let mut datasets: Vec<DatasetSummary> = Vec::new();
-    let mut repair: Vec<RepairSummary> = Vec::new();
     let mut stream_ladder: Vec<StreamSweep> = Vec::new();
     let mut stream: Vec<StreamSummary> = Vec::new();
     let mut query_ladder: Vec<QuerySweep> = Vec::new();
-    let mut query_answer_totals = [0u64; 3]; // phase 4: [exact, bounded, unknown]
+    let mut query_answer_totals = [0u64; 3]; // phase 3: [exact, bounded, unknown]
     let mut query_budget_charged = 0u64;
     let mut query_qps_peak = 0.0f64;
     let mut totals = [0.0f64; 3];
-    let mut t2_totals = [0.0f64; 2]; // phase 2: [cache-off, cache-on]
-    let mut repair_speedup_max = 0.0f64;
     let mut stream_hit_totals = [[0u64; 2]; 2]; // [chained, rebuilt] × [hits, charged]
     let mut stream_gain_datasets = 0usize;
 
@@ -629,14 +569,13 @@ fn main() {
             let best = bests[slot].take().expect("REPEATS >= 1");
             eprintln!(
                 "  {name} [cache={}] @ {threads} thread(s): {:.3}s suite, {:.3}s sssp \
-                 ({:.4}s t2, {} SSSPs, {} waves, {} repaired, {} scan chunks skipped)",
+                 ({:.4}s t2, {} SSSPs, {} waves, {} scan chunks skipped)",
                 cache.describe(),
                 best.secs,
                 best.sssp_secs,
                 best.sssp_t2_secs,
                 best.sssp_computed,
                 best.msbfs_waves,
-                best.repaired_rows,
                 best.scan_chunks_skipped,
             );
             totals[slot] += best.secs;
@@ -667,51 +606,12 @@ fn main() {
             single_sssp_secs,
             multi_thread_secs: per_config[SLOT_MULTI],
             best_config_secs: per_config[SLOT_SINGLE]
-                .min(per_config[SLOT_REPAIR])
+                .min(per_config[SLOT_CACHE])
                 .min(per_config[SLOT_MULTI]),
             thread_regression,
         });
 
-        // ---- Phase 2: repair on the tight (incremental) pair ----
-        let (r1, r2) = t.snapshot_pair(REPAIR_T1, 1.0);
-        let delta_edges = snapshot_delta(&r1, &r2).inserted.len();
-        let mut phase2 = [SuiteRun::default(), SuiteRun::default()];
-        for (i, cache) in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded]
-            .into_iter()
-            .enumerate()
-        {
-            let best = best_of(
-                || run_suite(&r1, &r2, &suite, &spec, m, opts.seed, 1, cache),
-                |r| r.sssp_t2_secs,
-            );
-            sweeps.push(best.timing(format!("{name} (t1={REPAIR_T1})"), 1, cache));
-            phase2[i] = best;
-        }
-        let [off, on] = phase2;
-        let speedup = off.sssp_t2_secs / on.sssp_t2_secs.max(f64::MIN_POSITIVE);
-        eprintln!(
-            "  {name} (t1={REPAIR_T1}, delta {delta_edges} edges): t2 path {:.4}s off vs \
-             {:.4}s on — {speedup:.2}x repair ({} rows, avg region {:.0})",
-            off.sssp_t2_secs,
-            on.sssp_t2_secs,
-            on.repaired_rows,
-            on.repair_frontier_nodes as f64 / on.repaired_rows.max(1) as f64,
-        );
-        t2_totals[0] += off.sssp_t2_secs;
-        t2_totals[1] += on.sssp_t2_secs;
-        repair_speedup_max = repair_speedup_max.max(speedup);
-        repair.push(RepairSummary {
-            dataset: name.to_string(),
-            t1_fraction: REPAIR_T1,
-            delta_edges,
-            repair_off_t2_secs: off.sssp_t2_secs,
-            repair_on_t2_secs: on.sssp_t2_secs,
-            repair_speedup: speedup,
-            repaired_rows: on.repaired_rows,
-            avg_frontier: on.repair_frontier_nodes as f64 / on.repaired_rows.max(1) as f64,
-        });
-
-        // ---- Phase 3: streaming ladder, chained vs per-step rebuild ----
+        // ---- Phase 2: streaming ladder, chained vs per-step rebuild ----
         let mut per_mode_stream = [StreamSweep::default(), StreamSweep::default()];
         let mut checksums = [0u64; 2];
         for (i, chain) in [true, false].into_iter().enumerate() {
@@ -729,7 +629,7 @@ fn main() {
             sweep.dataset = name.to_string();
             eprintln!(
                 "  {name} stream [{}] {} reviews, {} events: {:.4}s pipeline, {} SSSPs, \
-                 {} donors imported, {} chain hits + {} repairs ({:.0}% hit rate)",
+                 {} donors imported, {} chain hits ({:.0}% hit rate)",
                 sweep.mode,
                 sweep.reviews,
                 sweep.events,
@@ -737,7 +637,6 @@ fn main() {
                 sweep.sssp_computed,
                 sweep.donor_rows_imported,
                 sweep.donor_chain_hits,
-                sweep.repaired_rows,
                 100.0 * sweep.donor_hit_rate,
             );
             checksums[i] = checksum;
@@ -761,9 +660,9 @@ fn main() {
             100.0 * chained_run.donor_hit_rate,
             100.0 * rebuilt_run.donor_hit_rate,
         );
-        stream_hit_totals[0][0] += chained_run.donor_chain_hits + chained_run.repaired_rows;
+        stream_hit_totals[0][0] += chained_run.donor_chain_hits;
         stream_hit_totals[0][1] += chained_run.sssp_computed;
-        stream_hit_totals[1][0] += rebuilt_run.donor_chain_hits + rebuilt_run.repaired_rows;
+        stream_hit_totals[1][0] += rebuilt_run.donor_chain_hits;
         stream_hit_totals[1][1] += rebuilt_run.sssp_computed;
         if chained_run.donor_hit_rate > rebuilt_run.donor_hit_rate {
             stream_gain_datasets += 1;
@@ -779,7 +678,7 @@ fn main() {
             stream_speedup,
         });
 
-        // ---- Phase 4: query-throughput ladder over published epochs ----
+        // ---- Phase 3: query-throughput ladder over published epochs ----
         let twin = run_query_ladder(&t, m, opts.seed, 0);
         for readers in QUERY_READERS {
             let mut sweep = run_query_ladder(&t, m, opts.seed, readers);
@@ -795,7 +694,7 @@ fn main() {
             query_qps_peak = query_qps_peak.max(sweep.qps);
             eprintln!(
                 "  {name} query [{readers} readers] {} queries in {:.4}s ({:.0} q/s): \
-                 {} exact, {} bounded, {} unknown; ledger {} (= twin, 0 charged)",
+                 probe mix {} exact, {} bounded, {} unknown; ledger {} (= twin, 0 charged)",
                 sweep.queries,
                 sweep.secs,
                 sweep.qps,
@@ -817,17 +716,13 @@ fn main() {
         m,
         repeats: REPEATS,
         threads_multi,
-        repair_t1_fraction: REPAIR_T1,
         sweeps,
         datasets,
-        repair,
         stream_ladder,
         stream,
         query_ladder,
         single_thread_secs: totals[SLOT_SINGLE],
         multi_thread_secs: totals[SLOT_MULTI],
-        repair_speedup: t2_totals[0] / t2_totals[1].max(f64::MIN_POSITIVE),
-        repair_speedup_max,
         stream_chained_hit_rate: stream_hit_totals[0][0] as f64
             / stream_hit_totals[0][1].max(1) as f64,
         stream_rebuilt_hit_rate: stream_hit_totals[1][0] as f64
@@ -839,7 +734,7 @@ fn main() {
         query_budget_charged,
         query_qps_peak,
         best_config_secs: totals[SLOT_SINGLE]
-            .min(totals[SLOT_REPAIR])
+            .min(totals[SLOT_CACHE])
             .min(totals[SLOT_MULTI]),
         thread_regression,
         exec_steals,
@@ -848,15 +743,10 @@ fn main() {
     std::fs::write(out, &rendered).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("{rendered}");
     eprintln!(
-        "wrote {out}: incremental t2 path {:.4}s repair-off vs {:.4}s repair-on ({:.2}x \
-         repair, best dataset {:.2}x); streaming ladder hit rate {:.0}% chained vs {:.0}% \
+        "wrote {out}: streaming ladder hit rate {:.0}% chained vs {:.0}% \
          rebuilt ({} datasets strictly ahead); query ladder peak {:.0} q/s ({} exact / {} \
          bounded / {} unknown, {} budget charged); suite {:.3}s single-thread, {:.3}s at {} \
          threads, {:.3}s at the best config ({} steals, thread regression: {})",
-        t2_totals[0],
-        t2_totals[1],
-        baseline.repair_speedup,
-        baseline.repair_speedup_max,
         100.0 * baseline.stream_chained_hit_rate,
         100.0 * baseline.stream_rebuilt_hit_rate,
         baseline.stream_gain_datasets,

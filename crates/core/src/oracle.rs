@@ -8,7 +8,7 @@
 //! selectors reuse their `G_t1` rows), and a hard cap turns overdraft into
 //! an error instead of a silently broken experiment.
 //!
-//! # The snapshot-delta row cache
+//! # The paid/resident row cache
 //!
 //! Two orthogonal facts about a row are tracked separately:
 //!
@@ -21,29 +21,20 @@
 //!   row that was evicted is recomputed **free of charge** on its next
 //!   read. Residency only moves wall clock and memory, never results.
 //!
-//! Residency is what powers **snapshot-delta repair**: the evolution model
-//! grows the graph (`G_t1 ⊆ G_t2`), so when the `t1` row of a source is
-//! resident, its `t2` row is derived by [`cp_graph::repair`] — seed a
-//! frontier from the inserted edges and relax only the shrinking region —
-//! instead of a full sweep. Repaired rows bypass the multi-source BFS
-//! waves but still charge one SSSP each: the paper's cost model counts
-//! rows, not how cleverly they were produced.
-//!
 //! # Row kernels
 //!
-//! Fresh rows take one path: batched prefetches run 64-source MS-BFS
-//! waves, singleton and fallback rows the direction-optimizing
-//! [`cp_graph::bfs::bfs_into`], and weighted snapshots Dijkstra. The two
-//! runtime knobs are `CP_THREADS` and `CP_ROW_CACHE`; neither changes a
-//! row's bytes. The plain top-down BFS is a test reference that every
-//! cached row is checked against, not a runtime option.
+//! Fresh rows take one path in both snapshots: batched prefetches run
+//! 64-source MS-BFS waves, singleton and fallback rows the
+//! direction-optimizing [`cp_graph::bfs::bfs_into`], and weighted
+//! snapshots Dijkstra. Each charged row costs one SSSP however it is
+//! computed: the paper's cost model counts rows. The two runtime knobs
+//! are `CP_THREADS` and `CP_ROW_CACHE`; neither changes a row's bytes.
+//! The plain top-down BFS is a test reference that every cached row is
+//! checked against, not a runtime option.
 
 use cp_graph::bfs::{bfs_into, BfsWorkspace, TraversalWork};
 use cp_graph::dijkstra::dijkstra_into;
 use cp_graph::msbfs::{msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
-use cp_graph::repair::{
-    bfs_repair_into, dijkstra_repair_into, snapshot_delta, RepairWorkspace, SnapshotDelta,
-};
 use cp_graph::rowpack::{
     copy_row_into, fits_u16, pack_u16_into, widen_u16_into, RowArena, RowId, RowRef,
 };
@@ -69,14 +60,6 @@ const ROW_PIN_COUNT: usize = 2;
 struct PrefetchScratch {
     ws: BfsWorkspace,
     msws: MsBfsWorkspace,
-}
-
-/// Per-worker persistent scratch of the batched repair pass.
-#[derive(Default)]
-struct RepairScratch {
-    ws: BfsWorkspace,
-    rws: RepairWorkspace,
-    wide: Vec<u32>,
 }
 
 /// The unweighted SSSP kernel a run reports. The oracle always runs
@@ -121,29 +104,27 @@ impl GraphStore {
 /// The budget bounds *residency only*: which rows' bytes are held. Paid
 /// status — and with it admission, the ledger, and the candidate set — is
 /// tracked separately, so every budget produces bit-identical results;
-/// a smaller budget just trades recomputation for memory and disables
-/// fewer/more snapshot-delta repairs (a repair needs its `t1` donor row
-/// resident).
+/// a smaller budget just trades recomputation for memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RowCacheBudget {
-    /// Keep every paid row resident (the default): repair always finds its
-    /// donor and nothing is ever recomputed.
+    /// Keep every paid row resident (the default): nothing is ever
+    /// recomputed.
     #[default]
     Unbounded,
     /// Hold at most this many row-payload bytes at the *packed* width —
     /// 2 bytes per node for `u16`-packed unweighted rows, 4 for `u32`
     /// rows, so packing fits about twice the rows in the same budget —
     /// evicting least-recently-used rows beyond the [`ROW_PIN_COUNT`]
-    /// most recent. `Bytes(0)` additionally disables snapshot-delta
-    /// repair entirely — the pre-cache compute path, used by A/B runs and
-    /// the conformance suite.
+    /// most recent. `Bytes(0)` keeps nothing resident beyond those pinned
+    /// rows: every later read of a paid row recomputes it, and the
+    /// streaming engine's donor chaining switches off.
     Bytes(usize),
 }
 
 impl RowCacheBudget {
     /// Reads `CP_ROW_CACHE`: unset or `unbounded` → [`Self::Unbounded`];
     /// a byte count with optional `k`/`m`/`g` (or `kb`/`mb`/`gb`) suffix →
-    /// [`Self::Bytes`]; `0` disables the delta cache. Unparseable values
+    /// [`Self::Bytes`]; `0` keeps nothing resident. Unparseable values
     /// fall back to the default with a one-time (per process) stderr
     /// warning: a typo like `CP_ROW_CACHE=64x` silently running unbounded
     /// has burned enough CI legs that the fallback is no longer silent.
@@ -190,11 +171,6 @@ impl RowCacheBudget {
             RowCacheBudget::Bytes(b) => b.to_string(),
         }
     }
-
-    /// Whether snapshot-delta repair may run under this budget.
-    fn repair_enabled(self) -> bool {
-        self != RowCacheBudget::Bytes(0)
-    }
 }
 
 /// The SSSP pruning mode a run reports. Every charged SSSP runs to
@@ -216,12 +192,12 @@ impl SsspPrune {
 
 /// Per-kernel work counters: how the charged SSSPs were actually computed.
 ///
-/// `msbfs_rows + bfs_rows + dijkstra_rows + repair_rows` plus the oracle's
-/// [`SnapshotOracle::chained_rows`] (rows charged whose bytes arrived via
-/// a donor hand-off) equals the number of fresh *charged* rows (= ledger
-/// total); free recomputations of evicted rows are counted by
-/// [`SnapshotOracle::recomputed_rows`] instead. `msbfs_waves` counts
-/// graph sweeps, each covering up to 64 of the `msbfs_rows`.
+/// [`Self::rows`] plus the oracle's [`SnapshotOracle::chained_rows`]
+/// (rows charged whose bytes arrived via a donor hand-off) equals the
+/// number of fresh *charged* rows (= ledger total); free recomputations
+/// of evicted rows are counted by [`SnapshotOracle::recomputed_rows`]
+/// instead. `msbfs_waves` counts graph sweeps, each covering up to 64 of
+/// the `msbfs_rows`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStats {
     /// Multi-source waves run (one graph sweep each).
@@ -232,9 +208,14 @@ pub struct KernelStats {
     pub bfs_rows: u64,
     /// Rows produced by Dijkstra (weighted snapshots).
     pub dijkstra_rows: u64,
-    /// `t2` rows produced by snapshot-delta repair from a resident `t1`
-    /// donor row (BFS-repair or Dijkstra-repair by weightedness).
-    pub repair_rows: u64,
+}
+
+impl KernelStats {
+    /// Charged rows a kernel ran for: `msbfs_rows + bfs_rows +
+    /// dijkstra_rows`.
+    pub fn rows(&self) -> u64 {
+        self.msbfs_rows + self.bfs_rows + self.dijkstra_rows
+    }
 }
 
 /// Which accounting bucket an SSSP computation lands in (paper Table 1).
@@ -501,10 +482,6 @@ impl RowCache {
             self.evictions += 1;
         }
     }
-
-    fn repair_enabled(&self) -> bool {
-        self.budget.repair_enabled()
-    }
 }
 
 /// Occupancy counters of the row cache's slab arenas.
@@ -570,12 +547,8 @@ pub struct SnapshotOracle<'a> {
     phase: Phase,
     ledger: BudgetLedger,
     cache: RowCache,
-    /// Lazily computed edge delta; `Some` once any `t2` row was requested
-    /// while repair was enabled.
-    delta: Option<SnapshotDelta>,
     ws: BfsWorkspace,
     msws: MsBfsWorkspace,
-    rws: RepairWorkspace,
     /// Widening buffers for the `u32` row API over `u16`-packed residents
     /// (one per snapshot so [`Self::rows`] can return both at once).
     wide1: Vec<u32>,
@@ -587,8 +560,6 @@ pub struct SnapshotOracle<'a> {
     sssp_t2_secs: f64,
     cache_hits: u64,
     cache_misses: u64,
-    repaired_rows: u64,
-    repair_frontier: u64,
     recomputed_rows: u64,
     chained_rows: u64,
     /// The injected worker pool (callers that need isolated
@@ -599,8 +570,6 @@ pub struct SnapshotOracle<'a> {
     /// vector allocation is amortized across batches (satellite of the
     /// executor PR: no per-item `Mutex`, one writer per slot).
     item_slots: Vec<(ItemResult, f64)>,
-    /// Reused result slots for the batched repair pass.
-    repair_slots: Vec<(Vec<u32>, Option<usize>, f64)>,
 }
 
 impl<'a> SnapshotOracle<'a> {
@@ -634,10 +603,8 @@ impl<'a> SnapshotOracle<'a> {
                 fits_u16(g1),
                 fits_u16(g2),
             ),
-            delta: None,
             ws: BfsWorkspace::new(),
             msws: MsBfsWorkspace::new(),
-            rws: RepairWorkspace::new(),
             wide1: Vec::new(),
             wide2: Vec::new(),
             threads: cp_exec::threads_from_env(),
@@ -647,13 +614,10 @@ impl<'a> SnapshotOracle<'a> {
             sssp_t2_secs: 0.0,
             cache_hits: 0,
             cache_misses: 0,
-            repaired_rows: 0,
-            repair_frontier: 0,
             recomputed_rows: 0,
             chained_rows: 0,
             exec: None,
             item_slots: Vec::new(),
-            repair_slots: Vec::new(),
         }
     }
 
@@ -706,9 +670,7 @@ impl<'a> SnapshotOracle<'a> {
     }
 
     /// Total nodes settled and adjacency entries examined by the SSSP
-    /// kernels across every charged or free row this oracle computed
-    /// (repair-frontier work is tracked by [`Self::repair_frontier_nodes`]
-    /// instead).
+    /// kernels across every charged or free row this oracle computed.
     pub fn traversal_work(&self) -> TraversalWork {
         self.work
     }
@@ -765,18 +727,6 @@ impl<'a> SnapshotOracle<'a> {
         self.kstats
     }
 
-    /// `t2` rows produced by snapshot-delta repair (charged or free).
-    pub fn repaired_rows(&self) -> u64 {
-        self.repaired_rows
-    }
-
-    /// Total nodes settled by repair frontiers — the work actually done in
-    /// place of full sweeps; divide by [`Self::repaired_rows`] for the mean
-    /// shrinking-region size.
-    pub fn repair_frontier_nodes(&self) -> u64 {
-        self.repair_frontier
-    }
-
     /// Paid rows recomputed free of charge after LRU eviction (always 0
     /// under [`RowCacheBudget::Unbounded`]).
     pub fn recomputed_rows(&self) -> u64 {
@@ -820,8 +770,7 @@ impl<'a> SnapshotOracle<'a> {
     /// previous review's published `t2` rows) — resident but **unpaid**,
     /// so the first use of each row is still charged to this oracle's own
     /// ledger (and then counted in [`Self::chained_rows`] instead of
-    /// running a kernel), and repair can use the `t1` imports as donors
-    /// for `t2` sweeps. Ledger, admission order, and results are
+    /// running a kernel). Ledger, admission order, and results are
     /// bit-identical with or without an import; only the work done per
     /// charge changes.
     ///
@@ -865,9 +814,6 @@ impl<'a> SnapshotOracle<'a> {
 
     /// Seconds spent producing `G_t2` rows specifically, summed per work
     /// item across workers (so it is comparable across thread counts).
-    /// This is the time snapshot-delta repair attacks; `pipeline_baseline`
-    /// reports `repair off / repair on` of this number as the repair
-    /// speedup.
     pub fn sssp_t2_secs(&self) -> f64 {
         self.sssp_t2_secs
     }
@@ -969,76 +915,19 @@ impl<'a> SnapshotOracle<'a> {
         Ok(())
     }
 
-    /// Ensures the snapshot delta is computed; `true` iff repair may run
-    /// (cache budget allows it and the pair is growth-only).
-    fn repair_ready(&mut self) -> bool {
-        if !self.cache.repair_enabled() {
-            return false;
-        }
-        let (g1, g2) = (self.g1, self.g2);
-        self.delta
-            .get_or_insert_with(|| snapshot_delta(g1, g2))
-            .growth_only
-    }
-
-    /// Computes one row by a full sweep, repairing `t2` rows
-    /// from a resident `t1` donor when possible. `charged` routes the
-    /// per-kernel accounting (free recomputations stay out of
-    /// [`KernelStats`] so its row sum keeps matching the ledger).
+    /// Computes one row by a full sweep. `charged` routes the per-kernel
+    /// accounting (free recomputations stay out of [`KernelStats`] so its
+    /// row sum keeps matching the ledger).
     fn compute_one(&mut self, which: Snapshot, u: NodeId, charged: bool) -> Vec<u32> {
         let started = std::time::Instant::now();
-        let try_repair = which == Snapshot::Second && self.repair_ready();
         let graph = self.graph_of(which);
-        let weighted = graph.is_weighted();
         let mut dist = Vec::new();
-        let mut work = TraversalWork::new();
-        let mut settled = None;
-        let SnapshotOracle {
-            cache,
-            delta,
-            ws,
-            rws,
-            ..
-        } = self;
-        if try_repair {
-            let delta = delta.as_ref().expect("repair_ready computed it");
-            let mut donor_wide = Vec::new();
-            let t1: Option<&[u32]> = match cache.get_ref(Snapshot::First, u) {
-                Some(RowRef::U32(r)) => Some(r),
-                Some(RowRef::U16(p)) => {
-                    widen_u16_into(p, &mut donor_wide);
-                    Some(donor_wide.as_slice())
-                }
-                None => None,
-            };
-            if let Some(t1) = t1 {
-                settled = Some(if weighted {
-                    dijkstra_repair_into(graph, t1, &delta.inserted, &mut dist, rws)
-                } else {
-                    bfs_repair_into(graph, t1, &delta.inserted, &mut dist, rws)
-                });
-            }
-        }
-        if settled.is_none() {
-            work = compute_row_fresh(graph, u, &mut dist, ws);
-        }
-        match settled {
-            Some(settled) => {
-                self.repaired_rows += 1;
-                self.repair_frontier += settled as u64;
-                if charged {
-                    self.kstats.repair_rows += 1;
-                }
-            }
-            None if weighted => {
-                if charged {
-                    self.kstats.dijkstra_rows += 1;
-                }
-            }
-            None => {
-                if charged {
-                    self.kstats.bfs_rows += 1;
-                }
+        let work = compute_row_fresh(graph, u, &mut dist, &mut self.ws);
+        if charged {
+            if graph.is_weighted() {
+                self.kstats.dijkstra_rows += 1;
+            } else {
+                self.kstats.bfs_rows += 1;
             }
         }
         self.work.merge(work);
@@ -1348,47 +1237,16 @@ impl<'a> SnapshotOracle<'a> {
         }
     }
 
-    /// Computes an admitted (deduplicated, already charged) job batch.
-    /// When the snapshot pair is growth-only and repair is enabled, `t2`
-    /// jobs whose `t1` donor row is either already resident or planned in
-    /// this very batch peel off into a repair pass that runs **after** the
-    /// full computations have merged — so a candidate's freshly computed
-    /// `t1` row immediately donates to its own `t2` row. Repaired rows
-    /// bypass the multi-source waves; each still carries its one-SSSP
-    /// charge from admission.
+    /// Computes an admitted (deduplicated, already charged) job batch — in
+    /// parallel above [`PARALLEL_ROW_CUTOFF`], inline otherwise. Jobs of
+    /// both snapshots are grouped into kernel work items first
+    /// (multi-source waves, see [`Self::plan_items`]); the scoped-worker
+    /// fan-out then distributes *items*, so wave batching composes with
+    /// thread parallelism. Each worker owns its scratch; the shared state
+    /// is one atomic item cursor and disjoint per-item result slots. Row
+    /// contents are thread-invariant, so cache, ledger, and every later
+    /// read are identical under any configuration.
     fn compute_jobs(&mut self, jobs: &[(Snapshot, u32)]) {
-        if jobs.is_empty() {
-            return;
-        }
-        if !self.repair_ready() {
-            self.compute_full_jobs(jobs);
-            return;
-        }
-        let planned1: HashSet<u32> = jobs
-            .iter()
-            .filter(|j| j.0 == Snapshot::First)
-            .map(|j| j.1)
-            .collect();
-        type Jobs = Vec<(Snapshot, u32)>;
-        let (repairable, full): (Jobs, Jobs) = jobs.iter().copied().partition(|&(which, u)| {
-            which == Snapshot::Second
-                && (planned1.contains(&u)
-                    || self.cache.get_ref(Snapshot::First, NodeId(u)).is_some())
-        });
-        self.compute_full_jobs(&full);
-        self.compute_repair_jobs(&repairable);
-    }
-
-    /// Full-sweep computation of a job batch — in parallel above
-    /// [`PARALLEL_ROW_CUTOFF`], inline otherwise. Jobs are grouped into
-    /// kernel work items first (multi-source waves, see
-    /// [`Self::plan_items`]); the scoped-worker fan-out then distributes
-    /// *items*, so wave batching composes with thread parallelism. Each
-    /// worker owns its scratch; the shared state is one atomic item cursor
-    /// and disjoint per-item result slots. Row contents are
-    /// thread-invariant, so cache, ledger, and every later read are
-    /// identical under any configuration.
-    fn compute_full_jobs(&mut self, jobs: &[(Snapshot, u32)]) {
         if jobs.is_empty() {
             return;
         }
@@ -1466,78 +1324,6 @@ impl<'a> SnapshotOracle<'a> {
         self.item_slots = slots;
     }
 
-    /// The repair pass of a batch: every job is a `t2` row whose donor was
-    /// expected. Donor lookups are frozen against the post-full-pass cache
-    /// state *before* any computation (identical inline or fanned out, at
-    /// any thread count); a job whose donor was meanwhile evicted falls
-    /// back to a full sweep — same bits either way.
-    fn compute_repair_jobs(&mut self, jobs: &[(Snapshot, u32)]) {
-        if jobs.is_empty() {
-            return;
-        }
-        let started = std::time::Instant::now();
-        let g2 = self.g2;
-        let weighted = g2.is_weighted();
-        let mut slots = std::mem::take(&mut self.repair_slots);
-        slots.clear();
-        let exec = self.exec.clone();
-        let SnapshotOracle {
-            cache,
-            delta,
-            ws,
-            rws,
-            threads,
-            ..
-        } = &mut *self;
-        let delta = delta.as_ref().expect("repair pass needs the delta");
-        let donors: Vec<Option<RowRef<'_>>> = jobs
-            .iter()
-            .map(|&(_, u)| cache.get_ref(Snapshot::First, NodeId(u)))
-            .collect();
-        let threads = (*threads).min(jobs.len()).max(1);
-        if threads == 1 || jobs.len() < PARALLEL_ROW_CUTOFF {
-            let mut wide = Vec::new();
-            slots.extend(jobs.iter().zip(&donors).map(|(&(_, u), &donor)| {
-                repair_item(g2, NodeId(u), donor, delta, ws, rws, &mut wide)
-            }));
-        } else {
-            // Pre-sized one-writer-per-slot results on the persistent
-            // pool; the slot vector is reused across batches.
-            slots.resize_with(jobs.len(), Default::default);
-            let exec: &cp_exec::Executor = match exec.as_deref() {
-                Some(e) => e,
-                None => cp_exec::global(),
-            };
-            let donors = &donors;
-            exec.run(&mut slots, threads, |i, slot, ctx| {
-                let RepairScratch { ws, rws, wide } = ctx.scratch.get_or(RepairScratch::default);
-                *slot = repair_item(g2, NodeId(jobs[i].1), donors[i], delta, ws, rws, wide);
-            });
-        }
-        drop(donors);
-        for (i, (dist, settled, secs)) in slots.drain(..).enumerate() {
-            let u = NodeId(jobs[i].1);
-            self.sssp_t2_secs += secs;
-            match settled {
-                Some(s) => {
-                    self.repaired_rows += 1;
-                    self.repair_frontier += s as u64;
-                    self.kstats.repair_rows += 1;
-                }
-                None => {
-                    if weighted {
-                        self.kstats.dijkstra_rows += 1;
-                    } else {
-                        self.kstats.bfs_rows += 1;
-                    }
-                }
-            }
-            self.cache.insert(Snapshot::Second, u, RowRef::U32(&dist));
-        }
-        self.repair_slots = slots;
-        self.sssp_secs += started.elapsed().as_secs_f64();
-    }
-
     /// Plans the kernel work items for a job batch: the unweighted jobs of
     /// each snapshot are chunked, in admission order, into multi-source
     /// waves of at most [`WAVE_WIDTH`] sources; weighted jobs become
@@ -1585,8 +1371,8 @@ struct ItemResult {
 }
 
 /// Computes one row from scratch — direction-optimizing BFS, or Dijkstra
-/// on a weighted snapshot — returning the traversal work (no repair, no
-/// stats — also the shared-read fallback of [`SnapshotOracle::read_rows`]).
+/// on a weighted snapshot — returning the traversal work (no stats — also
+/// the shared-read fallback of [`SnapshotOracle::read_rows`]).
 fn compute_row_fresh(
     graph: &Graph,
     u: NodeId,
@@ -1627,45 +1413,6 @@ fn compute_item(
         })
         .collect();
     ItemResult { rows, work }
-}
-
-/// Runs one repair-pass job: a snapshot-delta repair when the donor row is
-/// available, a full sweep otherwise. A `u16`-packed donor is widened into
-/// the worker's `wide` buffer first (the repair kernels take canonical
-/// `u32` rows). Returns the row, `Some(settled)` iff repaired, and the
-/// item's seconds.
-fn repair_item(
-    g2: &Graph,
-    u: NodeId,
-    donor: Option<RowRef<'_>>,
-    delta: &SnapshotDelta,
-    ws: &mut BfsWorkspace,
-    rws: &mut RepairWorkspace,
-    wide: &mut Vec<u32>,
-) -> (Vec<u32>, Option<usize>, f64) {
-    let started = std::time::Instant::now();
-    let mut dist = Vec::new();
-    let settled = match donor {
-        Some(r) => {
-            let t1: &[u32] = match r {
-                RowRef::U32(s) => s,
-                RowRef::U16(p) => {
-                    widen_u16_into(p, wide);
-                    wide.as_slice()
-                }
-            };
-            Some(if g2.is_weighted() {
-                dijkstra_repair_into(g2, t1, &delta.inserted, &mut dist, rws)
-            } else {
-                bfs_repair_into(g2, t1, &delta.inserted, &mut dist, rws)
-            })
-        }
-        None => {
-            compute_row_fresh(g2, u, &mut dist, ws);
-            None
-        }
-    };
-    (dist, settled, started.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
@@ -1774,25 +1521,21 @@ mod tests {
     }
 
     #[test]
-    fn t2_rows_are_repaired_from_t1_donors() {
+    fn t2_rows_match_fresh_bfs() {
         let (g1, g2) = graphs();
-        // Pin the cache on: this test asserts repairs happen even when the
-        // environment (e.g. the CI matrix leg) sets CP_ROW_CACHE=0.
         let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         for u in g1.nodes() {
             let (d1, d2) = o.rows(u).unwrap();
             assert_eq!(d1, cp_graph::bfs::bfs(&g1, u).as_slice(), "t1 of {u:?}");
             assert_eq!(d2, cp_graph::bfs::bfs(&g2, u).as_slice(), "t2 of {u:?}");
         }
-        // Every t2 row had its donor resident: all were repaired.
-        assert_eq!(o.repaired_rows(), 5);
-        assert_eq!(o.kernel_stats().repair_rows, 5);
-        assert_eq!(o.kernel_stats().bfs_rows, 5);
-        assert!(o.repair_frontier_nodes() > 0);
+        // One-at-a-time reads: every row of both snapshots is one BFS.
+        assert_eq!(o.kernel_stats().bfs_rows, 10);
+        assert_eq!(o.kernel_stats().rows(), o.ledger().total());
     }
 
     #[test]
-    fn disabled_cache_means_no_repairs_and_same_rows() {
+    fn disabled_cache_keeps_rows_and_ledger() {
         let (g1, g2) = graphs();
         let mut on = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
         let mut off = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Bytes(0));
@@ -1802,8 +1545,6 @@ mod tests {
             assert_eq!(a1, b1);
             assert_eq!(a2, b2);
         }
-        assert!(on.repaired_rows() > 0);
-        assert_eq!(off.repaired_rows(), 0);
         assert_eq!(on.ledger(), off.ledger());
     }
 
@@ -1856,7 +1597,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_snapshots_use_dijkstra_repair() {
+    fn weighted_snapshots_use_dijkstra() {
         let mut b1 = GraphBuilder::new(4);
         b1.add_weighted_edge(NodeId(0), NodeId(1), 3);
         b1.add_weighted_edge(NodeId(1), NodeId(2), 4);
@@ -1873,19 +1614,21 @@ mod tests {
             assert_eq!(d1, cp_graph::dijkstra::dijkstra(&g1, u).as_slice());
             assert_eq!(d2, cp_graph::dijkstra::dijkstra(&g2, u).as_slice());
         }
-        assert_eq!(o.repaired_rows(), 4);
-        assert_eq!(o.kernel_stats().dijkstra_rows, 4); // the four t1 rows
+        // Both snapshots' four rows each.
+        assert_eq!(o.kernel_stats().dijkstra_rows, 8);
+        assert_eq!(o.kernel_stats().rows(), o.ledger().total());
     }
 
     #[test]
-    fn non_growth_pairs_never_repair() {
+    fn non_growth_pairs_match_fresh_bfs() {
         let g1 = graph_from_edges(4, &[(0, 1), (1, 2)]);
         let g2 = graph_from_edges(4, &[(0, 1), (2, 3)]); // (1,2) removed
         let mut o = SnapshotOracle::unbounded(&g1, &g2);
         for u in g1.nodes() {
-            o.rows(u).unwrap();
+            let (d1, d2) = o.rows(u).unwrap();
+            assert_eq!(d1, cp_graph::bfs::bfs(&g1, u).as_slice(), "t1 of {u:?}");
+            assert_eq!(d2, cp_graph::bfs::bfs(&g2, u).as_slice(), "t2 of {u:?}");
         }
-        assert_eq!(o.repaired_rows(), 0);
         assert_eq!(o.kernel_stats().bfs_rows, 8);
     }
 
@@ -1964,9 +1707,6 @@ mod tests {
         assert_eq!(RowCacheBudget::parse("nope"), None);
         assert_eq!(Bytes(0).describe(), "0");
         assert_eq!(Unbounded.describe(), "unbounded");
-        assert!(!Bytes(0).repair_enabled());
-        assert!(Bytes(1).repair_enabled());
-        assert!(Unbounded.repair_enabled());
     }
 
     #[test]
@@ -2019,18 +1759,13 @@ mod tests {
             assert_eq!(c2, s2, "t2 of {u:?}");
         }
         // Every charge is honest: the ledgers agree, but the chained
-        // oracle served all five t1 rows from the import without a kernel
-        // (its t2 rows were then repaired from those donors).
+        // oracle served all five t1 rows from the import without a kernel.
         assert_eq!(chained.ledger().total(), scratch.ledger().total());
         assert_eq!(chained.chained_rows(), 5);
         assert_eq!(scratch.chained_rows(), 0);
         let ks = chained.kernel_stats();
         assert_eq!(
-            ks.msbfs_rows
-                + ks.bfs_rows
-                + ks.dijkstra_rows
-                + ks.repair_rows
-                + chained.chained_rows(),
+            ks.rows() + chained.chained_rows(),
             chained.ledger().total(),
             "charged-row invariant with chaining"
         );

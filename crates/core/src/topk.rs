@@ -45,8 +45,7 @@ pub struct PipelineStats {
     /// phases (selector probes included) — the time the BFS kernels own.
     pub sssp_secs: f64,
     /// Seconds of `sssp_secs` spent on `G_t2` rows specifically, summed
-    /// per work item (comparable across thread counts) — the time
-    /// snapshot-delta repair attacks.
+    /// per work item (comparable across thread counts).
     pub sssp_t2_secs: f64,
     /// Total SSSP computations charged (equals the ledger total).
     pub sssp_computed: u64,
@@ -54,12 +53,8 @@ pub struct PipelineStats {
     pub cache_hits: u64,
     /// Row requests that required a fresh computation.
     pub cache_misses: u64,
-    /// `t2` rows derived by snapshot-delta repair from a resident `t1`
-    /// donor row instead of a full sweep.
+    /// Always 0; remains only for the benchmark, which reports it.
     pub repaired_rows: u64,
-    /// Total nodes settled by repair frontiers; divide by
-    /// `repaired_rows` for the mean shrinking-region size.
-    pub repair_frontier_nodes: u64,
     /// Paid rows recomputed free of charge after LRU eviction (0 under
     /// the default unbounded row cache).
     pub recomputed_rows: u64,
@@ -71,8 +66,7 @@ pub struct PipelineStats {
     /// Always `auto`; remains only for the benchmark, which prints it.
     pub kernel: BfsKernel,
     /// Per-kernel work counters: multi-source waves and how many rows each
-    /// kernel produced (`msbfs_rows + bfs_rows + dijkstra_rows +
-    /// repair_rows` equals `sssp_computed`).
+    /// kernel produced (see [`Self::kernel_rows`]).
     pub kernel_stats: KernelStats,
     /// Always `auto`; remains only for the benchmark, which prints it.
     pub scan_kernel: ScanKernel,
@@ -109,6 +103,16 @@ pub struct PipelineStats {
     /// bleed into the deltas, so these are excluded from the
     /// bit-identical output contract.
     pub exec: cp_exec::ExecStats,
+}
+
+impl PipelineStats {
+    /// Charged rows by how they were produced: kernel rows plus rows
+    /// served from chained donors. Equals `sssp_computed` (the ledger
+    /// total) in every configuration; [`run_pipeline`] checks this in
+    /// debug builds.
+    pub fn kernel_rows(&self) -> u64 {
+        self.kernel_stats.rows() + self.chained_rows
+    }
 }
 
 /// Output of a budgeted run.
@@ -180,40 +184,45 @@ pub fn run_pipeline(
     let scan_secs = t_scan.elapsed().as_secs_f64();
 
     let (cache_hits, cache_misses) = oracle.cache_stats();
+    let stats = PipelineStats {
+        selector_secs,
+        prefetch_secs,
+        scan_secs,
+        sssp_secs: oracle.sssp_secs(),
+        sssp_t2_secs: oracle.sssp_t2_secs(),
+        sssp_computed: oracle.ledger().total(),
+        cache_hits,
+        cache_misses,
+        repaired_rows: 0,
+        recomputed_rows: oracle.recomputed_rows(),
+        cache_bytes: oracle.cache_bytes(),
+        threads: oracle.threads(),
+        kernel: BfsKernel::Auto,
+        kernel_stats: oracle.kernel_stats(),
+        scan_kernel: ScanKernel::Auto,
+        scan_chunks_scanned: scan_counters.chunks_scanned,
+        scan_chunks_skipped: scan_counters.chunks_skipped,
+        scan_pairs_pruned: scan_counters.pairs_pruned,
+        arena: oracle.arena_stats(),
+        sssp_prune: SsspPrune::Off,
+        settled_nodes: oracle.traversal_work().settled,
+        relaxed_edges: oracle.traversal_work().relaxed,
+        rows_truncated: 0,
+        rows_prefiltered: 0,
+        chained_rows: oracle.chained_rows(),
+        graph_store: GraphStore::Full,
+        exec: oracle.exec_stats().since(&exec_before),
+    };
+    debug_assert_eq!(
+        stats.kernel_rows(),
+        stats.sssp_computed,
+        "kernel row counters diverge from the ledger"
+    );
     BudgetedResult {
         pairs,
         candidates,
         budget: oracle.ledger(),
-        stats: PipelineStats {
-            selector_secs,
-            prefetch_secs,
-            scan_secs,
-            sssp_secs: oracle.sssp_secs(),
-            sssp_t2_secs: oracle.sssp_t2_secs(),
-            sssp_computed: oracle.ledger().total(),
-            cache_hits,
-            cache_misses,
-            repaired_rows: oracle.repaired_rows(),
-            repair_frontier_nodes: oracle.repair_frontier_nodes(),
-            recomputed_rows: oracle.recomputed_rows(),
-            cache_bytes: oracle.cache_bytes(),
-            threads: oracle.threads(),
-            kernel: BfsKernel::Auto,
-            kernel_stats: oracle.kernel_stats(),
-            scan_kernel: ScanKernel::Auto,
-            scan_chunks_scanned: scan_counters.chunks_scanned,
-            scan_chunks_skipped: scan_counters.chunks_skipped,
-            scan_pairs_pruned: scan_counters.pairs_pruned,
-            arena: oracle.arena_stats(),
-            sssp_prune: SsspPrune::Off,
-            settled_nodes: oracle.traversal_work().settled,
-            relaxed_edges: oracle.traversal_work().relaxed,
-            rows_truncated: 0,
-            rows_prefiltered: 0,
-            chained_rows: oracle.chained_rows(),
-            graph_store: GraphStore::Full,
-            exec: oracle.exec_stats().since(&exec_before),
-        },
+        stats,
     }
 }
 

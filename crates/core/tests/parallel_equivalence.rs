@@ -294,8 +294,8 @@ fn prefetch_batch_widths_are_kernel_invariant() {
     let (g1, g2) = grid_snapshots();
     for width in [1usize, 64, 65] {
         let nodes: Vec<NodeId> = (0..width as u32).map(NodeId).collect();
-        // The wave/repair expectations below need the delta cache on, so
-        // pin it against the environment (the CI matrix sets CP_ROW_CACHE=0).
+        // The row checks below read resident rows, so pin the cache on
+        // against the environment (the CI matrix sets CP_ROW_CACHE=0).
         let mut single = SnapshotOracle::unbounded(&g1, &g2)
             .with_threads(1)
             .with_row_cache(RowCacheBudget::Unbounded);
@@ -310,21 +310,20 @@ fn prefetch_batch_widths_are_kernel_invariant() {
             assert_rows_match_reference(&auto, &g1, &g2, u, &format!("width {width}"));
         }
         let ks = auto.kernel_stats();
-        // The snapshots grow (`g1 ⊆ g2`), so every `t2` row is repaired
-        // from its batch-mate `t1` donor and only the `t1` batch of
-        // `width` sources is chunked into ceil(width / 64) waves;
-        // single-row remainders go to plain BFS.
-        let (waves, wave_rows) = match width {
-            1 => (0, 0),
-            64 => (1, 64),
-            65 => (1, 64),
+        // Each snapshot's batch of `width` sources is chunked into
+        // ceil(width / 64) waves on its own; single-row remainders go to
+        // plain BFS.
+        let (waves, wave_rows, bfs_rows) = match width {
+            1 => (0, 0, 2),
+            64 => (2, 128, 0),
+            65 => (2, 128, 2),
             _ => unreachable!(),
         };
         assert_eq!(ks.msbfs_waves, waves, "width {width}");
         assert_eq!(ks.msbfs_rows, wave_rows, "width {width}");
-        assert_eq!(ks.repair_rows, width as u64, "width {width}");
+        assert_eq!(ks.bfs_rows, bfs_rows, "width {width}");
         assert_eq!(
-            ks.msbfs_rows + ks.bfs_rows + ks.dijkstra_rows + ks.repair_rows,
+            ks.rows(),
             auto.ledger().total(),
             "width {width}: row counters must add up to the ledger"
         );
@@ -354,8 +353,8 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
     let g2 = weighted(&[(0, 11, 1), (3, 8, 2)]);
     assert!(g1.is_weighted() && g2.is_weighted());
     let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-    // Repair expectations below need the delta cache on regardless of the
-    // environment's CP_ROW_CACHE.
+    // The row checks below read resident rows, so pin the cache on
+    // regardless of the environment's CP_ROW_CACHE.
     let mut auto = SnapshotOracle::unbounded(&g1, &g2)
         .with_row_cache(RowCacheBudget::Unbounded)
         .with_threads(4);
@@ -367,11 +366,9 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
     assert_eq!(ks.msbfs_waves, 0, "weighted graphs must not plan waves");
     assert_eq!(ks.msbfs_rows, 0);
     assert_eq!(ks.bfs_rows, 0);
-    // The t1 rows are full Dijkstra sweeps; the growth-only weighted pair
-    // lets every t2 row come from Dijkstra-repair instead.
-    assert_eq!(ks.dijkstra_rows, 12);
-    assert_eq!(ks.repair_rows, 12);
-    assert_eq!(ks.dijkstra_rows + ks.repair_rows, auto.ledger().total());
+    // Every row of both snapshots is one Dijkstra sweep.
+    assert_eq!(ks.dijkstra_rows, 24);
+    assert_eq!(ks.rows(), auto.ledger().total());
 }
 
 /// Spawn-once across prefetch batches: one injected pool serves three

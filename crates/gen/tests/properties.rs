@@ -6,9 +6,11 @@
 //! * **Growth-only snapshots** — for any fractions `f1 ≤ f2` the pair
 //!   `(G_f1, G_f2)` must satisfy `G_t1 ⊆ G_t2` in both node and edge sets
 //!   (with weights preserved). This is the paper's Problem 1 evolution
-//!   model *and* the precondition for the oracle's snapshot-delta row
-//!   repair, so it is checked with the very predicate the oracle uses,
-//!   [`snapshot_delta`].
+//!   model: distances only shrink, so `Δ ≥ 0`, and the Incidence
+//!   baseline's active set (the endpoints of
+//!   [`TemporalGraph::new_edges_between`]) covers every change. It is
+//!   checked directly: every `G_t1` edge must reappear in `G_t2` with the
+//!   same weight, and the new edges must account for the rest.
 //! * **Byte-determinism** — the same seed must reproduce the identical
 //!   event stream, byte for byte, across two runs; every experiment's
 //!   reproducibility rests on this.
@@ -23,7 +25,6 @@ use cp_gen::ring_sbm::{ring_sbm, RingSbmParams};
 use cp_gen::sbm::{sbm, SbmParams};
 use cp_gen::seeded_rng;
 use cp_gen::ws::watts_strogatz;
-use cp_graph::repair::snapshot_delta;
 use cp_graph::TemporalGraph;
 use proptest::prelude::*;
 
@@ -39,7 +40,7 @@ fn check_generator(t: &TemporalGraph) -> Result<(), TestCaseError> {
     prop_assert_eq!(g_full.check_invariants(), Ok(()));
 
     // Snapshots are monotone: every prefix pair is growth-only in both
-    // node and edge sets — exactly the oracle's repair precondition.
+    // node and edge sets, weights included.
     let fractions = [0.25, 0.5, 0.75, 1.0];
     let snaps: Vec<_> = fractions
         .iter()
@@ -48,15 +49,25 @@ fn check_generator(t: &TemporalGraph) -> Result<(), TestCaseError> {
     for w in snaps.windows(2) {
         let (g1, g2) = (&w[0], &w[1]);
         prop_assert_eq!(g1.num_nodes(), g2.num_nodes(), "fixed node universe");
-        let delta = snapshot_delta(g1, g2);
-        prop_assert!(
-            delta.growth_only,
-            "prefix snapshots must be growth-only (G_t1 ⊆ G_t2)"
-        );
+        for (u, v) in g1.edges() {
+            let e1 = g1.edge_id(u, v).expect("listed edge exists");
+            let e2 = g2.edge_id(u, v);
+            prop_assert!(
+                e2.is_some(),
+                "prefix snapshots must be growth-only (G_t1 ⊆ G_t2): {:?} lost",
+                (u, v)
+            );
+            prop_assert_eq!(
+                g1.edge_weight(e1),
+                g2.edge_weight(e2.unwrap()),
+                "edge {:?} changed weight",
+                (u, v)
+            );
+        }
         prop_assert_eq!(
-            g1.num_edges() + delta.inserted.len(),
+            g1.num_edges() + TemporalGraph::new_edges_between(g1, g2).len(),
             g2.num_edges(),
-            "the delta accounts for every new edge"
+            "the new edges account for every edge g2 adds"
         );
         // Node containment: a node active (degree > 0) at t1 stays active.
         for u in g1.nodes() {

@@ -24,8 +24,8 @@
 //! The implementation avoids per-call allocation via [`BfsWorkspace`] so
 //! that the cost model reflects graph traversal, not allocator churn.
 //!
-//! The hot kernels here and in [`crate::msbfs`], [`crate::dijkstra`] and
-//! [`crate::repair`] are `#[inline]`, so each calling crate compiles its
+//! The hot kernels here and in [`crate::msbfs`] and [`crate::dijkstra`]
+//! are `#[inline]`, so each calling crate compiles its
 //! own copy: one shared out-of-line copy ran an all-sources BFS sweep
 //! 15–25 % slower on the dataset emulators.
 

@@ -18,10 +18,6 @@
 //! * [`msbfs`] — bit-parallel multi-source BFS advancing up to 64 sources
 //!   per graph sweep, the kernel behind the budget oracle's batched
 //!   prefetch.
-//! * [`repair`] — snapshot-delta SSSP repair: for growth-only snapshot
-//!   pairs (`G_t1 ⊆ G_t2`) the `t2` row of a source is derived from its
-//!   `t1` row by relaxing only the shrinking region seeded from the
-//!   inserted edges, instead of sweeping the whole graph.
 //! * [`components`] — connected components, connected-pair counting.
 //! * [`diameter`] — exact (threaded all-pairs BFS) and double-sweep bounds.
 //! * [`betweenness`] — exact Brandes edge betweenness: tree edges in
@@ -56,7 +52,6 @@ pub mod dijkstra;
 pub mod graph;
 pub mod landmark_index;
 pub mod msbfs;
-pub mod repair;
 pub mod rowpack;
 pub mod temporal;
 pub mod unionfind;

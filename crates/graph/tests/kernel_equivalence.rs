@@ -5,10 +5,8 @@
 
 use cp_graph::bfs::{bfs, bfs_scalar_into, BfsWorkspace};
 use cp_graph::builder::graph_from_edges;
-use cp_graph::dijkstra::dijkstra;
 use cp_graph::msbfs::{msbfs, msbfs_into, msbfs_visit, MsBfsWorkspace, WAVE_WIDTH};
-use cp_graph::repair::{delta_repair, delta_repair_into, snapshot_delta, RepairWorkspace};
-use cp_graph::{GraphBuilder, NodeId, INF};
+use cp_graph::{NodeId, INF};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -150,114 +148,6 @@ proptest! {
             for (b, &s) in src.iter().enumerate() {
                 prop_assert_eq!(&rows[b], &bfs(g, s), "row of source {} diverges", s);
             }
-        }
-    }
-}
-
-/// Strategy: a growing snapshot pair with node insertions. `g1`'s edges
-/// live on the first `k ≤ n` nodes of an `n`-node universe; `g2` adds
-/// edges over the whole universe — so nodes `k..n` model inserted nodes
-/// (isolated at `t1`), and the extra edges routinely connect previously
-/// separate components or touch previously isolated ones.
-type GrowingPair = (usize, Vec<(u32, u32)>, Vec<(u32, u32)>);
-
-fn growing_pair(n: u32) -> impl Strategy<Value = GrowingPair> {
-    (4..=n).prop_flat_map(move |nodes| {
-        (1..=nodes).prop_flat_map(move |active| {
-            let base = prop::collection::vec((0..active, 0..active), 0..80);
-            let extra = prop::collection::vec((0..nodes, 0..nodes), 0..40);
-            (Just(nodes as usize), base, extra)
-        })
-    })
-}
-
-proptest! {
-    // Snapshot-delta repair of a t1 BFS row equals a fresh BFS on t2 from
-    // every source — inserted isolated nodes, newly connected components,
-    // and sources unreachable at t1 included.
-    #[test]
-    fn bfs_repair_matches_fresh_bfs((n, base, extra) in growing_pair(40)) {
-        let g1 = graph_from_edges(n, &base);
-        let all: Vec<(u32, u32)> = base.iter().chain(extra.iter()).copied().collect();
-        let g2 = graph_from_edges(n, &all);
-        let delta = snapshot_delta(&g1, &g2);
-        prop_assert!(delta.growth_only, "insert-only pairs must be repairable");
-        let mut ws = RepairWorkspace::new();
-        let mut dist = Vec::new();
-        for s in g1.nodes() {
-            let t1_row = bfs(&g1, s);
-            let settled = delta_repair_into(&g2, &t1_row, &delta, &mut dist, &mut ws);
-            prop_assert_eq!(&dist, &bfs(&g2, s), "repaired row of source {} diverges", s);
-            prop_assert!(settled <= n, "settled count bounded by the universe");
-        }
-    }
-
-    // The empty delta: identical snapshots repair to a bit-identical copy
-    // with nothing settled.
-    #[test]
-    fn empty_delta_repair_is_a_copy((n, edges) in edge_list(32, 90)) {
-        let g = graph_from_edges(n, &edges);
-        let delta = snapshot_delta(&g, &g);
-        prop_assert!(delta.growth_only);
-        prop_assert!(delta.inserted.is_empty());
-        let mut ws = RepairWorkspace::new();
-        let mut dist = Vec::new();
-        for s in g.nodes() {
-            let t1_row = bfs(&g, s);
-            let settled = delta_repair_into(&g, &t1_row, &delta, &mut dist, &mut ws);
-            prop_assert_eq!(settled, 0, "empty delta settles nothing");
-            prop_assert_eq!(&dist, &t1_row);
-        }
-    }
-
-    // Weighted counterpart: Dijkstra-repair of a t1 row equals a fresh
-    // Dijkstra on t2 for random insert-only weighted pairs.
-    #[test]
-    fn dijkstra_repair_matches_fresh_dijkstra(
-        (n, base, extra) in growing_pair(24),
-        weights in prop::collection::vec(1u32..10, 0..130),
-    ) {
-        // Assign deterministic weights per distinct pair; extra edges that
-        // collide with a base pair are dropped so shared edges keep their
-        // weight (the growth-only precondition for weighted pairs).
-        let mut wit = weights.into_iter().cycle();
-        let mut base_w: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for &(u, v) in &base {
-            if u != v {
-                let key = (u.min(v), u.max(v));
-                base_w.entry(key).or_insert_with(|| wit.next().unwrap_or(1));
-            }
-        }
-        let mut extra_w: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for &(u, v) in &extra {
-            if u != v {
-                let key = (u.min(v), u.max(v));
-                if !base_w.contains_key(&key) {
-                    extra_w.entry(key).or_insert_with(|| wit.next().unwrap_or(1));
-                }
-            }
-        }
-        let build = |maps: &[&BTreeMap<(u32, u32), u32>]| {
-            let mut b = GraphBuilder::new(n);
-            for m in maps {
-                for (&(u, v), &w) in m.iter() {
-                    b.add_weighted_edge(NodeId(u), NodeId(v), w);
-                }
-            }
-            b.build()
-        };
-        let g1 = build(&[&base_w]);
-        let g2 = build(&[&base_w, &extra_w]);
-        // (If every sampled weight is 1 the builders produce unweighted
-        // graphs; `delta_repair` then dispatches to BFS-repair, which must
-        // still match Dijkstra on unit weights.)
-        let delta = snapshot_delta(&g1, &g2);
-        prop_assert!(delta.growth_only, "weight-preserving growth must be repairable");
-        prop_assert_eq!(delta.inserted.len(), extra_w.len());
-        for s in g1.nodes() {
-            let t1_row = dijkstra(&g1, s);
-            let repaired = delta_repair(&g2, &t1_row, &delta);
-            prop_assert_eq!(&repaired, &dijkstra(&g2, s), "source {} diverges", s);
         }
     }
 }

@@ -216,10 +216,9 @@ fn answers_conform_across_the_matrix() {
 }
 
 /// Regression: a captured row is exact in every entry. Under a high Δ
-/// floor, with the row cache off (no resident `t1` donors, so `t2` rows
-/// come from full sweeps and only the pinned rows are captured) and
-/// unbounded (`t2` rows repaired from resident donors, every candidate
-/// captured in both snapshots), every row an epoch captures answers
+/// floor, with the row cache off (only the pinned rows are captured) and
+/// unbounded (every candidate captured in both snapshots), every row an
+/// epoch captures answers
 /// `distance` — and, resident in both snapshots, `delta` — as `Exact` and
 /// equal to from-scratch BFS truth for every target, and its seed's
 /// `topk_for_seed` is `complete`.

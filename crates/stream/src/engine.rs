@@ -168,12 +168,11 @@ pub struct StreamStats {
     pub donor_rows_imported: u64,
     /// Charged rows served straight from imported donors (no kernel ran).
     pub donor_chain_hits: u64,
-    /// `t2` rows derived by snapshot-delta repair (imported donors make
-    /// these possible across the review boundary).
+    /// Always 0; remains only for the benchmark, which reports it.
     pub repaired_rows: u64,
-    /// `(donor_chain_hits + repaired_rows) / sssp_computed` — the fraction
-    /// of this review's charges that skipped a full sweep thanks to the
-    /// chain. 0 when nothing was charged.
+    /// `donor_chain_hits / sssp_computed` — the fraction of this review's
+    /// charges that skipped a kernel thanks to the chain. 0 when nothing
+    /// was charged.
     pub donor_hit_rate: f64,
     /// Subscription events delivered with this epoch.
     pub subscriptions_fired: u64,
@@ -507,7 +506,6 @@ impl StreamEngine {
         let t_pipeline = Instant::now();
         let result = run_pipeline(&mut oracle, selector.as_mut(), &self.config.spec);
         let pipeline_secs = t_pipeline.elapsed().as_secs_f64();
-        let repaired_rows = oracle.repaired_rows();
         let donor_chain_hits = oracle.chained_rows();
         // Capture the query material while the oracle still owns its row
         // cache; the published epoch serves point queries from this copy,
@@ -539,11 +537,11 @@ impl StreamEngine {
             pipeline_secs,
             donor_rows_imported,
             donor_chain_hits,
-            repaired_rows,
+            repaired_rows: 0,
             donor_hit_rate: if charged == 0 {
                 0.0
             } else {
-                (donor_chain_hits + repaired_rows) as f64 / charged as f64
+                donor_chain_hits as f64 / charged as f64
             },
             subscriptions_fired: events.len() as u64,
             pipeline: result.stats,

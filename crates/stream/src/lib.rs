@@ -16,7 +16,7 @@
 //!   every Δt of stream time, or explicit [`StreamEngine::review`]) the
 //!   engine cuts the next snapshot and runs the budgeted pipeline against
 //!   the previous one, charging each review its own honest `2m` ledger.
-//! * **Chained repair** — the `t2` rows step *t* publishes in its
+//! * **Donor chaining** — the `t2` rows step *t* publishes in its
 //!   [`QueryIndex`] are imported into step *t+1*'s oracle as `t1` donors
 //!   ([`cp_core::oracle::SnapshotOracle::import_donor_rows`], copied at
 //!   storage width): the same graph object is on both sides of the

@@ -81,13 +81,8 @@ fn assert_review_matches(
     assert_eq!(got.result.budget, want.budget, "ledger diverges: {ctx}");
     // Charged rows add up to the ledger in every configuration — donor
     // chain hits included.
-    let ks = got.result.stats.kernel_stats;
     assert_eq!(
-        ks.msbfs_rows
-            + ks.bfs_rows
-            + ks.dijkstra_rows
-            + ks.repair_rows
-            + got.result.stats.chained_rows,
+        got.result.stats.kernel_rows(),
         got.result.budget.total(),
         "kernel counters diverge from the ledger: {ctx}"
     );
@@ -196,8 +191,8 @@ fn injected_pool_serves_every_review_without_respawning() {
 }
 
 /// Chaining on vs chaining off: identical epochs review by review, and the
-/// chain actually fires (some review serves charges from imported donors
-/// or repairs against them) so the equality is not vacuous.
+/// chain actually fires (some review serves charges from imported donors)
+/// so the equality is not vacuous.
 #[test]
 fn chaining_never_changes_visible_output_and_actually_fires() {
     let mut chain_fired = false;
@@ -236,7 +231,7 @@ fn chaining_never_changes_visible_output_and_actually_fires() {
                 b.stats.donor_rows_imported, 0,
                 "chain-off engine must not import donors: {ctx}"
             );
-            chain_fired |= a.stats.donor_chain_hits + a.stats.repaired_rows > 0;
+            chain_fired |= a.stats.donor_chain_hits > 0;
         }
     }
     assert!(
@@ -260,7 +255,6 @@ fn chaining_disabled_under_zero_cache() {
         let epoch = engine.review();
         assert_eq!(epoch.stats.donor_rows_imported, 0);
         assert_eq!(epoch.stats.donor_chain_hits, 0);
-        assert_eq!(epoch.stats.repaired_rows, 0);
     }
 }
 
@@ -273,7 +267,7 @@ fn edge_list(n: u32, max_edges: usize) -> impl Strategy<Value = (usize, Vec<(u32
 }
 
 proptest! {
-    /// Chained-repair property: on arbitrary growing streams cut at
+    /// Chaining property: on arbitrary growing streams cut at
     /// arbitrary points into three reviews, the engine with donor chaining
     /// produces exactly the epochs of the engine without it — pairs,
     /// candidates, and ledger — at every review.

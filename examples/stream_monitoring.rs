@@ -85,11 +85,10 @@ fn main() {
         }
         if epoch.stats.donor_rows_imported > 0 {
             println!(
-                "    chained: {} donor rows imported, {} charges served by donors, \
-                 {} rows repaired ({:.0}% of charges skipped a full sweep)",
+                "    chained: {} donor rows imported, {} chain hits \
+                 ({:.0}% of charges skipped a kernel)",
                 epoch.stats.donor_rows_imported,
                 epoch.stats.donor_chain_hits,
-                epoch.stats.repaired_rows,
                 100.0 * epoch.stats.donor_hit_rate
             );
         }

@@ -15,10 +15,11 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test -q [CP_ROW_CACHE=0]"
-# Matrix leg: the snapshot-delta row cache disabled — keeps the pre-cache
-# compute path green too, in every crate (tests that assert row-cache
-# hits pin their own budget). The scalar BFS and the per-element Δ loop
-# are test references, checked by the default run above.
+# Matrix leg: no rows resident — every read of a paid row recomputes it
+# and donor chaining switches off, in every crate (tests that assert
+# row-cache hits pin their own budget). The scalar BFS and the
+# per-element Δ loop are test references, checked by the default run
+# above.
 CP_ROW_CACHE=0 cargo test -q
 
 echo "==> cargo test -q [CP_THREADS=8]"
@@ -132,7 +133,7 @@ grep -q '"exec_steals": [1-9]' "$smoke_out" || {
     exit 1
 }
 # The default Δ-scan must actually exercise chunk skipping somewhere:
-# at least one phase-1/phase-2 sweep reports a nonzero
+# at least one phase-1 sweep reports a nonzero
 # scan_chunks_skipped.
 grep -q '"scan_chunks_skipped": [1-9]' "$smoke_out" || {
     echo "ci.sh: no dataset skipped any Δ-scan chunks" >&2
