@@ -82,6 +82,7 @@ mod tests {
             ],
             delta_max: 4,
             delta_min: 3,
+            sources_swept: 9,
         }
     }
 
@@ -103,6 +104,7 @@ mod tests {
             pairs: vec![],
             delta_max: 0,
             delta_min: 0,
+            sources_swept: 0,
         };
         assert_eq!(coverage(&[], &empty), 1.0);
         assert_eq!(candidate_coverage(&[], &empty), 1.0);

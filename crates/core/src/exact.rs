@@ -1,18 +1,40 @@
 //! Exact computation of the top-k converging pairs (the baseline that the
 //! budgeted algorithms are measured against).
 //!
-//! The exact solution needs the distance of every pair in both snapshots
-//! (Problem 1's `2n` single-source shortest paths) and keeps the pairs with
-//! the largest decrease. On unweighted snapshots the sources run as waves
-//! of 64 over the [`cp_exec`] pool, each wave two bit-parallel MS-BFS
-//! sweeps ([`msbfs_visit`]): the `G_t2` sweep stores the wave's `d2` rows
+//! Problem 1's exact solution needs the distance decrease of every pair,
+//! but on growth-only snapshots (`G_t1 ⊆ G_t2`, weights unchanged) only a
+//! few sources can contribute. Let the active set `A` be the endpoints of
+//! the new edges. A pair with `Δ(s, v) > 0` has a shortest `G_t2` path
+//! through a new edge; with `a` the first active node on it from `s`,
+//! `d1(s, a) = d2(s, a)` and the triangle inequality give
+//! `Δ(s, v) ≤ Δ(a, v)`. So `Δmax` is reached with an active endpoint, and
+//! both endpoints of a pair with `Δ ≥ δ` lie in
+//! `V_δ = {x : max_{a∈A} Δ(a, x) ≥ δ}`. The sweep runs in two phases:
+//!
+//! 1. **The active set.** Sources `A` yield `Δmax`, every pair with an
+//!    active endpoint, and per-lane column maxima `max_a Δ(a, x)` for
+//!    `x ∉ A`, merged once after the phase. They fix the cut: `δ` for
+//!    `Threshold`, `Δmax − slack` for `ThresholdFromMax`, and for
+//!    `TopK(k)` the `k`-th best Δ found so far (1 if fewer than `k`).
+//! 2. **The certified nodes.** Sources `V_δ \ A`, the non-active nodes
+//!    whose column maximum reaches the cut.
+//!
+//! An active source records targets outside `A` and targets in `A` above
+//! itself; a certified source records targets outside `A` above itself,
+//! so each pair is recorded once. Snapshots that are not a growth pair
+//! (an edge removed or reweighted) make every node active, which is the
+//! all-sources sweep.
+//!
+//! Unweighted sources run as waves of 64 over the [`cp_exec`] pool, each
+//! wave two bit-parallel direction-optimizing MS-BFS sweeps
+//! ([`msbfs_visit`]): the `G_t2` sweep stores the wave's `d2` rows
 //! (packed as `u16` when [`fits_u16`] allows, `u32` otherwise), and the
 //! `G_t1` sweep computes `Δ = level − d2` at each discovery, so no `d1` row
-//! is ever written. Weighted snapshots run one Dijkstra row pair per
-//! source through the same Δ sink. Nothing `n × n` is ever materialized:
-//! wave buffers live for one call, and workers keep pruned local buffers
-//! and share a rising lower bound on the interesting Δ, so the answer
-//! buffers stay proportional to the answer.
+//! is ever written. Weighted sources run one Dijkstra row pair each
+//! through the same Δ sink. Nothing `n × n` is ever materialized: wave
+//! buffers live for one phase, and workers keep pruned local buffers and
+//! share a rising lower bound on the interesting Δ, so the answer buffers
+//! stay proportional to the answer.
 
 use cp_graph::apsp::for_each_source_block;
 use cp_graph::dijkstra::dijkstra_into;
@@ -96,6 +118,10 @@ pub struct ExactTopK {
     pub delta_max: u32,
     /// The smallest Δ present in `pairs` (0 if empty).
     pub delta_min: u32,
+    /// Sources the exact sweep ran from: the active set plus the nodes
+    /// its column maxima certified (`n` on non-growth snapshots). An
+    /// answer derived from another one keeps that one's count.
+    pub sources_swept: usize,
 }
 
 impl ExactTopK {
@@ -141,8 +167,8 @@ const PRUNE_AT: usize = 1 << 16;
 /// exact running maximum and the merged answer candidates.
 struct DeltaSink {
     /// Pairs below this Δ can never reach the answer. It starts at
-    /// [`TopKSpec::initial_floor`] and only rises, from the running
-    /// maximum under `ThresholdFromMax`.
+    /// [`TopKSpec::initial_floor`] and only rises: from the running
+    /// maximum under `ThresholdFromMax`, and to the cut before phase 2.
     floor: AtomicU32,
     /// The largest Δ seen so far, over every pair.
     delta_max: AtomicU32,
@@ -237,43 +263,75 @@ impl WaveDist for u32 {
     }
 }
 
-/// One lane's buffers for a run of waves; dropped when the call returns.
+/// Marks the active set `A`: the endpoints of the edges `G_t2` adds.
+///
+/// One merge pass over each node's sorted adjacencies. If an edge of
+/// `G_t1` is missing from `G_t2` or changes weight, the snapshots are not
+/// a growth pair, the active-set lemma does not hold, and every node is
+/// marked: the sweep then runs from every source.
+fn active_mask(g1: &Graph, g2: &Graph) -> Vec<bool> {
+    let n = g1.num_nodes();
+    let (off1, to1, id1) = (g1.arc_offsets(), g1.arc_targets(), g1.arc_edge_ids());
+    let (off2, to2, id2) = (g2.arc_offsets(), g2.arc_targets(), g2.arc_edge_ids());
+    let mut active = vec![false; n];
+    for u in 0..n {
+        let (mut i, end1) = (off1[u], off1[u + 1]);
+        for j in off2[u]..off2[u + 1] {
+            if i < end1 && to1[i] < to2[j] {
+                return vec![true; n];
+            }
+            if i < end1 && to1[i] == to2[j] {
+                if g1.edge_weight(id1[i]) != g2.edge_weight(id2[j]) {
+                    return vec![true; n];
+                }
+                i += 1;
+            } else {
+                active[u] = true;
+            }
+        }
+        if i < end1 {
+            return vec![true; n];
+        }
+    }
+    active
+}
+
+/// One lane's pair buffer plus, for active sources, its column maxima
+/// `column_max[x] = max Δ(a, x)` over the lane's sources `a` and targets
+/// `x ∉ A`, merged across lanes once after the phase.
+#[derive(Default)]
+struct LaneSink {
+    local: LocalPairs,
+    column_max: Vec<u32>,
+}
+
+impl LaneSink {
+    /// Folds a recorded pair's decrease `delta ≥ 1`.
+    #[inline(always)]
+    fn fold<const ACTIVE: bool>(
+        &mut self,
+        sink: &DeltaSink,
+        in_a: &[bool],
+        u: usize,
+        v: usize,
+        delta: u32,
+    ) {
+        if ACTIVE && !in_a[v] {
+            let max = &mut self.column_max[v];
+            *max = (*max).max(delta);
+        }
+        self.local.offer(sink, u, v, delta);
+    }
+}
+
+/// One lane's buffers for a run of waves; handed back when the phase ends.
 #[derive(Default)]
 struct WaveLane<T> {
     ws: MsBfsWorkspace,
     /// The wave's `G_t2` distances, node-major: `d2[v · width + b]`, so
     /// the bits that discover `v` together read adjacent entries.
     d2: Vec<T>,
-    local: LocalPairs,
-}
-
-/// Runs the unweighted exact truth: one `G_t2` sweep then one fused
-/// `G_t1` sweep per wave of up to [`WAVE_WIDTH`] sources.
-fn unweighted_waves<T: WaveDist>(g1: &Graph, g2: &Graph, threads: usize, sink: &DeltaSink) {
-    let n = g1.num_nodes();
-    for_each_source_block(n, WAVE_WIDTH, threads, |block, lane: &mut WaveLane<T>| {
-        let lo = block.start;
-        let width = block.len();
-        let sources: Vec<NodeId> = block.map(NodeId::new).collect();
-        let WaveLane { ws, d2, local } = lane;
-        d2.clear();
-        d2.resize(n * width, T::UNREACHED);
-        msbfs_visit(g2, &sources, ws, |b, v, level| {
-            d2[v.index() * width + b] = T::from_level(level);
-        });
-        msbfs_visit(g1, &sources, ws, |b, v, level| {
-            let (u, v) = (lo + b, v.index());
-            // Only the upper triangle: each pair from its lower endpoint.
-            if v <= u {
-                return;
-            }
-            let delta = level.saturating_sub(d2[v * width + b].into());
-            if delta != 0 {
-                local.offer(sink, u, v, delta);
-            }
-        });
-        local.flush(sink);
-    });
+    out: LaneSink,
 }
 
 /// Weighted lane buffers: one Dijkstra row per snapshot.
@@ -281,36 +339,149 @@ fn unweighted_waves<T: WaveDist>(g1: &Graph, g2: &Graph, threads: usize, sink: &
 struct DijkstraLane {
     d1: Vec<u32>,
     d2: Vec<u32>,
-    local: LocalPairs,
+    out: LaneSink,
 }
 
-/// Runs the weighted exact truth: a Dijkstra row pair per source, scanned
-/// over its upper triangle.
-fn weighted_sources(g1: &Graph, g2: &Graph, threads: usize, sink: &DeltaSink) {
-    for_each_source_block(
-        g1.num_nodes(),
-        1,
-        threads,
-        |block, lane: &mut DijkstraLane| {
-            let u = block.start;
-            dijkstra_into(g1, NodeId::new(u), &mut lane.d1);
-            dijkstra_into(g2, NodeId::new(u), &mut lane.d2);
-            for v in u + 1..lane.d1.len() {
-                match distance_decrease(lane.d1[v], lane.d2[v]) {
-                    Some(delta) if delta != 0 => lane.local.offer(sink, u, v, delta),
-                    _ => {}
+/// What every phase of one [`exact_top_k`] call shares.
+struct Sweep<'a> {
+    g1: &'a Graph,
+    g2: &'a Graph,
+    /// `in_a[x]`: whether `x` is in the active set `A`.
+    in_a: &'a [bool],
+    threads: usize,
+    sink: DeltaSink,
+}
+
+impl Sweep<'_> {
+    /// The dedup rule. An active source (phase 1) records every target
+    /// outside `A` and targets inside `A` above itself; a certified
+    /// source (phase 2, never in `A`) records targets outside `A` above
+    /// itself. Every pair of `A ∪ V_δ` is then recorded exactly once.
+    #[inline(always)]
+    fn records<const ACTIVE: bool>(&self, u: usize, v: usize) -> bool {
+        if ACTIVE {
+            v > u || !self.in_a[v]
+        } else {
+            v > u && !self.in_a[v]
+        }
+    }
+
+    /// Sweeps `sources` under the phase's dedup rule and returns the
+    /// merged column maxima (empty unless `ACTIVE` swept something).
+    fn run<const ACTIVE: bool>(&self, sources: &[NodeId]) -> Vec<u32> {
+        let lanes = if self.g1.is_weighted() || self.g2.is_weighted() {
+            self.dijkstra_rows::<ACTIVE>(sources)
+        } else if fits_u16(self.g2) {
+            self.waves::<u16, ACTIVE>(sources)
+        } else {
+            self.waves::<u32, ACTIVE>(sources)
+        };
+        lanes
+            .into_iter()
+            .filter(|m| !m.is_empty())
+            .reduce(|mut acc, m| {
+                acc.iter_mut().zip(m).for_each(|(a, b)| *a = (*a).max(b));
+                acc
+            })
+            .unwrap_or_default()
+    }
+
+    /// Unweighted sources: one `G_t2` sweep then one fused `G_t1` sweep
+    /// per wave of up to [`WAVE_WIDTH`] sources. Returns each lane's
+    /// column maxima.
+    fn waves<T: WaveDist, const ACTIVE: bool>(&self, sources: &[NodeId]) -> Vec<Vec<u32>> {
+        let (n, in_a, sink) = (self.g1.num_nodes(), self.in_a, &self.sink);
+        let lanes = for_each_source_block(
+            sources.len(),
+            WAVE_WIDTH,
+            self.threads,
+            |block, lane: &mut WaveLane<T>| {
+                let wave = &sources[block];
+                let width = wave.len();
+                let WaveLane { ws, d2, out } = lane;
+                if ACTIVE {
+                    out.column_max.resize(n, 0);
                 }
-            }
-            lane.local.flush(sink);
-        },
-    );
+                d2.clear();
+                d2.resize(n * width, T::UNREACHED);
+                msbfs_visit(self.g2, wave, ws, |b, v, level| {
+                    d2[v.index() * width + b] = T::from_level(level);
+                });
+                msbfs_visit(self.g1, wave, ws, |b, v, level| {
+                    let (u, v) = (wave[b].index(), v.index());
+                    if !self.records::<ACTIVE>(u, v) {
+                        return;
+                    }
+                    let delta = level.saturating_sub(d2[v * width + b].into());
+                    if delta != 0 {
+                        out.fold::<ACTIVE>(sink, in_a, u, v, delta);
+                    }
+                });
+                out.local.flush(sink);
+            },
+        );
+        lanes.into_iter().map(|l| l.out.column_max).collect()
+    }
+
+    /// Weighted sources: a Dijkstra row pair per source. Returns each
+    /// lane's column maxima.
+    fn dijkstra_rows<const ACTIVE: bool>(&self, sources: &[NodeId]) -> Vec<Vec<u32>> {
+        let (n, in_a, sink) = (self.g1.num_nodes(), self.in_a, &self.sink);
+        let lanes = for_each_source_block(
+            sources.len(),
+            1,
+            self.threads,
+            |block, lane: &mut DijkstraLane| {
+                let u = sources[block.start];
+                dijkstra_into(self.g1, u, &mut lane.d1);
+                dijkstra_into(self.g2, u, &mut lane.d2);
+                let u = u.index();
+                if ACTIVE {
+                    lane.out.column_max.resize(n, 0);
+                }
+                for v in 0..n {
+                    if !self.records::<ACTIVE>(u, v) {
+                        continue;
+                    }
+                    match distance_decrease(lane.d1[v], lane.d2[v]) {
+                        Some(delta) if delta != 0 => {
+                            lane.out.fold::<ACTIVE>(sink, in_a, u, v, delta)
+                        }
+                        _ => {}
+                    }
+                }
+                lane.out.local.flush(sink);
+            },
+        );
+        lanes.into_iter().map(|l| l.out.column_max).collect()
+    }
+}
+
+/// The Δ below which no pair can be in the answer, known once phase 1
+/// has run: `Threshold`'s `δ`, `ThresholdFromMax`'s `Δmax − slack`, and
+/// for `TopK(k)` the `k`-th best Δ among phase 1's pairs, a lower bound
+/// on the true `k`-th (1 if phase 1 found fewer than `k` pairs).
+/// Reorders `phase1` when it selects.
+fn cut(spec: &TopKSpec, delta_max: u32, phase1: &mut [ConvergingPair]) -> u32 {
+    match *spec {
+        TopKSpec::Threshold { delta_min } => delta_min.max(1),
+        TopKSpec::ThresholdFromMax { slack } => delta_max.saturating_sub(slack).max(1),
+        TopKSpec::TopK(0) => u32::MAX,
+        TopKSpec::TopK(k) if phase1.len() >= k => {
+            phase1.select_nth_unstable_by(k - 1, canonical_order);
+            phase1[k - 1].delta
+        }
+        TopKSpec::TopK(_) => 1,
+    }
 }
 
 /// Computes the exact top-k converging pairs between two snapshots.
 ///
-/// `threads` bounds the worker count. Unweighted snapshots run as fused
-/// 64-source MS-BFS waves (see the module docs); weighted ones run
-/// per-source Dijkstra. The answer is the same at any thread count.
+/// `threads` bounds the worker count. Only sources in `A ∪ V_δ` are
+/// swept (see the module docs): first the active set `A`, then the
+/// non-active nodes its column maxima certify. Unweighted snapshots run
+/// as fused 64-source MS-BFS waves; weighted ones run per-source
+/// Dijkstra. The answer is the same at any thread count.
 ///
 /// # Panics
 /// Panics if the snapshots do not share a node universe.
@@ -320,23 +491,59 @@ pub fn exact_top_k(g1: &Graph, g2: &Graph, spec: &TopKSpec, threads: usize) -> E
         g2.num_nodes(),
         "snapshots must share a node universe"
     );
-    let sink = DeltaSink::new(spec);
-    if g1.is_weighted() || g2.is_weighted() {
-        weighted_sources(g1, g2, threads, &sink);
-    } else if fits_u16(g2) {
-        unweighted_waves::<u16>(g1, g2, threads, &sink);
-    } else {
-        unweighted_waves::<u32>(g1, g2, threads, &sink);
-    }
+    exact_from_mask(g1, g2, spec, threads, &active_mask(g1, g2))
+}
 
-    let dmax = sink.delta_max.load(Ordering::Relaxed);
-    let mut pairs = sink.merged.into_inner();
-    let floor = match spec {
-        TopKSpec::Threshold { delta_min } => (*delta_min).max(1),
-        TopKSpec::ThresholdFromMax { slack } => dmax.saturating_sub(*slack).max(1),
-        TopKSpec::TopK(_) => 1,
+/// The nodes whose flag is set, in ascending order.
+fn nodes_where(flags: impl Iterator<Item = bool>) -> Vec<NodeId> {
+    flags
+        .enumerate()
+        .filter(|&(_, on)| on)
+        .map(|(x, _)| NodeId::new(x))
+        .collect()
+}
+
+/// [`exact_top_k`] over a given active set; a mask of every node is the
+/// all-sources sweep.
+fn exact_from_mask(
+    g1: &Graph,
+    g2: &Graph,
+    spec: &TopKSpec,
+    threads: usize,
+    in_a: &[bool],
+) -> ExactTopK {
+    let sweep = Sweep {
+        g1,
+        g2,
+        in_a,
+        threads,
+        sink: DeltaSink::new(spec),
     };
-    pairs.retain(|p| p.delta >= floor);
+
+    // Phase 1: the active set yields Δmax, every pair with an active
+    // endpoint and the column maxima.
+    let active = nodes_where(in_a.iter().copied());
+    let column_max = sweep.run::<true>(&active);
+    let delta_max = sweep.sink.delta_max.load(Ordering::Relaxed);
+    let cut = {
+        let mut phase1 = sweep.sink.merged.lock();
+        let cut = cut(spec, delta_max, &mut phase1);
+        phase1.retain(|p| p.delta >= cut);
+        cut
+    };
+
+    // Phase 2: the non-active nodes whose column maximum reaches the cut.
+    let certified = nodes_where(column_max.iter().map(|&m| m >= cut));
+    sweep.sink.floor.fetch_max(cut, Ordering::Relaxed);
+    sweep.run::<false>(&certified);
+    debug_assert_eq!(
+        sweep.sink.delta_max.load(Ordering::Relaxed),
+        delta_max,
+        "a certified source beat Δmax over the active set"
+    );
+
+    let mut pairs = sweep.sink.merged.into_inner();
+    pairs.retain(|p| p.delta >= cut);
     sort_pairs(&mut pairs);
     if let TopKSpec::TopK(k) = spec {
         pairs.truncate(*k);
@@ -344,8 +551,9 @@ pub fn exact_top_k(g1: &Graph, g2: &Graph, spec: &TopKSpec, threads: usize) -> E
     let delta_min = pairs.last().map(|p| p.delta).unwrap_or(0);
     ExactTopK {
         pairs,
-        delta_max: dmax,
+        delta_max,
         delta_min,
+        sources_swept: active.len() + certified.len(),
     }
 }
 
@@ -446,25 +654,81 @@ mod tests {
         assert_eq!(res.pairs, again.pairs);
     }
 
+    /// Runs phase 1 from every source at the given `d2` width, returning
+    /// the sorted pairs (`Δ ≥ 1`) and `Δmax`.
+    fn sweep_at(g1: &Graph, g2: &Graph, wide: bool) -> (Vec<ConvergingPair>, u32) {
+        let every = vec![true; g1.num_nodes()];
+        let sweep = Sweep {
+            g1,
+            g2,
+            in_a: &every,
+            threads: 2,
+            sink: DeltaSink::new(&TopKSpec::Threshold { delta_min: 1 }),
+        };
+        let sources: Vec<NodeId> = g1.nodes().collect();
+        if wide {
+            sweep.waves::<u32, true>(&sources);
+        } else {
+            sweep.waves::<u16, true>(&sources);
+        }
+        let mut pairs = sweep.sink.merged.into_inner();
+        sort_pairs(&mut pairs);
+        (pairs, sweep.sink.delta_max.into_inner())
+    }
+
     #[test]
     fn wide_wave_rows_match_packed_rows() {
         // The `u32` wave path (universes beyond `u16`) on a graph the
         // `u16` path also covers: same pairs, same maximum.
         let (g1, g2) = shortcut_pair();
-        let run = |wide: bool| {
-            let sink = DeltaSink::new(&TopKSpec::Threshold { delta_min: 1 });
-            if wide {
-                unweighted_waves::<u32>(&g1, &g2, 2, &sink);
-            } else {
-                unweighted_waves::<u16>(&g1, &g2, 2, &sink);
-            }
-            let mut pairs = sink.merged.into_inner();
-            sort_pairs(&mut pairs);
-            (pairs, sink.delta_max.into_inner())
-        };
-        let packed = run(false);
+        let packed = sweep_at(&g1, &g2, false);
         assert_eq!(packed.1, 4);
-        assert_eq!(run(true), packed);
+        assert_eq!(sweep_at(&g1, &g2, true), packed);
+    }
+
+    #[test]
+    fn active_mask_marks_new_edge_endpoints() {
+        let (g1, g2) = shortcut_pair();
+        let mask = active_mask(&g1, &g2);
+        assert_eq!(mask, vec![true, true, false, false, true, true]);
+        assert_eq!(active_mask(&g1, &g1), vec![false; 6]);
+        // A removed edge breaks growth: every node becomes a source.
+        assert_eq!(active_mask(&g2, &g1), vec![true; 6]);
+        let mut b = cp_graph::GraphBuilder::new(3);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 2);
+        let heavy = b.build();
+        let mut b = cp_graph::GraphBuilder::new(3);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 1);
+        b.add_weighted_edge(NodeId(1), NodeId(2), 1);
+        let light = b.build();
+        // A weight change breaks growth too.
+        assert_eq!(active_mask(&heavy, &light), vec![true; 3]);
+    }
+
+    #[test]
+    fn active_set_sweep_equals_the_all_sources_sweep() {
+        // Two paths joined by chords: the lemma's cut must keep every
+        // answer pair whatever the spec.
+        let base: Vec<(u32, u32)> = (0..39).filter(|&i| i != 19).map(|i| (i, i + 1)).collect();
+        let g1 = graph_from_edges(40, &base);
+        let mut all = base.clone();
+        all.extend([(0, 30), (5, 38), (19, 20), (10, 25)]);
+        let g2 = graph_from_edges(40, &all);
+        let every = vec![true; 40];
+        for spec in [
+            TopKSpec::TopK(7),
+            TopKSpec::TopK(500),
+            TopKSpec::Threshold { delta_min: 2 },
+            TopKSpec::ThresholdFromMax { slack: 0 },
+            TopKSpec::ThresholdFromMax { slack: 3 },
+        ] {
+            let got = exact_top_k(&g1, &g2, &spec, 2);
+            let want = exact_from_mask(&g1, &g2, &spec, 2, &every);
+            assert_eq!(got.pairs, want.pairs, "{spec:?}");
+            assert_eq!(got.delta_max, want.delta_max, "{spec:?}");
+            assert_eq!(want.sources_swept, 40);
+            assert!(got.sources_swept < 40, "{spec:?}: swept every source");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl Snapshots {
     ///
     /// Answers for smaller slacks are subsets of answers for larger ones,
     /// so once any slack `s >= slack` has been computed the request is
-    /// served by filtering instead of re-running the all-pairs BFS.
+    /// served by filtering instead of sweeping again.
     pub fn truth(&mut self, slack: u32) -> &ExactTopK {
         if !self.truth_cache.contains_key(&slack) {
             let derived = self
@@ -90,6 +90,7 @@ impl Snapshots {
                         pairs,
                         delta_max: bigger.delta_max,
                         delta_min,
+                        sources_swept: bigger.sources_swept,
                     }
                 });
             let truth = derived.unwrap_or_else(|| {

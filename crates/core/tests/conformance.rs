@@ -14,7 +14,10 @@
 //! exact all-pairs solver vs. the unbudgeted Incidence baseline, which by
 //! construction finds exactly the converging pairs touching an active
 //! node (an endpoint of a new edge); and the exact solver itself vs. a
-//! per-source BFS brute force at several thread counts.
+//! per-source BFS (Dijkstra when weighted) brute force at several thread
+//! counts, including the shapes of the active set `A` its source lists
+//! are built from: empty, every node, nodes new in `G_t2`, and non-growth
+//! snapshots where `A` falls back to every node.
 
 use cp_core::exact::{exact_top_k, sort_pairs, ConvergingPair, TopKSpec};
 use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
@@ -32,6 +35,7 @@ use cp_gen::seeded_rng;
 use cp_gen::ws::watts_strogatz;
 use cp_graph::bfs::bfs;
 use cp_graph::builder::graph_from_edges;
+use cp_graph::dijkstra::dijkstra;
 use cp_graph::{distance_decrease, Graph, NodeId, TemporalGraph};
 use proptest::prelude::*;
 use reference::reference_pairs;
@@ -289,15 +293,23 @@ fn exact_case() -> impl Strategy<Value = ExactCase> {
     })
 }
 
-/// The reference answer, built from per-source `bfs` rows of both
-/// snapshots: every pair `u < v` connected in `G_t1` with its Δ, cut by
-/// `spec` the way the answer contract defines it.
+/// The reference answer, built from per-source `bfs` rows (`dijkstra`
+/// rows when weighted) of both snapshots: every pair `u < v` connected in
+/// `G_t1` with its Δ, cut by `spec` the way the answer contract defines
+/// it.
 fn brute_force_exact(g1: &Graph, g2: &Graph, spec: &TopKSpec) -> (Vec<ConvergingPair>, u32, u32) {
     let n = g1.num_nodes();
+    let row = |g: &Graph, u: usize| {
+        if g.is_weighted() {
+            dijkstra(g, NodeId::new(u))
+        } else {
+            bfs(g, NodeId::new(u))
+        }
+    };
     let mut all = Vec::new();
     let mut delta_max = 0;
     for u in 0..n {
-        let (d1, d2) = (bfs(g1, NodeId::new(u)), bfs(g2, NodeId::new(u)));
+        let (d1, d2) = (row(g1, u), row(g2, u));
         for v in u + 1..n {
             if let Some(delta) = distance_decrease(d1[v], d2[v]) {
                 delta_max = delta_max.max(delta);
@@ -351,6 +363,133 @@ proptest! {
             }
         }
     }
+}
+
+/// Every spec shape of the exact-truth property.
+const EXACT_SPECS: [TopKSpec; 7] = [
+    TopKSpec::TopK(0),
+    TopKSpec::TopK(25),
+    TopKSpec::Threshold { delta_min: 1 },
+    TopKSpec::Threshold { delta_min: 3 },
+    TopKSpec::ThresholdFromMax { slack: 0 },
+    TopKSpec::ThresholdFromMax { slack: 1 },
+    TopKSpec::ThresholdFromMax { slack: 2 },
+];
+
+/// Holds `exact_top_k` to the brute force on one snapshot pair, for every
+/// spec shape at 1, 2 and 8 threads. Returns the sources it swept.
+fn assert_exact_matches_brute_force(name: &str, g1: &Graph, g2: &Graph) -> usize {
+    let mut swept = None;
+    for spec in &EXACT_SPECS {
+        let (pairs, delta_max, delta_min) = brute_force_exact(g1, g2, spec);
+        for threads in [1usize, 2, 8] {
+            let got = exact_top_k(g1, g2, spec, threads);
+            let ctx = format!("{name} {spec:?} threads={threads}");
+            assert_eq!(got.pairs, pairs, "pairs diverge: {ctx}");
+            assert_eq!(got.delta_max, delta_max, "Δmax diverges: {ctx}");
+            assert_eq!(got.delta_min, delta_min, "Δmin diverges: {ctx}");
+            assert!(got.sources_swept <= g1.num_nodes(), "{ctx}");
+            if matches!(spec, TopKSpec::ThresholdFromMax { slack: 1 }) {
+                swept = Some(got.sources_swept);
+            }
+        }
+    }
+    swept.expect("the spec list holds ThresholdFromMax { slack: 1 }")
+}
+
+/// A weighted snapshot from `(u, v, w)` triples.
+fn weighted_graph(n: usize, edges: &[(u32, u32, u32)]) -> Graph {
+    let mut b = cp_graph::GraphBuilder::new(n);
+    for &(u, v, w) in edges {
+        b.add_weighted_edge(NodeId(u), NodeId(v), w);
+    }
+    b.build()
+}
+
+/// The active-set shapes on every generator: `A` empty (`G_t2 = G_t1`),
+/// with nodes new in `G_t2` (an early cut), and every node (each node
+/// gains an edge, or an edge is removed so the pair is not growth-only). The exact truth equals the brute force in
+/// each, and the sweep is as wide as the shape says.
+#[test]
+fn exact_truth_matches_brute_force_on_active_set_shapes() {
+    for (name, t) in generator_cases() {
+        let n = t.num_nodes();
+        let (g1, same) = t.snapshot_pair(0.7, 0.7);
+        let swept = assert_exact_matches_brute_force(&format!("{name}/A empty"), &g1, &same);
+        assert_eq!(swept, 0, "{name}: G_t2 = G_t1 swept a source");
+
+        let (g1, g2) = t.snapshot_pair(0.3, 1.0);
+        assert!(
+            (0..n).any(|x| g1.degree(NodeId::new(x)) == 0 && g2.degree(NodeId::new(x)) > 0),
+            "{name}: the early cut has no node new in G_t2"
+        );
+        assert_exact_matches_brute_force(&format!("{name}/new nodes"), &g1, &g2);
+
+        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
+        // Growth with every node active: one new edge at each node.
+        let mut edges: Vec<(u32, u32)> = g2.edges().map(|(u, v)| (u.0, v.0)).collect();
+        let base: Vec<(u32, u32)> = g1.edges().map(|(u, v)| (u.0, v.0)).collect();
+        for u in 0..n {
+            let v = (1..n)
+                .map(|d| (u + n / 2 + d) % n)
+                .find(|&v| v != u && !g1.has_edge(NodeId::new(u), NodeId::new(v)))
+                .expect("the generator graphs are not complete");
+            edges.push((u as u32, v as u32));
+        }
+        let everywhere = graph_from_edges(n, &edges);
+        let swept = assert_exact_matches_brute_force(&format!("{name}/A = V"), &g1, &everywhere);
+        assert_eq!(swept, n, "{name}: A = V swept fewer than n sources");
+
+        // Non-growth: G_t2 drops one of G_t1's edges.
+        let dropped: Vec<(u32, u32)> = edges.iter().copied().filter(|&e| e != base[0]).collect();
+        let shrunk = graph_from_edges(n, &dropped);
+        let swept = assert_exact_matches_brute_force(&format!("{name}/edge removed"), &g1, &shrunk);
+        assert_eq!(swept, n, "{name}: a removed edge must sweep every source");
+    }
+}
+
+/// Weighted snapshots: growth-only (the active-set sweep, against a
+/// Dijkstra brute force) and a weight change (non-growth: every source).
+#[test]
+fn exact_truth_matches_brute_force_on_weighted_snapshots() {
+    let n = 40u32;
+    let path: Vec<(u32, u32, u32)> = (0..n - 1).map(|i| (i, i + 1, 1 + i % 3)).collect();
+    let g1 = weighted_graph(n as usize, &path);
+    let mut grown = path.clone();
+    grown.extend([(0, 20, 2), (7, 33, 1), (12, 39, 4)]);
+    let g2 = weighted_graph(n as usize, &grown);
+    let swept = assert_exact_matches_brute_force("weighted growth", &g1, &g2);
+    assert!(swept < n as usize, "weighted growth swept every source");
+
+    let mut reweighted = grown.clone();
+    reweighted[5].2 += 3;
+    let g2 = weighted_graph(n as usize, &reweighted);
+    let swept = assert_exact_matches_brute_force("weight change", &g1, &g2);
+    assert_eq!(swept, n as usize, "a weight change must sweep every source");
+}
+
+/// A late cut leaves few new edges: the exact truth sweeps the active
+/// set and the nodes it certifies, not every source, and still equals the
+/// brute force. A regression to the all-sources sweep fails here.
+#[test]
+fn small_active_set_sweeps_fewer_than_n_sources() {
+    let mut certified = 0;
+    for (name, t) in generator_cases() {
+        let (g1, g2) = t.snapshot_pair(0.9, 1.0);
+        let n = g1.num_nodes();
+        let active = active_nodes(&g1, &g2).len();
+        let swept = assert_exact_matches_brute_force(&format!("{name}/late cut"), &g1, &g2);
+        assert!(swept >= active, "{name}: swept {swept} < |A| = {active}");
+        assert!(
+            swept < n,
+            "{name}: swept all {n} sources with |A| = {active}"
+        );
+        certified += swept - active;
+    }
+    assert!(
+        certified > 0,
+        "no late cut ran a certified (phase 2) source"
+    );
 }
 
 /// Weighted snapshots must keep full-width rows — Dijkstra distances can

@@ -1,21 +1,22 @@
 //! All-pairs shortest paths, streamed one block of sources at a time.
 //!
 //! The exact ground truth for the experiments (the true top-k converging
-//! pairs, the diameter, Δmax) needs a shortest-path sweep from every node
+//! pairs, the diameter, Δmax) needs shortest-path sweeps from many nodes
 //! of graphs with 10⁴–10⁵ nodes. Materializing the full `n × n` distance
 //! matrix would cost gigabytes, so instead we *stream*:
-//! [`for_each_source_block`] cuts the source ids `0..n` into contiguous
-//! blocks, fans the blocks out over the persistent [`cp_exec`] worker
-//! pool, and hands each one to the caller together with its lane's
-//! scratch, so the caller extracts whatever aggregate it needs and drops
-//! the distances.
+//! [`for_each_source_block`] cuts `0..n` — the source ids, or positions
+//! in a caller's list of sources — into contiguous blocks, fans the
+//! blocks out over the persistent [`cp_exec`] worker pool, and hands each
+//! one to the caller together with its lane's scratch, so the caller
+//! extracts whatever aggregate it needs and drops the distances.
 //!
 //! Unweighted callers take blocks of [`crate::msbfs::WAVE_WIDTH`] sources and sweep each
 //! block with one bit-parallel MS-BFS wave ([`crate::msbfs::msbfs_visit`]),
 //! which reports every `(source, node, level)` discovery without writing a
 //! row at all. Weighted callers take one-source blocks and run Dijkstra.
 //!
-//! Lane scratch is created per call and dropped when the call returns; it
+//! Lane scratch is created per call and handed back to the caller when the
+//! call returns, so lane-local aggregates merge once after the sweep; it
 //! never lives in the pool's persistent [`cp_exec::WorkerScratch`], so an
 //! all-pairs sweep leaves no wave-sized buffers resident behind it.
 
@@ -41,25 +42,28 @@ pub fn default_threads() -> usize {
     cp_exec::default_threads()
 }
 
-/// Runs `f(sources, lane)` for every block of `block` consecutive source
-/// ids covering `0..n`, in parallel on up to `threads` lanes.
+/// Runs `f(sources, lane)` for every block of `block` consecutive
+/// indices covering `0..n` (source ids, or positions in a caller's source
+/// list), in parallel on up to `threads` lanes.
 ///
 /// Blocks arrive in no particular order; `f` must be `Sync` and guard any
 /// shared accumulation itself (atomics, `parking_lot::Mutex`). Each lane
-/// owns one `S`, created empty (`S::default()`) when the call starts,
-/// reused across the blocks that lane runs, and dropped when the call
-/// returns. Small inputs (fewer than 32 sources), a single block, or
+/// owns one `S`, created empty (`S::default()`) when the call starts and
+/// reused across the blocks that lane runs. The lanes are returned, one
+/// per lane (none when `n == 0`), so the caller can merge lane-local
+/// aggregates once; a caller that ignores them frees them right away.
+/// Small inputs (fewer than 32 sources), a single block, or
 /// `threads == 1` run on the calling thread without waking the pool.
 ///
 /// # Panics
 /// Panics if `block == 0` and `n > 0`.
-pub fn for_each_source_block<S, F>(n: usize, block: usize, threads: usize, f: F)
+pub fn for_each_source_block<S, F>(n: usize, block: usize, threads: usize, f: F) -> Vec<S>
 where
     S: Default + Send,
     F: Fn(Range<usize>, &mut S) + Sync,
 {
     if n == 0 {
-        return;
+        return Vec::new();
     }
     assert!(block > 0, "source blocks must be non-empty");
     let blocks = n.div_ceil(block);
@@ -70,7 +74,7 @@ where
         for k in 0..blocks {
             f(range(k), &mut lane);
         }
-        return;
+        return vec![lane];
     }
     // One scratch per lane; a lane index is held by one worker at a time,
     // so each lock is uncontended.
@@ -79,6 +83,7 @@ where
     cp_exec::global().run(&mut slots, threads, |k, _slot, ctx| {
         f(range(k), &mut lanes[ctx.index()].lock());
     });
+    lanes.into_iter().map(Mutex::into_inner).collect()
 }
 
 /// Collects the full distance matrix (row-major, `n × n`): MS-BFS waves on
@@ -159,10 +164,23 @@ mod tests {
     }
 
     #[test]
+    fn lanes_come_back_for_one_merge() {
+        for threads in [1, 4] {
+            let lanes =
+                for_each_source_block(200, 10, threads, |s, lane: &mut Vec<usize>| lane.extend(s));
+            assert!(!lanes.is_empty() && lanes.len() <= threads);
+            let mut all: Vec<usize> = lanes.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..200).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
     fn empty_graph_is_noop() {
-        for_each_source_block(0, WAVE_WIDTH, 4, |_, _: &mut ()| {
+        let lanes = for_each_source_block(0, WAVE_WIDTH, 4, |_, _: &mut ()| {
             panic!("should not be called")
         });
+        assert!(lanes.is_empty());
     }
 
     #[test]

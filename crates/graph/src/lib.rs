@@ -15,17 +15,18 @@
 //!   (direction-optimizing top-down/bottom-up hybrid) and
 //!   [`dijkstra`](dijkstra::dijkstra) for weighted graphs, plus reusable
 //!   workspaces so hot loops do not allocate.
-//! * [`msbfs`] — bit-parallel multi-source BFS advancing up to 64 sources
-//!   per graph sweep, the kernel behind the budget oracle's batched
-//!   prefetch.
+//! * [`msbfs`] — bit-parallel, direction-optimizing multi-source BFS
+//!   advancing up to 64 sources per graph sweep, the kernel behind the
+//!   budget oracle's batched prefetch, the exact truth and the diameter.
 //! * [`components`] — connected components, connected-pair counting.
 //! * [`diameter`] — exact (threaded all-pairs BFS) and double-sweep bounds.
 //! * [`betweenness`] — exact Brandes edge betweenness: tree edges in
 //!   closed form, weighted sweeps over the 2-core (needed by the
 //!   Incidence baseline of Papadimitriou et al. that the paper compares
 //!   against).
-//! * [`apsp`] — threaded all-pairs BFS streaming, used to compute the exact
-//!   ground-truth top-k converging pairs.
+//! * [`apsp`] — threaded source-block streaming over the pool, used to
+//!   compute the exact ground-truth top-k converging pairs from a list of
+//!   sources.
 //! * [`landmark_index`] — classic landmark distance estimation (triangle
 //!   upper/lower bounds), the technique the paper's related work builds on
 //!   and the basis of the Δ-certification extension in `cp-core`.

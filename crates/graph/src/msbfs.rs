@@ -19,10 +19,19 @@
 //! swap this kernel in without disturbing the paper's determinism contract
 //! (one wave still *charges* one SSSP per source; see `cp-core`).
 //!
+//! Heavy levels run bottom-up (direction optimization, Beamer et al.,
+//! SC 2012, applied to MS-BFS words): when the frontier's arcs outweigh
+//! the arcs of the nodes still missing a source bit, every such node ORs
+//! its neighbors' frontier words instead of each frontier node pushing its
+//! word to every neighbor. Widely spread sources keep a node on the
+//! frontier at many levels, which is where the pull pays. The choice is
+//! made per level from those two observed counts; either direction
+//! reports the same discoveries at the same levels.
+//!
 //! The kernel itself is [`msbfs_visit`], which hands each `(source bit,
 //! node, level)` discovery to a caller's visitor; [`msbfs_into`] is the
-//! visitor that writes rows. The exact top-k baseline uses another one to
-//! compute distance decreases during the sweep without writing a row.
+//! visitor that writes rows, and the exact top-k baseline's visitor
+//! computes distance decreases during the sweep without writing a row.
 
 use crate::bfs::TraversalWork;
 use crate::graph::{Graph, NodeId};
@@ -54,19 +63,29 @@ impl MsBfsWorkspace {
     }
 }
 
+/// Growth factor of [`msbfs_visit`]'s direction switch: a level runs
+/// bottom-up when its frontier's arcs times `PULL_ALPHA` exceed the
+/// arcs of the nodes some reaching source has not yet discovered.
+/// Smaller than the single-source BFS's α = 14 because a bottom-up probe
+/// stops early only once every missing source bit is found.
+const PULL_ALPHA: usize = 4;
+
 /// Advances up to [`WAVE_WIDTH`] BFS traversals in one graph sweep,
 /// calling `visit_fn(b, v, level)` once for every node `v` that `sources[b]`
 /// reaches, with `level` = the BFS distance from `sources[b]` to `v`.
 ///
 /// Each `(b, v)` discovery is reported exactly once: the sources
 /// themselves at level 0, then every other reachable node in
-/// nondecreasing level order. Unreachable nodes are never reported.
+/// nondecreasing level order (the order within a level depends on the
+/// direction each level runs in). Unreachable nodes are never reported.
 /// Duplicate and isolated sources are fine (duplicates simply share
 /// every discovery, each under its own bit).
 ///
 /// Returns the settled `(source, node)` pairs and adjacency entries
-/// scanned (one per edge per sweep — the shared sweep is exactly what
-/// makes a wave cheaper than per-source BFS).
+/// scanned: a top-down level scans each frontier node's arcs once for the
+/// whole wave (the shared sweep is exactly what makes a wave cheaper than
+/// per-source BFS), a bottom-up level each open node's arcs up to the
+/// first neighbors that supply every missing bit.
 ///
 /// # Panics
 /// Panics if `sources.len() > WAVE_WIDTH`.
@@ -105,6 +124,9 @@ where
     frontier.clear();
     next_frontier.clear();
 
+    // The bits a node other than the sources can still gain: an isolated
+    // source reaches nothing, so no node waits for its bit.
+    let mut reach = 0u64;
     for (b, &s) in sources.iter().enumerate() {
         visit_fn(b, s, 0);
         if visit[s.index()] == 0 {
@@ -112,30 +134,78 @@ where
         }
         seen[s.index()] |= 1u64 << b;
         visit[s.index()] |= 1u64 << b;
+        if graph.degree(s) > 0 {
+            reach |= 1u64 << b;
+        }
     }
     work.settled += sources.len() as u64;
+    // Arcs of the nodes still missing a reaching bit: the bottom-up
+    // sweep's worst-case cost.
+    let mut open_arcs = graph.num_arcs();
+    for &s in frontier.iter() {
+        if seen[s as usize] & reach == reach {
+            open_arcs -= graph.degree(NodeId(s));
+        }
+    }
 
     let mut level: u32 = 0;
     while !frontier.is_empty() {
         level += 1;
-        for &uf in frontier.iter() {
-            let u = uf as usize;
-            let vis = visit[u];
-            for &v in graph.neighbors(NodeId::new(u)) {
-                let vi = v.index();
-                work.relaxed += 1;
-                let new = vis & !seen[vi];
-                if new != 0 {
-                    if next[vi] == 0 {
-                        next_frontier.push(v.0);
+        let frontier_arcs: usize = frontier.iter().map(|&u| graph.degree(NodeId(u))).sum();
+        if frontier_arcs * PULL_ALPHA > open_arcs {
+            for vi in 0..n {
+                let missing = reach & !seen[vi];
+                if missing == 0 {
+                    continue;
+                }
+                let v = NodeId::new(vi);
+                let mut found = 0u64;
+                for &u in graph.neighbors(v) {
+                    work.relaxed += 1;
+                    found |= visit[u.index()];
+                    if found & missing == missing {
+                        break;
                     }
-                    next[vi] |= new;
+                }
+                let new = found & missing;
+                if new != 0 {
+                    next_frontier.push(v.0);
+                    next[vi] = new;
                     seen[vi] |= new;
+                    if new == missing {
+                        open_arcs -= graph.degree(v);
+                    }
                     work.settled += u64::from(new.count_ones());
                     let mut bits = new;
                     while bits != 0 {
                         visit_fn(bits.trailing_zeros() as usize, v, level);
                         bits &= bits - 1;
+                    }
+                }
+            }
+        } else {
+            for &uf in frontier.iter() {
+                let u = uf as usize;
+                let vis = visit[u];
+                for &v in graph.neighbors(NodeId::new(u)) {
+                    let vi = v.index();
+                    work.relaxed += 1;
+                    let new = vis & !seen[vi];
+                    if new != 0 {
+                        if next[vi] == 0 {
+                            next_frontier.push(v.0);
+                        }
+                        next[vi] |= new;
+                        seen[vi] |= new;
+                        if seen[vi] & reach == reach && (seen[vi] ^ new) & reach != reach {
+                            open_arcs -= graph.degree(v);
+                        }
+                        work.settled += u64::from(new.count_ones());
+                        let mut bits = new;
+                        while bits != 0 {
+                            visit_fn(bits.trailing_zeros() as usize, v, level);
+                            bits &= bits - 1;
+                        }
                     }
                 }
             }
@@ -158,7 +228,7 @@ where
 }
 
 /// Advances up to [`WAVE_WIDTH`] BFS traversals in one graph sweep, writing
-/// `rows[b]` = the distance row of `sources[b]` — [`msbfs_visit`] with a
+/// `rows[b]` = the distance row of `sources[b]`: [`msbfs_visit`] with a
 /// visitor that stores each discovery's level.
 ///
 /// Each row is resized to `graph.num_nodes()` and fully overwritten;
@@ -236,6 +306,59 @@ mod tests {
         msbfs_into(&g, &[NodeId(5), NodeId(7)], &mut rows, &mut ws);
         assert_eq!(rows[0], bfs(&g, NodeId(5)));
         assert_eq!(rows[1], bfs(&g, NodeId(7)));
+    }
+
+    #[test]
+    fn heavy_levels_pull_and_report_per_source_bfs_levels() {
+        // A dense random graph with a tail and isolated nodes: spread
+        // sources put most nodes on the frontier at several levels, which
+        // run bottom-up instead of pushing.
+        let mut state = 0x2545_f491_u64;
+        let mut next = |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(bound)) as u32
+        };
+        let mut edges: Vec<(u32, u32)> = (0..2000).map(|_| (next(200), next(200))).collect();
+        edges.extend((199..229).map(|i| (i, i + 1)));
+        let g = graph_from_edges(240, &edges);
+        let sources: Vec<NodeId> = (0..64).map(|i| NodeId((i * 37) % 240)).collect();
+        let mut seen = Vec::new();
+        let work = msbfs_visit(&g, &sources, &mut MsBfsWorkspace::new(), |b, v, l| {
+            seen.push((b, v, l))
+        });
+        seen.sort_unstable();
+        let rows: Vec<Vec<u32>> = sources.iter().map(|&s| bfs(&g, s)).collect();
+        let mut expect = Vec::new();
+        for (b, row) in rows.iter().enumerate() {
+            for (v, &d) in row.iter().enumerate() {
+                if d != INF {
+                    expect.push((b, NodeId::new(v), d));
+                }
+            }
+        }
+        assert_eq!(seen, expect);
+        assert_eq!(work.settled, expect.len() as u64);
+        // An all-top-down wave scans each node's arcs once per distinct
+        // level at which some source has it on the frontier.
+        let push_arcs: u64 = g
+            .nodes()
+            .map(|v| {
+                let mut levels: Vec<u32> = rows
+                    .iter()
+                    .map(|row| row[v.index()])
+                    .filter(|&d| d != INF)
+                    .collect();
+                levels.sort_unstable();
+                levels.dedup();
+                (levels.len() * g.degree(v)) as u64
+            })
+            .sum();
+        assert!(
+            work.relaxed < push_arcs,
+            "{work:?} vs {push_arcs} push arcs"
+        );
     }
 
     #[test]

@@ -111,7 +111,8 @@ proptest! {
 
     // The visitor reports every `(bit, node)` discovery exactly once, at
     // the node's BFS level from that bit's source, in nondecreasing level
-    // order — and `msbfs_into` rows through the same workspace, reused
+    // order, whichever direction each level runs in — and `msbfs_into`
+    // rows through the same workspace, reused
     // across graphs and interleaved with visits, stay per-source BFS rows.
     #[test]
     fn msbfs_visit_reports_each_discovery_once_at_its_level(
@@ -124,6 +125,14 @@ proptest! {
         let src_b: Vec<NodeId> = sources2.iter().map(|&s| NodeId(s)).collect();
         let mut ws = MsBfsWorkspace::new();
         for (g, src) in [(&ga, &src_a), (&gb, &src_b), (&ga, &src_a)] {
+            let mut expect = BTreeMap::new();
+            for (b, &s) in src.iter().enumerate() {
+                for (v, &d) in bfs(g, s).iter().enumerate() {
+                    if d != INF {
+                        expect.insert((b, NodeId::new(v)), d);
+                    }
+                }
+            }
             let mut reported = BTreeMap::new();
             let (mut duplicates, mut out_of_order, mut last) = (0, 0, 0);
             msbfs_visit(g, src, &mut ws, |b, v, level| {
@@ -133,14 +142,6 @@ proptest! {
             });
             prop_assert_eq!(duplicates, 0, "a discovery was reported twice");
             prop_assert_eq!(out_of_order, 0, "levels went backwards");
-            let mut expect = BTreeMap::new();
-            for (b, &s) in src.iter().enumerate() {
-                for (v, &d) in bfs(g, s).iter().enumerate() {
-                    if d != INF {
-                        expect.insert((b, NodeId::new(v)), d);
-                    }
-                }
-            }
             prop_assert_eq!(reported, expect);
 
             let mut rows = vec![Vec::new(); src.len()];

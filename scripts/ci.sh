@@ -35,7 +35,8 @@ echo "==> CLI determinism [every selector and --exact, default env vs each runti
 # The bit-identical contract at the user surface: for every selector
 # (IncBet, whose exact Brandes fans its source blocks out on the
 # oracle's width, included) and for the exact answer (`--exact`, MS-BFS
-# waves over the pool) the root CLI prints byte-identical pairs with no
+# waves over the pool, under both its top-k cut and its threshold cut
+# `--delta-min 2`) the root CLI prints byte-identical pairs with no
 # knob set and with each of the two runtime knobs moved off its default:
 # one lane sweeping every block, eight lanes, and no row cache.
 det_dir="$(mktemp -d -t cp_determinism.XXXXXX)"
@@ -54,8 +55,12 @@ with open(sys.argv[1], "w") as f:
     for t, (u, v) in enumerate(events):
         f.write(f"{u} {v} {t}\n")
 PY
-for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random exact; do
-    if [ "$sel" = exact ]; then mode=(--exact); else mode=(--selector "$sel"); fi
+for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd mamd incdeg incbet random exact exact-delta2; do
+    case "$sel" in
+        exact) mode=(--exact) ;;
+        exact-delta2) mode=(--exact --delta-min 2) ;;
+        *) mode=(--selector "$sel") ;;
+    esac
     for knob in default CP_THREADS=1 CP_THREADS=8 CP_ROW_CACHE=0; do
         # `default` expands to no assignment at all: every knob unset.
         env -u CP_THREADS -u CP_ROW_CACHE ${knob#default} \

@@ -44,7 +44,8 @@ options:
                    mmsd|mmmd|masd|mamd|incdeg|incbet|random      [mmsd]
   --landmarks L    landmarks for the landmark/hybrid selectors   [10]
   --seed N         RNG seed                                      [42]
-  --exact          compute the exact answer (all-pairs BFS) instead
+  --exact          compute the exact answer (BFS from the new edges'
+                   endpoints and the nodes they certify) instead
   --evaluate       additionally compute the exact answer and report the
                    budgeted run's coverage against it
   -h, --help       this text";
@@ -168,10 +169,11 @@ fn main() -> ExitCode {
     let pairs = if args.exact {
         let exact = exact_top_k(&g1, &g2, &spec, threads);
         eprintln!(
-            "exact: delta_max = {}, {} pairs ({}n SSSP equivalents spent)",
+            "exact: delta_max = {}, {} pairs ({} of {} sources swept)",
             exact.delta_max,
             exact.k(),
-            2
+            exact.sources_swept,
+            g1.num_nodes()
         );
         exact.pairs
     } else {
