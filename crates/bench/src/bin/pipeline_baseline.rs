@@ -48,7 +48,11 @@
 //! how fast the readers happened to run. A reader-free twin run pins the
 //! ledger: every rung's summed review budget must equal the twin's
 //! exactly (`query_budget_charged` stays 0) — queries are served from
-//! immutable epochs and spend nothing.
+//! immutable epochs and spend nothing. `query_qps_peak` is the best rate
+//! of the rungs whose readers fit the host's available parallelism: on a
+//! 2-vCPU host the 8-reader rung oversubscribes the cores 4x and its rate
+//! tracks host load, so it stays a stress rung — its answers and ledger
+//! are still checked — but never sets the peak.
 //!
 //! Per sweep, three timings: `secs` (whole suite, end to end),
 //! `sssp_secs` (the oracle's distance-row computation, the path the BFS
@@ -248,7 +252,9 @@ struct Baseline {
     /// reader-free twin. Structurally zero: queries are answered from
     /// published epochs and never touch a budget.
     query_budget_charged: u64,
-    /// The best queries/sec observed on any query-ladder rung.
+    /// The best queries/sec of the query-ladder rungs with no more
+    /// readers than `std::thread::available_parallelism()`; rungs with
+    /// more are stress rungs, checked but not counted here.
     query_qps_peak: f64,
     /// Suite totals of the fastest rung per dataset (one thread
     /// cache-off, one thread cache-on, or `threads_multi` cache-off).
@@ -572,6 +578,9 @@ fn main() {
     let mut query_answer_totals = [0u64; 3]; // phase 3: [exact, bounded, unknown]
     let mut query_budget_charged = 0u64;
     let mut query_qps_peak = 0.0f64;
+    // Rungs with more readers than this are stress rungs: checked, never
+    // the peak.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut totals = [0.0f64; 3];
     let mut stream_hit_totals = [[0u64; 2]; 2]; // [chained, rebuilt] × [hits, charged]
     let mut stream_gain_datasets = 0usize;
@@ -726,7 +735,9 @@ fn main() {
             query_answer_totals[0] += sweep.exact;
             query_answer_totals[1] += sweep.bounded;
             query_answer_totals[2] += sweep.unknown;
-            query_qps_peak = query_qps_peak.max(sweep.qps);
+            if readers <= cores {
+                query_qps_peak = query_qps_peak.max(sweep.qps);
+            }
             eprintln!(
                 "  {name} query [{readers} readers] {} queries in {:.4}s over {} passes ({:.0} q/s): \
                  probe mix {} exact, {} bounded, {} unknown; ledger {} (= twin, 0 charged)",

@@ -19,19 +19,49 @@ use super::CandidateSelector;
 use crate::exact::TopKSpec;
 use crate::oracle::SnapshotOracle;
 use crate::topk::{run_pipeline, BudgetedResult};
-use cp_graph::betweenness::betweenness_exact;
+use cp_graph::betweenness::{betweenness_exact, betweenness_of};
 use cp_graph::temporal::TemporalGraph;
 use cp_graph::{Graph, NodeId};
 
-/// The endpoints of the new edges between the snapshots, ascending.
-pub fn active_nodes(g1: &Graph, g2: &Graph) -> Vec<NodeId> {
-    let mut active: Vec<NodeId> = TemporalGraph::new_edges_between(g1, g2)
+/// The new edges between the snapshots as `(u, v, edge id in G_t2)`, in
+/// [`TemporalGraph::new_edges_between`]'s order.
+fn new_edges(g1: &Graph, g2: &Graph) -> Vec<(NodeId, NodeId, u32)> {
+    TemporalGraph::new_edges_between(g1, g2)
         .into_iter()
-        .flat_map(|(u, v)| [u, v])
-        .collect();
+        .map(|(u, v)| (u, v, g2.edge_id(u, v).expect("a new edge is in G_t2")))
+        .collect()
+}
+
+/// The endpoints of `edges`, ascending.
+fn endpoints(edges: &[(NodeId, NodeId, u32)]) -> Vec<NodeId> {
+    let mut active: Vec<NodeId> = edges.iter().flat_map(|&(u, v, _)| [u, v]).collect();
     active.sort_unstable();
     active.dedup();
     active
+}
+
+/// The endpoints of the new edges between the snapshots, ascending.
+pub fn active_nodes(g1: &Graph, g2: &Graph) -> Vec<NodeId> {
+    endpoints(&new_edges(g1, g2))
+}
+
+/// IncBet's ranking input: the active nodes, ascending, and each one's
+/// importance — the summed betweenness in `G_t2` of its new edges. Only
+/// the new edges are scored ([`betweenness_of`]), and they are summed in
+/// the order [`new_edges`] lists them, so each importance is the same
+/// `f64` as summing [`betweenness_exact`]'s scores in that order.
+pub fn new_edge_importance(g1: &Graph, g2: &Graph, threads: usize) -> (Vec<NodeId>, Vec<f64>) {
+    let edges = new_edges(g1, g2);
+    let ids: Vec<u32> = edges.iter().map(|&(_, _, e)| e).collect();
+    let scores = betweenness_of(g2, &ids, threads);
+    let mut importance = vec![0.0f64; g2.num_nodes()];
+    for (&(u, v, _), score) in edges.iter().zip(scores) {
+        importance[u.index()] += score;
+        importance[v.index()] += score;
+    }
+    let active = endpoints(&edges);
+    let scores = active.iter().map(|&u| importance[u.index()]).collect();
+    (active, scores)
 }
 
 /// How the budgeted Incidence variants rank the active nodes.
@@ -66,26 +96,18 @@ impl IncidenceSelector {
         self
     }
 
-    fn scores(&self, g1: &Graph, g2: &Graph, active: &[NodeId], threads: usize) -> Vec<f64> {
+    /// The active nodes and their ranking scores.
+    fn scores(&self, g1: &Graph, g2: &Graph, threads: usize) -> (Vec<NodeId>, Vec<f64>) {
         match self.ranking {
-            IncidenceRanking::DegreeDiff => active
-                .iter()
-                .map(|&u| (g2.degree(u) as f64) - (g1.degree(u) as f64))
-                .collect(),
-            IncidenceRanking::Betweenness => {
-                let bt = betweenness_exact(g2, threads);
-                let mut importance = vec![0.0f64; g2.num_nodes()];
-                for u in g2.nodes() {
-                    for (v, e) in g2.neighbors_with_edge_ids(u) {
-                        if u < v && !g1.has_edge(u, v) {
-                            let score = bt.edge[e as usize];
-                            importance[u.index()] += score;
-                            importance[v.index()] += score;
-                        }
-                    }
-                }
-                active.iter().map(|&u| importance[u.index()]).collect()
+            IncidenceRanking::DegreeDiff => {
+                let active = active_nodes(g1, g2);
+                let scores = active
+                    .iter()
+                    .map(|&u| (g2.degree(u) as f64) - (g1.degree(u) as f64))
+                    .collect();
+                (active, scores)
             }
+            IncidenceRanking::Betweenness => new_edge_importance(g1, g2, threads),
         }
     }
 }
@@ -100,9 +122,8 @@ impl CandidateSelector for IncidenceSelector {
     }
 
     fn rank(&mut self, oracle: &mut SnapshotOracle<'_>) -> Vec<NodeId> {
-        let active = active_nodes(oracle.g1(), oracle.g2());
         let threads = self.threads.unwrap_or(oracle.threads());
-        let scores = self.scores(oracle.g1(), oracle.g2(), &active, threads);
+        let (active, scores) = self.scores(oracle.g1(), oracle.g2(), threads);
         let mut order: Vec<usize> = (0..active.len()).collect();
         order.sort_by(|&a, &b| {
             scores[b]

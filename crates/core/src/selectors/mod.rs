@@ -20,8 +20,8 @@ pub use classifier::{
 pub use degree::DegreeSelector;
 pub use dispersion::{dispersion_pick, DispersionMode, DispersionSelector};
 pub use incidence::{
-    active_nodes, incidence_full, selective_expansion, IncidenceFull, IncidenceRanking,
-    IncidenceSelector, SelectiveExpansion,
+    active_nodes, incidence_full, new_edge_importance, selective_expansion, IncidenceFull,
+    IncidenceRanking, IncidenceSelector, SelectiveExpansion,
 };
 pub use landmark::{
     landmark_change_scores, LandmarkPolicy, LandmarkScores, LandmarkSelector, Norm,

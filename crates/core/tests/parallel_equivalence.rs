@@ -8,14 +8,14 @@
 
 use cp_core::exact::TopKSpec;
 use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
-use cp_core::selectors::SelectorKind;
+use cp_core::selectors::{new_edge_importance, SelectorKind};
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_exec::Executor;
 use cp_gen::datasets::{DatasetKind, DatasetProfile};
 use cp_graph::betweenness::{betweenness_exact, Betweenness};
 use cp_graph::builder::graph_from_edges;
 use cp_graph::rowpack::{widen_u16_into, RowRef};
-use cp_graph::{Graph, GraphBuilder, NodeId};
+use cp_graph::{Graph, GraphBuilder, NodeId, TemporalGraph};
 use proptest::prelude::*;
 use reference::{reference_pairs, reference_row};
 use std::sync::Arc;
@@ -431,6 +431,44 @@ fn betweenness_is_bit_identical_across_thread_counts() {
             assert!(
                 bits(&betweenness_exact(&g2, threads)) == exact,
                 "{}: exact betweenness differs at {threads} threads",
+                kind.name()
+            );
+        }
+    }
+}
+
+/// IncBet scores only the new edges: every active node's importance from
+/// the masked kernel is the same `f64` as summing the all-edges
+/// `betweenness_exact` scores of its new edges in the same order. One
+/// new-edge pass gives both the mask and the active set. Checked on the
+/// eval pair of all four emulators at 1, 2 and 8 threads.
+#[test]
+fn incbet_importance_matches_all_edges_betweenness() {
+    for kind in DatasetKind::ALL {
+        let (g1, g2) = DatasetProfile::scaled(kind, 0.05).eval_pair(42);
+        let new_edges = TemporalGraph::new_edges_between(&g1, &g2);
+        let mut active: Vec<NodeId> = new_edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+        active.sort_unstable();
+        active.dedup();
+        assert!(!active.is_empty(), "{}: no new edges", kind.name());
+        for threads in [1, 2, 8] {
+            let all = betweenness_exact(&g2, threads);
+            let mut importance = vec![0.0f64; g2.num_nodes()];
+            for &(u, v) in &new_edges {
+                let score = all.edge[g2.edge_id(u, v).unwrap() as usize];
+                importance[u.index()] += score;
+                importance[v.index()] += score;
+            }
+            let want: Vec<u64> = active
+                .iter()
+                .map(|&u| importance[u.index()].to_bits())
+                .collect();
+            let (got_active, got) = new_edge_importance(&g1, &g2, threads);
+            assert_eq!(got_active, active, "{}: active sets differ", kind.name());
+            let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            assert!(
+                got == want,
+                "{}: masked importance differs at {threads} threads",
                 kind.name()
             );
         }

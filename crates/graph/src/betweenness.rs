@@ -42,13 +42,23 @@
 //!
 //!   Node `v` and source `b` share one `f64` slot `val[v·w + b]`: σ
 //!   during the forward pass, `coef` after it.
-//! * **Width cap.** The block width is `w = clamp(2^16 / k, 1, 64)` for a
-//!   core of `k` nodes, so a lane's slots hold at most 2^16 `f64` (512
-//!   KiB) next to its `O(k)` words, its level entries and its `O(m)` edge
-//!   sums. Wider blocks scan fewer arcs but cost memory in every lane; a
-//!   core of 2^16 or more nodes sweeps one source per block, as plain
-//!   Brandes does. Lane buffers live for one call and are freed by the
-//!   merge, so they never add to a later phase's peak.
+//! * **Masked accumulation.** [`betweenness_of`] scores only the edges a
+//!   caller asks for; IncBet asks for the new edges, about a fifth of
+//!   `G_t2`'s. Every DAG arc still feeds `δ`, but an arc whose edge is not
+//!   requested skips the per-source product `σ_b[u]·coef_b[v]`, its
+//!   rounding and its `i64` add, and a lane keeps one sum per requested
+//!   edge instead of one per graph edge. [`betweenness_exact`] is the
+//!   same sweep with every edge requested.
+//! * **Width cap.** The block width is `w = clamp(2^17 / k, 1, 64)` for a
+//!   core of `k` nodes, so a lane's slots hold at most 2^17 `f64` (1 MiB)
+//!   next to its `O(k)` words, its level entries and one sum per
+//!   requested edge. Wider blocks share each level's arc scans among more
+//!   sources but cost memory in every lane: cores of up to 2048 nodes
+//!   (Actors, Facebook) sweep full 64-source blocks, Internet links'
+//!   4210-node core and DBLP's 4201-node core sweep 31, and a core of
+//!   2^17 or more nodes sweeps one source per block, as plain Brandes
+//!   does. Lane buffers live for one call and are freed by the merge, so
+//!   they never add to a later phase's peak.
 //! * **Fixed-point reduction.** Each per-source contribution `c` is added
 //!   as the integer `round(c·2^F)`, with `F = 61 − ⌈log2 n²⌉`. The weights
 //!   of a component sum to at most `n`, so one edge's sum over all core
@@ -61,15 +71,16 @@
 //!   million nodes, where small scores lose most of their digits. Bridge
 //!   scores are exact.
 //!
-//! **Why the scores are bit-identical** at every block width, block order
-//! and thread count: σ values are integers (below 2^53), so the order of
-//! the forward additions cannot change them. In the backward pass each
+//! **Why the scores are bit-identical** at every block width, block order,
+//! thread count and mask: σ values are integers (below 2^53), so the order
+//! of the forward additions cannot change them. In the backward pass each
 //! source's floating-point operations run in the order of the per-source
 //! sweep — a node's DAG arcs in reverse CSR order, `coef` read only once
 //! final — so every rounded contribution is the same integer, and
-//! integer sums do not depend on which lane summed which block. The
-//! per-source sweep survives as the reference the tests hold the block
-//! sweep to.
+//! integer sums do not depend on which lane summed which block. The mask
+//! only drops the products of unrequested edges, which no other value
+//! reads. The per-source sweep survives as the reference the tests hold
+//! the block sweep to.
 
 use crate::components::components;
 use crate::graph::Graph;
@@ -88,8 +99,8 @@ pub struct Betweenness {
 /// Most sources in one block: one bit per source in a `u64` word.
 const MAX_BLOCK: usize = 64;
 
-/// Most `f64` slots a lane's block sweep holds: `k·w ≤ 2^16`, 512 KiB.
-const LANE_SLOTS: usize = 1 << 16;
+/// Most `f64` slots a lane's block sweep holds: `k·w ≤ 2^17`, 1 MiB.
+const LANE_SLOTS: usize = 1 << 17;
 
 /// Block width for a core of `k` nodes: as many sources as fit
 /// [`LANE_SLOTS`], between 1 and [`MAX_BLOCK`].
@@ -115,22 +126,34 @@ fn bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Marks an arc or edge whose score nobody requested.
+const UNREQUESTED: u32 = u32::MAX;
+
 /// A graph with its forest peeled off: the compacted 2-core the sweeps
-/// walk, and the exact scores of the peeled bridges.
+/// walk, and the exact scores of the requested peeled bridges.
 struct Peeled {
     /// CSR of the core over local ids (core nodes in ascending id order).
     offsets: Vec<usize>,
     targets: Vec<u32>,
-    /// The graph's undirected edge id of each core arc.
-    arc_edge: Vec<u32>,
+    /// Each core arc's slot: the index of its edge among the requested
+    /// edges, or [`UNREQUESTED`].
+    arc_slot: Vec<u32>,
     /// `w(a)`: 1 + the nodes in the trees hanging off core node `a`.
     weight: Vec<f64>,
-    /// `(edge id, s·(C − s))` of every peeled node's parent edge.
+    /// `(slot, s·(C − s))` of every requested peeled node's parent edge.
     bridges: Vec<(u32, f64)>,
 }
 
 impl Peeled {
-    fn new(graph: &Graph) -> Self {
+    /// Peels `graph`, with slots for the requested `edges` (distinct edge
+    /// ids): edge `edges[i]` gets slot `i`.
+    fn new(graph: &Graph, edges: &[u32]) -> Self {
+        let mut slot = vec![UNREQUESTED; graph.num_edges()];
+        for (i, &e) in edges.iter().enumerate() {
+            let s = &mut slot[e as usize];
+            assert!(*s == UNREQUESTED, "edge {e} requested twice");
+            *s = i as u32;
+        }
         let n = graph.num_nodes();
         let offsets = graph.arc_offsets();
         let targets = graph.arc_targets();
@@ -157,7 +180,10 @@ impl Peeled {
                 .expect("a node of degree 1 has one neighbour left");
             let p = targets[a].index();
             let c = comps.sizes[comps.labels[x] as usize];
-            bridges.push((arc_edge[a], size[x] as f64 * (c - size[x]) as f64));
+            let e = slot[arc_edge[a] as usize];
+            if e != UNREQUESTED {
+                bridges.push((e, size[x] as f64 * (c - size[x]) as f64));
+            }
             size[p] += size[x];
             degree[p] -= 1;
             if degree[p] == 1 {
@@ -174,13 +200,13 @@ impl Peeled {
         let mut core_offsets = Vec::with_capacity(weight.len() + 1);
         core_offsets.push(0);
         let mut core_targets = Vec::new();
-        let mut core_arc_edge = Vec::new();
+        let mut arc_slot = Vec::new();
         for u in (0..n).filter(|&u| !peeled[u]) {
             for a in offsets[u]..offsets[u + 1] {
                 let v = local[targets[a].index()];
                 if v != u32::MAX {
                     core_targets.push(v);
-                    core_arc_edge.push(arc_edge[a]);
+                    arc_slot.push(slot[arc_edge[a] as usize]);
                 }
             }
             core_offsets.push(core_targets.len());
@@ -188,7 +214,7 @@ impl Peeled {
         Peeled {
             offsets: core_offsets,
             targets: core_targets,
-            arc_edge: core_arc_edge,
+            arc_slot,
             weight,
             bridges,
         }
@@ -232,7 +258,7 @@ impl Peeled {
 /// as is.
 #[derive(Default)]
 struct BlockScratch {
-    /// `(k, m, w)`: core nodes, graph edges and block width.
+    /// `(k, r, w)`: core nodes, requested edges and block width.
     shape: (usize, usize, usize),
     /// `seen[v]` bit `b`: source `b` reached `v` on a level already
     /// entered.
@@ -248,13 +274,13 @@ struct BlockScratch {
     entries: Vec<(u32, u64)>,
     /// Where each level starts in `entries`, then the end.
     levels: Vec<usize>,
-    /// Fixed-point edge sums of this lane's sources, by graph edge id.
+    /// Fixed-point edge sums of this lane's sources, by slot.
     edge: Vec<i64>,
 }
 
 impl BlockScratch {
     fn new(shape: (usize, usize, usize)) -> Self {
-        let (k, m, w) = shape;
+        let (k, r, w) = shape;
         BlockScratch {
             shape,
             seen: vec![0; k],
@@ -262,7 +288,7 @@ impl BlockScratch {
             val: vec![0.0; k * w],
             entries: Vec::new(),
             levels: Vec::new(),
-            edge: vec![0; m],
+            edge: vec![0; r],
         }
     }
 
@@ -356,15 +382,23 @@ impl BlockScratch {
                     for a in (offsets[u]..offsets[u + 1]).rev() {
                         let v = targets[a] as usize;
                         let mask = vis & cur[v];
-                        if mask != 0 {
-                            let vw = v * w;
+                        if mask == 0 {
+                            continue;
+                        }
+                        let vw = v * w;
+                        let slot = core.arc_slot[a];
+                        if slot == UNREQUESTED {
+                            for b in bits(mask) {
+                                sum[b] += val[vw + b];
+                            }
+                        } else {
                             let mut c = 0;
                             for b in bits(mask) {
                                 let cv = val[vw + b];
                                 sum[b] += cv;
                                 c += fixed(su[b] * cv);
                             }
-                            edge[core.arc_edge[a] as usize] += c;
+                            edge[slot as usize] += c;
                         }
                     }
                 }
@@ -394,16 +428,32 @@ fn fraction_bits(n: usize) -> i32 {
     61 - (128 - (bound - 1).leading_zeros()) as i32
 }
 
-/// Exact edge betweenness: bridges of the peeled forest in closed form,
-/// the 2-core by weighted Brandes from every core source, swept in blocks
-/// of [`block_width`] sources.
+/// Exact edge betweenness of every edge: [`betweenness_of`] with every
+/// edge requested, in edge id order.
 pub fn betweenness_exact(graph: &Graph, threads: usize) -> Betweenness {
-    betweenness_blocks(graph, threads, block_width)
+    let all: Vec<u32> = (0..graph.num_edges() as u32).collect();
+    Betweenness {
+        edge: betweenness_of(graph, &all, threads),
+    }
 }
 
-/// [`betweenness_exact`] with blocks of `width(k)` sources for a core of
-/// `k` nodes.
-fn betweenness_blocks(graph: &Graph, threads: usize, width: fn(usize) -> usize) -> Betweenness {
+/// Exact betweenness of the requested `edges` (distinct edge ids), one
+/// score per edge in the order of `edges`, bit-identical to
+/// [`betweenness_exact`]'s: bridges of the peeled forest in closed form,
+/// the 2-core by weighted Brandes from every core source, swept in blocks
+/// of [`block_width`] sources that accumulate only the requested edges.
+pub fn betweenness_of(graph: &Graph, edges: &[u32], threads: usize) -> Vec<f64> {
+    betweenness_blocks(graph, edges, threads, block_width)
+}
+
+/// [`betweenness_of`] with blocks of `width(k)` sources for a core of `k`
+/// nodes.
+fn betweenness_blocks(
+    graph: &Graph,
+    edges: &[u32],
+    threads: usize,
+    width: fn(usize) -> usize,
+) -> Vec<f64> {
     assert!(
         !graph.is_weighted(),
         "betweenness supports unweighted graphs only"
@@ -412,24 +462,24 @@ fn betweenness_blocks(graph: &Graph, threads: usize, width: fn(usize) -> usize) 
         u32::try_from(graph.num_arcs()).is_ok(),
         "betweenness indexes arcs as u32"
     );
-    let core = Peeled::new(graph);
+    let core = Peeled::new(graph, edges);
     let unit = 2f64.powi(fraction_bits(graph.num_nodes()));
     let w = width(core.num_nodes());
-    let sums = block_sums(&core, graph.num_edges(), unit, threads, w);
+    let sums = block_sums(&core, edges.len(), unit, threads, w);
     scores(&core, sums, unit)
 }
 
-/// The fixed-point core edge sums, over `threads` lanes that each sweep
-/// blocks of `w` sources.
-fn block_sums(core: &Peeled, m: usize, unit: f64, threads: usize, w: usize) -> Vec<i64> {
+/// The fixed-point sums of the `r` requested edges' core arcs, over
+/// `threads` lanes that each sweep blocks of `w` sources.
+fn block_sums(core: &Peeled, r: usize, unit: f64, threads: usize, w: usize) -> Vec<i64> {
     assert!(
         (1..=MAX_BLOCK).contains(&w),
         "block width {w} not in 1..=64"
     );
-    let shape = (core.num_nodes(), m, w);
+    let shape = (core.num_nodes(), r, w);
     let order = core.bfs_order();
     let mut blocks: Vec<&[u32]> = order.chunks(w).collect();
-    let mut sums = vec![0i64; m];
+    let mut sums = vec![0i64; r];
     cp_exec::global().run_collect(
         &mut blocks,
         threads.max(1),
@@ -459,16 +509,17 @@ fn block_sums(core: &Peeled, m: usize, unit: f64, threads: usize, w: usize) -> V
     sums
 }
 
-/// Final scores from the core edge sums and the peeled bridges.
-fn scores(core: &Peeled, sums: Vec<i64>, unit: f64) -> Betweenness {
+/// Final scores by slot from the core edge sums and the requested peeled
+/// bridges.
+fn scores(core: &Peeled, sums: Vec<i64>, unit: f64) -> Vec<f64> {
     // Undirected: each unordered core pair was counted from both
     // endpoints. Bridges were never swept, so their sums are zero.
     let factor = 0.5 / unit;
     let mut edge: Vec<f64> = sums.into_iter().map(|x| x as f64 * factor).collect();
-    for &(e, score) in &core.bridges {
-        edge[e as usize] = score;
+    for &(slot, score) in &core.bridges {
+        edge[slot as usize] = score;
     }
-    Betweenness { edge }
+    edge
 }
 
 #[cfg(test)]
@@ -557,7 +608,7 @@ mod tests {
                     i -= 1;
                     let cv = coef[targets[a] as usize];
                     sum += cv;
-                    edge[core.arc_edge[a] as usize] += fixed(su * cv);
+                    edge[core.arc_slot[a] as usize] += fixed(su * cv);
                 }
                 coef[u] += sum;
             }
@@ -570,8 +621,16 @@ mod tests {
         }
     }
 
+    /// `g` peeled with every edge requested, so an arc's slot is its
+    /// edge id.
+    fn peel(g: &Graph) -> Peeled {
+        let all: Vec<u32> = (0..g.num_edges() as u32).collect();
+        Peeled::new(g, &all)
+    }
+
     /// The fixed-point core edge sums of per-source sweeps from every
-    /// core node, in id order on one thread.
+    /// core node, in id order on one thread, over a core peeled with
+    /// every edge requested.
     fn reference_sums(core: &Peeled, m: usize, unit: f64) -> Vec<i64> {
         let mut scratch = SourceScratch::new(core.num_nodes(), m);
         for s in 0..core.num_nodes() {
@@ -580,38 +639,60 @@ mod tests {
         scratch.edge
     }
 
-    /// Holds the block sweep to the per-source reference on `g`: the
-    /// `i64` sums at widths 1, 3, 64 and the capped width, and the final
-    /// `f64` bits, at 1, 2 and 8 threads.
+    /// Holds the block sweep to the per-source reference on `g`, on four
+    /// masks: no edge, every edge, the peeled bridges only, and a
+    /// pseudo-random subset in descending id order. Each mask's `i64`
+    /// sums at widths 1, 3, 64 and the capped width, and its final `f64`
+    /// bits, at 1, 2 and 8 threads, must equal the reference's restricted
+    /// to the mask.
     fn assert_blocks_match_reference(g: &Graph) -> Result<(), TestCaseError> {
-        let core = Peeled::new(g);
         let m = g.num_edges();
+        let full = peel(g);
         let unit = 2f64.powi(fraction_bits(g.num_nodes()));
-        let want = reference_sums(&core, m, unit);
-        let want_bits: Vec<u64> = scores(&core, want.clone(), unit)
-            .edge
+        let want = reference_sums(&full, m, unit);
+        let want_bits: Vec<u64> = scores(&full, want.clone(), unit)
             .iter()
             .map(|x| x.to_bits())
             .collect();
-        let capped = block_width(core.num_nodes());
-        for width in [1, 3, 64, capped] {
-            for threads in [1, 2, 8] {
-                let got = block_sums(&core, m, unit, threads, width);
+        let capped = block_width(full.num_nodes());
+        let all: Vec<u32> = (0..m as u32).collect();
+        let bridges: Vec<u32> = full.bridges.iter().map(|&(e, _)| e).collect();
+        let subset: Vec<u32> = all
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&e| {
+                (u64::from(e) ^ (m as u64) << 20).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 == 0
+            })
+            .collect();
+        for mask in [Vec::new(), all, bridges, subset] {
+            let core = Peeled::new(g, &mask);
+            let want: Vec<i64> = mask.iter().map(|&e| want[e as usize]).collect();
+            let want_bits: Vec<u64> = mask.iter().map(|&e| want_bits[e as usize]).collect();
+            for width in [1, 3, 64, capped] {
+                for threads in [1, 2, 8] {
+                    let got = block_sums(&core, mask.len(), unit, threads, width);
+                    prop_assert!(
+                        got == want,
+                        "sums of {} requested edges differ at width {} threads {}",
+                        mask.len(),
+                        width,
+                        threads
+                    );
+                }
+            }
+            for (width, threads) in [(block_width as fn(usize) -> usize, 2), (|_| 3, 8)] {
+                let got: Vec<u64> = betweenness_blocks(g, &mask, threads, width)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
                 prop_assert!(
-                    got == want,
-                    "edge sums differ at width {} threads {}",
-                    width,
+                    got == want_bits,
+                    "score bits of {} requested edges differ at {} threads",
+                    mask.len(),
                     threads
                 );
             }
-        }
-        for (width, threads) in [(block_width as fn(usize) -> usize, 2), (|_| 3, 8)] {
-            let got: Vec<u64> = betweenness_blocks(g, threads, width)
-                .edge
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            prop_assert!(got == want_bits, "score bits differ at {} threads", threads);
         }
         Ok(())
     }
@@ -692,7 +773,7 @@ mod tests {
         #[test]
         fn block_sweep_matches_per_source_on_sized_cores((n, k, edges) in sized_core_graph()) {
             let g = graph_from_edges(n, &edges);
-            prop_assert_eq!(Peeled::new(&g).num_nodes(), k);
+            prop_assert_eq!(peel(&g).num_nodes(), k);
             assert_blocks_match_reference(&g)?;
         }
     }
@@ -710,12 +791,21 @@ mod tests {
     fn block_width_caps_the_lane_slots() {
         assert_eq!(block_width(0), 64);
         assert_eq!(block_width(1), 64);
-        assert_eq!(block_width(1024), 64);
-        assert_eq!(block_width(1025), 63);
-        assert_eq!(block_width(4210), 15);
-        assert_eq!(block_width(1 << 15), 2);
-        assert_eq!(block_width(1 << 16), 1);
+        assert_eq!(block_width(2048), 64);
+        assert_eq!(block_width(2049), 63);
+        // Internet links' and DBLP's cores at scale 0.25.
+        assert_eq!(block_width(4210), 31);
+        assert_eq!(block_width(4201), 31);
+        assert_eq!(block_width(1 << 16), 2);
+        assert_eq!(block_width(1 << 17), 1);
         assert_eq!(block_width(usize::MAX), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 1 requested twice")]
+    fn a_repeated_edge_is_rejected() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        betweenness_of(&g, &[1, 0, 1], 1);
     }
 
     #[test]
@@ -755,7 +845,7 @@ mod tests {
                 (7, 5),
             ],
         );
-        let core = Peeled::new(&g);
+        let core = peel(&g);
         assert_eq!(core.bfs_order(), vec![0, 2, 3, 4, 1, 5, 6, 7]);
     }
 
@@ -816,7 +906,7 @@ mod tests {
                 (6, 7),
             ],
         );
-        let core = Peeled::new(&g);
+        let core = peel(&g);
         assert_eq!(core.weight, vec![1.0, 1.0, 1.0, 1.0, 4.0]);
         for threads in [1, 3] {
             let b = betweenness_exact(&g, threads);
@@ -840,7 +930,7 @@ mod tests {
     fn disconnected_components_independent() {
         // Two 3-node paths: each edge is a bridge of its own component.
         let g = graph_from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let core = Peeled::new(&g);
+        let core = peel(&g);
         assert_eq!(core.num_nodes(), 0, "a forest peels to nothing");
         let b = betweenness_exact(&g, 2);
         assert!(b.edge.iter().all(|&x| x == 2.0));
