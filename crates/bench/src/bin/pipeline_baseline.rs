@@ -210,6 +210,10 @@ struct QuerySweep {
     /// Summed review ledger of the run — must equal the reader-free
     /// twin's (queries spend nothing).
     ledger: u64,
+    /// Heap bytes of the last published epoch's query index.
+    index_bytes: usize,
+    /// Bytes per stored distance in that index (1, 2 or 4).
+    index_width: usize,
 }
 
 /// The written baseline document.
@@ -447,6 +451,11 @@ fn run_query_ladder(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Que
             (sweep.ledger, sweep.exact, sweep.bounded, sweep.unknown),
             "a replayed review pass diverged"
         );
+        assert_eq!(
+            (pass.index_bytes, pass.index_width),
+            (sweep.index_bytes, sweep.index_width),
+            "a replayed review pass published a different index"
+        );
         sweep.queries += pass.queries;
         sweep.secs += pass.secs;
         sweep.passes += 1;
@@ -533,6 +542,7 @@ fn run_query_pass(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Query
     };
     let secs = started.elapsed().as_secs_f64();
     let queries = queries.into_inner();
+    let index = &engine.latest().query;
     QuerySweep {
         dataset: String::new(),
         readers,
@@ -544,6 +554,8 @@ fn run_query_pass(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Query
         bounded,
         unknown,
         ledger,
+        index_bytes: index.heap_bytes(),
+        index_width: index.width_bytes(),
     }
 }
 
@@ -740,7 +752,8 @@ fn main() {
             }
             eprintln!(
                 "  {name} query [{readers} readers] {} queries in {:.4}s over {} passes ({:.0} q/s): \
-                 probe mix {} exact, {} bounded, {} unknown; ledger {} (= twin, 0 charged)",
+                 probe mix {} exact, {} bounded, {} unknown; ledger {} (= twin, 0 charged); \
+                 last index {} B at {} B/distance",
                 sweep.queries,
                 sweep.secs,
                 sweep.passes,
@@ -749,6 +762,8 @@ fn main() {
                 sweep.bounded,
                 sweep.unknown,
                 sweep.ledger,
+                sweep.index_bytes,
+                sweep.index_width,
             );
             query_ladder.push(sweep);
         }

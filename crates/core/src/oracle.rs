@@ -36,7 +36,7 @@ use cp_graph::bfs::{bfs_into, BfsWorkspace, TraversalWork};
 use cp_graph::dijkstra::dijkstra_into;
 use cp_graph::msbfs::{msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
 use cp_graph::rowpack::{
-    copy_row_into, fits_u16, pack_u16_into, widen_u16_into, RowArena, RowId, RowRef,
+    fits_u16, pack_u16_into, widen_u16_into, RowArena, RowId, RowRef, RowSource,
 };
 use cp_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -406,7 +406,7 @@ impl RowCache {
 
     /// Copies a row into an arena slot at the snapshot's storage width
     /// (recycling freed slots) and makes it resident.
-    fn insert(&mut self, which: Snapshot, u: NodeId, row: RowRef<'_>) {
+    fn insert(&mut self, which: Snapshot, u: NodeId, row: impl RowSource) {
         self.tick += 1;
         let key = cache_key(which, u);
         if let Some(old) = self.resident.remove(&key) {
@@ -414,12 +414,12 @@ impl RowCache {
         }
         let slot = if self.packs(which) {
             let id = self.arena16.alloc();
-            copy_row_into(row, self.arena16.row_mut(id));
+            row.copy_into(self.arena16.row_mut(id));
             self.bytes += self.arena16.row_bytes();
             RowSlot::U16(id)
         } else {
             let id = self.arena32.alloc();
-            copy_row_into(row, self.arena32.row_mut(id));
+            row.copy_into(self.arena32.row_mut(id));
             self.bytes += self.arena32.row_bytes();
             RowSlot::U32(id)
         };
@@ -675,14 +675,6 @@ impl<'a> SnapshotOracle<'a> {
         self.work
     }
 
-    /// Whether the chosen snapshot's rows are stored `u16`-packed (half
-    /// the bytes of the canonical `u32` rows). Decided once at
-    /// construction: unit weights and a node universe that keeps every
-    /// finite distance below the `u16` sentinel.
-    pub fn row_packed(&self, which: Snapshot) -> bool {
-        self.cache.packs(which)
-    }
-
     /// Occupancy counters of the row cache's slab arenas.
     pub fn arena_stats(&self) -> ArenaStats {
         ArenaStats {
@@ -776,22 +768,23 @@ impl<'a> SnapshotOracle<'a> {
     ///
     /// The caller asserts each row holds the exact distances of `which`'s
     /// graph from its source. Rows are copied at this oracle's storage
-    /// width (a straight copy when the donor is stored at the same width)
-    /// in the order given. Rows already paid or resident are left
-    /// untouched; imports land through the normal LRU (so a byte budget
-    /// still holds). Returns the rows admitted.
+    /// width in the order given: a straight copy when the donor is stored
+    /// at the same width, widened inside that one copy otherwise (the
+    /// query index may hold one-byte rows). Rows already paid or resident
+    /// are left untouched; imports land through the normal LRU (so a byte
+    /// budget still holds). Returns the rows admitted.
     ///
     /// # Panics
     /// Panics if a row's length differs from this oracle's node universe.
-    pub fn import_donor_rows<'r>(
+    pub fn import_donor_rows<R: RowSource>(
         &mut self,
         which: Snapshot,
-        rows: impl IntoIterator<Item = (NodeId, RowRef<'r>)>,
+        rows: impl IntoIterator<Item = (NodeId, R)>,
     ) -> u64 {
         let mut imported = 0u64;
         for (u, row) in rows {
             assert_eq!(
-                row.len(),
+                row.num_nodes(),
                 self.num_nodes(),
                 "donor row node universe mismatch"
             );
@@ -1640,7 +1633,6 @@ mod tests {
         // freed slots must be recycled through the arena free list.
         let mut o =
             SnapshotOracle::with_budget(&g1, &g2, 10).with_row_cache(RowCacheBudget::Bytes(40));
-        assert!(o.row_packed(Snapshot::First) && o.row_packed(Snapshot::Second));
         let mut reference = SnapshotOracle::with_budget(&g1, &g2, 10);
         for u in g1.nodes() {
             let (d1, d2) = o.rows(u).map(|(a, b)| (a.to_vec(), b.to_vec())).unwrap();

@@ -8,6 +8,12 @@
 //! (and universes beyond `u16`) keep the full `u32` width; [`RowRef`]
 //! carries either width through a common read interface.
 //!
+//! [`RowDist`] also covers `u8` (`u8::MAX` is its sentinel), but only the
+//! epoch query index (`cp_stream::QueryIndex`) stores rows that narrow:
+//! an epoch whose captured distances all sit below 255 keeps them in one
+//! byte. A [`RowRef`] is never one byte wide, so the oracle, the Δ-scan
+//! and the BFS kernels only ever see `u16` and `u32` rows.
+//!
 //! [`RowArena`] pools the rows themselves: fixed-length slots carved out of
 //! large contiguous slabs, recycled through a free list, so an LRU cache
 //! that evicts and refills thousands of rows reuses warm slabs instead of
@@ -52,9 +58,9 @@ pub fn widen_u16(d: u16) -> u32 {
     }
 }
 
-/// One row entry at its storage width: `u16` ([`INF_U16`] sentinel) or
-/// `u32` ([`INF`] sentinel). Lets one generic body serve rows of either
-/// width without widening them first.
+/// One row entry at its storage width: `u8` (`u8::MAX` sentinel), `u16`
+/// ([`INF_U16`] sentinel) or `u32` ([`INF`] sentinel). Lets one generic
+/// body serve rows of any width without widening them first.
 pub trait RowDist: Copy + Default + Send + Sync + 'static {
     /// The canonical `u32` distance ([`INF`] if unreachable).
     fn widen(self) -> u32;
@@ -87,6 +93,30 @@ impl RowDist for u16 {
     }
 }
 
+impl RowDist for u8 {
+    #[inline(always)]
+    fn widen(self) -> u32 {
+        if self == u8::MAX {
+            INF
+        } else {
+            u32::from(self)
+        }
+    }
+    #[inline(always)]
+    fn narrow(d: u32) -> u8 {
+        debug_assert!(d == INF || d < u32::from(u8::MAX), "distance overflows u8");
+        if d == INF {
+            u8::MAX
+        } else {
+            d as u8
+        }
+    }
+    /// Always `None`: no [`RowRef`] is one byte wide.
+    fn slice(_row: RowRef<'_>) -> Option<&[u8]> {
+        None
+    }
+}
+
 impl RowDist for u32 {
     #[inline(always)]
     fn widen(self) -> u32 {
@@ -113,16 +143,37 @@ pub fn copy_row_into<T: RowDist>(row: RowRef<'_>, dst: &mut [T]) {
         return;
     }
     match row {
-        RowRef::U16(src) => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = T::narrow(widen_u16(s));
-            }
-        }
-        RowRef::U32(src) => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = T::narrow(s);
-            }
-        }
+        RowRef::U16(src) => convert_row_into(src, dst),
+        RowRef::U32(src) => convert_row_into(src, dst),
+    }
+}
+
+/// Converts a row element-wise between two storage widths, sentinel to
+/// sentinel. The caller guarantees every finite distance fits `T`.
+pub fn convert_row_into<S: RowDist, T: RowDist>(src: &[S], dst: &mut [T]) {
+    assert_eq!(src.len(), dst.len(), "row length mismatch");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = T::narrow(s.widen());
+    }
+}
+
+/// A distance row that can be copied into a slot of any storage width:
+/// a [`RowRef`], or a row of the epoch query index, which may be one byte
+/// wide. The oracle's donor import takes either.
+pub trait RowSource {
+    /// Number of nodes in the row.
+    fn num_nodes(&self) -> usize;
+    /// Copies the row into `dst`, converting to `T` when it is stored at
+    /// another width.
+    fn copy_into<T: RowDist>(&self, dst: &mut [T]);
+}
+
+impl RowSource for RowRef<'_> {
+    fn num_nodes(&self) -> usize {
+        self.len()
+    }
+    fn copy_into<T: RowDist>(&self, dst: &mut [T]) {
+        copy_row_into(*self, dst);
     }
 }
 
@@ -167,6 +218,19 @@ impl<'a> RowRef<'a> {
         match self {
             RowRef::U16(r) => r.iter().map(|&d| widen_u16(d)).collect(),
             RowRef::U32(r) => r.to_vec(),
+        }
+    }
+
+    /// The bitwise OR of `d + 1` over the row's finite distances `d` (the
+    /// sentinel wraps to 0 and adds nothing). It is below `2^k` exactly
+    /// when every finite distance is below `2^k − 1`, so it says which
+    /// storage widths' sentinels clear every distance: `≤ 255` fits `u8`,
+    /// `≤ 65 535` fits `u16`. An OR vectorizes at the x86-64 baseline,
+    /// where an unsigned maximum does not.
+    pub fn finite_mask(&self) -> u32 {
+        match self {
+            RowRef::U16(r) => u32::from(r.iter().fold(0u16, |m, &d| m | d.wrapping_add(1))),
+            RowRef::U32(r) => r.iter().fold(0, |m, &d| m | d.wrapping_add(1)),
         }
     }
 }
@@ -343,6 +407,31 @@ mod tests {
         assert_eq!(u16::slice(RowRef::U16(&packed)), Some(&packed[..]));
         assert_eq!(u32::slice(RowRef::U16(&packed)), None);
         assert_eq!((INF_U16.widen(), u16::narrow(INF)), (INF, INF_U16));
+    }
+
+    #[test]
+    fn one_byte_rows_keep_u8_max_as_the_sentinel() {
+        let wide = vec![0, 7, 254, INF];
+        let mut narrow = vec![1u8; 4];
+        copy_row_into(RowRef::U32(&wide), &mut narrow);
+        assert_eq!(narrow, [0, 7, 254, u8::MAX]);
+        let mut packed = vec![1u16; 4];
+        convert_row_into(&narrow, &mut packed);
+        assert_eq!(packed, [0, 7, 254, INF_U16]);
+        let mut back = vec![1u32; 4];
+        RowRef::U16(&packed).copy_into(&mut back);
+        assert_eq!(back, wide);
+        assert_eq!(u8::slice(RowRef::U16(&packed)), None);
+        assert_eq!((u8::MAX.widen(), u8::narrow(INF)), (INF, u8::MAX));
+        assert_eq!(RowRef::U16(&packed).finite_mask(), 255, "254 fits u8");
+        assert_eq!(
+            RowRef::U16(&[255, INF_U16]).finite_mask(),
+            256,
+            "255 does not"
+        );
+        assert_eq!(RowRef::U32(&[65_534, INF]).finite_mask(), 65_535);
+        assert_eq!(RowRef::U32(&[65_535]).finite_mask(), 65_536);
+        assert_eq!(RowRef::U32(&[INF, INF]).finite_mask(), 0);
     }
 
     #[test]

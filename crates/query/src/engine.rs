@@ -4,9 +4,9 @@ use crate::answer::Answer;
 use crate::traverse::Cursor;
 use cp_core::exact::{canonical_order, ConvergingPair};
 use cp_core::oracle::Snapshot;
-use cp_graph::rowpack::{RowDist, RowRef};
+use cp_graph::rowpack::RowDist;
 use cp_graph::{distance_decrease, NodeId, INF};
-use cp_stream::{StreamReader, StreamSnapshot};
+use cp_stream::{IndexRow, StreamReader, StreamSnapshot};
 use std::sync::Arc;
 
 /// A per-seed top-k answer (see [`EpochView::topk_for_seed`]).
@@ -26,10 +26,11 @@ pub struct SeedTopK {
 /// Wraps an epoch reader ([`StreamReader`]); every call pins the newest
 /// epoch with one `Arc` clone and serves entirely from its published
 /// [`cp_stream::QueryIndex`] — resident rows, chained donor rows and
-/// node-major records of at most 16 landmarks. Queries never touch a
-/// budget ledger, never lock the engine, and never block a concurrent
-/// review: the zero-budget guarantee is structural (this type holds no
-/// oracle and no `&mut` anything).
+/// node-major records of at most 16 landmarks, all at the epoch's one
+/// storage width (one byte whenever every captured distance fits).
+/// Queries never touch a budget ledger, never lock the engine, and never
+/// block a concurrent review: the zero-budget guarantee is structural
+/// (this type holds no oracle and no `&mut` anything).
 ///
 /// Each convenience method pins the latest epoch independently; a caller
 /// that needs several reads from *one* consistent epoch should hold an
@@ -103,17 +104,6 @@ impl EpochView {
         u.index() < self.snap.graph.num_nodes()
     }
 
-    /// `d(u, v)` in one review snapshot from a resident row of either
-    /// endpoint (the graphs are undirected), if one was captured.
-    #[inline]
-    fn resident(&self, which: Snapshot, u: NodeId, v: NodeId) -> Option<u32> {
-        let q = &self.snap.query;
-        match q.row(which, u) {
-            Some(row) => Some(row.get(v.index())),
-            None => q.row(which, v).map(|row| row.get(u.index())),
-        }
-    }
-
     /// What the epoch proves about `d(u, v)` in the epoch's graph (the
     /// review's second snapshot): a resident row of either endpoint
     /// answers exactly, the landmark bounds otherwise. `Answer::Exact(INF)`
@@ -126,9 +116,10 @@ impl EpochView {
         if u == v {
             return Answer::Exact(0);
         }
-        let (lb, ub) = match self.resident(Snapshot::Second, u, v) {
+        let q = &self.snap.query;
+        let (lb, ub) = match q.resident_distance(Snapshot::Second, u, v) {
             Some(d) => (d, d),
-            None => self.snap.query.landmark_bounds(Snapshot::Second, u, v),
+            None => q.landmark_bounds(Snapshot::Second, u, v),
         };
         Answer::from_interval(lb, ub)
     }
@@ -149,8 +140,8 @@ impl EpochView {
         let q = &self.snap.query;
         let exact = |d: u32| (d, d);
         let [(lb1, ub1), (lb2, ub2)] = match (
-            self.resident(Snapshot::First, u, v),
-            self.resident(Snapshot::Second, u, v),
+            q.resident_distance(Snapshot::First, u, v),
+            q.resident_distance(Snapshot::Second, u, v),
         ) {
             (Some(d1), Some(d2)) => [exact(d1), exact(d2)],
             (Some(d1), None) => [exact(d1), q.landmark_bounds(Snapshot::Second, u, v)],
@@ -209,10 +200,10 @@ impl EpochView {
             };
         };
         let mut pairs = match (r1, r2) {
-            (RowRef::U16(a), RowRef::U16(b)) => seed_pairs(u, a, b),
-            (RowRef::U16(a), RowRef::U32(b)) => seed_pairs(u, a, b),
-            (RowRef::U32(a), RowRef::U16(b)) => seed_pairs(u, a, b),
-            (RowRef::U32(a), RowRef::U32(b)) => seed_pairs(u, a, b),
+            (IndexRow::U8(a), IndexRow::U8(b)) => seed_pairs(u, a, b),
+            (IndexRow::U16(a), IndexRow::U16(b)) => seed_pairs(u, a, b),
+            (IndexRow::U32(a), IndexRow::U32(b)) => seed_pairs(u, a, b),
+            _ => unreachable!("an epoch stores every row at one width"),
         };
         // The canonical order is total, so selecting the k best and
         // sorting only them equals a full sort cut to k.
@@ -236,7 +227,7 @@ impl EpochView {
 }
 
 /// Every pair `(u, v)` with `Δ ≥ 1` from `u`'s two rows, in ascending `v`.
-fn seed_pairs<A: RowDist, B: RowDist>(u: NodeId, r1: &[A], r2: &[B]) -> Vec<ConvergingPair> {
+fn seed_pairs<T: RowDist>(u: NodeId, r1: &[T], r2: &[T]) -> Vec<ConvergingPair> {
     r1.iter()
         .zip(r2)
         .enumerate()

@@ -9,9 +9,12 @@
 //!
 //! * across generators × row cache {0, tiny, ∞} × threads {1, 8};
 //! * as a property over arbitrary growing streams;
-//! * on three edge cases: `u32` rows on a universe past 65 535 nodes,
+//! * on edge cases: short distances on a universe past 65 535 nodes,
 //!   landmark sums past 65 535 on a long path, and epochs without
-//!   landmarks.
+//!   landmarks;
+//! * at every storage width: one byte when every captured distance is
+//!   below 255, two at 255 (the one-byte sentinel), four for weighted
+//!   distances past 65 535.
 //!
 //! It also holds the landmark bounds independent of the row cache: the
 //! landmarks are the first nodes paid in both snapshots, whether or not
@@ -25,9 +28,8 @@ use cp_gen::ba::barabasi_albert;
 use cp_gen::forest_fire::forest_fire;
 use cp_gen::seeded_rng;
 use cp_gen::ws::watts_strogatz;
-use cp_graph::builder::graph_from_edges;
+use cp_graph::builder::{graph_from_edges, GraphBuilder};
 use cp_graph::landmark_index::LandmarkIndex;
-use cp_graph::rowpack::RowRef;
 use cp_graph::{Graph, NodeId, TemporalGraph, INF};
 use cp_query::{Answer, EpochView};
 use cp_stream::{QueryIndex, StreamConfig, StreamEngine, StreamError, StreamSnapshot};
@@ -138,9 +140,11 @@ fn check_stream(t: &TemporalGraph, cuts: &[f64], cfg: StreamConfig, tally: &mut 
         let g1 = Arc::clone(&engine.latest().graph);
         feed(&mut engine, t, prefix(w[0]), prefix(w[1]));
         let epoch = engine.review();
+        let ctx = format!("{ctx}/review={}", epoch.review);
+        // Small generator graphs: every distance fits one byte.
+        assert_eq!(epoch.query.width_bytes(), 1, "{ctx}");
         let reference = ReferenceView::new(&epoch.query, &g1, &epoch.graph);
         let probe = all_nodes(epoch.graph.num_nodes());
-        let ctx = format!("{ctx}/review={}", epoch.review);
         assert_equal(&EpochView::of(epoch), &reference, &probe, tally, &ctx);
     }
 }
@@ -224,10 +228,11 @@ fn epoch_of(g2: &Graph, index: QueryIndex) -> EpochView {
     }))
 }
 
-/// Past 65 535 nodes rows and landmark records are `u32`; the answers
-/// still equal the reference, isolated nodes included.
+/// Past 65 535 nodes, but with every distance below 255: the rows and
+/// landmark records are one byte wide, and the answers still equal the
+/// reference, isolated nodes included.
 #[test]
-fn a_universe_past_u16_serves_u32_rows_like_the_reference() {
+fn a_universe_past_u16_serves_one_byte_rows_like_the_reference() {
     let n = 70_000;
     let active: Vec<u32> = (0..40).chain(69_980..70_000).collect();
     let path: Vec<(u32, u32)> = active.windows(2).map(|w| (w[0], w[1])).collect();
@@ -241,21 +246,107 @@ fn a_universe_past_u16_serves_u32_rows_like_the_reference() {
     }
     oracle.row(Snapshot::Second, NodeId(active[3])).unwrap();
     let index = QueryIndex::capture(&oracle);
-    assert!(matches!(
-        index.row(Snapshot::Second, NodeId(active[0])),
-        Some(RowRef::U32(_))
-    ));
+    assert_eq!(index.width_bytes(), 1);
     assert_eq!(index.landmarks().len(), active.len().div_ceil(7));
     let reference = ReferenceView::new(&index, &g1, &g2);
     let view = epoch_of(&g2, index);
     let mut probe: Vec<NodeId> = active.iter().map(|&u| NodeId(u)).collect();
     probe.extend([NodeId(100), NodeId(50_000), NodeId(69_000)]);
     let mut tally = Tally::default();
-    assert_equal(&view, &reference, &probe, &mut tally, "u32 universe");
+    assert_equal(&view, &reference, &probe, &mut tally, "70k universe");
     assert!(
         tally.landmark_bounded > 0 && tally.resident_seeds > 0,
         "{tally:?}"
     );
+}
+
+/// A path whose far end sits `len − 1` hops from node 0, beside a
+/// separate edge `(len, len + 1)`; the second snapshot adds a chord and
+/// joins that edge to the midpoint. Node 0 and the midpoint are paid in
+/// both snapshots (so they are the landmarks, and in the first snapshot
+/// they cut every pair of a path node and an edge node), and one more
+/// node in the second snapshot only.
+fn path_epoch(len: u32, cache: RowCacheBudget) -> (Graph, Graph, QueryIndex) {
+    let mut edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
+    edges.push((len, len + 1));
+    let g1 = graph_from_edges(len as usize + 2, &edges);
+    edges.extend([(len / 4, len / 2), (len / 2, len)]);
+    let g2 = graph_from_edges(len as usize + 2, &edges);
+    let mut oracle = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(cache);
+    oracle.rows(NodeId(0)).unwrap();
+    oracle.rows(NodeId(len / 2)).unwrap();
+    oracle.row(Snapshot::Second, NodeId(len - 3)).unwrap();
+    let index = QueryIndex::capture(&oracle);
+    (g1, g2, index)
+}
+
+/// The width follows the largest captured distance, under any row cache
+/// (the evicted landmark rows count too): 254 hops fit one byte, 255 is
+/// the one-byte sentinel and takes two. Both widths answer like the
+/// reference.
+#[test]
+fn path_epochs_take_one_byte_up_to_254_hops_and_two_at_255() {
+    for (len, width) in [(255, 1), (256, 2)] {
+        for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
+            let (g1, g2, index) = path_epoch(len, cache);
+            let ctx = format!("{} hops/cache={cache:?}", len - 1);
+            assert_eq!(index.width_bytes(), width, "{ctx}");
+            assert_eq!(index.landmarks(), &[NodeId(0), NodeId(len / 2)], "{ctx}");
+            let far = NodeId(len - 1);
+            let reference = ReferenceView::new(&index, &g1, &g2);
+            let view = epoch_of(&g2, index);
+            if cache == RowCacheBudget::Unbounded {
+                assert_eq!(
+                    view.snapshot()
+                        .query
+                        .resident_distance(Snapshot::First, NodeId(0), far),
+                    Some(len - 1),
+                    "{ctx}"
+                );
+            }
+            let mut probe: Vec<NodeId> = (0..len).step_by(9).map(NodeId).collect();
+            probe.extend([len / 2, len - 3, len, len + 1].map(NodeId));
+            probe.push(far);
+            assert_equal(&view, &reference, &probe, &mut Tally::default(), &ctx);
+        }
+    }
+}
+
+/// Weighted snapshots whose distances pass 65 535 keep four bytes per
+/// distance, and answer like the reference.
+#[test]
+fn weighted_distances_past_u16_keep_four_bytes() {
+    let weighted = |edges: &[(u32, u32, u32)]| {
+        let mut b = GraphBuilder::new(8);
+        for &(u, v, w) in edges {
+            b.add_weighted_edge(NodeId(u), NodeId(v), w);
+        }
+        b.build()
+    };
+    let base = [
+        (0, 1, 30_000),
+        (1, 2, 30_000),
+        (2, 3, 30_000),
+        (3, 4, 2),
+        (5, 6, 7),
+    ];
+    let g1 = weighted(&base);
+    let mut grown = base.to_vec();
+    grown.extend([(0, 3, 40_000), (4, 5, 1)]);
+    let g2 = weighted(&grown);
+    let mut oracle = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+    oracle.rows(NodeId(0)).unwrap();
+    oracle.rows(NodeId(6)).unwrap();
+    oracle.row(Snapshot::Second, NodeId(2)).unwrap();
+    let index = QueryIndex::capture(&oracle);
+    assert_eq!(index.width_bytes(), 4);
+    let reference = ReferenceView::new(&index, &g1, &g2);
+    let view = epoch_of(&g2, index);
+    assert_eq!(view.distance(NodeId(0), NodeId(4)), Answer::Exact(40_002));
+    assert_eq!(view.delta(NodeId(0), NodeId(4)), Answer::Exact(50_000));
+    let mut tally = Tally::default();
+    assert_equal(&view, &reference, &all_nodes(8), &mut tally, "weighted");
+    assert!(tally.resident_seeds > 0, "{tally:?}");
 }
 
 /// On a 40 000-node path with landmarks at both ends, the sum of a pair's
@@ -275,10 +366,7 @@ fn long_path_landmark_sums_past_u16_stay_exact() {
     oracle.rows(NodeId(n - 1)).unwrap();
     let index = QueryIndex::capture(&oracle);
     assert_eq!(index.landmarks(), &[NodeId(0), NodeId(n - 1)]);
-    assert!(matches!(
-        index.row(Snapshot::First, NodeId(0)),
-        Some(RowRef::U16(_))
-    ));
+    assert_eq!(index.width_bytes(), 2);
     let (u, v) = (NodeId(33_000), NodeId(34_000));
     assert_eq!(
         index.landmark_bounds(Snapshot::First, u, v),

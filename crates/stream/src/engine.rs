@@ -488,7 +488,8 @@ impl StreamEngine {
         }
         // Chain: the previous epoch's published t2 rows are exact t1 rows
         // here — `g1` *is* the graph they were computed on — and they are
-        // copied at storage width. Imported after the knobs so the
+        // copied at the oracle's storage width, one-byte epoch rows widened
+        // inside that copy. Imported after the knobs so the
         // configured row cache bounds the imports. Pointless under
         // `Bytes(0)` (the LRU would evict the imports immediately).
         let chaining = self.config.chain_cache && oracle.row_cache() != RowCacheBudget::Bytes(0);

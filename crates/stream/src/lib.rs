@@ -18,8 +18,9 @@
 //!   the previous one, charging each review its own honest `2m` ledger.
 //! * **Donor chaining** — the `t2` rows step *t* publishes in its
 //!   [`QueryIndex`] are imported into step *t+1*'s oracle as `t1` donors
-//!   ([`cp_core::oracle::SnapshotOracle::import_donor_rows`], copied at
-//!   storage width): the same graph object is on both sides of the
+//!   ([`cp_core::oracle::SnapshotOracle::import_donor_rows`]; the one copy
+//!   it makes writes the oracle's `u16`/`u32` width, widening the epoch's
+//!   one-byte rows on the way): the same graph object is on both sides of the
 //!   hand-off, so rows carry over exactly, first uses are still charged,
 //!   and the per-review results stay bit-identical to a from-scratch
 //!   [`cp_core::topk::budgeted_top_k`] run.
@@ -28,7 +29,10 @@
 //!   handles never observe a half-advanced step.
 //! * **Serve** — each epoch carries a read-only [`QueryIndex`] (resident
 //!   rows in dense packed arenas and one node-major landmark record per
-//!   node) captured from the review's oracle at publish. The `cp-query`
+//!   node) captured from the review's oracle at publish, all at one
+//!   storage width: the narrowest of `u8`, `u16` and `u32` that holds
+//!   every captured distance below its sentinel (one byte on the
+//!   emulators, where a landmark record is 32 bytes). The `cp-query`
 //!   crate answers budget-free point queries entirely from this published
 //!   material.
 //! * **Subscribe** — [`StreamEngine::watch_pair`] /
@@ -51,6 +55,6 @@ pub use engine::{
     ReviewPolicy, StreamConfig, StreamEngine, StreamError, StreamReader, StreamSnapshot,
     StreamStats,
 };
-pub use index::{QueryIndex, MAX_RESIDENT_LANDMARKS};
+pub use index::{IndexRow, QueryIndex, MAX_RESIDENT_LANDMARKS};
 pub use monitor::{ConvergenceMonitor, MonitorConfig, MonitorStep, PairHistory};
 pub use subs::{PairTrack, StreamEvent, WatchId};

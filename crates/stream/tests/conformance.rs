@@ -91,10 +91,12 @@ fn assert_review_matches(
 /// The full streaming matrix: every review of an engine run (chaining on)
 /// reproduces the from-scratch pipeline and the reference pairs
 /// bit-for-bit under threads {1, 2, 8} × row-cache budgets {off, tiny,
-/// unbounded}.
+/// unbounded}. The chained reviews import their donors from one-byte
+/// epochs, widened to the oracle's `u16` rows in the import's copy.
 #[test]
 fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
     let cuts = [0.6, 0.7, 0.8, 0.9, 1.0];
+    let mut chained_reviews = 0;
     for (name, t) in generator_cases() {
         let n = t.num_nodes();
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
@@ -116,6 +118,7 @@ fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
                     let g1 = t.snapshot_of_prefix(f1);
                     let g2 = t.snapshot_of_prefix(f2);
                     feed(&mut engine, &t, f1, f2);
+                    let donor_width = engine.latest().query.width_bytes();
                     let epoch = engine.review();
                     assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
                     let want = reference(&g1, &g2, &cfg, epoch.review);
@@ -124,10 +127,17 @@ fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
                         epoch.review
                     );
                     assert_review_matches(&epoch, &g1, &want, &cfg.spec, &ctx);
+                    // The donors came from a one-byte epoch, so every chain
+                    // hit above went through the widening import.
+                    if epoch.stats.donor_rows_imported > 0 {
+                        assert_eq!(donor_width, 1, "{ctx}");
+                        chained_reviews += 1;
+                    }
                 }
             }
         }
     }
+    assert!(chained_reviews > 0, "no review imported a donor row");
 }
 
 /// Executor axis: an engine with a dedicated injected pool reviews
@@ -218,6 +228,7 @@ fn chaining_never_changes_visible_output_and_actually_fires() {
             let (f1, f2) = (prefix(w[0]), prefix(w[1]));
             feed(&mut chained, &t, f1, f2);
             feed(&mut rebuilt, &t, f1, f2);
+            assert_eq!(chained.latest().query.width_bytes(), 1, "{name}");
             let a: Arc<StreamSnapshot> = chained.review();
             let b = rebuilt.review();
             let ctx = format!("{name}/review={}", a.review);

@@ -28,6 +28,14 @@ echo "==> cargo test -q [CP_THREADS=8]"
 # result.
 CP_THREADS=8 cargo test -q -p cp-core -p cp-stream
 
+echo "==> cargo test --release [perfbench self-tests]"
+# The benchmark is its own Cargo package, built from this checkout's
+# library crates: a library API change that breaks it fails here rather
+# than only when the benchmark runs. `--locked` keeps its lockfile as
+# committed; the build stays under target/.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
