@@ -122,7 +122,6 @@ fn main() {
                 agg.sssp_computed += row.stats.sssp_computed;
                 agg.cache_hits += row.stats.cache_hits;
                 agg.cache_misses += row.stats.cache_misses;
-                agg.recomputed_rows += row.stats.recomputed_rows;
                 agg.chained_rows += row.stats.chained_rows;
                 agg.cache_bytes = agg.cache_bytes.max(row.stats.cache_bytes);
                 agg.threads = row.stats.threads;
@@ -135,7 +134,6 @@ fn main() {
                 agg.scan_pairs_pruned += row.stats.scan_pairs_pruned;
                 agg.arena.u16_rows = agg.arena.u16_rows.max(row.stats.arena.u16_rows);
                 agg.arena.u32_rows = agg.arena.u32_rows.max(row.stats.arena.u32_rows);
-                agg.arena.reused_rows += row.stats.arena.reused_rows;
                 agg.arena.slab_bytes = agg.arena.slab_bytes.max(row.stats.arena.slab_bytes);
                 cells.push(pct(row.coverage));
             }
@@ -166,10 +164,9 @@ fn main() {
                 agg.scan_chunks_scanned, agg.scan_chunks_skipped, agg.scan_pairs_pruned
             ),
             format!(
-                "{}/{}/{}/{}",
+                "{}/{}/{}",
                 agg.arena.u16_rows,
                 agg.arena.u32_rows,
-                agg.arena.reused_rows,
                 agg.arena.slab_bytes / 1024
             ),
             format!("{:.3}", agg.selector_secs),
@@ -205,7 +202,7 @@ fn main() {
             "cache miss",
             "cache KiB",
             "chunks scan/skip/pruned",
-            "arena u16/u32/reuse/KiB",
+            "arena u16/u32/KiB",
             "select s",
             "prefetch s",
             "scan s",

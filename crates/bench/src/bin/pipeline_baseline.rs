@@ -1,17 +1,15 @@
-//! Machine-readable perf baseline for the parallel pipeline, the row
-//! cache, the streaming engine and the query layer.
+//! Machine-readable perf baseline for the parallel pipeline, the
+//! streaming engine and the query layer.
 //!
 //! Three measurement phases, written together to `BENCH_pipeline.json` in
 //! the current directory (`--out=PATH` overrides):
 //!
-//! **Phase 1 — thread and cache ladder** on the paper's evaluation
-//! snapshots (80 % → 100 % of the stream). The Table 5 pipeline (every
-//! selector of the suite at the paper's budget) runs three times per
-//! dataset:
+//! **Phase 1 — thread ladder** on the paper's evaluation snapshots
+//! (80 % → 100 % of the stream). The Table 5 pipeline (every selector of
+//! the suite at the paper's budget) runs twice per dataset:
 //!
-//! 1. one thread, row cache disabled,
-//! 2. one thread, unbounded row cache — the default configuration,
-//! 3. the configured thread count, row cache disabled — a pure
+//! 1. one thread,
+//! 2. the configured thread count (`--threads`) — a pure
 //!    threads-on/threads-off A/B against rung 1.
 //!
 //! Every rung runs the one runtime path: direction-optimizing BFS plus
@@ -26,7 +24,7 @@
 //! **Phase 2 — streaming ladder** over a whole review sequence: the
 //! `cp-stream` engine replays each dataset's event stream across
 //! [`STREAM_CUTS`] (≥ 5 reviews, each under its own `2m` ledger) twice —
-//! with review-to-review cache chaining on (step *t*'s resident `t2` rows
+//! with review-to-review donor chaining on (step *t*'s resident `t2` rows
 //! imported as step *t+1*'s `t1` donors) and off (the per-step rebuild the
 //! old monitor did). Pairs and ledgers are bit-identical by construction
 //! (the streaming conformance suite holds the engine to it); what moves is
@@ -67,7 +65,7 @@
 
 use cp_bench::{scaled_budget, Options};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
+use cp_core::oracle::SnapshotOracle;
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, PipelineStats};
 use cp_gen::datasets::{DatasetKind, DatasetProfile, EVAL_SNAPSHOTS};
@@ -78,13 +76,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Timing of one (dataset, threads, cache) pipeline sweep.
+/// Timing of one (dataset, threads) pipeline sweep.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct SweepTiming {
     dataset: String,
     threads: usize,
-    /// Row-cache budget knob value (`"0"` = nothing resident).
-    cache: String,
     /// Best-of-repeats wall clock of the whole selector suite, seconds.
     secs: f64,
     /// Oracle distance-row computation seconds within the best repeat.
@@ -98,7 +94,7 @@ struct SweepTiming {
     msbfs_waves: u64,
     /// Rows produced by multi-source waves.
     msbfs_rows: u64,
-    /// Resident row-cache bytes at the end of the suite's largest run.
+    /// Resident row-store bytes at the end of the suite's largest run.
     cache_bytes: usize,
     /// Δ-scan chunks whose elements were walked.
     scan_chunks_scanned: u64,
@@ -113,22 +109,21 @@ struct SweepTiming {
     exec: cp_exec::ExecStats,
 }
 
-/// Per-dataset thread/cache-ladder comparison (phase 1, evaluation
+/// Per-dataset thread-ladder comparison (phase 1, evaluation
 /// snapshots).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct DatasetSummary {
     dataset: String,
-    /// Whole suite, one thread, cache off.
+    /// Whole suite, one thread.
     single_secs: f64,
-    /// Oracle SSSP time within the single-thread cache-off run.
+    /// Oracle SSSP time within the single-thread run.
     single_sssp_secs: f64,
-    /// Whole suite at `threads_multi` workers: the single-thread
-    /// cache-off config run on the persistent pool.
+    /// Whole suite at `threads_multi` workers on the persistent pool.
     multi_thread_secs: f64,
-    /// The smallest whole-suite seconds across the three rungs.
+    /// The smaller whole-suite seconds of the two rungs.
     best_config_secs: f64,
     /// `true` when the `threads_multi` rung lost to its single-thread
-    /// twin (the same cache-off config at one thread) by more than a
+    /// twin by more than a
     /// 15 % + 50 ms noise allowance — the per-batch thread-spawn
     /// regression the persistent executor exists to kill.
     thread_regression: bool,
@@ -140,7 +135,7 @@ struct DatasetSummary {
 struct StreamSweep {
     dataset: String,
     /// `"chained"` (donor hand-off across reviews) or `"rebuilt"`
-    /// (per-step cache rebuild).
+    /// (per-step rebuild).
     mode: String,
     /// Reviews in the ladder.
     reviews: u32,
@@ -230,10 +225,10 @@ struct Baseline {
     stream_ladder: Vec<StreamSweep>,
     stream: Vec<StreamSummary>,
     query_ladder: Vec<QuerySweep>,
-    /// Suite totals: one thread, cache off (eval pair).
+    /// Suite totals: one thread (eval pair).
     single_thread_secs: f64,
-    /// Suite totals: cache off, `threads_multi` threads —
-    /// `single_thread_secs` with the pool turned on.
+    /// Suite totals: `threads_multi` threads — `single_thread_secs`
+    /// with the pool turned on.
     multi_thread_secs: f64,
     /// Donor hit rate of the chained streaming ladder, summed over
     /// datasets (phase 2).
@@ -260,8 +255,8 @@ struct Baseline {
     /// readers than `std::thread::available_parallelism()`; rungs with
     /// more are stress rungs, checked but not counted here.
     query_qps_peak: f64,
-    /// Suite totals of the fastest rung per dataset (one thread
-    /// cache-off, one thread cache-on, or `threads_multi` cache-off).
+    /// Suite totals of the fastest rung per dataset (one thread or
+    /// `threads_multi`).
     best_config_secs: f64,
     /// `true` when any dataset's `threads_multi` rung lost to its
     /// single-thread twin — see [`DatasetSummary::thread_regression`].
@@ -285,11 +280,9 @@ const PHASE1_REPEATS: u32 = 5;
 /// half, tight enough (10 % deltas) that chained donors stay relevant.
 const STREAM_CUTS: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
-/// Phase 1 config slots (threads, cache): one thread, one thread with
-/// the row cache on, full threads.
+/// Phase 1 rung slots: one thread, `threads_multi` threads.
 const SLOT_SINGLE: usize = 0;
-const SLOT_CACHE: usize = 1;
-const SLOT_MULTI: usize = 2;
+const SLOT_MULTI: usize = 1;
 
 /// Accumulated pipeline counters of one suite run.
 #[derive(Default)]
@@ -322,11 +315,10 @@ impl SuiteRun {
     }
 
     /// The sweep record of this run.
-    fn timing(&self, dataset: String, threads: usize, cache: RowCacheBudget) -> SweepTiming {
+    fn timing(&self, dataset: String, threads: usize) -> SweepTiming {
         SweepTiming {
             dataset,
             threads,
-            cache: cache.describe(),
             secs: self.secs,
             sssp_secs: self.sssp_secs,
             sssp_t2_secs: self.sssp_t2_secs,
@@ -343,7 +335,6 @@ impl SuiteRun {
 }
 
 /// Runs the full selector suite once and returns its counters.
-#[allow(clippy::too_many_arguments)]
 fn run_suite(
     g1: &Graph,
     g2: &Graph,
@@ -352,14 +343,11 @@ fn run_suite(
     m: u64,
     seed: u64,
     threads: usize,
-    cache: RowCacheBudget,
 ) -> SuiteRun {
     let started = Instant::now();
     let mut run = SuiteRun::default();
     for &kind in suite {
-        let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-            .with_threads(threads)
-            .with_row_cache(cache);
+        let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m).with_threads(threads);
         let mut sel = kind.build(seed);
         let res = run_pipeline(&mut oracle, sel.as_mut(), spec);
         run.absorb(&res.stats);
@@ -383,7 +371,6 @@ fn run_stream_ladder(t: &TemporalGraph, m: u64, seed: u64, chain: bool) -> (Stre
     )
     .with_chaining(chain);
     cfg.threads = Some(1);
-    cfg.row_cache = Some(RowCacheBudget::Unbounded);
     let mut engine =
         StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(STREAM_CUTS[0])), cfg);
     let mut sweep = StreamSweep {
@@ -480,7 +467,6 @@ fn run_query_pass(t: &TemporalGraph, m: u64, seed: u64, readers: usize) -> Query
         seed,
     );
     cfg.threads = Some(1);
-    cfg.row_cache = Some(RowCacheBudget::Unbounded);
     let mut engine =
         StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(STREAM_CUTS[0])), cfg);
     let q = QueryEngine::new(engine.reader());
@@ -569,19 +555,13 @@ fn main() {
 
     eprintln!(
         "pipeline_baseline: scale {}, seed {}, m {m}; phase 1 (eval pair): 1 thread vs \
-         1 thread + row cache vs {threads_multi} threads",
+         {threads_multi} threads",
         opts.scale, opts.seed
     );
 
-    // The threaded rung rides the best single-thread config (cache off
-    // at the eval pair's 20 % delta): `multi_thread_secs` vs
-    // `single_thread_secs` is a pure threads-on/threads-off A/B over the
-    // same pipeline.
-    let configs = [
-        (1usize, RowCacheBudget::Bytes(0)),
-        (1, RowCacheBudget::Unbounded),
-        (threads_multi, RowCacheBudget::Bytes(0)),
-    ];
+    // `multi_thread_secs` vs `single_thread_secs` is a pure
+    // threads-on/threads-off A/B over the same pipeline.
+    let configs = [1usize, threads_multi];
     let mut sweeps: Vec<SweepTiming> = Vec::new();
     let mut datasets: Vec<DatasetSummary> = Vec::new();
     let mut stream_ladder: Vec<StreamSweep> = Vec::new();
@@ -593,7 +573,7 @@ fn main() {
     // Rungs with more readers than this are stress rungs: checked, never
     // the peak.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut totals = [0.0f64; 3];
+    let mut totals = [0.0f64; 2];
     let mut stream_hit_totals = [[0u64; 2]; 2]; // [chained, rebuilt] × [hits, charged]
     let mut stream_gain_datasets = 0usize;
 
@@ -601,32 +581,31 @@ fn main() {
         let t = DatasetProfile::scaled(kind, opts.scale).generate(opts.seed);
         let name = kind.name();
 
-        // ---- Phase 1: thread/cache ladder on the evaluation snapshots ----
+        // ---- Phase 1: thread ladder on the evaluation snapshots ----
         let (g1, g2) = t.snapshot_pair(EVAL_SNAPSHOTS.0, EVAL_SNAPSHOTS.1);
-        let mut per_config = [0.0f64; 3];
+        let mut per_config = [0.0f64; 2];
         let mut single_sssp_secs = 0.0f64;
-        // Interleave the repeats round-robin across the three configs
+        // Interleave the repeats round-robin across the two rungs
         // instead of running each config's repeats back-to-back: on a
         // shared container, ambient slowdowns last seconds and would
         // otherwise bias whole rungs. Round-robin puts every config
         // under roughly the same conditions each round, so the
         // best-of-repeats rung comparison measures the config, not the
         // weather.
-        let mut bests: [Option<SuiteRun>; 3] = [const { None }; 3];
+        let mut bests: [Option<SuiteRun>; 2] = [const { None }; 2];
         for _ in 0..PHASE1_REPEATS {
-            for (slot, &(threads, cache)) in configs.iter().enumerate() {
-                let run = run_suite(&g1, &g2, &suite, &spec, m, opts.seed, threads, cache);
+            for (slot, &threads) in configs.iter().enumerate() {
+                let run = run_suite(&g1, &g2, &suite, &spec, m, opts.seed, threads);
                 if bests[slot].as_ref().is_none_or(|b| run.secs < b.secs) {
                     bests[slot] = Some(run);
                 }
             }
         }
-        for (slot, &(threads, cache)) in configs.iter().enumerate() {
+        for (slot, &threads) in configs.iter().enumerate() {
             let best = bests[slot].take().expect("REPEATS >= 1");
             eprintln!(
-                "  {name} [cache={}] @ {threads} thread(s): {:.3}s suite, {:.3}s sssp \
+                "  {name} @ {threads} thread(s): {:.3}s suite, {:.3}s sssp \
                  ({:.4}s t2, {} SSSPs, {} waves, {} scan chunks skipped)",
-                cache.describe(),
                 best.secs,
                 best.sssp_secs,
                 best.sssp_t2_secs,
@@ -639,7 +618,7 @@ fn main() {
             if slot == SLOT_SINGLE {
                 single_sssp_secs = best.sssp_secs;
             }
-            sweeps.push(best.timing(name.to_string(), threads, cache));
+            sweeps.push(best.timing(name.to_string(), threads));
         }
         // Flag only losses beyond a 15 % + 50 ms noise allowance.
         // Cross-run jitter on this shared single-core container
@@ -661,9 +640,7 @@ fn main() {
             single_secs: per_config[SLOT_SINGLE],
             single_sssp_secs,
             multi_thread_secs: per_config[SLOT_MULTI],
-            best_config_secs: per_config[SLOT_SINGLE]
-                .min(per_config[SLOT_CACHE])
-                .min(per_config[SLOT_MULTI]),
+            best_config_secs: per_config[SLOT_SINGLE].min(per_config[SLOT_MULTI]),
             thread_regression,
         });
 
@@ -795,9 +772,7 @@ fn main() {
         query_unknown_answers: query_answer_totals[2],
         query_budget_charged,
         query_qps_peak,
-        best_config_secs: totals[SLOT_SINGLE]
-            .min(totals[SLOT_CACHE])
-            .min(totals[SLOT_MULTI]),
+        best_config_secs: totals[SLOT_SINGLE].min(totals[SLOT_MULTI]),
         thread_regression,
         exec_steals,
     };

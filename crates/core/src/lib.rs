@@ -41,7 +41,7 @@
 //! * [`bounds`] — an extension beyond the paper: certified Δ lower/upper
 //!   bounds for arbitrary pairs from landmark rows alone (no per-pair
 //!   SSSP), enabling certify/rule-out/undecided triage of hypothesized
-//!   pairs ([`estimate`] is the compatibility shim of its former home).
+//!   pairs.
 //!
 //! Continuous monitoring over whole snapshot sequences lives in the
 //! `cp-stream` crate, built on this crate's oracle and pipeline.
@@ -51,7 +51,6 @@
 
 pub mod bounds;
 pub mod coverage;
-pub mod estimate;
 pub mod exact;
 pub mod experiment;
 pub mod gpk;

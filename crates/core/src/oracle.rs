@@ -8,18 +8,23 @@
 //! selectors reuse their `G_t1` rows), and a hard cap turns overdraft into
 //! an error instead of a silently broken experiment.
 //!
-//! # The paid/resident row cache
+//! # The paid/resident row store
 //!
 //! Two orthogonal facts about a row are tracked separately:
 //!
 //! * **Paid** — the row has been charged to the ledger once. Admission,
-//!   [`Self::cost_of`], [`Self::has_both`] and [`Self::fully_cached_nodes`]
-//!   read *only* this, so the ledger and the candidate set are bit-identical
-//!   at any cache size or thread count.
-//! * **Resident** — the row's bytes are currently held. Residency is
-//!   bounded by a [`RowCacheBudget`] (LRU eviction, `CP_ROW_CACHE`); a paid
-//!   row that was evicted is recomputed **free of charge** on its next
-//!   read. Residency only moves wall clock and memory, never results.
+//!   [`SnapshotOracle::cost_of`], [`SnapshotOracle::has_both`] and
+//!   [`SnapshotOracle::fully_cached_nodes`] read *only* this, so the ledger
+//!   and the candidate set are bit-identical at any thread count.
+//! * **Resident** — the row's bytes are held. Every paid row is resident
+//!   from the moment its batch pass merges until the oracle drops, and
+//!   nothing is ever evicted, so every read of a paid row is a plain
+//!   borrow. The only resident rows that are not paid are imported donors
+//!   ([`SnapshotOracle::import_donor_rows`]), which are charged on first
+//!   use without running a kernel.
+//!
+//! Row bytes live in one pooled slab arena at one width per oracle: `u16`
+//! when both snapshots pass [`fits_u16`], `u32` otherwise.
 //!
 //! # Row kernels
 //!
@@ -27,30 +32,28 @@
 //! 64-source MS-BFS waves, singleton and fallback rows the
 //! direction-optimizing [`cp_graph::bfs::bfs_into`], and weighted
 //! snapshots Dijkstra. Each charged row costs one SSSP however it is
-//! computed: the paper's cost model counts rows. The two runtime knobs
-//! are `CP_THREADS` and `CP_ROW_CACHE`; neither changes a row's bytes.
-//! The plain top-down BFS is a test reference that every cached row is
+//! computed: the paper's cost model counts rows. The one runtime knob
+//! is `CP_THREADS`, and it never changes a row's bytes. The plain
+//! top-down BFS is a test reference that every cached row is
 //! checked against, not a runtime option.
 
 use cp_graph::bfs::{bfs_into, BfsWorkspace, TraversalWork};
 use cp_graph::dijkstra::dijkstra_into;
 use cp_graph::msbfs::{msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
-use cp_graph::rowpack::{
-    fits_u16, pack_u16_into, widen_u16_into, RowArena, RowId, RowRef, RowSource,
-};
+use cp_graph::rowpack::{fits_u16, widen_u16_into, RowArena, RowId, RowRef, RowSource};
 use cp_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Number of pending rows below which a batched prefetch computes inline
 /// instead of spawning workers.
 const PARALLEL_ROW_CUTOFF: usize = 8;
 
-/// Number of most-recently-touched rows the LRU never evicts, so the
-/// borrows returned by [`SnapshotOracle::rows`] (one row per snapshot)
-/// stay resident for the duration of the call that produced them.
-const ROW_PIN_COUNT: usize = 2;
+/// Work items a batched prefetch stages per worker thread: a pass runs at
+/// most this many items per thread, then merges their rows into the store
+/// before the next pass starts, so at most `4 × threads` items' rows are
+/// ever held at `u32` outside the store.
+const STAGED_ITEMS_PER_THREAD: usize = 4;
 
 /// Per-worker persistent scratch of the batched full-sweep pass: the BFS
 /// and multi-source-wave workspaces live across batches (and across
@@ -99,80 +102,6 @@ impl GraphStore {
     }
 }
 
-/// Byte budget of the oracle's resident-row cache (`CP_ROW_CACHE`).
-///
-/// The budget bounds *residency only*: which rows' bytes are held. Paid
-/// status — and with it admission, the ledger, and the candidate set — is
-/// tracked separately, so every budget produces bit-identical results;
-/// a smaller budget just trades recomputation for memory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowCacheBudget {
-    /// Keep every paid row resident (the default): nothing is ever
-    /// recomputed.
-    #[default]
-    Unbounded,
-    /// Hold at most this many row-payload bytes at the *packed* width —
-    /// 2 bytes per node for `u16`-packed unweighted rows, 4 for `u32`
-    /// rows, so packing fits about twice the rows in the same budget —
-    /// evicting least-recently-used rows beyond the [`ROW_PIN_COUNT`]
-    /// most recent. `Bytes(0)` keeps nothing resident beyond those pinned
-    /// rows: every later read of a paid row recomputes it, and the
-    /// streaming engine's donor chaining switches off.
-    Bytes(usize),
-}
-
-impl RowCacheBudget {
-    /// Reads `CP_ROW_CACHE`: unset or `unbounded` → [`Self::Unbounded`];
-    /// a byte count with optional `k`/`m`/`g` (or `kb`/`mb`/`gb`) suffix →
-    /// [`Self::Bytes`]; `0` keeps nothing resident. Unparseable values
-    /// fall back to the default with a one-time (per process) stderr
-    /// warning: a typo like `CP_ROW_CACHE=64x` silently running unbounded
-    /// has burned enough CI legs that the fallback is no longer silent.
-    pub fn from_env() -> Self {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        match std::env::var("CP_ROW_CACHE") {
-            Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                WARNED.call_once(|| {
-                    eprintln!("warning: unparseable CP_ROW_CACHE={s:?}; falling back to unbounded");
-                });
-                RowCacheBudget::Unbounded
-            }),
-            Err(_) => RowCacheBudget::Unbounded,
-        }
-    }
-
-    /// Parses a knob spelling (see [`Self::from_env`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim().to_ascii_lowercase();
-        if s.is_empty() || s == "unbounded" {
-            return Some(RowCacheBudget::Unbounded);
-        }
-        let (digits, mult) = ["gb", "g", "mb", "m", "kb", "k"]
-            .iter()
-            .find_map(|suf| {
-                s.strip_suffix(suf).map(|d| {
-                    let mult = match suf.as_bytes()[0] {
-                        b'g' => 1usize << 30,
-                        b'm' => 1 << 20,
-                        _ => 1 << 10,
-                    };
-                    (d.trim_end().to_string(), mult)
-                })
-            })
-            .unwrap_or((s, 1));
-        let n: usize = digits.parse().ok()?;
-        Some(RowCacheBudget::Bytes(n.checked_mul(mult)?))
-    }
-
-    /// The knob spelling of this budget (`"unbounded"` or a byte count).
-    pub fn describe(self) -> String {
-        match self {
-            RowCacheBudget::Unbounded => "unbounded".to_string(),
-            RowCacheBudget::Bytes(b) => b.to_string(),
-        }
-    }
-}
-
 /// The SSSP pruning mode a run reports. Every charged SSSP runs to
 /// completion, so `Off` is the only mode; the type remains only for the
 /// benchmark, which prints its name.
@@ -194,10 +123,8 @@ impl SsspPrune {
 ///
 /// [`Self::rows`] plus the oracle's [`SnapshotOracle::chained_rows`]
 /// (rows charged whose bytes arrived via a donor hand-off) equals the
-/// number of fresh *charged* rows (= ledger total); free recomputations
-/// of evicted rows are counted by [`SnapshotOracle::recomputed_rows`]
-/// instead. `msbfs_waves` counts graph sweeps, each covering up to 64 of
-/// the `msbfs_rows`.
+/// number of fresh *charged* rows (= ledger total). `msbfs_waves` counts
+/// graph sweeps, each covering up to 64 of the `msbfs_rows`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStats {
     /// Multi-source waves run (one graph sweep each).
@@ -273,8 +200,7 @@ pub enum Snapshot {
 pub struct PrefetchReport {
     /// Fresh rows admitted and computed, each charged one SSSP.
     pub computed: usize,
-    /// Requests already paid for (free — served from residency or, if
-    /// evicted, recomputed without charge on their next read).
+    /// Requests already paid for (free: their rows are resident).
     pub cached: usize,
     /// Requests the remaining budget could not cover.
     pub skipped: usize,
@@ -292,232 +218,125 @@ pub struct NodePrefetchReport {
     pub rows: PrefetchReport,
 }
 
-/// A resident row's arena slot, tagged with its storage width.
-enum RowSlot {
-    /// `u16`-packed row in the compact arena (unweighted snapshots on a
-    /// `u16`-sized node universe).
-    U16(RowId),
-    /// Full-width row (weighted Dijkstra rows, or universes beyond `u16`).
-    U32(RowId),
+/// Slot-table entry of a node with no resident row.
+const NO_ROW: u32 = u32::MAX;
+
+/// The store's slab arena at the oracle's one storage width.
+enum Arena {
+    /// `u16`-packed rows: both snapshots pass [`fits_u16`].
+    U16(RowArena<u16>),
+    /// Full-width rows: a weighted snapshot, or a universe beyond `u16`.
+    U32(RowArena<u32>),
 }
 
-/// One resident row with its LRU recency stamp.
-struct CacheEntry {
-    slot: RowSlot,
-    tick: u64,
+impl Arena {
+    /// `(live rows, bytes per row, slab bytes)`.
+    fn occupancy(&self) -> (u64, usize, u64) {
+        match self {
+            Arena::U16(a) => (a.live_rows(), a.row_bytes(), a.slab_bytes()),
+            Arena::U32(a) => (a.live_rows(), a.row_bytes(), a.slab_bytes()),
+        }
+    }
 }
 
 /// The paid/resident row store behind the oracle (see the module docs for
-/// the paid-vs-resident split). Row bytes live in pooled slab arenas —
-/// `u16`-packed where the snapshot allows it, so a byte budget fits about
-/// twice the rows — and eviction recycles slots through the arenas' free
-/// lists instead of reallocating. All mutation happens on the oracle's
-/// single-threaded control path, so recency stamps — and therefore
-/// evictions — are deterministic at any worker-thread count.
-struct RowCache {
-    budget: RowCacheBudget,
-    resident: HashMap<u64, CacheEntry>,
-    paid1: HashSet<u32>,
-    paid2: HashSet<u32>,
-    bytes: usize,
-    tick: u64,
-    evictions: u64,
-    arena16: RowArena<u16>,
-    arena32: RowArena<u32>,
-    /// Whether each snapshot's rows pack to `u16` (decided once at
-    /// construction from weightedness and universe size).
-    pack1: bool,
-    pack2: bool,
+/// the paid-vs-resident split). Row bytes live in one slab arena; each
+/// snapshot keeps a dense per-node slot table into it and a paid flag per
+/// node. A row is written once and kept until the oracle drops. All
+/// mutation happens on the oracle's single-threaded control path.
+struct RowStore {
+    arena: Arena,
+    /// `slots[h][u]`: the arena slot of `u`'s row in snapshot `h`, or
+    /// [`NO_ROW`].
+    slots: [Vec<u32>; 2],
+    paid: [Vec<bool>; 2],
 }
 
-fn cache_key(which: Snapshot, u: NodeId) -> u64 {
-    let snap = match which {
-        Snapshot::First => 0u64,
-        Snapshot::Second => 1u64 << 32,
-    };
-    snap | u64::from(u.0)
+/// The index of a snapshot's slot table and paid flags.
+fn half(which: Snapshot) -> usize {
+    match which {
+        Snapshot::First => 0,
+        Snapshot::Second => 1,
+    }
 }
 
-impl RowCache {
-    fn new(budget: RowCacheBudget, row_len: usize, pack1: bool, pack2: bool) -> Self {
-        RowCache {
-            budget,
-            resident: HashMap::new(),
-            paid1: HashSet::new(),
-            paid2: HashSet::new(),
-            bytes: 0,
-            tick: 0,
-            evictions: 0,
-            arena16: RowArena::new(row_len),
-            arena32: RowArena::new(row_len),
-            pack1,
-            pack2,
+impl RowStore {
+    fn new(n: usize, packed: bool) -> Self {
+        RowStore {
+            arena: if packed {
+                Arena::U16(RowArena::new(n))
+            } else {
+                Arena::U32(RowArena::new(n))
+            },
+            slots: [vec![NO_ROW; n], vec![NO_ROW; n]],
+            paid: [vec![false; n], vec![false; n]],
         }
     }
 
     fn is_paid(&self, which: Snapshot, u: NodeId) -> bool {
-        match which {
-            Snapshot::First => self.paid1.contains(&u.0),
-            Snapshot::Second => self.paid2.contains(&u.0),
-        }
+        self.paid[half(which)][u.index()]
     }
 
     fn mark_paid(&mut self, which: Snapshot, u: NodeId) {
-        match which {
-            Snapshot::First => self.paid1.insert(u.0),
-            Snapshot::Second => self.paid2.insert(u.0),
-        };
-    }
-
-    /// Whether this snapshot's rows are stored `u16`-packed.
-    fn packs(&self, which: Snapshot) -> bool {
-        match which {
-            Snapshot::First => self.pack1,
-            Snapshot::Second => self.pack2,
-        }
+        self.paid[half(which)][u.index()] = true;
     }
 
     fn is_resident(&self, which: Snapshot, u: NodeId) -> bool {
-        self.resident.contains_key(&cache_key(which, u))
+        self.slots[half(which)][u.index()] != NO_ROW
     }
 
-    /// The resident row at its storage width, if present.
-    fn get_ref(&self, which: Snapshot, u: NodeId) -> Option<RowRef<'_>> {
-        self.resident
-            .get(&cache_key(which, u))
-            .map(|e| match e.slot {
-                RowSlot::U16(id) => RowRef::U16(self.arena16.row(id)),
-                RowSlot::U32(id) => RowRef::U32(self.arena32.row(id)),
-            })
-    }
-
-    /// Bumps the recency of a resident row; `false` if it was evicted.
-    fn touch(&mut self, which: Snapshot, u: NodeId) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.resident.get_mut(&cache_key(which, u)) {
-            Some(e) => {
-                e.tick = tick;
-                true
-            }
-            None => false,
+    fn slot_row(&self, slot: u32) -> RowRef<'_> {
+        match &self.arena {
+            Arena::U16(a) => RowRef::U16(a.row(RowId(slot))),
+            Arena::U32(a) => RowRef::U32(a.row(RowId(slot))),
         }
     }
 
-    /// Copies a row into an arena slot at the snapshot's storage width
-    /// (recycling freed slots) and makes it resident.
+    /// The resident row at the store's width, if present.
+    fn get(&self, which: Snapshot, u: NodeId) -> Option<RowRef<'_>> {
+        let slot = self.slots[half(which)][u.index()];
+        (slot != NO_ROW).then(|| self.slot_row(slot))
+    }
+
+    /// Copies a row into a fresh arena slot at the store's width and makes
+    /// it resident. Each row is inserted at most once.
     fn insert(&mut self, which: Snapshot, u: NodeId, row: impl RowSource) {
-        self.tick += 1;
-        let key = cache_key(which, u);
-        if let Some(old) = self.resident.remove(&key) {
-            self.release_slot(old.slot);
-        }
-        let slot = if self.packs(which) {
-            let id = self.arena16.alloc();
-            row.copy_into(self.arena16.row_mut(id));
-            self.bytes += self.arena16.row_bytes();
-            RowSlot::U16(id)
-        } else {
-            let id = self.arena32.alloc();
-            row.copy_into(self.arena32.row_mut(id));
-            self.bytes += self.arena32.row_bytes();
-            RowSlot::U32(id)
-        };
-        self.resident.insert(
-            key,
-            CacheEntry {
-                slot,
-                tick: self.tick,
-            },
-        );
-        self.enforce();
-    }
-
-    /// Returns a slot to its arena's free list and settles the byte
-    /// accounting (at the packed width).
-    fn release_slot(&mut self, slot: RowSlot) {
-        match slot {
-            RowSlot::U16(id) => {
-                self.bytes -= self.arena16.row_bytes();
-                self.arena16.release(id);
+        debug_assert!(!self.is_resident(which, u), "row inserted twice");
+        let id = match &mut self.arena {
+            Arena::U16(a) => {
+                let id = a.alloc();
+                row.copy_into(a.row_mut(id));
+                id
             }
-            RowSlot::U32(id) => {
-                self.bytes -= self.arena32.row_bytes();
-                self.arena32.release(id);
+            Arena::U32(a) => {
+                let id = a.alloc();
+                row.copy_into(a.row_mut(id));
+                id
             }
-        }
-    }
-
-    fn remove(&mut self, which: Snapshot, u: NodeId) {
-        if let Some(e) = self.resident.remove(&cache_key(which, u)) {
-            self.release_slot(e.slot);
-        }
-    }
-
-    fn clear_resident(&mut self) {
-        self.resident.clear();
-        self.arena16.clear();
-        self.arena32.clear();
-        self.bytes = 0;
-    }
-
-    /// Evicts least-recently-used rows until the byte budget holds, always
-    /// keeping the [`ROW_PIN_COUNT`] most recent (so borrows handed out by
-    /// the current call remain valid even under `Bytes(0)`). Evicted slots
-    /// go back to the arena free lists for the next insert to reuse.
-    fn enforce(&mut self) {
-        let cap = match self.budget {
-            RowCacheBudget::Unbounded => return,
-            RowCacheBudget::Bytes(b) => b,
         };
-        while self.bytes > cap && self.resident.len() > ROW_PIN_COUNT {
-            let victim = self
-                .resident
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(&k, _)| k)
-                .expect("non-empty cache");
-            let e = self.resident.remove(&victim).expect("victim resident");
-            self.release_slot(e.slot);
-            self.evictions += 1;
-        }
+        self.slots[half(which)][u.index()] = id.0;
+    }
+
+    /// Every resident row of one snapshot, ascending by source.
+    fn resident(&self, which: Snapshot) -> Vec<(NodeId, RowRef<'_>)> {
+        self.slots[half(which)]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NO_ROW)
+            .map(|(u, &slot)| (NodeId::new(u), self.slot_row(slot)))
+            .collect()
     }
 }
 
-/// Occupancy counters of the row cache's slab arenas.
+/// Occupancy counters of the row store's slab arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArenaStats {
     /// Live `u16`-packed rows.
     pub u16_rows: u64,
     /// Live full-width `u32` rows.
     pub u32_rows: u64,
-    /// Slot allocations served from the free lists (eviction/refill
-    /// traffic that reused warm slabs instead of growing them).
-    pub reused_rows: u64,
-    /// Bytes of slab capacity held across both arenas (live and free
-    /// slots alike).
+    /// Bytes of slab capacity held.
     pub slab_bytes: u64,
-}
-
-/// Thread-private scratch for [`SnapshotOracle::read_rows`] and
-/// [`SnapshotOracle::read_rows_packed`]: buffers a recomputed row per
-/// snapshot (plus its `u16`-packed form and a BFS workspace), so
-/// shared-`&self` readers (the Δ scan workers) can resolve evicted rows
-/// without touching the oracle.
-#[derive(Default)]
-pub struct RowScratch {
-    d1: Vec<u32>,
-    d2: Vec<u32>,
-    p1: Vec<u16>,
-    p2: Vec<u16>,
-    ws: BfsWorkspace,
-}
-
-impl RowScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// A pair of snapshots behind a counting, capping, caching SSSP interface.
@@ -546,7 +365,7 @@ pub struct SnapshotOracle<'a> {
     limit: Option<u64>,
     phase: Phase,
     ledger: BudgetLedger,
-    cache: RowCache,
+    store: RowStore,
     ws: BfsWorkspace,
     msws: MsBfsWorkspace,
     /// Widening buffers for the `u32` row API over `u16`-packed residents
@@ -560,7 +379,6 @@ pub struct SnapshotOracle<'a> {
     sssp_t2_secs: f64,
     cache_hits: u64,
     cache_misses: u64,
-    recomputed_rows: u64,
     chained_rows: u64,
     /// The injected worker pool (callers that need isolated
     /// [`cp_exec::ExecStats`], e.g. the conformance tests); `None` fans
@@ -597,12 +415,7 @@ impl<'a> SnapshotOracle<'a> {
             limit,
             phase: Phase::Generation,
             ledger: BudgetLedger::default(),
-            cache: RowCache::new(
-                RowCacheBudget::from_env(),
-                g1.num_nodes(),
-                fits_u16(g1),
-                fits_u16(g2),
-            ),
+            store: RowStore::new(g1.num_nodes(), fits_u16(g1) && fits_u16(g2)),
             ws: BfsWorkspace::new(),
             msws: MsBfsWorkspace::new(),
             wide1: Vec::new(),
@@ -614,7 +427,6 @@ impl<'a> SnapshotOracle<'a> {
             sssp_t2_secs: 0.0,
             cache_hits: 0,
             cache_misses: 0,
-            recomputed_rows: 0,
             chained_rows: 0,
             exec: None,
             item_slots: Vec::new(),
@@ -670,59 +482,31 @@ impl<'a> SnapshotOracle<'a> {
     }
 
     /// Total nodes settled and adjacency entries examined by the SSSP
-    /// kernels across every charged or free row this oracle computed.
+    /// kernels across every row this oracle computed.
     pub fn traversal_work(&self) -> TraversalWork {
         self.work
     }
 
-    /// Occupancy counters of the row cache's slab arenas.
+    /// Occupancy counters of the row store's slab arena.
     pub fn arena_stats(&self) -> ArenaStats {
+        let (rows, _, slab_bytes) = self.store.arena.occupancy();
+        let packed = matches!(self.store.arena, Arena::U16(_));
         ArenaStats {
-            u16_rows: self.cache.arena16.live_rows(),
-            u32_rows: self.cache.arena32.live_rows(),
-            reused_rows: self.cache.arena16.reused_rows() + self.cache.arena32.reused_rows(),
-            slab_bytes: self.cache.arena16.slab_bytes() + self.cache.arena32.slab_bytes(),
+            u16_rows: if packed { rows } else { 0 },
+            u32_rows: if packed { 0 } else { rows },
+            slab_bytes,
         }
     }
 
-    /// Sets the resident-row byte budget (builder style). Cache size never
-    /// changes results — only wall clock and memory (see [`RowCacheBudget`]).
-    pub fn with_row_cache(mut self, budget: RowCacheBudget) -> Self {
-        self.set_row_cache(budget);
-        self
-    }
-
-    /// Sets the resident-row byte budget, evicting immediately if the new
-    /// budget is smaller than the current residency.
-    pub fn set_row_cache(&mut self, budget: RowCacheBudget) {
-        self.cache.budget = budget;
-        self.cache.enforce();
-    }
-
-    /// The configured resident-row budget.
-    pub fn row_cache(&self) -> RowCacheBudget {
-        self.cache.budget
-    }
-
-    /// Bytes of row payload currently resident.
+    /// Bytes of row payload resident.
     pub fn cache_bytes(&self) -> usize {
-        self.cache.bytes
-    }
-
-    /// Rows evicted by the LRU so far.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions
+        let (rows, row_bytes, _) = self.store.arena.occupancy();
+        rows as usize * row_bytes
     }
 
     /// Per-kernel work counters accumulated so far.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kstats
-    }
-
-    /// Paid rows recomputed free of charge after LRU eviction (always 0
-    /// under [`RowCacheBudget::Unbounded`]).
-    pub fn recomputed_rows(&self) -> u64 {
-        self.recomputed_rows
     }
 
     /// Rows charged to the ledger whose bytes were already resident from a
@@ -733,32 +517,17 @@ impl<'a> SnapshotOracle<'a> {
         self.chained_rows
     }
 
-    /// Every resident row of one snapshot at its storage width, ascending
+    /// Every resident row of one snapshot at the store's width, ascending
     /// by source. The streaming engine copies both snapshots' rows into the
     /// epoch's query index; that index's `t2` rows then seed the next
     /// review's oracle as `t1` donors ([`Self::import_donor_rows`]) — the
     /// two oracles index the *same* graph object, so the rows carry over
     /// exactly.
     pub fn resident_rows(&self, which: Snapshot) -> Vec<(NodeId, RowRef<'_>)> {
-        let snap_bit = match which {
-            Snapshot::First => 0u64,
-            Snapshot::Second => 1u64 << 32,
-        };
-        let mut rows: Vec<(NodeId, RowRef<'_>)> = self
-            .cache
-            .resident
-            .keys()
-            .filter(|&&key| key & (1u64 << 32) == snap_bit)
-            .filter_map(|&key| {
-                let u = NodeId(key as u32);
-                Some((u, self.cache.get_ref(which, u)?))
-            })
-            .collect();
-        rows.sort_unstable_by_key(|&(u, _)| u);
-        rows
+        self.store.resident(which)
     }
 
-    /// Seeds the resident cache with donor rows computed elsewhere (the
+    /// Seeds the row store with donor rows computed elsewhere (the
     /// previous review's published `t2` rows) — resident but **unpaid**,
     /// so the first use of each row is still charged to this oracle's own
     /// ledger (and then counted in [`Self::chained_rows`] instead of
@@ -771,8 +540,7 @@ impl<'a> SnapshotOracle<'a> {
     /// width in the order given: a straight copy when the donor is stored
     /// at the same width, widened inside that one copy otherwise (the
     /// query index may hold one-byte rows). Rows already paid or resident
-    /// are left untouched; imports land through the normal LRU (so a byte
-    /// budget still holds). Returns the rows admitted.
+    /// are left untouched. Returns the rows admitted.
     ///
     /// # Panics
     /// Panics if a row's length differs from this oracle's node universe.
@@ -788,10 +556,10 @@ impl<'a> SnapshotOracle<'a> {
                 self.num_nodes(),
                 "donor row node universe mismatch"
             );
-            if self.cache.is_paid(which, u) || self.cache.is_resident(which, u) {
+            if self.store.is_paid(which, u) || self.store.is_resident(which, u) {
                 continue;
             }
-            self.cache.insert(which, u, row);
+            self.store.insert(which, u, row);
             imported += 1;
         }
         imported
@@ -855,44 +623,30 @@ impl<'a> SnapshotOracle<'a> {
     }
 
     /// How many fresh SSSPs it would cost to have both rows of `u`
-    /// available (0, 1 or 2 depending on what is already paid). Paid rows
-    /// cost nothing even if their bytes were evicted.
+    /// available (0, 1 or 2 depending on what is already paid).
     pub fn cost_of(&self, u: NodeId) -> u64 {
-        u64::from(!self.cache.is_paid(Snapshot::First, u))
-            + u64::from(!self.cache.is_paid(Snapshot::Second, u))
+        u64::from(!self.store.is_paid(Snapshot::First, u))
+            + u64::from(!self.store.is_paid(Snapshot::Second, u))
     }
 
     /// Whether both rows of `u` are already paid (i.e. `u` is already a
     /// fully paid candidate).
     pub fn has_both(&self, u: NodeId) -> bool {
-        self.cache.is_paid(Snapshot::First, u) && self.cache.is_paid(Snapshot::Second, u)
+        self.store.is_paid(Snapshot::First, u) && self.store.is_paid(Snapshot::Second, u)
     }
 
     /// Nodes with both rows paid, ascending. These are exactly the nodes
-    /// whose pairs the top-k phase can evaluate — independent of which row
-    /// bytes happen to be resident.
+    /// whose pairs the top-k phase can evaluate; both rows of each are
+    /// resident ([`Self::cached_rows`]).
     pub fn fully_cached_nodes(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .cache
-            .paid1
+        let [paid1, paid2] = &self.store.paid;
+        paid1
             .iter()
-            .filter(|k| self.cache.paid2.contains(k))
-            .map(|&k| NodeId(k))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Drops the resident bytes of one row. Paid status and ledger are
-    /// untouched: a later read recomputes the row free of charge.
-    pub fn invalidate_row(&mut self, which: Snapshot, u: NodeId) {
-        self.cache.remove(which, u);
-    }
-
-    /// Drops every resident row (memory pressure relief); paid statuses
-    /// and the ledger survive, so results are unaffected.
-    pub fn invalidate_resident(&mut self) {
-        self.cache.clear_resident();
+            .zip(paid2)
+            .enumerate()
+            .filter(|&(_, (&a, &b))| a && b)
+            .map(|(u, _)| NodeId::new(u))
+            .collect()
     }
 
     fn charge(&mut self) -> Result<(), BudgetError> {
@@ -908,20 +662,16 @@ impl<'a> SnapshotOracle<'a> {
         Ok(())
     }
 
-    /// Computes one row by a full sweep. `charged` routes the per-kernel
-    /// accounting (free recomputations stay out of [`KernelStats`] so its
-    /// row sum keeps matching the ledger).
-    fn compute_one(&mut self, which: Snapshot, u: NodeId, charged: bool) -> Vec<u32> {
+    /// Computes one charged row by a full sweep.
+    fn compute_one(&mut self, which: Snapshot, u: NodeId) -> Vec<u32> {
         let started = std::time::Instant::now();
         let graph = self.graph_of(which);
         let mut dist = Vec::new();
         let work = compute_row_fresh(graph, u, &mut dist, &mut self.ws);
-        if charged {
-            if graph.is_weighted() {
-                self.kstats.dijkstra_rows += 1;
-            } else {
-                self.kstats.bfs_rows += 1;
-            }
+        if graph.is_weighted() {
+            self.kstats.dijkstra_rows += 1;
+        } else {
+            self.kstats.bfs_rows += 1;
         }
         self.work.merge(work);
         let secs = started.elapsed().as_secs_f64();
@@ -932,36 +682,28 @@ impl<'a> SnapshotOracle<'a> {
         dist
     }
 
-    /// Makes the row of `u` paid and resident, charging it on first use;
-    /// an evicted paid row is recomputed free of charge.
+    /// Makes the row of `u` paid and resident, charging it on first use.
     fn ensure_row(&mut self, which: Snapshot, u: NodeId) -> Result<(), BudgetError> {
-        if self.cache.is_paid(which, u) {
+        if self.store.is_paid(which, u) {
             self.cache_hits += 1;
-            if !self.cache.touch(which, u) {
-                let dist = self.compute_one(which, u, false);
-                self.recomputed_rows += 1;
-                self.cache.insert(which, u, RowRef::U32(&dist));
-            }
+            return Ok(());
+        }
+        self.charge()?;
+        self.cache_misses += 1;
+        self.store.mark_paid(which, u);
+        if self.store.is_resident(which, u) {
+            // Imported donor row: charged on first use like any other
+            // row, but its bytes are already exact — no kernel runs.
+            self.chained_rows += 1;
         } else {
-            self.charge()?;
-            self.cache_misses += 1;
-            self.cache.mark_paid(which, u);
-            if self.cache.get_ref(which, u).is_some() {
-                // Imported donor row: charged on first use like any other
-                // row, but its bytes are already exact — no kernel runs.
-                self.chained_rows += 1;
-                self.cache.touch(which, u);
-            } else {
-                let dist = self.compute_one(which, u, true);
-                self.cache.insert(which, u, RowRef::U32(&dist));
-            }
+            let dist = self.compute_one(which, u);
+            self.store.insert(which, u, RowRef::U32(&dist));
         }
         Ok(())
     }
 
     /// The distance row of `u` in the chosen snapshot, computing (and
-    /// charging) it on first use. Paid rows are free forever — if their
-    /// bytes were evicted they are recomputed without touching the ledger.
+    /// charging) it on first use. Paid rows are free forever.
     /// `u16`-packed residents are widened into an oracle-owned buffer, so
     /// callers always see canonical `u32` distances.
     pub fn row(&mut self, which: Snapshot, u: NodeId) -> Result<&[u32], BudgetError> {
@@ -971,11 +713,7 @@ impl<'a> SnapshotOracle<'a> {
             Snapshot::Second => &mut self.wide2,
         };
         Ok(
-            match self
-                .cache
-                .get_ref(which, u)
-                .expect("row just made resident")
-            {
+            match self.store.get(which, u).expect("row just made resident") {
                 RowRef::U32(r) => r,
                 RowRef::U16(p) => {
                     widen_u16_into(p, wide);
@@ -985,25 +723,24 @@ impl<'a> SnapshotOracle<'a> {
         )
     }
 
-    /// Both rows of `u` at once (for Δ computation). The returned pair is
-    /// protected from eviction by the LRU's recency pin.
+    /// Both rows of `u` at once (for Δ computation).
     pub fn rows(&mut self, u: NodeId) -> Result<(&[u32], &[u32]), BudgetError> {
         self.ensure_row(Snapshot::First, u)?;
         self.ensure_row(Snapshot::Second, u)?;
         let SnapshotOracle {
-            cache,
+            store,
             wide1,
             wide2,
             ..
         } = self;
-        let r1 = match cache.get_ref(Snapshot::First, u).expect("pinned") {
+        let r1 = match store.get(Snapshot::First, u).expect("resident") {
             RowRef::U32(r) => r,
             RowRef::U16(p) => {
                 widen_u16_into(p, wide1);
                 wide1.as_slice()
             }
         };
-        let r2 = match cache.get_ref(Snapshot::Second, u).expect("pinned") {
+        let r2 = match store.get(Snapshot::Second, u).expect("resident") {
             RowRef::U32(r) => r,
             RowRef::U16(p) => {
                 widen_u16_into(p, wide2);
@@ -1013,120 +750,22 @@ impl<'a> SnapshotOracle<'a> {
         Ok((r1, r2))
     }
 
-    /// The *resident* row of `u` in the chosen snapshot at its storage
-    /// width, if present. Never computes or charges; safe to call from
-    /// parallel readers via `&self`. Under a bounded [`RowCacheBudget`] a
-    /// paid row may be absent — use [`Self::read_rows`] for eviction-safe
-    /// shared reads.
+    /// The resident row of `u` in the chosen snapshot at the store's
+    /// width, if present — always present once the row is paid. Never
+    /// computes or charges; safe to call from parallel readers via `&self`.
     pub fn cached_row(&self, which: Snapshot, u: NodeId) -> Option<RowRef<'_>> {
-        self.cache.get_ref(which, u)
+        self.store.get(which, u)
     }
 
-    /// Both resident rows of `u`, if both are present. Never
-    /// computes or charges.
+    /// Both resident rows of `u`, if both are present — always for a node
+    /// of [`Self::fully_cached_nodes`]. Both rows share the store's width.
+    /// Never computes or charges: the Δ scan, the landmark scores and the
+    /// epoch capture read paid rows through this.
     pub fn cached_rows(&self, u: NodeId) -> Option<(RowRef<'_>, RowRef<'_>)> {
         Some((
-            self.cache.get_ref(Snapshot::First, u)?,
-            self.cache.get_ref(Snapshot::Second, u)?,
+            self.store.get(Snapshot::First, u)?,
+            self.store.get(Snapshot::Second, u)?,
         ))
-    }
-
-    /// Eviction-safe shared read of both rows of `u`: resident rows are
-    /// returned directly (widened into the caller's scratch when
-    /// `u16`-packed), evicted ones are recomputed into the caller's
-    /// [`RowScratch`]. Never charges and never mutates the oracle — the
-    /// landmark probes call this via `&self`. Rows are uniquely determined
-    /// by the graphs, so a recomputed row is bit-identical to the
-    /// original; recomputation time here surfaces in the caller's phase
-    /// timing, not in [`Self::sssp_secs`].
-    pub fn read_rows<'s>(
-        &'s self,
-        u: NodeId,
-        scratch: &'s mut RowScratch,
-    ) -> (&'s [u32], &'s [u32]) {
-        let RowScratch { d1, d2, ws, .. } = scratch;
-        let r1 = match self.cache.get_ref(Snapshot::First, u) {
-            Some(RowRef::U32(r)) => r,
-            Some(RowRef::U16(p)) => {
-                widen_u16_into(p, d1);
-                d1.as_slice()
-            }
-            None => {
-                compute_row_fresh(self.g1, u, d1, ws);
-                d1.as_slice()
-            }
-        };
-        let r2 = match self.cache.get_ref(Snapshot::Second, u) {
-            Some(RowRef::U32(r)) => r,
-            Some(RowRef::U16(p)) => {
-                widen_u16_into(p, d2);
-                d2.as_slice()
-            }
-            None => {
-                compute_row_fresh(self.g2, u, d2, ws);
-                d2.as_slice()
-            }
-        };
-        (r1, r2)
-    }
-
-    /// Eviction-safe shared read of both rows of `u` at their *storage*
-    /// width — the Δ-scan entry point. Resident rows are returned
-    /// directly from the arena; evicted ones are recomputed into the
-    /// caller's [`RowScratch`] and packed to the snapshot's width, so the
-    /// scan kernel sees the same representation whether or not a row was
-    /// resident. A mixed-width pair (one snapshot packed, the other not)
-    /// is normalized to `u32` on both sides. Never charges and never
-    /// mutates the oracle.
-    pub fn read_rows_packed<'s>(
-        &'s self,
-        u: NodeId,
-        scratch: &'s mut RowScratch,
-    ) -> (RowRef<'s>, RowRef<'s>) {
-        let RowScratch { d1, d2, p1, p2, ws } = scratch;
-        let have1 = self.cache.is_resident(Snapshot::First, u);
-        let have2 = self.cache.is_resident(Snapshot::Second, u);
-        let (k1, k2) = (self.cache.pack1, self.cache.pack2);
-        let mixed = k1 != k2;
-        if !have1 {
-            compute_row_fresh(self.g1, u, d1, ws);
-            if k1 && !mixed {
-                pack_u16_into(d1, p1);
-            }
-        }
-        if !have2 {
-            compute_row_fresh(self.g2, u, d2, ws);
-            if k2 && !mixed {
-                pack_u16_into(d2, p2);
-            }
-        }
-        if mixed {
-            if have1 && k1 {
-                if let Some(RowRef::U16(p)) = self.cache.get_ref(Snapshot::First, u) {
-                    widen_u16_into(p, d1);
-                }
-            }
-            if have2 && k2 {
-                if let Some(RowRef::U16(p)) = self.cache.get_ref(Snapshot::Second, u) {
-                    widen_u16_into(p, d2);
-                }
-            }
-        }
-        let r1 = if have1 && !(mixed && k1) {
-            self.cache.get_ref(Snapshot::First, u).expect("resident")
-        } else if k1 && !mixed {
-            RowRef::U16(p1)
-        } else {
-            RowRef::U32(d1)
-        };
-        let r2 = if have2 && !(mixed && k2) {
-            self.cache.get_ref(Snapshot::Second, u).expect("resident")
-        } else if k2 && !mixed {
-            RowRef::U16(p2)
-        } else {
-            RowRef::U32(d2)
-        };
-        (r1, r2)
     }
 
     /// Batched row prefetch. Admission is **sequential and deterministic**:
@@ -1134,14 +773,14 @@ impl<'a> SnapshotOracle<'a> {
     /// current [`Phase`] exactly as a one-at-a-time [`Self::row`] walk
     /// would, skipping requests once the cap is reached (paid requests
     /// stay free throughout). The admitted rows are then computed in
-    /// parallel — row contents do not depend on thread count, so the cache,
+    /// parallel — row contents do not depend on thread count, so the store,
     /// the ledger, and every later read are identical at any [`Self::threads`]
     /// setting.
     pub fn prefetch_rows(&mut self, requests: &[(Snapshot, NodeId)]) -> PrefetchReport {
         let mut report = PrefetchReport::default();
         let mut jobs: Vec<(Snapshot, u32)> = Vec::new();
         for &(which, u) in requests {
-            if self.cache.is_paid(which, u) {
+            if self.store.is_paid(which, u) {
                 report.cached += 1;
                 self.cache_hits += 1;
                 continue;
@@ -1151,10 +790,9 @@ impl<'a> SnapshotOracle<'a> {
                 continue;
             }
             self.cache_misses += 1;
-            self.cache.mark_paid(which, u);
-            if self.cache.get_ref(which, u).is_some() {
+            self.store.mark_paid(which, u);
+            if self.store.is_resident(which, u) {
                 self.chained_rows += 1;
-                self.cache.touch(which, u);
             } else {
                 jobs.push((which, u.0));
             }
@@ -1175,8 +813,8 @@ impl<'a> SnapshotOracle<'a> {
         let mut jobs: Vec<(Snapshot, u32)> = Vec::new();
         let mut planned_spend: u64 = 0;
         for &u in nodes {
-            let have1 = self.cache.is_paid(Snapshot::First, u);
-            let have2 = self.cache.is_paid(Snapshot::Second, u);
+            let have1 = self.store.is_paid(Snapshot::First, u);
+            let have2 = self.store.is_paid(Snapshot::Second, u);
             let cost = u64::from(!have1) + u64::from(!have2);
             let remaining = match self.limit {
                 None => u64::MAX,
@@ -1187,10 +825,9 @@ impl<'a> SnapshotOracle<'a> {
                 continue;
             }
             if !have1 {
-                self.cache.mark_paid(Snapshot::First, u);
-                if self.cache.get_ref(Snapshot::First, u).is_some() {
+                self.store.mark_paid(Snapshot::First, u);
+                if self.store.is_resident(Snapshot::First, u) {
                     self.chained_rows += 1;
-                    self.cache.touch(Snapshot::First, u);
                 } else {
                     jobs.push((Snapshot::First, u.0));
                 }
@@ -1199,10 +836,9 @@ impl<'a> SnapshotOracle<'a> {
                 self.cache_hits += 1;
             }
             if !have2 {
-                self.cache.mark_paid(Snapshot::Second, u);
-                if self.cache.get_ref(Snapshot::Second, u).is_some() {
+                self.store.mark_paid(Snapshot::Second, u);
+                if self.store.is_resident(Snapshot::Second, u) {
                     self.chained_rows += 1;
-                    self.cache.touch(Snapshot::Second, u);
                 } else {
                     jobs.push((Snapshot::Second, u.0));
                 }
@@ -1230,15 +866,14 @@ impl<'a> SnapshotOracle<'a> {
         }
     }
 
-    /// Computes an admitted (deduplicated, already charged) job batch — in
-    /// parallel above [`PARALLEL_ROW_CUTOFF`], inline otherwise. Jobs of
-    /// both snapshots are grouped into kernel work items first
-    /// (multi-source waves, see [`Self::plan_items`]); the scoped-worker
-    /// fan-out then distributes *items*, so wave batching composes with
-    /// thread parallelism. Each worker owns its scratch; the shared state
-    /// is one atomic item cursor and disjoint per-item result slots. Row
-    /// contents are thread-invariant, so cache, ledger, and every later
-    /// read are identical under any configuration.
+    /// Computes an admitted (deduplicated, already charged) job batch. Jobs
+    /// of both snapshots are grouped into kernel work items first
+    /// (multi-source waves, see [`Self::plan_items`]); the items then run
+    /// in passes of at most [`STAGED_ITEMS_PER_THREAD`] `× threads`, each
+    /// pass fanned out over the workers and merged into the store in item
+    /// order before the next starts, so only one pass's rows are ever
+    /// staged at `u32`. Row contents are thread-invariant, so store,
+    /// ledger, and every later read are identical under any configuration.
     fn compute_jobs(&mut self, jobs: &[(Snapshot, u32)]) {
         if jobs.is_empty() {
             return;
@@ -1255,11 +890,13 @@ impl<'a> SnapshotOracle<'a> {
                 self.kstats.bfs_rows += idxs.len() as u64;
             }
         }
-        self.run_item_pass(jobs, &items);
+        for pass in items.chunks(STAGED_ITEMS_PER_THREAD * self.threads) {
+            self.run_item_pass(jobs, pass);
+        }
         self.sssp_secs += started.elapsed().as_secs_f64();
     }
 
-    /// Runs one batch of planned items — in parallel above
+    /// Runs one pass of planned items — in parallel above
     /// [`PARALLEL_ROW_CUTOFF`], inline otherwise — and merges the
     /// results. Each worker owns its scratch; the shared state is one
     /// atomic item cursor and disjoint per-item result slots, and merging
@@ -1344,13 +981,13 @@ impl<'a> SnapshotOracle<'a> {
         items
     }
 
-    /// Merges one item's results: rows into the resident cache, work into
+    /// Merges one item's results: rows into the row store, work into
     /// the traversal counters.
     fn merge_item(&mut self, jobs: &[(Snapshot, u32)], res: ItemResult) {
         self.work.merge(res.work);
         for (idx, dist) in res.rows {
             let (which, u) = jobs[idx];
-            self.cache.insert(which, NodeId(u), RowRef::U32(&dist));
+            self.store.insert(which, NodeId(u), RowRef::U32(&dist));
         }
     }
 }
@@ -1364,8 +1001,7 @@ struct ItemResult {
 }
 
 /// Computes one row from scratch — direction-optimizing BFS, or Dijkstra
-/// on a weighted snapshot — returning the traversal work (no stats — also
-/// the shared-read fallback of [`SnapshotOracle::read_rows`]).
+/// on a weighted snapshot — returning the traversal work.
 fn compute_row_fresh(
     graph: &Graph,
     u: NodeId,
@@ -1438,26 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn row_cache_parser_handles_suffixes_and_overflow() {
-        use RowCacheBudget::{Bytes, Unbounded};
-        assert_eq!(RowCacheBudget::parse(""), Some(Unbounded));
-        assert_eq!(RowCacheBudget::parse("unbounded"), Some(Unbounded));
-        assert_eq!(RowCacheBudget::parse("0"), Some(Bytes(0)));
-        assert_eq!(RowCacheBudget::parse("4096"), Some(Bytes(4096)));
-        assert_eq!(RowCacheBudget::parse("64k"), Some(Bytes(64 << 10)));
-        // Uppercase suffixes and a space before the unit both parse.
-        assert_eq!(RowCacheBudget::parse("64 KB"), Some(Bytes(64 << 10)));
-        assert_eq!(RowCacheBudget::parse("2 Mb"), Some(Bytes(2 << 20)));
-        assert_eq!(RowCacheBudget::parse("1G"), Some(Bytes(1 << 30)));
-        // Empty digits, junk suffixes, and multiplier overflow are
-        // rejected (not silently clamped).
-        assert_eq!(RowCacheBudget::parse("k"), None);
-        assert_eq!(RowCacheBudget::parse("64x"), None);
-        assert_eq!(RowCacheBudget::parse("12.5m"), None);
-        assert_eq!(RowCacheBudget::parse("18446744073709551615k"), None);
-    }
-
-    #[test]
     fn enforces_cap() {
         let (g1, g2) = graphs();
         let mut o = SnapshotOracle::with_budget(&g1, &g2, 3);
@@ -1516,7 +1132,7 @@ mod tests {
     #[test]
     fn t2_rows_match_fresh_bfs() {
         let (g1, g2) = graphs();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+        let mut o = SnapshotOracle::unbounded(&g1, &g2);
         for u in g1.nodes() {
             let (d1, d2) = o.rows(u).unwrap();
             assert_eq!(d1, cp_graph::bfs::bfs(&g1, u).as_slice(), "t1 of {u:?}");
@@ -1525,68 +1141,6 @@ mod tests {
         // One-at-a-time reads: every row of both snapshots is one BFS.
         assert_eq!(o.kernel_stats().bfs_rows, 10);
         assert_eq!(o.kernel_stats().rows(), o.ledger().total());
-    }
-
-    #[test]
-    fn disabled_cache_keeps_rows_and_ledger() {
-        let (g1, g2) = graphs();
-        let mut on = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
-        let mut off = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Bytes(0));
-        for u in g1.nodes() {
-            let (a1, a2) = on.rows(u).map(|(a, b)| (a.to_vec(), b.to_vec())).unwrap();
-            let (b1, b2) = off.rows(u).map(|(a, b)| (a.to_vec(), b.to_vec())).unwrap();
-            assert_eq!(a1, b1);
-            assert_eq!(a2, b2);
-        }
-        assert_eq!(on.ledger(), off.ledger());
-    }
-
-    #[test]
-    fn tiny_cache_evicts_but_results_and_ledger_survive() {
-        let (g1, g2) = graphs();
-        // Room for ~2 rows of 5 nodes (20 bytes each): constant eviction.
-        let mut o =
-            SnapshotOracle::with_budget(&g1, &g2, 10).with_row_cache(RowCacheBudget::Bytes(40));
-        let mut reference = SnapshotOracle::with_budget(&g1, &g2, 10);
-        for u in g1.nodes() {
-            let (d1, d2) = o.rows(u).map(|(a, b)| (a.to_vec(), b.to_vec())).unwrap();
-            let (r1, r2) = reference
-                .rows(u)
-                .map(|(a, b)| (a.to_vec(), b.to_vec()))
-                .unwrap();
-            assert_eq!(d1, r1, "t1 of {u:?}");
-            assert_eq!(d2, r2, "t2 of {u:?}");
-        }
-        assert!(o.cache_evictions() > 0);
-        assert!(o.cache_bytes() <= 40 + 2 * 20, "pinned rows may overhang");
-        // All ten rows paid once; re-reads stay free even though evicted.
-        assert_eq!(o.ledger(), reference.ledger());
-        o.rows(NodeId(0)).unwrap();
-        assert_eq!(o.ledger().total(), 10);
-        assert!(o.recomputed_rows() > 0);
-        assert_eq!(o.fully_cached_nodes(), reference.fully_cached_nodes());
-    }
-
-    #[test]
-    fn invalidation_keeps_paid_status() {
-        let (g1, g2) = graphs();
-        let mut o = SnapshotOracle::with_budget(&g1, &g2, 4);
-        let before = o
-            .rows(NodeId(2))
-            .map(|(a, b)| (a.to_vec(), b.to_vec()))
-            .unwrap();
-        o.invalidate_row(Snapshot::First, NodeId(2));
-        assert!(o.cached_row(Snapshot::First, NodeId(2)).is_none());
-        assert_eq!(o.cost_of(NodeId(2)), 0, "paid status survives invalidation");
-        let after = o
-            .rows(NodeId(2))
-            .map(|(a, b)| (a.to_vec(), b.to_vec()))
-            .unwrap();
-        assert_eq!(before, after);
-        assert_eq!(o.ledger().total(), 2, "recomputation is free");
-        o.invalidate_resident();
-        assert_eq!(o.cache_bytes(), 0);
-        assert!(o.has_both(NodeId(2)));
     }
 
     #[test]
@@ -1601,7 +1155,7 @@ mod tests {
         b2.add_weighted_edge(NodeId(0), NodeId(2), 1);
         b2.add_weighted_edge(NodeId(2), NodeId(3), 2);
         let g2 = b2.build();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+        let mut o = SnapshotOracle::unbounded(&g1, &g2);
         for u in g1.nodes() {
             let (d1, d2) = o.rows(u).unwrap();
             assert_eq!(d1, cp_graph::dijkstra::dijkstra(&g1, u).as_slice());
@@ -1629,97 +1183,63 @@ mod tests {
     fn unweighted_rows_pack_to_u16_and_recycle_arena_slots() {
         let (g1, g2) = graphs();
         assert!(fits_u16(&g1) && fits_u16(&g2));
-        // Room for ~4 packed rows (10 bytes each): constant eviction, so
-        // freed slots must be recycled through the arena free list.
-        let mut o =
-            SnapshotOracle::with_budget(&g1, &g2, 10).with_row_cache(RowCacheBudget::Bytes(40));
-        let mut reference = SnapshotOracle::with_budget(&g1, &g2, 10);
+        let mut o = SnapshotOracle::with_budget(&g1, &g2, 10);
         for u in g1.nodes() {
             let (d1, d2) = o.rows(u).map(|(a, b)| (a.to_vec(), b.to_vec())).unwrap();
-            let (r1, r2) = reference
-                .rows(u)
-                .map(|(a, b)| (a.to_vec(), b.to_vec()))
-                .unwrap();
-            assert_eq!(d1, r1, "widened t1 of {u:?}");
-            assert_eq!(d2, r2, "widened t2 of {u:?}");
+            assert_eq!(d1, cp_graph::bfs::bfs(&g1, u), "widened t1 of {u:?}");
+            assert_eq!(d2, cp_graph::bfs::bfs(&g2, u), "widened t2 of {u:?}");
         }
         let stats = o.arena_stats();
         assert_eq!(stats.u32_rows, 0, "unweighted rows must pack");
-        assert!(stats.u16_rows > 0);
-        assert!(stats.reused_rows > 0, "evicted slots must be recycled");
+        assert_eq!(stats.u16_rows, 10, "every paid row stays resident");
         assert!(stats.slab_bytes > 0);
-        assert!(o.cache_evictions() > 0);
-        // Packed accounting: resident bytes are 2/node, so the 40-byte
-        // budget holds twice the rows the u32 layout would.
-        assert!(o.cache_bytes() <= 40 + 2 * 10, "pinned rows may overhang");
+        // Packed accounting: resident bytes are 2 per node.
+        assert_eq!(o.cache_bytes(), 10 * 5 * 2);
         // The resident view is served at the packed width.
-        let some_resident = g1
-            .nodes()
-            .find_map(|u| o.cached_row(Snapshot::First, u))
-            .expect("something is resident");
-        assert!(matches!(some_resident, RowRef::U16(_)));
+        for u in g1.nodes() {
+            let (r1, r2) = o.cached_rows(u).expect("paid rows are resident");
+            assert!(matches!(r1, RowRef::U16(_)) && matches!(r2, RowRef::U16(_)));
+        }
+    }
+
+    #[test]
+    fn one_weighted_snapshot_stores_both_at_u32() {
+        let g1 = graph_from_edges(3, &[(0, 1), (1, 2)]);
+        let mut b2 = GraphBuilder::new(3);
+        b2.add_weighted_edge(NodeId(0), NodeId(1), 1);
+        b2.add_weighted_edge(NodeId(1), NodeId(2), 1);
+        b2.add_weighted_edge(NodeId(0), NodeId(2), 5);
+        let g2 = b2.build();
+        let mut o = SnapshotOracle::unbounded(&g1, &g2);
+        o.rows(NodeId(0)).unwrap();
+        let (r1, r2) = o.cached_rows(NodeId(0)).expect("resident");
+        assert_eq!(r1, RowRef::U32(&[0, 1, 2]));
+        assert_eq!(r2, RowRef::U32(&[0, 1, 2]));
+        assert_eq!(o.arena_stats().u32_rows, 2);
     }
 
     #[test]
     fn packed_reads_match_across_residency() {
+        // The same rows, made resident by a kernel in one oracle and by a
+        // donor import in the other, read back with the same width and
+        // bits: the scan kernel cannot tell them apart.
         let (g1, g2) = graphs();
-        let mut resident =
-            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
-        let mut evicted =
-            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Bytes(0));
+        let mut computed = SnapshotOracle::unbounded(&g1, &g2);
         for u in g1.nodes() {
-            resident.rows(u).unwrap();
-            evicted.rows(u).unwrap();
+            computed.rows(u).unwrap();
         }
-        let mut s1 = RowScratch::new();
-        let mut s2 = RowScratch::new();
+        let mut imported = SnapshotOracle::unbounded(&g1, &g2);
+        imported.import_donor_rows(Snapshot::First, computed.resident_rows(Snapshot::First));
+        imported.import_donor_rows(Snapshot::Second, computed.resident_rows(Snapshot::Second));
         for u in g1.nodes() {
-            let (a1, a2) = resident.read_rows_packed(u, &mut s1);
-            let (b1, b2) = evicted.read_rows_packed(u, &mut s2);
-            // Same width and same bits whether the row was resident or
-            // recomputed into scratch — the scan kernel cannot tell.
+            let (a1, a2) = computed.cached_rows(u).expect("paid");
+            let (b1, b2) = imported.cached_rows(u).expect("imported");
             assert_eq!(a1, b1, "t1 of {u:?}");
             assert_eq!(a2, b2, "t2 of {u:?}");
             assert!(matches!(a1, RowRef::U16(_)), "unweighted rows pack");
-            assert_eq!(a1.to_u32_vec(), resident.read_rows(u, &mut s1).0);
+            assert_eq!(a1.to_u32_vec(), cp_graph::bfs::bfs(&g1, u));
         }
-    }
-
-    #[test]
-    fn row_cache_budget_parses() {
-        use RowCacheBudget::*;
-        assert_eq!(RowCacheBudget::parse(""), Some(Unbounded));
-        assert_eq!(RowCacheBudget::parse("unbounded"), Some(Unbounded));
-        assert_eq!(RowCacheBudget::parse("0"), Some(Bytes(0)));
-        assert_eq!(RowCacheBudget::parse("4096"), Some(Bytes(4096)));
-        assert_eq!(RowCacheBudget::parse("64k"), Some(Bytes(64 << 10)));
-        assert_eq!(RowCacheBudget::parse("64KB"), Some(Bytes(64 << 10)));
-        assert_eq!(RowCacheBudget::parse("2m"), Some(Bytes(2 << 20)));
-        assert_eq!(RowCacheBudget::parse("1g"), Some(Bytes(1 << 30)));
-        assert_eq!(RowCacheBudget::parse("nope"), None);
-        assert_eq!(Bytes(0).describe(), "0");
-        assert_eq!(Unbounded.describe(), "unbounded");
-    }
-
-    #[test]
-    fn read_rows_recomputes_evicted_rows() {
-        let (g1, g2) = graphs();
-        let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Bytes(0));
-        let expected: Vec<(Vec<u32>, Vec<u32>)> = g1
-            .nodes()
-            .map(|u| {
-                let (a, b) = o.rows(u).unwrap();
-                (a.to_vec(), b.to_vec())
-            })
-            .collect();
-        // All but the two pinned rows are gone; shared reads still resolve.
-        let mut scratch = RowScratch::new();
-        for (u, (e1, e2)) in g1.nodes().zip(&expected) {
-            let (r1, r2) = o.read_rows(u, &mut scratch);
-            assert_eq!(r1, e1.as_slice(), "t1 of {u:?}");
-            assert_eq!(r2, e2.as_slice(), "t2 of {u:?}");
-        }
-        assert_eq!(o.ledger().total(), 10, "shared reads never charge");
+        assert_eq!(imported.ledger().total(), 0, "imports are not charged");
     }
 
     #[test]
@@ -1728,8 +1248,7 @@ mod tests {
         // (g1, g2) with step 1's t2 residents imported as t1 donors.
         let g0 = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
         let (g1, g2) = graphs();
-        let mut step1 =
-            SnapshotOracle::unbounded(&g0, &g1).with_row_cache(RowCacheBudget::Unbounded);
+        let mut step1 = SnapshotOracle::unbounded(&g0, &g1);
         for u in g0.nodes() {
             step1.rows(u).unwrap();
         }
@@ -1738,11 +1257,9 @@ mod tests {
         assert!(handoff.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
         assert!(handoff.iter().all(|(_, r)| matches!(r, RowRef::U16(_))));
 
-        let mut chained =
-            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+        let mut chained = SnapshotOracle::unbounded(&g1, &g2);
         assert_eq!(chained.import_donor_rows(Snapshot::First, handoff), 5);
-        let mut scratch =
-            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+        let mut scratch = SnapshotOracle::unbounded(&g1, &g2);
         for u in g1.nodes() {
             let (c1, c2) = chained.rows(u).unwrap();
             let (c1, c2) = (c1.to_vec(), c2.to_vec());
@@ -1766,15 +1283,14 @@ mod tests {
     #[test]
     fn donor_import_skips_paid_and_resident_rows() {
         let (g1, g2) = graphs();
-        let mut donor =
-            SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+        let mut donor = SnapshotOracle::unbounded(&g1, &g2);
         for u in g1.nodes() {
             donor.rows(u).unwrap();
         }
         // Exporting t1 of (g1, g2) and importing it back as t1 of another
         // (g1, g2) oracle that already paid for node 0's rows.
         let handoff = donor.resident_rows(Snapshot::First);
-        let mut o = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+        let mut o = SnapshotOracle::unbounded(&g1, &g2);
         o.rows(NodeId(0)).unwrap();
         assert_eq!(o.import_donor_rows(Snapshot::First, handoff), 4);
         o.rows(NodeId(0)).unwrap();

@@ -11,8 +11,9 @@
 
 use super::dispersion::{dispersion_pick, DispersionMode};
 use super::CandidateSelector;
-use crate::oracle::{RowScratch, SnapshotOracle};
+use crate::oracle::SnapshotOracle;
 use cp_graph::degrees::top_m_by_score_u32;
+use cp_graph::rowpack::{RowDist, RowRef};
 use cp_graph::{distance_decrease, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,22 +66,32 @@ pub fn landmark_change_scores(
     let mut sum = vec![0u32; n];
     let mut max = vec![0u32; n];
     let used = oracle.prefetch_node_rows(landmarks).usable;
-    // Served landmarks are paid, but a bounded row cache may have evicted
-    // their bytes by now; `read_rows` recomputes such rows (bit-identical,
-    // free of charge) into the scratch.
-    let mut scratch = RowScratch::new();
     for &w in &used {
-        let (d1, d2) = oracle.read_rows(w, &mut scratch);
-        for i in 0..n {
-            let delta = distance_decrease(d1[i], d2[i]).unwrap_or(0);
-            sum[i] = sum[i].saturating_add(delta);
-            max[i] = max[i].max(delta);
+        // Served landmarks are paid, so both rows are resident, and the
+        // store keeps both snapshots at one width.
+        match oracle
+            .cached_rows(w)
+            .expect("a served landmark is resident")
+        {
+            (RowRef::U16(d1), RowRef::U16(d2)) => accumulate(d1, d2, &mut sum, &mut max),
+            (RowRef::U32(d1), RowRef::U32(d2)) => accumulate(d1, d2, &mut sum, &mut max),
+            _ => unreachable!("the row store keeps both snapshots at one width"),
         }
     }
     LandmarkScores {
         sum,
         max,
         landmarks: used,
+    }
+}
+
+/// Folds one landmark's row pair into both norms of every node's change
+/// vector, reading the rows at their storage width.
+fn accumulate<T: RowDist>(d1: &[T], d2: &[T], sum: &mut [u32], max: &mut [u32]) {
+    for (i, (&a, &b)) in d1.iter().zip(d2).enumerate() {
+        let delta = distance_decrease(a.widen(), b.widen()).unwrap_or(0);
+        sum[i] = sum[i].saturating_add(delta);
+        max[i] = max[i].max(delta);
     }
 }
 

@@ -13,8 +13,7 @@
 
 use crate::exact::{sort_pairs, ConvergingPair, TopKSpec};
 use crate::oracle::{
-    ArenaStats, BfsKernel, BudgetLedger, GraphStore, KernelStats, Phase, RowScratch,
-    SnapshotOracle, SsspPrune,
+    ArenaStats, BfsKernel, BudgetLedger, GraphStore, KernelStats, Phase, SnapshotOracle, SsspPrune,
 };
 use crate::scan::{scan_delta_row, ScanCounters, ScanKernel};
 use crate::selectors::CandidateSelector;
@@ -55,11 +54,8 @@ pub struct PipelineStats {
     pub cache_misses: u64,
     /// Always 0; remains only for the benchmark, which reports it.
     pub repaired_rows: u64,
-    /// Paid rows recomputed free of charge after LRU eviction (0 under
-    /// the default unbounded row cache).
-    pub recomputed_rows: u64,
-    /// Bytes of row payload resident in the oracle's cache at the end of
-    /// the run.
+    /// Bytes of row payload resident in the oracle's row store at the end
+    /// of the run.
     pub cache_bytes: usize,
     /// Worker threads the oracle was configured with.
     pub threads: usize,
@@ -194,7 +190,6 @@ pub fn run_pipeline(
         cache_hits,
         cache_misses,
         repaired_rows: 0,
-        recomputed_rows: oracle.recomputed_rows(),
         cache_bytes: oracle.cache_bytes(),
         threads: oracle.threads(),
         kernel: BfsKernel::Auto,
@@ -242,7 +237,7 @@ pub fn run_pipeline(
 /// outside the top k). Pruning is therefore conservative, and the final
 /// retain/sort/truncate below cuts exactly as the unpruned scan would —
 /// results are bit-identical to the per-element reference loop at any
-/// thread count and cache budget.
+/// thread count.
 fn pairs_from_candidates(
     oracle: &SnapshotOracle<'_>,
     candidates: &[NodeId],
@@ -285,10 +280,10 @@ fn pairs_from_candidates(
 /// The Δ-emitting pairs contributed by each candidate's row pair, merged
 /// in candidate order.
 ///
-/// Rows are fetched with [`SnapshotOracle::read_rows_packed`]: candidates
-/// are *paid* by construction, but under a bounded row cache their bytes
-/// may have been evicted, in which case each worker recomputes them into
-/// its own [`RowScratch`] — same bits, no charge, no shared mutation.
+/// Rows are borrowed from the oracle's store at its width
+/// ([`SnapshotOracle::cached_rows`]): candidates are paid by
+/// construction, so both rows are resident — no charge, no copy, no
+/// shared mutation.
 ///
 /// No locks: the executor hands each worker contiguous candidate ranges
 /// (stealing half of the largest remaining range when it runs dry); each
@@ -321,14 +316,13 @@ fn scan_candidate_rows(
     // v < u` skip), so a full heap's minimum is a valid global floor.
     let scan_one = |i: usize, s: &mut ScanScratch| {
         let ScanScratch {
-            rows,
             out,
             counters,
             heap,
         } = s;
         let u = candidates[i];
         let u_idx = u.index();
-        let (r1, r2) = oracle.read_rows_packed(u, rows);
+        let (r1, r2) = oracle.cached_rows(u).expect("a paid candidate is resident");
         scan_delta_row(
             r1,
             r2,
@@ -411,12 +405,11 @@ fn scan_candidate_rows(
 }
 
 /// Per-worker persistent Δ-scan scratch, living across batches in the
-/// executor's [`cp_exec::WorkerScratch`]: the row-resolution buffers,
-/// the flat pair output, the scan counters and the top-k floor heap.
-/// The latter three are drained/reset at the end of every batch.
+/// executor's [`cp_exec::WorkerScratch`]: the flat pair output, the scan
+/// counters and the top-k floor heap, all drained/reset at the end of
+/// every batch.
 #[derive(Default)]
 struct ScanScratch {
-    rows: RowScratch,
     out: Vec<ConvergingPair>,
     counters: ScanCounters,
     heap: BinaryHeap<Reverse<u32>>,

@@ -1,12 +1,11 @@
-//! Differential conformance of the row cache.
+//! Differential conformance of the pipeline's runtime optimizations.
 //!
-//! The contract: the row cache, the thread fan-out, the multi-source
-//! waves and the blocked Δ-scan are pure wall-clock optimizations.
-//! Pipeline **results** — pairs, candidate set, budget ledger — are
-//! bit-identical with the cache on or off, at any thread count and at any
-//! resident-row budget, on every synthetic evolving-graph generator in
-//! `cp-gen`. Candidates and ledger must reproduce the 1-thread,
-//! `RowCacheBudget::Bytes(0)` run exactly; pairs must equal
+//! The contract: the thread fan-out, the multi-source waves, the bounded
+//! staging of batched passes and the blocked Δ-scan are pure wall-clock
+//! optimizations. Pipeline **results** — pairs, candidate set, budget
+//! ledger — are bit-identical at any thread count, on every synthetic
+//! evolving-graph generator in `cp-gen`. Candidates and ledger must
+//! reproduce the 1-thread run exactly; pairs must equal
 //! [`reference::reference_pairs`] — the per-element Δ loop over scalar-BFS
 //! rows of those candidates.
 //!
@@ -20,7 +19,7 @@
 //! snapshots where `A` falls back to every node.
 
 use cp_core::exact::{exact_top_k, sort_pairs, ConvergingPair, TopKSpec};
-use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
+use cp_core::oracle::SnapshotOracle;
 use cp_core::selectors::{active_nodes, incidence_full, SelectorKind};
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_gen::affiliation::{affiliation, AffiliationParams};
@@ -128,20 +127,14 @@ fn run_config(
     m: u64,
     spec: &TopKSpec,
     threads: usize,
-    cache: RowCacheBudget,
 ) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_threads(threads)
-        .with_row_cache(cache);
+    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m).with_threads(threads);
     let mut sel = kind.build(3);
     run_pipeline(&mut oracle, sel.as_mut(), spec)
 }
 
-/// The full differential matrix: every spec shape × threads {1,2,8} ×
-/// cache budgets {off, tiny, unbounded} against the reference pairs and
-/// the 1-thread cache-off run, on every generator. The tiny budget (one
-/// row's worth of bytes beyond the pinned pair) forces constant eviction
-/// and free recomputation.
+/// The full differential matrix: every spec shape × threads {1,2,8}
+/// against the reference pairs and the 1-thread run, on every generator.
 #[test]
 fn pipeline_is_invariant_across_the_cache_matrix() {
     let specs = [
@@ -151,35 +144,28 @@ fn pipeline_is_invariant_across_the_cache_matrix() {
     ];
     for (name, t) in generator_cases() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        let tiny = RowCacheBudget::Bytes(3 * 4 * g1.num_nodes());
         for kind in [SelectorKind::Degree, SelectorKind::Mmsd { landmarks: 3 }] {
             for spec in &specs {
                 for m in [4u64, 12] {
-                    let reference =
-                        run_config(&g1, &g2, kind, m, spec, 1, RowCacheBudget::Bytes(0));
+                    let reference = run_config(&g1, &g2, kind, m, spec, 1);
                     let want = reference_pairs(&g1, &g2, &reference.candidates, spec);
                     for threads in [1usize, 2, 8] {
-                        for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                            let got = run_config(&g1, &g2, kind, m, spec, threads, cache);
-                            let ctx = format!(
-                                "{name}/{}/{spec:?}/m={m}/threads={threads}/cache={}",
-                                kind.name(),
-                                cache.describe(),
-                            );
-                            assert_eq!(got.pairs, want, "pairs diverge: {ctx}");
-                            assert_eq!(
-                                got.candidates, reference.candidates,
-                                "candidates diverge: {ctx}"
-                            );
-                            assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                            // Stats stay coherent in every configuration:
-                            // charged rows add up to the ledger.
-                            assert_eq!(
-                                got.stats.kernel_rows(),
-                                got.budget.total(),
-                                "kernel counters diverge from the ledger: {ctx}"
-                            );
-                        }
+                        let got = run_config(&g1, &g2, kind, m, spec, threads);
+                        let ctx =
+                            format!("{name}/{}/{spec:?}/m={m}/threads={threads}", kind.name());
+                        assert_eq!(got.pairs, want, "pairs diverge: {ctx}");
+                        assert_eq!(
+                            got.candidates, reference.candidates,
+                            "candidates diverge: {ctx}"
+                        );
+                        assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+                        // Stats stay coherent in every configuration:
+                        // charged rows add up to the ledger.
+                        assert_eq!(
+                            got.stats.kernel_rows(),
+                            got.budget.total(),
+                            "kernel counters diverge from the ledger: {ctx}"
+                        );
                     }
                 }
             }
@@ -222,11 +208,10 @@ fn incidence_baseline_matches_exact_ground_truth() {
     }
 }
 
-/// The Δ-scan matrix: threads {1,2,8} × cache budgets {off, tiny, 64k,
-/// unbounded} × every spec shape. The blocked kernel's chunk skipping and
-/// rising floors must reproduce the reference per-element loop
-/// ([`reference_pairs`]) and never change candidates or the ledger of the
-/// 1-thread cache-off run.
+/// The Δ-scan matrix: threads {1,2,8} × every spec shape. The blocked
+/// kernel's chunk skipping and rising floors must reproduce the reference
+/// per-element loop ([`reference_pairs`]) and never change candidates or
+/// the ledger of the 1-thread run.
 #[test]
 fn scan_kernel_is_invariant_across_the_matrix() {
     let specs = [
@@ -237,35 +222,23 @@ fn scan_kernel_is_invariant_across_the_matrix() {
     let degree = SelectorKind::Degree;
     for (name, t) in generator_cases() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        // One resident row pair plus change, at the packed (u16) width.
-        let tiny = RowCacheBudget::Bytes(3 * 2 * g1.num_nodes());
         for spec in &specs {
-            let reference = run_config(&g1, &g2, degree, 12, spec, 1, RowCacheBudget::Bytes(0));
+            let reference = run_config(&g1, &g2, degree, 12, spec, 1);
             let want = reference_pairs(&g1, &g2, &reference.candidates, spec);
             for threads in [1usize, 2, 8] {
-                for cache in [
-                    RowCacheBudget::Bytes(0),
-                    tiny,
-                    RowCacheBudget::Bytes(64 * 1024),
-                    RowCacheBudget::Unbounded,
-                ] {
-                    let got = run_config(&g1, &g2, degree, 12, spec, threads, cache);
-                    let ctx = format!(
-                        "{name}/{spec:?}/threads={threads}/cache={}",
-                        cache.describe(),
+                let got = run_config(&g1, &g2, degree, 12, spec, threads);
+                let ctx = format!("{name}/{spec:?}/threads={threads}");
+                assert_eq!(got.pairs, want, "pairs diverge: {ctx}");
+                assert_eq!(
+                    got.candidates, reference.candidates,
+                    "candidates diverge: {ctx}"
+                );
+                assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+                if !got.candidates.is_empty() {
+                    assert!(
+                        got.stats.scan_chunks_scanned + got.stats.scan_chunks_skipped > 0,
+                        "blocked kernel saw no chunks: {ctx}"
                     );
-                    assert_eq!(got.pairs, want, "pairs diverge: {ctx}");
-                    assert_eq!(
-                        got.candidates, reference.candidates,
-                        "candidates diverge: {ctx}"
-                    );
-                    assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                    if !got.candidates.is_empty() {
-                        assert!(
-                            got.stats.scan_chunks_scanned + got.stats.scan_chunks_skipped > 0,
-                            "blocked kernel saw no chunks: {ctx}"
-                        );
-                    }
                 }
             }
         }
@@ -511,14 +484,11 @@ fn weighted_rows_take_the_u32_arena_path() {
     let g2 = weighted(&[(0, 15, 1), (4, 11, 2)]);
     let spec = TopKSpec::ThresholdFromMax { slack: 1 };
     let degree = SelectorKind::Degree;
-    let reference = run_config(&g1, &g2, degree, 8, &spec, 1, RowCacheBudget::Bytes(0));
+    let reference = run_config(&g1, &g2, degree, 8, &spec, 1);
     let want = reference_pairs(&g1, &g2, &reference.candidates, &spec);
-    for (threads, cache) in [
-        (1, RowCacheBudget::Bytes(0)),
-        (2, RowCacheBudget::Unbounded),
-    ] {
-        let got = run_config(&g1, &g2, degree, 8, &spec, threads, cache);
-        let ctx = format!("threads={threads}/cache={}", cache.describe());
+    for threads in [1, 2] {
+        let got = run_config(&g1, &g2, degree, 8, &spec, threads);
+        let ctx = format!("threads={threads}");
         assert_eq!(got.pairs, want, "{ctx}");
         assert_eq!(got.candidates, reference.candidates, "{ctx}");
         assert_eq!(
@@ -531,8 +501,7 @@ fn weighted_rows_take_the_u32_arena_path() {
 }
 
 /// The exact solver's top-k cut is reproduced by the budgeted pipeline
-/// when the budget covers every node — full recovery independent of the
-/// cache configuration.
+/// when the budget covers every node — full recovery.
 #[test]
 fn full_budget_recovers_exact_top_k_under_any_cache() {
     for (name, t) in generator_cases().into_iter().take(4) {
@@ -540,14 +509,10 @@ fn full_budget_recovers_exact_top_k_under_any_cache() {
         let spec = TopKSpec::TopK(10);
         let exact = exact_top_k(&g1, &g2, &spec, 2);
         let n = g1.num_nodes() as u64;
-        for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-            let got = run_config(&g1, &g2, SelectorKind::Degree, n, &spec, 2, cache);
-            assert_eq!(
-                got.pairs,
-                exact.pairs,
-                "{name}/cache={}: full-budget pipeline must recover the exact top-k",
-                cache.describe()
-            );
-        }
+        let got = run_config(&g1, &g2, SelectorKind::Degree, n, &spec, 2);
+        assert_eq!(
+            got.pairs, exact.pairs,
+            "{name}: full-budget pipeline must recover the exact top-k"
+        );
     }
 }

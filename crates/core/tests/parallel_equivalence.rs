@@ -7,7 +7,7 @@
 //! references of `reference/mod.rs`.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
+use cp_core::oracle::{Snapshot, SnapshotOracle};
 use cp_core::selectors::{new_edge_importance, SelectorKind};
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_exec::Executor;
@@ -294,14 +294,8 @@ fn prefetch_batch_widths_are_kernel_invariant() {
     let (g1, g2) = grid_snapshots();
     for width in [1usize, 64, 65] {
         let nodes: Vec<NodeId> = (0..width as u32).map(NodeId).collect();
-        // The row checks below read resident rows, so pin the cache on
-        // against the environment (the CI matrix sets CP_ROW_CACHE=0).
-        let mut single = SnapshotOracle::unbounded(&g1, &g2)
-            .with_threads(1)
-            .with_row_cache(RowCacheBudget::Unbounded);
-        let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-            .with_row_cache(RowCacheBudget::Unbounded)
-            .with_threads(4);
+        let mut single = SnapshotOracle::unbounded(&g1, &g2).with_threads(1);
+        let mut auto = SnapshotOracle::unbounded(&g1, &g2).with_threads(4);
         let rs = single.prefetch_node_rows(&nodes);
         let ra = auto.prefetch_node_rows(&nodes);
         assert_eq!(rs, ra, "width {width}: prefetch reports diverge");
@@ -353,11 +347,7 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
     let g2 = weighted(&[(0, 11, 1), (3, 8, 2)]);
     assert!(g1.is_weighted() && g2.is_weighted());
     let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-    // The row checks below read resident rows, so pin the cache on
-    // regardless of the environment's CP_ROW_CACHE.
-    let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-        .with_row_cache(RowCacheBudget::Unbounded)
-        .with_threads(4);
+    let mut auto = SnapshotOracle::unbounded(&g1, &g2).with_threads(4);
     auto.prefetch_node_rows(&nodes);
     for &u in &nodes {
         assert_rows_match_reference(&auto, &g1, &g2, u, "weighted");
@@ -380,11 +370,8 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
 fn injected_pool_is_reused_across_prefetch_batches() {
     let (g1, g2) = grid_snapshots();
     let pool = Arc::new(Executor::new(4));
-    let mut single = SnapshotOracle::unbounded(&g1, &g2)
-        .with_threads(1)
-        .with_row_cache(RowCacheBudget::Unbounded);
+    let mut single = SnapshotOracle::unbounded(&g1, &g2).with_threads(1);
     let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-        .with_row_cache(RowCacheBudget::Unbounded)
         .with_threads(4)
         .with_executor(Arc::clone(&pool));
     // Three disjoint 20-node batches, each wide enough to cross
@@ -414,6 +401,45 @@ fn injected_pool_is_reused_across_prefetch_batches() {
         assert!(stats.batches_run > u64::from(batch));
     }
     assert_eq!(single.ledger(), auto.ledger());
+}
+
+/// Bounded staging: a prefetch of more than `4 × threads` work items runs
+/// as several executor batches, each merged into the row store before the
+/// next. A 400-node path gives seven waves per snapshot, fourteen items
+/// against a pass of 4 × 2 = 8, so two batches on a 2-thread pool. Rows
+/// equal the reference rows, ledger and kernel counters equal a 1-thread
+/// oracle's, and every fully paid node keeps both rows resident.
+#[test]
+fn prefetch_runs_in_bounded_passes() {
+    let n = 400u32;
+    let base: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+    let g1 = graph_from_edges(n as usize, &base);
+    let mut all = base;
+    all.extend((0..n - 13).step_by(11).map(|i| (i, i + 13)));
+    let g2 = graph_from_edges(n as usize, &all);
+    let nodes: Vec<NodeId> = g1.nodes().collect();
+    let pool = Arc::new(Executor::new(2));
+    let mut single = SnapshotOracle::unbounded(&g1, &g2).with_threads(1);
+    let mut two = SnapshotOracle::unbounded(&g1, &g2)
+        .with_threads(2)
+        .with_executor(Arc::clone(&pool));
+    let rs = single.prefetch_node_rows(&nodes);
+    let rt = two.prefetch_node_rows(&nodes);
+    assert_eq!(rs, rt, "prefetch reports diverge");
+    assert_eq!(two.kernel_stats().msbfs_waves, 14);
+    assert_eq!(
+        pool.stats().batches_run,
+        2,
+        "fourteen items run as two passes"
+    );
+    assert_eq!(single.ledger(), two.ledger());
+    assert_eq!(single.kernel_stats(), two.kernel_stats());
+    let fully = two.fully_cached_nodes();
+    assert_eq!(fully, nodes);
+    for &u in &fully {
+        assert!(two.cached_rows(u).is_some(), "{u} lost a resident row");
+        assert_rows_match_reference(&two, &g1, &g2, u, "staged");
+    }
 }
 
 /// Brandes edge betweenness is bit-identical at every thread count: its

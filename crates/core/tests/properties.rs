@@ -161,7 +161,7 @@ proptest! {
 
     #[test]
     fn delta_bounds_are_sound((n, base, extra) in snapshot_pair(18), l1 in 0u32..18, l2 in 0u32..18) {
-        use cp_core::estimate::DeltaBounds;
+        use cp_core::bounds::DeltaBounds;
         use cp_graph::landmark_index::LandmarkIndex;
         let g1 = graph_from_edges(n, &base);
         let all: Vec<(u32, u32)> = base.iter().chain(extra.iter()).copied().collect();
@@ -199,7 +199,7 @@ proptest! {
 
     #[test]
     fn triage_never_misclassifies((n, base, extra) in snapshot_pair(14), floor in 1u32..4) {
-        use cp_core::estimate::DeltaBounds;
+        use cp_core::bounds::DeltaBounds;
         use cp_graph::landmark_index::LandmarkIndex;
         let g1 = graph_from_edges(n, &base);
         let all: Vec<(u32, u32)> = base.iter().chain(extra.iter()).copied().collect();

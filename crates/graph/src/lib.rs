@@ -32,8 +32,8 @@
 //!   and the basis of the Δ-certification extension in `cp-core`.
 //! * [`rowpack`] — compact row storage: `u16` packing for unweighted
 //!   distance rows (half the bytes, twice the cache reach) and a pooled
-//!   slab [`RowArena`](rowpack::RowArena) with a free list, the backing
-//!   store of the budget oracle's resident-row cache.
+//!   slab [`RowArena`](rowpack::RowArena), the backing store of the
+//!   budget oracle's resident rows.
 //!
 //! Distances are `u32` with [`INF`] as the unreachable sentinel, which keeps
 //! distance rows compact (4 bytes/node) — the experiments stream millions of

@@ -3,7 +3,7 @@
 //! Unweighted BFS distances on a universe of `n ≤ 65 535` nodes are at most
 //! `n − 1 ≤ 65 534`, so they fit in a `u16` with [`INF_U16`] left over as
 //! the unreachable sentinel — half the bytes of the canonical `u32` rows,
-//! which means a byte-budgeted row cache holds twice the rows and the Δ
+//! so the oracle's row store holds paid rows in half the memory and the Δ
 //! scan streams twice the nodes per cache line. Weighted Dijkstra rows
 //! (and universes beyond `u16`) keep the full `u32` width; [`RowRef`]
 //! carries either width through a common read interface.
@@ -15,9 +15,9 @@
 //! and the BFS kernels only ever see `u16` and `u32` rows.
 //!
 //! [`RowArena`] pools the rows themselves: fixed-length slots carved out of
-//! large contiguous slabs, recycled through a free list, so an LRU cache
-//! that evicts and refills thousands of rows reuses warm slabs instead of
-//! churning the allocator.
+//! large contiguous slabs, so thousands of rows cost a few large
+//! allocations instead of one each. A slot is never freed before the arena
+//! drops.
 
 use crate::{Graph, INF};
 
@@ -235,25 +235,19 @@ impl<'a> RowRef<'a> {
     }
 }
 
-/// Handle to a row slot inside a [`RowArena`].
+/// Handle to a row slot inside a [`RowArena`]: the slot's allocation
+/// index (slots are numbered `0, 1, 2, …` in allocation order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RowId(u32);
+pub struct RowId(pub u32);
 
-/// A pooled arena of fixed-length rows, stored in contiguous slabs with a
-/// free list.
+/// A pooled arena of fixed-length rows, stored in contiguous slabs.
 ///
-/// Slots are addressed by [`RowId`]; [`RowArena::free`] recycles a slot
-/// for the next [`RowArena::alloc`] without returning memory to the
-/// allocator, so steady-state eviction/refill traffic (the row cache's LRU
-/// under a byte budget) runs allocation-free once the slabs are warm.
+/// Slots are addressed by [`RowId`] and live until the arena drops.
 pub struct RowArena<T> {
     row_len: usize,
     rows_per_slab: usize,
     slabs: Vec<Vec<T>>,
-    free: Vec<u32>,
     next: u32,
-    live: u64,
-    reused: u64,
 }
 
 /// Target slab size in bytes (rows per slab is derived from the row width).
@@ -267,22 +261,13 @@ impl<T: Copy + Default> RowArena<T> {
             row_len,
             rows_per_slab: (SLAB_TARGET_BYTES / row_bytes).clamp(1, 1 << 16),
             slabs: Vec::new(),
-            free: Vec::new(),
             next: 0,
-            live: 0,
-            reused: 0,
         }
     }
 
-    /// Allocates a slot, recycling a freed one when available. The slot's
-    /// contents are unspecified (stale or zero) — callers overwrite the
-    /// full row via [`Self::row_mut`].
+    /// Allocates the next slot. Its contents are zero — callers overwrite
+    /// the full row via [`Self::row_mut`].
     pub fn alloc(&mut self) -> RowId {
-        self.live += 1;
-        if let Some(id) = self.free.pop() {
-            self.reused += 1;
-            return RowId(id);
-        }
         let id = self.next;
         self.next += 1;
         let slab = id as usize / self.rows_per_slab;
@@ -291,13 +276,6 @@ impl<T: Copy + Default> RowArena<T> {
                 .push(vec![T::default(); self.rows_per_slab * self.row_len]);
         }
         RowId(id)
-    }
-
-    /// Returns a slot to the free list for reuse.
-    pub fn release(&mut self, id: RowId) {
-        debug_assert!(id.0 < self.next, "foreign RowId");
-        self.live = self.live.saturating_sub(1);
-        self.free.push(id.0);
     }
 
     /// The row stored in `id`'s slot.
@@ -325,28 +303,15 @@ impl<T: Copy + Default> RowArena<T> {
         self.row_len * std::mem::size_of::<T>()
     }
 
-    /// Rows currently allocated (alloc'd minus released).
+    /// Rows allocated so far.
     pub fn live_rows(&self) -> u64 {
-        self.live
+        u64::from(self.next)
     }
 
-    /// Allocations served from the free list instead of fresh slab space.
-    pub fn reused_rows(&self) -> u64 {
-        self.reused
-    }
-
-    /// Bytes of slab capacity currently held (live and free slots alike).
+    /// Bytes of slab capacity currently held (allocated and spare slots
+    /// alike).
     pub fn slab_bytes(&self) -> u64 {
         (self.slabs.len() * self.rows_per_slab * self.row_len * std::mem::size_of::<T>()) as u64
-    }
-
-    /// Drops every slab and resets the arena (memory pressure relief).
-    /// All outstanding [`RowId`]s are invalidated.
-    pub fn clear(&mut self) {
-        self.slabs.clear();
-        self.free.clear();
-        self.next = 0;
-        self.live = 0;
     }
 }
 
@@ -444,18 +409,8 @@ mod tests {
         assert_eq!(arena.row(a), &[1, 2, 3]);
         assert_eq!(arena.row(b), &[4, 5, 6]);
         assert_eq!(arena.live_rows(), 2);
-        assert_eq!(arena.reused_rows(), 0);
-        arena.release(a);
-        assert_eq!(arena.live_rows(), 1);
-        let c = arena.alloc();
-        assert_eq!(c, a, "freed slot is recycled first");
-        assert_eq!(arena.reused_rows(), 1);
-        arena.row_mut(c).copy_from_slice(&[7, 8, 9]);
-        assert_eq!(arena.row(b), &[4, 5, 6], "neighbors survive reuse");
+        assert_eq!((a, b), (RowId(0), RowId(1)), "slots in allocation order");
         assert!(arena.slab_bytes() > 0);
-        arena.clear();
-        assert_eq!(arena.live_rows(), 0);
-        assert_eq!(arena.slab_bytes(), 0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!
 //! The index is laid out for these reads (see [`cp_stream::index`]).
 //! Resident rows are found through a dense slot per node and read at
-//! their storage width — `u16` when the snapshot has unit weights and at
-//! most 65 535 nodes, `u32` otherwise. Landmark bounds come from one
+//! the epoch's one storage width — `u8` when every captured distance is
+//! below 255, else `u16` or `u32`. Landmark bounds come from one
 //! node-major record per node, `[d1(ℓ_0..ℓ_16) | d2(ℓ_0..ℓ_16)]`: 64
 //! bytes, one cache line at `u16` width. Because one record holds both
 //! snapshots, [`EpochView::distance`] reads the `d2` halves of two records
@@ -35,15 +35,13 @@
 //! ```
 //! use cp_query::{Answer, QueryEngine};
 //! use cp_core::exact::TopKSpec;
-//! use cp_core::oracle::RowCacheBudget;
 //! use cp_core::selectors::SelectorKind;
 //! use cp_graph::{NodeId, TimedEdge};
 //! use cp_stream::{StreamConfig, StreamEngine};
 //!
 //! // A 10-node path that gains a shortcut: the pair (0, 9) converges.
-//! let mut cfg = StreamConfig::new(10, SelectorKind::Degree,
-//!                                 TopKSpec::ThresholdFromMax { slack: 0 }, 7);
-//! cfg.row_cache = Some(RowCacheBudget::Unbounded);
+//! let cfg = StreamConfig::new(10, SelectorKind::Degree,
+//!                             TopKSpec::ThresholdFromMax { slack: 0 }, 7);
 //! let mut engine = StreamEngine::new(10, cfg);
 //! for i in 0..9u32 {
 //!     engine.ingest(TimedEdge { u: NodeId(i), v: NodeId(i + 1), time: 0 }).unwrap();

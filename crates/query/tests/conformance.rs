@@ -8,13 +8,12 @@
 //! * Every captured row answers `Exact` for every target, and every seed
 //!   resident in both snapshots gets a `complete` top-k.
 //!
-//! The checks run across the full serving matrix — generators × row-cache
-//! budgets, with each review's pairs held to the per-element reference
-//! loop over scalar-BFS rows — and as a property test over arbitrary
+//! The checks run across the full serving matrix — every generator, with
+//! each review's pairs held to the per-element reference loop over scalar-BFS rows — and as a property test over arbitrary
 //! growing streams (the headline bound-soundness proptest at the bottom).
 
 use cp_core::exact::{sort_pairs, ConvergingPair, TopKSpec};
-use cp_core::oracle::{RowCacheBudget, Snapshot};
+use cp_core::oracle::Snapshot;
 use cp_core::selectors::SelectorKind;
 use cp_gen::ba::barabasi_albert;
 use cp_gen::forest_fire::forest_fire;
@@ -165,7 +164,7 @@ fn check_epoch(view: &EpochView, t1: &[Vec<u32>], t2: &[Vec<u32>], tally: &mut T
     }
 }
 
-/// The full serving matrix: on every generator × cache leg, every
+/// The full serving matrix: on every generator, every
 /// published epoch's pairs equal the reference pairs and its answers
 /// conform to from-scratch BFS truth — and the run produces nonzero
 /// Exact, Bounded, and complete top-k answers, so the conformance is not
@@ -175,33 +174,27 @@ fn answers_conform_across_the_matrix() {
     let cuts = [0.6, 0.8, 1.0];
     let mut tally = Tally::default();
     for (name, t) in generator_cases() {
-        let n = t.num_nodes();
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
-        let tiny = RowCacheBudget::Bytes(3 * 4 * n);
-        for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-            let mut cfg = StreamConfig::new(
-                8,
-                SelectorKind::Mmsd { landmarks: 3 },
-                TopKSpec::ThresholdFromMax { slack: 1 },
-                3,
+        let cfg = StreamConfig::new(
+            8,
+            SelectorKind::Mmsd { landmarks: 3 },
+            TopKSpec::ThresholdFromMax { slack: 1 },
+            3,
+        );
+        let mut engine = StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+        for w in cuts.windows(2) {
+            let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+            let g1 = t.snapshot_of_prefix(f1);
+            let (t1, t2) = (truth_matrix(&g1), truth_matrix(&t.snapshot_of_prefix(f2)));
+            feed(&mut engine, &t, f1, f2);
+            let epoch = engine.review();
+            let ctx = format!("{name}/review={}", epoch.review);
+            let want = reference_pairs(&g1, &epoch.graph, &epoch.result.candidates, &cfg.spec);
+            assert_eq!(
+                epoch.result.pairs, want,
+                "pairs diverge from the reference: {ctx}"
             );
-            cfg.row_cache = Some(cache);
-            let mut engine =
-                StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
-            for w in cuts.windows(2) {
-                let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                let g1 = t.snapshot_of_prefix(f1);
-                let (t1, t2) = (truth_matrix(&g1), truth_matrix(&t.snapshot_of_prefix(f2)));
-                feed(&mut engine, &t, f1, f2);
-                let epoch = engine.review();
-                let ctx = format!("{name}/review={}/cache={cache:?}", epoch.review);
-                let want = reference_pairs(&g1, &epoch.graph, &epoch.result.candidates, &cfg.spec);
-                assert_eq!(
-                    epoch.result.pairs, want,
-                    "pairs diverge from the reference: {ctx}"
-                );
-                check_epoch(&EpochView::of(epoch), &t1, &t2, &mut tally, &ctx);
-            }
+            check_epoch(&EpochView::of(epoch), &t1, &t2, &mut tally, &ctx);
         }
     }
     assert!(tally.exact > 0, "no Exact answer anywhere — vacuous run");
@@ -216,9 +209,8 @@ fn answers_conform_across_the_matrix() {
 }
 
 /// Regression: a captured row is exact in every entry. Under a high Δ
-/// floor, with the row cache off (only the pinned rows are captured) and
-/// unbounded (every candidate captured in both snapshots), every row an
-/// epoch captures answers
+/// floor, with every paid row captured, every row an epoch captures
+/// answers
 /// `distance` — and, resident in both snapshots, `delta` — as `Exact` and
 /// equal to from-scratch BFS truth for every target, and its seed's
 /// `topk_for_seed` is `complete`.
@@ -227,59 +219,55 @@ fn captured_rows_answer_exact_for_every_target() {
     let cuts = [0.7, 0.85, 1.0];
     let mut rows_checked = 0u64;
     let mut seeds_checked = 0u64;
-    for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-        for (name, t) in generator_cases() {
-            let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
-            let mut cfg = StreamConfig::new(
-                12,
-                SelectorKind::Mmsd { landmarks: 3 },
-                TopKSpec::Threshold { delta_min: 2 },
-                1,
-            );
-            cfg.row_cache = Some(cache);
-            let mut engine =
-                StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
-            for w in cuts.windows(2) {
-                let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
-                feed(&mut engine, &t, f1, f2);
-                let epoch = engine.review();
-                let t2 = truth_matrix(&epoch.graph);
-                let view = EpochView::of(epoch.clone());
-                let n = t2.len();
-                for u in 0..n {
-                    let nu = NodeId::new(u);
-                    let has1 = epoch.query.row(Snapshot::First, nu).is_some();
-                    let has2 = epoch.query.row(Snapshot::Second, nu).is_some();
-                    let ctx = format!("{name}/review={}/cache={cache:?}/seed={u}", epoch.review);
-                    if has2 {
-                        rows_checked += 1;
-                        for (v, &d) in t2[u].iter().enumerate() {
-                            assert_eq!(
-                                view.distance(nu, NodeId::new(v)),
-                                Answer::Exact(d),
-                                "distance to {v} is not the exact truth: {ctx}"
-                            );
-                        }
+    for (name, t) in generator_cases() {
+        let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
+        let cfg = StreamConfig::new(
+            12,
+            SelectorKind::Mmsd { landmarks: 3 },
+            TopKSpec::Threshold { delta_min: 2 },
+            1,
+        );
+        let mut engine = StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+        for w in cuts.windows(2) {
+            let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+            let t1 = truth_matrix(&t.snapshot_of_prefix(f1));
+            feed(&mut engine, &t, f1, f2);
+            let epoch = engine.review();
+            let t2 = truth_matrix(&epoch.graph);
+            let view = EpochView::of(epoch.clone());
+            let n = t2.len();
+            for u in 0..n {
+                let nu = NodeId::new(u);
+                let has1 = epoch.query.row(Snapshot::First, nu).is_some();
+                let has2 = epoch.query.row(Snapshot::Second, nu).is_some();
+                let ctx = format!("{name}/review={}/seed={u}", epoch.review);
+                if has2 {
+                    rows_checked += 1;
+                    for (v, &d) in t2[u].iter().enumerate() {
+                        assert_eq!(
+                            view.distance(nu, NodeId::new(v)),
+                            Answer::Exact(d),
+                            "distance to {v} is not the exact truth: {ctx}"
+                        );
                     }
-                    if has1 && has2 {
-                        seeds_checked += 1;
-                        for v in 0..n {
-                            assert_eq!(
-                                view.delta(nu, NodeId::new(v)),
-                                Answer::Exact(truth_delta(t1[u][v], t2[u][v])),
-                                "delta to {v} is not the exact truth: {ctx}"
-                            );
-                        }
-                        for k in [1usize, 5, n] {
-                            let got = view.topk_for_seed(nu, k);
-                            assert!(got.complete, "top-{k} of a resident seed incomplete: {ctx}");
-                            assert_eq!(
-                                got.pairs,
-                                truth_topk_for_seed(&t1, &t2, nu, k),
-                                "top-{k} diverges from truth: {ctx}"
-                            );
-                        }
+                }
+                if has1 && has2 {
+                    seeds_checked += 1;
+                    for v in 0..n {
+                        assert_eq!(
+                            view.delta(nu, NodeId::new(v)),
+                            Answer::Exact(truth_delta(t1[u][v], t2[u][v])),
+                            "delta to {v} is not the exact truth: {ctx}"
+                        );
+                    }
+                    for k in [1usize, 5, n] {
+                        let got = view.topk_for_seed(nu, k);
+                        assert!(got.complete, "top-{k} of a resident seed incomplete: {ctx}");
+                        assert_eq!(
+                            got.pairs,
+                            truth_topk_for_seed(&t1, &t2, nu, k),
+                            "top-{k} diverges from truth: {ctx}"
+                        );
                     }
                 }
             }

@@ -7,7 +7,7 @@
 //! `k`. Every `distance`, `delta` and `topk_for_seed(u, k ∈ {0, 1, 10,
 //! n})` answer must be equal, not merely sound:
 //!
-//! * across generators × row cache {0, tiny, ∞} × threads {1, 8};
+//! * across generators × threads {1, 8};
 //! * as a property over arbitrary growing streams;
 //! * on edge cases: short distances on a universe past 65 535 nodes,
 //!   landmark sums past 65 535 on a long path, and epochs without
@@ -15,13 +15,9 @@
 //! * at every storage width: one byte when every captured distance is
 //!   below 255, two at 255 (the one-byte sentinel), four for weighted
 //!   distances past 65 535.
-//!
-//! It also holds the landmark bounds independent of the row cache: the
-//! landmarks are the first nodes paid in both snapshots, whether or not
-//! their rows stayed resident.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
+use cp_core::oracle::{Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::BudgetedResult;
 use cp_gen::ba::barabasi_albert;
@@ -63,15 +59,6 @@ fn feed(engine: &mut StreamEngine, t: &TemporalGraph, from: usize, to: usize) {
             Err(err) => panic!("sorted generator stream was rejected: {err}"),
         }
     }
-}
-
-/// The three row-cache legs of a universe of `n` nodes.
-fn caches(n: usize) -> [RowCacheBudget; 3] {
-    [
-        RowCacheBudget::Bytes(0),
-        RowCacheBudget::Bytes(3 * 4 * n),
-        RowCacheBudget::Unbounded,
-    ]
 }
 
 /// What the compared answers exercised, so no leg passes vacuously.
@@ -153,19 +140,16 @@ fn check_stream(t: &TemporalGraph, cuts: &[f64], cfg: StreamConfig, tally: &mut 
 fn answers_equal_the_reference_across_the_matrix() {
     let mut tally = Tally::default();
     for (name, t) in generator_cases() {
-        for cache in caches(t.num_nodes()) {
-            for threads in [1, 8] {
-                let mut cfg = StreamConfig::new(
-                    8,
-                    SelectorKind::Mmsd { landmarks: 3 },
-                    TopKSpec::ThresholdFromMax { slack: 1 },
-                    3,
-                );
-                cfg.row_cache = Some(cache);
-                cfg.threads = Some(threads);
-                let ctx = format!("{name}/cache={cache:?}/threads={threads}");
-                check_stream(&t, &[0.6, 0.8, 1.0], cfg, &mut tally, &ctx);
-            }
+        for threads in [1, 8] {
+            let mut cfg = StreamConfig::new(
+                8,
+                SelectorKind::Mmsd { landmarks: 3 },
+                TopKSpec::ThresholdFromMax { slack: 1 },
+                3,
+            );
+            cfg.threads = Some(threads);
+            let ctx = format!("{name}/threads={threads}");
+            check_stream(&t, &[0.6, 0.8, 1.0], cfg, &mut tally, &ctx);
         }
     }
     assert!(tally.landmark_bounded > 0, "vacuous: {tally:?}");
@@ -182,14 +166,13 @@ fn edge_list(n: u32, max_edges: usize) -> impl Strategy<Value = (usize, Vec<(u32
 }
 
 proptest! {
-    /// On arbitrary growing streams, under any cache leg and at one or
-    /// eight threads, every answer equals the reference.
+    /// On arbitrary growing streams, at one or eight threads, every answer
+    /// equals the reference.
     #[test]
     fn answers_equal_the_reference_on_arbitrary_streams(
         (n, edges) in edge_list(28, 80),
         cut in 1usize..4,
         m in 2u64..10,
-        cache in 0usize..3,
         wide in any::<bool>(),
     ) {
         let t = TemporalGraph::from_sequence(
@@ -202,9 +185,8 @@ proptest! {
             TopKSpec::ThresholdFromMax { slack: 1 },
             9,
         );
-        cfg.row_cache = Some(caches(n)[cache]);
         cfg.threads = Some(if wide { 8 } else { 1 });
-        let ctx = format!("n={n} m={m} cache={cache} wide={wide}");
+        let ctx = format!("n={n} m={m} wide={wide}");
         let first = cut as f64 / 5.0;
         check_stream(&t, &[first, (first + 1.0) / 2.0, 1.0], cfg, &mut Tally::default(), &ctx);
     }
@@ -240,7 +222,7 @@ fn a_universe_past_u16_serves_one_byte_rows_like_the_reference() {
     let mut grown = path;
     grown.extend([(active[0], active[30]), (active[10], active[55])]);
     let g2 = graph_from_edges(n, &grown);
-    let mut oracle = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+    let mut oracle = SnapshotOracle::unbounded(&g1, &g2);
     for &u in active.iter().step_by(7) {
         oracle.rows(NodeId(u)).unwrap();
     }
@@ -266,13 +248,13 @@ fn a_universe_past_u16_serves_one_byte_rows_like_the_reference() {
 /// both snapshots (so they are the landmarks, and in the first snapshot
 /// they cut every pair of a path node and an edge node), and one more
 /// node in the second snapshot only.
-fn path_epoch(len: u32, cache: RowCacheBudget) -> (Graph, Graph, QueryIndex) {
+fn path_epoch(len: u32) -> (Graph, Graph, QueryIndex) {
     let mut edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
     edges.push((len, len + 1));
     let g1 = graph_from_edges(len as usize + 2, &edges);
     edges.extend([(len / 4, len / 2), (len / 2, len)]);
     let g2 = graph_from_edges(len as usize + 2, &edges);
-    let mut oracle = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(cache);
+    let mut oracle = SnapshotOracle::unbounded(&g1, &g2);
     oracle.rows(NodeId(0)).unwrap();
     oracle.rows(NodeId(len / 2)).unwrap();
     oracle.row(Snapshot::Second, NodeId(len - 3)).unwrap();
@@ -280,35 +262,30 @@ fn path_epoch(len: u32, cache: RowCacheBudget) -> (Graph, Graph, QueryIndex) {
     (g1, g2, index)
 }
 
-/// The width follows the largest captured distance, under any row cache
-/// (the evicted landmark rows count too): 254 hops fit one byte, 255 is
-/// the one-byte sentinel and takes two. Both widths answer like the
-/// reference.
+/// The width follows the largest captured distance: 254 hops fit one
+/// byte, 255 is the one-byte sentinel and takes two. Both widths answer
+/// like the reference.
 #[test]
 fn path_epochs_take_one_byte_up_to_254_hops_and_two_at_255() {
     for (len, width) in [(255, 1), (256, 2)] {
-        for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-            let (g1, g2, index) = path_epoch(len, cache);
-            let ctx = format!("{} hops/cache={cache:?}", len - 1);
-            assert_eq!(index.width_bytes(), width, "{ctx}");
-            assert_eq!(index.landmarks(), &[NodeId(0), NodeId(len / 2)], "{ctx}");
-            let far = NodeId(len - 1);
-            let reference = ReferenceView::new(&index, &g1, &g2);
-            let view = epoch_of(&g2, index);
-            if cache == RowCacheBudget::Unbounded {
-                assert_eq!(
-                    view.snapshot()
-                        .query
-                        .resident_distance(Snapshot::First, NodeId(0), far),
-                    Some(len - 1),
-                    "{ctx}"
-                );
-            }
-            let mut probe: Vec<NodeId> = (0..len).step_by(9).map(NodeId).collect();
-            probe.extend([len / 2, len - 3, len, len + 1].map(NodeId));
-            probe.push(far);
-            assert_equal(&view, &reference, &probe, &mut Tally::default(), &ctx);
-        }
+        let (g1, g2, index) = path_epoch(len);
+        let ctx = format!("{} hops", len - 1);
+        assert_eq!(index.width_bytes(), width, "{ctx}");
+        assert_eq!(index.landmarks(), &[NodeId(0), NodeId(len / 2)], "{ctx}");
+        let far = NodeId(len - 1);
+        let reference = ReferenceView::new(&index, &g1, &g2);
+        let view = epoch_of(&g2, index);
+        assert_eq!(
+            view.snapshot()
+                .query
+                .resident_distance(Snapshot::First, NodeId(0), far),
+            Some(len - 1),
+            "{ctx}"
+        );
+        let mut probe: Vec<NodeId> = (0..len).step_by(9).map(NodeId).collect();
+        probe.extend([len / 2, len - 3, len, len + 1].map(NodeId));
+        probe.push(far);
+        assert_equal(&view, &reference, &probe, &mut Tally::default(), &ctx);
     }
 }
 
@@ -334,7 +311,7 @@ fn weighted_distances_past_u16_keep_four_bytes() {
     let mut grown = base.to_vec();
     grown.extend([(0, 3, 40_000), (4, 5, 1)]);
     let g2 = weighted(&grown);
-    let mut oracle = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+    let mut oracle = SnapshotOracle::unbounded(&g1, &g2);
     oracle.rows(NodeId(0)).unwrap();
     oracle.rows(NodeId(6)).unwrap();
     oracle.row(Snapshot::Second, NodeId(2)).unwrap();
@@ -361,7 +338,7 @@ fn long_path_landmark_sums_past_u16_stay_exact() {
     let mut grown = path;
     grown.push((39_000, 39_990));
     let g2 = graph_from_edges(n as usize, &grown);
-    let mut oracle = SnapshotOracle::unbounded(&g1, &g2).with_row_cache(RowCacheBudget::Unbounded);
+    let mut oracle = SnapshotOracle::unbounded(&g1, &g2);
     oracle.rows(NodeId(0)).unwrap();
     oracle.rows(NodeId(n - 1)).unwrap();
     let index = QueryIndex::capture(&oracle);
@@ -447,83 +424,6 @@ fn epochs_without_landmarks_match_the_reference() {
     // Row of 7 in G_t1, row of 3 in G_t2: Δ(3, 7) is exact.
     assert_eq!(view.delta(NodeId(3), NodeId(7)), Answer::Exact(0));
     assert!(!view.topk_for_seed(NodeId(3), 5).complete);
-}
-
-/// The same stream under a zero, a tiny and an unbounded row cache
-/// publishes the same landmarks and the same landmark-only answers every
-/// review: the landmarks are paid rows, and an evicted one is recomputed
-/// for the records instead of dropped.
-#[test]
-fn landmark_bounds_do_not_depend_on_the_row_cache() {
-    let cuts = [0.6, 0.8, 1.0];
-    for (name, t) in generator_cases() {
-        let n = t.num_nodes();
-        let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
-        let mut engines: Vec<StreamEngine> = caches(n)
-            .into_iter()
-            .map(|cache| {
-                let mut cfg = StreamConfig::new(
-                    8,
-                    SelectorKind::Mmsd { landmarks: 3 },
-                    TopKSpec::ThresholdFromMax { slack: 1 },
-                    3,
-                );
-                cfg.row_cache = Some(cache);
-                StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg)
-            })
-            .collect();
-        for w in cuts.windows(2) {
-            let epochs: Vec<Arc<StreamSnapshot>> = engines
-                .iter_mut()
-                .map(|e| {
-                    feed(e, &t, prefix(w[0]), prefix(w[1]));
-                    e.review()
-                })
-                .collect();
-            let ctx = format!("{name}/review={}", epochs[0].review);
-            let (zero, rest) = epochs.split_first().unwrap();
-            let q0 = &zero.query;
-            assert!(!q0.landmarks().is_empty(), "no landmark at all: {ctx}");
-            let views: Vec<EpochView> = epochs.iter().cloned().map(EpochView::of).collect();
-            // A pair no leg holds a row for is answered by landmarks alone.
-            let unheld = |u: NodeId, v: NodeId| {
-                epochs.iter().all(|e| {
-                    [Snapshot::First, Snapshot::Second].iter().all(|&which| {
-                        e.query.row(which, u).is_none() && e.query.row(which, v).is_none()
-                    })
-                })
-            };
-            for other in rest {
-                let q = &other.query;
-                assert_eq!(q.landmarks(), q0.landmarks(), "landmark ids: {ctx}");
-                for u in all_nodes(n) {
-                    assert_eq!(q.rules_out_seed(u), q0.rules_out_seed(u), "{u}: {ctx}");
-                    for v in all_nodes(n) {
-                        assert_eq!(
-                            q.landmark_bounds_both(u, v),
-                            q0.landmark_bounds_both(u, v),
-                            "({u}, {v}): {ctx}"
-                        );
-                    }
-                }
-            }
-            let mut bounded = 0;
-            for u in all_nodes(n) {
-                for v in all_nodes(n) {
-                    if u == v || !unheld(u, v) {
-                        continue;
-                    }
-                    let d = views[0].distance(u, v);
-                    for view in &views[1..] {
-                        assert_eq!(view.distance(u, v), d, "{ctx}");
-                        assert_eq!(view.delta(u, v), views[0].delta(u, v), "{ctx}");
-                    }
-                    bounded += u64::from(matches!(d, Answer::Bounded { .. }));
-                }
-            }
-            assert!(bounded > 0, "no landmark-only pair was bracketed: {ctx}");
-        }
-    }
 }
 
 /// The reference certificate itself, against brute-force probes.

@@ -5,7 +5,7 @@
 //! fails it.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, Snapshot};
+use cp_core::oracle::Snapshot;
 use cp_core::selectors::SelectorKind;
 use cp_gen::ba::barabasi_albert;
 use cp_gen::seeded_rng;
@@ -53,13 +53,12 @@ fn answers(view: &EpochView) -> Vec<(Answer, Answer)> {
 fn a_pinned_view_keeps_its_epoch_while_later_calls_see_the_next_review() {
     // Given
     let path: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
-    let mut cfg = StreamConfig::new(
+    let cfg = StreamConfig::new(
         10,
         SelectorKind::Degree,
         TopKSpec::ThresholdFromMax { slack: 0 },
         7,
     );
-    cfg.row_cache = Some(RowCacheBudget::Unbounded);
     let mut engine = StreamEngine::from_snapshot(&graph_from_edges(10, &path), cfg);
     let q = QueryEngine::new(engine.reader());
     engine.ingest(edge(0, 9, 1)).unwrap();
@@ -111,9 +110,7 @@ fn feed(engine: &mut StreamEngine, t: &TemporalGraph, from: usize, to: usize) {
 }
 
 /// A small budget on a 70-node graph: most rows are not resident, so
-/// most pairs lean on the landmark bounds. The row cache is read from
-/// `CP_ROW_CACHE`: the epoch's landmarks are paid rows, so they bound
-/// pairs under any cache budget.
+/// most pairs lean on the landmark bounds.
 fn budgeted_config() -> StreamConfig {
     StreamConfig::new(
         5,

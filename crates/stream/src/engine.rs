@@ -3,7 +3,7 @@
 use crate::index::QueryIndex;
 use crate::subs::{PairTrack, StreamEvent, Watch, WatchId, WatchKind};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
+use cp_core::oracle::{Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult, PipelineStats};
 use cp_graph::temporal::GraphAccumulator;
@@ -34,8 +34,8 @@ pub enum ReviewPolicy {
 /// each review runs under its own `2m` SSSP ledger with a selector seeded
 /// `seed + review_index`, so review *r*'s output is bit-identical to a
 /// from-scratch [`cp_core::topk::budgeted_top_k`] on the same snapshot
-/// pair. The two `Option` knobs override the process-environment
-/// defaults (`CP_THREADS`, `CP_ROW_CACHE`) — `None` inherits them.
+/// pair. `threads` overrides the process-environment default
+/// (`CP_THREADS`) — `None` inherits it.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Candidate budget per review (`2m` SSSPs each).
@@ -50,19 +50,15 @@ pub struct StreamConfig {
     pub policy: ReviewPolicy,
     /// Worker threads (`None`: `CP_THREADS` / default).
     pub threads: Option<usize>,
-    /// Resident-row byte budget (`None`: `CP_ROW_CACHE` / default).
-    pub row_cache: Option<RowCacheBudget>,
-    /// Chain the row cache across reviews: step *t*'s resident `t2` rows
+    /// Chain the row store across reviews: step *t*'s resident `t2` rows
     /// become step *t+1*'s `t1` donors. Pure wall-clock optimization —
-    /// ledger and results are bit-identical either way. Disabled
-    /// automatically when the row cache is `Bytes(0)` (nothing resident
-    /// survives to chain).
+    /// ledger and results are bit-identical either way.
     pub chain_cache: bool,
 }
 
 impl StreamConfig {
     /// A config with the given pipeline quadruple, manual reviews,
-    /// environment-default knobs, and cache chaining on.
+    /// the environment-default thread count, and donor chaining on.
     pub fn new(m: u64, selector: SelectorKind, spec: TopKSpec, seed: u64) -> Self {
         StreamConfig {
             m,
@@ -71,7 +67,6 @@ impl StreamConfig {
             seed,
             policy: ReviewPolicy::Manual,
             threads: None,
-            row_cache: None,
             chain_cache: true,
         }
     }
@@ -483,18 +478,12 @@ impl StreamEngine {
         if let Some(t) = self.config.threads {
             oracle.set_threads(t);
         }
-        if let Some(b) = self.config.row_cache {
-            oracle.set_row_cache(b);
-        }
         // Chain: the previous epoch's published t2 rows are exact t1 rows
         // here — `g1` *is* the graph they were computed on — and they are
         // copied at the oracle's storage width, one-byte epoch rows widened
-        // inside that copy. Imported after the knobs so the
-        // configured row cache bounds the imports. Pointless under
-        // `Bytes(0)` (the LRU would evict the imports immediately).
-        let chaining = self.config.chain_cache && oracle.row_cache() != RowCacheBudget::Bytes(0);
+        // inside that copy.
         let mut donor_rows_imported = 0;
-        if chaining {
+        if self.config.chain_cache {
             let prev = Arc::clone(&self.shared.read().query);
             donor_rows_imported =
                 oracle.import_donor_rows(Snapshot::First, prev.rows(Snapshot::Second));
@@ -509,7 +498,7 @@ impl StreamEngine {
         let pipeline_secs = t_pipeline.elapsed().as_secs_f64();
         let donor_chain_hits = oracle.chained_rows();
         // Capture the query material while the oracle still owns its row
-        // cache; the published epoch serves point queries from this copy,
+        // store; the published epoch serves point queries from this copy,
         // and the next review takes its t1 donors from it.
         let query = Arc::new(QueryIndex::capture(&oracle));
         drop(oracle);

@@ -48,7 +48,7 @@
 //! in `u32`, `u32` in `u64`) so a sum never wraps, and widens only its
 //! result to `u32`.
 
-use cp_core::oracle::{RowScratch, Snapshot, SnapshotOracle};
+use cp_core::oracle::{Snapshot, SnapshotOracle};
 use cp_graph::rowpack::{convert_row_into, copy_row_into, RowDist, RowRef, RowSource, INF_U16};
 use cp_graph::{NodeId, INF};
 use std::ops::{Add, Sub};
@@ -401,10 +401,8 @@ impl QueryIndex {
     /// charged (`&self` access only), and the capture happens after the
     /// pipeline ran, inside the review, so published epochs carry it from
     /// birth. The landmarks are the first [`MAX_RESIDENT_LANDMARKS`] nodes
-    /// paid in both snapshots, ascending; a landmark row the row cache
-    /// evicted is recomputed (uncharged, through
-    /// [`SnapshotOracle::read_rows_packed`]), so the landmark bounds never
-    /// depend on the cache budget.
+    /// paid in both snapshots, ascending; paid rows are always resident,
+    /// so their records are copied straight from the oracle's store.
     pub fn capture(oracle: &SnapshotOracle<'_>) -> Self {
         let n = oracle.num_nodes();
         let landmarks: Vec<NodeId> = oracle
@@ -412,23 +410,9 @@ impl QueryIndex {
             .into_iter()
             .take(MAX_RESIDENT_LANDMARKS)
             .collect();
-        // Evicted landmark rows, held at `u32` until the records are built.
-        let mut scratch = RowScratch::new();
-        let evicted: Vec<Option<[Vec<u32>; 2]>> = landmarks
-            .iter()
-            .map(|&w| {
-                oracle.cached_rows(w).is_none().then(|| {
-                    let (r1, r2) = oracle.read_rows_packed(w, &mut scratch);
-                    [r1.to_u32_vec(), r2.to_u32_vec()]
-                })
-            })
-            .collect();
         let mut cols = Vec::with_capacity(2 * landmarks.len());
-        for (i, (&w, own)) in landmarks.iter().zip(&evicted).enumerate() {
-            let (r1, r2) = match own {
-                Some([r1, r2]) => (RowRef::U32(r1), RowRef::U32(r2)),
-                None => oracle.cached_rows(w).expect("a resident landmark"),
-            };
+        for (i, &w) in landmarks.iter().enumerate() {
+            let (r1, r2) = oracle.cached_rows(w).expect("a paid landmark is resident");
             cols.extend([(i, r1), (COLS + i, r2)]);
         }
         let rows = [
@@ -604,7 +588,6 @@ impl QueryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_core::oracle::RowCacheBudget;
     use cp_graph::builder::graph_from_edges;
     use cp_graph::landmark_index::LandmarkIndex;
     use cp_graph::Graph;
@@ -638,8 +621,7 @@ mod tests {
     #[test]
     fn capture_copies_paid_rows_and_landmarks() {
         let (g1, g2) = graphs();
-        let mut oracle =
-            SnapshotOracle::with_budget(&g1, &g2, 8).with_row_cache(RowCacheBudget::Unbounded);
+        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
         oracle.rows(NodeId(0)).unwrap();
         oracle.rows(NodeId(5)).unwrap();
         let idx = QueryIndex::capture(&oracle);
@@ -685,17 +667,15 @@ mod tests {
     #[test]
     fn capture_builds_landmarks_from_paid_rows_for_free() {
         let (g1, g2) = graphs();
-        for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-            let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8).with_row_cache(cache);
-            for u in [5, 0, 9] {
-                oracle.rows(NodeId(u)).unwrap();
-            }
-            let spent = oracle.ledger().total();
-            let idx = QueryIndex::capture(&oracle);
-            assert_eq!(oracle.ledger().total(), spent, "capture charged the ledger");
-            assert_eq!(idx.landmarks(), &[NodeId(0), NodeId(5), NodeId(9)]);
-            assert_records_match(&idx, &g1, &g2);
+        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
+        for u in [5, 0, 9] {
+            oracle.rows(NodeId(u)).unwrap();
         }
+        let spent = oracle.ledger().total();
+        let idx = QueryIndex::capture(&oracle);
+        assert_eq!(oracle.ledger().total(), spent, "capture charged the ledger");
+        assert_eq!(idx.landmarks(), &[NodeId(0), NodeId(5), NodeId(9)]);
+        assert_records_match(&idx, &g1, &g2);
         // Two components: a landmark reaching one endpoint only cuts the
         // pair.
         let g1 = graph_from_edges(6, &[(0, 1), (1, 2), (3, 4)]);
@@ -714,8 +694,7 @@ mod tests {
     #[test]
     fn capture_has_no_landmarks_without_paid_rows() {
         let (g1, g2) = graphs();
-        let mut oracle =
-            SnapshotOracle::with_budget(&g1, &g2, 8).with_row_cache(RowCacheBudget::Unbounded);
+        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
         // Paid in one snapshot only: a resident row, but no landmark.
         oracle.row(Snapshot::Second, NodeId(3)).unwrap();
         let idx = QueryIndex::capture(&oracle);

@@ -8,7 +8,7 @@
 //! snapshot-at-a-time calling convention: [`ConvergenceMonitor::advance`]
 //! diffs the new snapshot against the engine's rolling one, ingests the
 //! new edges, and runs a review. Everything else — per-review ledger,
-//! donor-chained row cache, per-pair history — is the engine's.
+//! donor-chained row store, per-pair history — is the engine's.
 
 use crate::engine::{StreamConfig, StreamEngine, StreamSnapshot};
 use cp_core::exact::{ConvergingPair, TopKSpec};
@@ -152,7 +152,6 @@ impl ConvergenceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_core::oracle::RowCacheBudget;
     use cp_graph::TemporalGraph;
 
     /// A ring accumulating chords: three snapshots, chords arriving in two
@@ -239,12 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn monitor_steps_chain_the_row_cache() {
+    fn monitor_steps_chain_the_row_store() {
         let snaps = snapshots();
-        let mut stream = config().stream();
-        stream.row_cache = Some(RowCacheBudget::Unbounded);
         let mut monitor = ConvergenceMonitor {
-            engine: StreamEngine::from_snapshot(&snaps[0], stream),
+            engine: StreamEngine::from_snapshot(&snaps[0], config().stream()),
         };
         monitor.advance(snaps[1].clone());
         let step2 = monitor.advance(snaps[2].clone());

@@ -1,14 +1,13 @@
 //! Streaming conformance: the engine is a *serving shape*, not a new
 //! algorithm. Every review's visible output — pairs, candidate set, budget
 //! ledger — must be bit-identical to a from-scratch budgeted pipeline run
-//! on the same snapshot pair with the same seed (1 thread, row cache off),
-//! and its pairs must equal the per-element reference loop over scalar-BFS
-//! rows, across the full knob matrix (threads × row-cache budgets), with
-//! review-to-review cache chaining on or off. Chaining, like the row cache
-//! it extends, is a pure wall-clock optimization.
+//! on the same snapshot pair with the same seed (1 thread), and its pairs
+//! must equal the per-element reference loop over scalar-BFS rows, at
+//! every thread count, with review-to-review donor chaining on or off.
+//! Chaining is a pure wall-clock optimization.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
+use cp_core::oracle::SnapshotOracle;
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_gen::ba::barabasi_albert;
@@ -51,12 +50,10 @@ fn feed(engine: &mut StreamEngine, t: &TemporalGraph, from: usize, to: usize) {
     }
 }
 
-/// The from-scratch reference: a fresh single-thread, cache-off oracle
-/// with the engine's per-review seed convention.
+/// The from-scratch reference: a fresh single-thread oracle with the
+/// engine's per-review seed convention.
 fn reference(g1: &Graph, g2: &Graph, cfg: &StreamConfig, review: u32) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * cfg.m)
-        .with_threads(1)
-        .with_row_cache(RowCacheBudget::Bytes(0));
+    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * cfg.m).with_threads(1);
     let mut sel = cfg.selector.build(cfg.seed.wrapping_add(review as u64));
     run_pipeline(&mut oracle, sel.as_mut(), &cfg.spec)
 }
@@ -90,49 +87,40 @@ fn assert_review_matches(
 
 /// The full streaming matrix: every review of an engine run (chaining on)
 /// reproduces the from-scratch pipeline and the reference pairs
-/// bit-for-bit under threads {1, 2, 8} × row-cache budgets {off, tiny,
-/// unbounded}. The chained reviews import their donors from one-byte
+/// bit-for-bit under threads {1, 2, 8}. The chained reviews import their donors from one-byte
 /// epochs, widened to the oracle's `u16` rows in the import's copy.
 #[test]
 fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
     let cuts = [0.6, 0.7, 0.8, 0.9, 1.0];
     let mut chained_reviews = 0;
     for (name, t) in generator_cases() {
-        let n = t.num_nodes();
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
-        let tiny = RowCacheBudget::Bytes(3 * 4 * n);
         for threads in [1usize, 2, 8] {
-            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                let mut cfg = StreamConfig::new(
-                    8,
-                    SelectorKind::Mmsd { landmarks: 3 },
-                    TopKSpec::ThresholdFromMax { slack: 1 },
-                    3,
-                );
-                cfg.threads = Some(threads);
-                cfg.row_cache = Some(cache);
-                let mut engine =
-                    StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
-                for w in cuts.windows(2) {
-                    let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                    let g1 = t.snapshot_of_prefix(f1);
-                    let g2 = t.snapshot_of_prefix(f2);
-                    feed(&mut engine, &t, f1, f2);
-                    let donor_width = engine.latest().query.width_bytes();
-                    let epoch = engine.review();
-                    assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
-                    let want = reference(&g1, &g2, &cfg, epoch.review);
-                    let ctx = format!(
-                        "{name}/review={}/threads={threads}/cache={cache:?}",
-                        epoch.review
-                    );
-                    assert_review_matches(&epoch, &g1, &want, &cfg.spec, &ctx);
-                    // The donors came from a one-byte epoch, so every chain
-                    // hit above went through the widening import.
-                    if epoch.stats.donor_rows_imported > 0 {
-                        assert_eq!(donor_width, 1, "{ctx}");
-                        chained_reviews += 1;
-                    }
+            let mut cfg = StreamConfig::new(
+                8,
+                SelectorKind::Mmsd { landmarks: 3 },
+                TopKSpec::ThresholdFromMax { slack: 1 },
+                3,
+            );
+            cfg.threads = Some(threads);
+            let mut engine =
+                StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+            for w in cuts.windows(2) {
+                let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+                let g1 = t.snapshot_of_prefix(f1);
+                let g2 = t.snapshot_of_prefix(f2);
+                feed(&mut engine, &t, f1, f2);
+                let donor_width = engine.latest().query.width_bytes();
+                let epoch = engine.review();
+                assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
+                let want = reference(&g1, &g2, &cfg, epoch.review);
+                let ctx = format!("{name}/review={}/threads={threads}", epoch.review);
+                assert_review_matches(&epoch, &g1, &want, &cfg.spec, &ctx);
+                // The donors came from a one-byte epoch, so every chain
+                // hit above went through the widening import.
+                if epoch.stats.donor_rows_imported > 0 {
+                    assert_eq!(donor_width, 1, "{ctx}");
+                    chained_reviews += 1;
                 }
             }
         }
@@ -157,7 +145,6 @@ fn injected_pool_serves_every_review_without_respawning() {
             3,
         );
         cfg.threads = Some(4);
-        cfg.row_cache = Some(RowCacheBudget::Unbounded);
         let pool = Arc::new(cp_exec::Executor::new(4));
         let start = t.snapshot_of_prefix(prefix(cuts[0]));
         let mut pooled = StreamEngine::from_snapshot(&start, cfg);
@@ -209,13 +196,12 @@ fn chaining_never_changes_visible_output_and_actually_fires() {
     for (name, t) in generator_cases() {
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
         let cuts = [0.6, 0.7, 0.8, 0.9, 1.0];
-        let mut base = StreamConfig::new(
+        let base = StreamConfig::new(
             10,
             SelectorKind::Degree,
             TopKSpec::ThresholdFromMax { slack: 1 },
             7,
         );
-        base.row_cache = Some(RowCacheBudget::Unbounded);
         let mut chained = StreamEngine::from_snapshot(
             &t.snapshot_of_prefix(prefix(cuts[0])),
             base.with_chaining(true),
@@ -249,24 +235,6 @@ fn chaining_never_changes_visible_output_and_actually_fires() {
         chain_fired,
         "no review ever used a chained donor — the A/B comparison is vacuous"
     );
-}
-
-/// Chaining is auto-disabled at `Bytes(0)`: the LRU keeps nothing
-/// resident, so there is nothing to hand forward — and the engine must not
-/// pretend otherwise in its stats.
-#[test]
-fn chaining_disabled_under_zero_cache() {
-    let t = barabasi_albert(50, 2, &mut seeded_rng(5));
-    let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
-    let mut cfg = StreamConfig::new(6, SelectorKind::Degree, TopKSpec::TopK(10), 1);
-    cfg.row_cache = Some(RowCacheBudget::Bytes(0));
-    let mut engine = StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(0.7)), cfg);
-    for w in [[0.7, 0.85], [0.85, 1.0]] {
-        feed(&mut engine, &t, prefix(w[0]), prefix(w[1]));
-        let epoch = engine.review();
-        assert_eq!(epoch.stats.donor_rows_imported, 0);
-        assert_eq!(epoch.stats.donor_chain_hits, 0);
-    }
 }
 
 /// Strategy: a growing random edge list over up to `n` nodes.

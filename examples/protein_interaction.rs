@@ -76,7 +76,7 @@ fn main() {
 
     // Cheaper still: landmark bounds certify or rule out hypothesized
     // interactions without ANY per-pair shortest-path work.
-    use converging_pairs::core::estimate::DeltaBounds;
+    use converging_pairs::core::bounds::DeltaBounds;
     use converging_pairs::graph::landmark_index::LandmarkIndex;
     let landmarks: Vec<NodeId> = g1
         .nodes()

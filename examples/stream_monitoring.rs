@@ -3,7 +3,7 @@
 //!
 //! A DBLP-style collaboration graph is replayed as timestamped edge events
 //! into a [`StreamEngine`]; each review spends a small SSSP budget, chains
-//! its row cache into the next review, and pushes subscription events for
+//! its paid rows into the next review, and pushes subscription events for
 //! the watched top-k set. Persistent convergence (the same pair drawing
 //! closer review after review) stands out from one-off jumps.
 //!

@@ -14,14 +14,6 @@ echo "==> cargo test -q"
 # arguments.
 cargo test -q
 
-echo "==> cargo test -q [CP_ROW_CACHE=0]"
-# Matrix leg: no rows resident — every read of a paid row recomputes it
-# and donor chaining switches off, in every crate (tests that assert
-# row-cache hits pin their own budget). The scalar BFS and the
-# per-element Δ loop are test references, checked by the default run
-# above.
-CP_ROW_CACHE=0 cargo test -q
-
 echo "==> cargo test -q [CP_THREADS=8]"
 # Matrix leg: a wide persistent pool under every conformance suite —
 # the executor's work-stealing schedule must be invisible in every
@@ -39,14 +31,14 @@ CARGO_TARGET_DIR=target/perfbench \
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> CLI determinism [every selector and --exact, default env vs each runtime knob]"
+echo "==> CLI determinism [every selector and --exact, default env vs CP_THREADS=1 and 8]"
 # The bit-identical contract at the user surface: for every selector
 # (IncBet, whose exact Brandes fans its source blocks out on the
 # oracle's width, included) and for the exact answer (`--exact`, MS-BFS
 # waves over the pool, under both its top-k cut and its threshold cut
 # `--delta-min 2`) the root CLI prints byte-identical pairs with no
-# knob set and with each of the two runtime knobs moved off its default:
-# one lane sweeping every block, eight lanes, and no row cache.
+# knob set and with the one runtime knob moved off its default: one
+# lane sweeping every block, and eight lanes.
 det_dir="$(mktemp -d -t cp_determinism.XXXXXX)"
 python3 - "$det_dir/graph.txt" <<'PY'
 import random
@@ -69,9 +61,9 @@ for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd ma
         exact-delta2) mode=(--exact --delta-min 2) ;;
         *) mode=(--selector "$sel") ;;
     esac
-    for knob in default CP_THREADS=1 CP_THREADS=8 CP_ROW_CACHE=0; do
-        # `default` expands to no assignment at all: every knob unset.
-        env -u CP_THREADS -u CP_ROW_CACHE ${knob#default} \
+    for knob in default CP_THREADS=1 CP_THREADS=8; do
+        # `default` expands to no assignment at all: the knob unset.
+        env -u CP_THREADS ${knob#default} \
             cargo run --release -q -- "$det_dir/graph.txt" \
             --t1 0.8 --t2 1.0 --m 40 --k 200 "${mode[@]}" \
             > "$det_dir/$sel.$knob.tsv" 2> "$det_dir/stderr" || {
@@ -88,15 +80,15 @@ for sel in degree degdiff degrel maxmin maxavg sumdiff maxdiff mmsd mmmd masd ma
 done
 rm -rf "$det_dir"
 
-echo "==> point_queries determinism [default env vs CP_THREADS=1 and 8; CP_ROW_CACHE=0 keeps landmark bounds]"
+echo "==> point_queries determinism [default env vs CP_THREADS=1 and 8; every epoch keeps landmark bounds]"
 # The query layer under the same contract: the example's per-epoch probe
 # tallies, pair answers and per-seed top-k print byte-identical with no
-# knob set, with one lane and with eight. With the row cache off, every
-# probe line must still count Bounded answers: the epoch's landmarks are
-# paid rows, recomputed for the query index when the cache evicted them.
+# knob set, with one lane and with eight. Every probe line must count
+# Bounded answers: the epoch's landmarks are paid rows, so the query
+# index always holds their records.
 pq_dir="$(mktemp -d -t cp_point_queries.XXXXXX)"
-for knob in default CP_THREADS=1 CP_THREADS=8 CP_ROW_CACHE=0; do
-    env -u CP_THREADS -u CP_ROW_CACHE ${knob#default} \
+for knob in default CP_THREADS=1 CP_THREADS=8; do
+    env -u CP_THREADS ${knob#default} \
         cargo run --release -q --example point_queries \
         > "$pq_dir/$knob.txt" 2> "$pq_dir/stderr" || {
         cat "$pq_dir/stderr" >&2
@@ -111,11 +103,11 @@ for knob in CP_THREADS=1 CP_THREADS=8; do
         exit 1
     fi
 done
-probe_lines="$(grep -c 'probes against epoch' "$pq_dir/CP_ROW_CACHE=0.txt" || true)"
+probe_lines="$(grep -c 'probes against epoch' "$pq_dir/default.txt" || true)"
 bounded_lines="$(grep -cE 'probes against epoch [0-9]+: [0-9]+ exact, [1-9][0-9]* bounded' \
-    "$pq_dir/CP_ROW_CACHE=0.txt" || true)"
+    "$pq_dir/default.txt" || true)"
 if [ "$probe_lines" -lt 1 ] || [ "$probe_lines" != "$bounded_lines" ]; then
-    echo "ci.sh: under CP_ROW_CACHE=0 a point_queries epoch answered no pair Bounded" >&2
+    echo "ci.sh: a point_queries epoch answered no pair Bounded" >&2
     rm -rf "$pq_dir"
     exit 1
 fi

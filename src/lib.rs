@@ -23,7 +23,7 @@
 //!   `G^p_k` pair graph + greedy cover, budgeted top-k pipeline, selectors,
 //!   coverage evaluation and the experiment runner.
 //! * [`stream`] (`cp-stream`) — the streaming convergence engine: edge
-//!   events in, budgeted reviews out on a policy, row cache chained across
+//!   events in, budgeted reviews out on a policy, row store chained across
 //!   reviews, subscription watches, immutable published epochs.
 //! * [`query`] (`cp-query`) — budget-free point queries (`d(u,v)`,
 //!   `Δ(u,v)`), per-seed top-k and composable traversals served entirely
